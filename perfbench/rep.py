@@ -13,6 +13,9 @@ its standard output:
 ``setup_s``      interpreter start (``spec["t0"]``, taken by the parent just
                  before it spawned this process) until the timed work starts;
 ``wall_s``       the timed work;
+``task_s`` / ``pass_s``
+                 its parts: per-task seconds of the experiment's executor,
+                 or the seconds of each unthrottled serving pass;
 ``peak_rss_mb``  peak resident memory of this process plus its largest worker;
 ``attempted`` / ``failed`` / ``failures``
                  operations and the output checks they failed;
@@ -59,11 +62,10 @@ SERVE_EVENTS = 2000
 #: ticks fill up (seeds 5 and 6) instead of waiting for the 50 ms timer, so
 #: decision latency measures work rather than the timer.
 SERVE_MAX_BATCH = 8
-#: Unthrottled passes per repetition; wall_s is the fastest.  This host's CPU
-#: speed swings by up to 1.8x in bursts of a second to a minute, and short
-#: passes often catch an undisturbed moment: the fastest ~60 ms pass of a
-#: 2.5 s window reads 100-120 % of the best in most windows, the fastest
-#: ~250 ms pass 100-170 %.  60 passes span ~5 s.
+#: Unthrottled passes per repetition (~80 ms each, ~5 s in all); the run's
+#: wall_s is the median pass over all its repetitions.  On a shared 2-vCPU
+#: host the fastest of many short passes is the least steady statistic: the
+#: CPU also runs up to 2x *faster* than usual for moments, so minima jump.
 SERVE_UNTHROTTLED_PASSES = 60
 #: Open-loop pace: 1e7 x real time replays the served ~50 days in ~0.5 s.
 SERVE_PACED_SPEED = 1e7
@@ -158,6 +160,7 @@ def experiment_rl(spec: dict, tracer) -> dict:
         "setup_end": setup_end,
         "window": [start, end],
         "wall_s": end - start,
+        "task_s": dict(result.executor_stats.task_seconds),
         "attempted": 1,
         "failed": 1 if failures else 0,
         "failures": failures[:10],
@@ -449,7 +452,8 @@ def serve_stream(spec: dict, tracer) -> dict:
     return {
         "setup_end": setup_end,
         "window": [start, end],
-        "wall_s": min(walls),
+        "wall_s": statistics.median(walls),
+        "pass_s": walls,
         "attempted": attempted,
         "failed": failed,
         "failures": failures[:10],

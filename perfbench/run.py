@@ -24,7 +24,7 @@ Workloads (each repetition runs in a fresh interpreter, see ``rep.py``):
     Trains the RL policy on the first 80 days of a
     ``ScenarioConfig.benchmark(seed)`` stream, then serves the first 2000
     held-out events through ``serve_log``: 60 unthrottled passes (capacity;
-    ``wall_s`` is the fastest pass) and one open-loop pass paced at 1e7 x
+    ``wall_s`` is the median pass) and one open-loop pass paced at 1e7 x
     real time (per-decision latency).
 
 With ``--trace 0`` the last line of standard output is one JSON object with
@@ -60,8 +60,8 @@ UNITS = dict(END_TO_END + PER_LAYER)
 
 #: Repetitions per untraced run: at least this many, then until --seconds.
 MIN_REPS = 3
-#: setup_s is the best of this many set-ups per run, spending at most
-#: SETUP_EXTRA_S on set-up-only repetitions beyond the full ones.
+#: setup_s is the median of up to this many set-ups per run, spending at
+#: most SETUP_EXTRA_S on set-up-only repetitions beyond the full ones.
 SETUP_SAMPLES = 9
 SETUP_EXTRA_S = 4.0
 #: Every invocation must end within 180 s; stop starting repetitions so
@@ -181,12 +181,8 @@ class Bench:
         attempted = sum(rep["attempted"] for rep in reps)
         failed = sum(rep["failed"] for rep in reps)
         metrics = {
-            # Timings are the best sample of the run: other tenants of this
-            # host only ever slow it (a fixed CPU-bound loop reads 100-185 %
-            # of its best time, in bursts of 1 s to ~1 min), so the fastest
-            # sample is the one least disturbed.
-            "setup_s": min(setups),
-            "wall_s": min(rep["wall_s"] for rep in reps),
+            "setup_s": statistics.median(setups),
+            "wall_s": median_wall(reps),
             "peak_rss_mb": statistics.median(rep["peak_rss_mb"] for rep in reps),
             "ok_frac": 1.0 - failed / attempted,
         }
@@ -213,6 +209,25 @@ class Bench:
         metrics["trace.unattributed_frac"] = traced["unattributed_frac"]
         metrics["trace.overhead_pct"] = 100.0 * (traced["wall_s"] / baseline["wall_s"] - 1.0)
         return _result(reps, metrics, {"traced_wall_s": traced["wall_s"]})
+
+
+def median_wall(reps) -> float:
+    """A run's ``wall_s``: medians over the finest parts its repetitions time.
+
+    Timings are medians, not minima: on a shared host the CPU runs at 55-185 %
+    of its usual speed in bursts of a second to a minute, so the fastest
+    sample jumps with the rare fast moment, while a median of many parts
+    moves least.  serve-stream pools its passes; experiment-rl sums each
+    executor task's median (plus the median time outside tasks), so a burst
+    that spans two repetitions still leaves every task a clean middle value.
+    """
+    if "pass_s" in reps[0]:
+        return statistics.median(s for rep in reps for s in rep["pass_s"])
+    if "task_s" in reps[0]:
+        tasks = sum(statistics.median(rep["task_s"][key] for rep in reps) for key in reps[0]["task_s"])
+        outside = statistics.median(rep["wall_s"] - sum(rep["task_s"].values()) for rep in reps)
+        return tasks + outside
+    return statistics.median(rep["wall_s"] for rep in reps)
 
 
 def _layer_medians(reps) -> dict:

@@ -241,8 +241,22 @@ def test_failed_operations_lower_ok_frac(monkeypatch):
     result = bench.measure("serve-stream", seed=1, seconds=0.0)
     assert result["attempted"] == 30 and result["failed"] == 3 and not result["correct"]
     assert result["metrics"]["ok_frac"]["value"] == pytest.approx(0.9)
-    assert result["metrics"]["wall_s"]["value"] == pytest.approx(2.0)
+    assert result["metrics"]["wall_s"]["value"] == pytest.approx(2.1)
     assert json.loads(run.contract_json(result))["failed"] == 3
+
+
+def test_wall_is_the_median_of_each_part():
+    # A burst slows task "a" in the first repetition and "b" in the second:
+    # neither whole repetition is clean, but every task has a clean median.
+    reps = [
+        {"wall_s": 10.5, "task_s": {"a": 9.0, "b": 1.0}},
+        {"wall_s": 7.5, "task_s": {"a": 5.0, "b": 2.0}},
+        {"wall_s": 6.5, "task_s": {"a": 5.0, "b": 1.0}},
+    ]
+    assert run.median_wall(reps) == pytest.approx(5.0 + 1.0 + 0.5)
+    passes = [{"wall_s": 0.0, "pass_s": [0.1, 0.9]}, {"wall_s": 0.0, "pass_s": [0.2, 0.3, 0.4]}]
+    assert run.median_wall(passes) == pytest.approx(0.3)
+    assert run.median_wall([{"wall_s": 3.0}, {"wall_s": 1.0}, {"wall_s": 2.0}]) == 2.0
 
 
 def test_benchmark_json_lists_the_catalogue():
