@@ -1,38 +1,31 @@
-"""Benchmark: RL-chain vs. per-trial fan-out wall-clock, recorded as JSON.
+"""Benchmark: serial vs. parallel per-trial RL fan-out wall-clock, as JSON.
 
 Opt-in (marked ``slow``; the benchmarks directory is outside the tier-1
 ``testpaths`` anyway): run with
 
     python -m pytest benchmarks/test_pipeline_parallel.py -m slow -s
 
-Measures one small experiment under three schedules —
+Measures one small experiment under two schedules —
 
 ``serial``
     ``n_workers=1``: every task runs in-process, the reference wall-clock.
-``chain``
-    ``n_workers=N`` with ``rl_trial_tasks=False``: the historical shape,
-    one RL task per split whose hyperparameter trials run serially inside
-    the task; the warm-start chain makes those ``splits × trials`` training
-    runs the graph's critical path.
 ``fan``
-    ``n_workers=N`` with ``rl_trial_tasks=True`` (the default): one task
-    per trial plus a select-best reduce, only trial 0 on the chain — the
-    critical path holds ``splits`` training runs and the remaining trials
-    fill idle workers.
+    ``n_workers=N``: one task per RL trial plus a select-best reduce, only
+    trial 0 on the warm-start chain — the critical path holds ``splits``
+    training runs and the remaining trials fill idle workers.
 
-Results are asserted identical across all three — the executor must never
+Results are asserted identical across both — the executor must never
 trade determinism for speed — and the measurements are written to
 ``BENCH_rl_parallel.json`` in the repository root (override the directory
 with ``REPRO_BENCH_OUTPUT_DIR``).  CI uploads the file as an artifact and
 gates on ``benchmarks/check_bench_regression.py`` against the committed
 baseline in ``benchmarks/baselines/``.
 
-``rl_warm_start`` stays **enabled** here, unlike the pre-fan-out version of
-this benchmark: the chain it creates is exactly what the per-trial
-decomposition is meant to beat, so hiding it would benchmark the wrong
-thing.  On a single-core machine the pools only add overhead; the
-chain-vs-fan comparison is asserted on >= 2 cores only (the recorded JSON
-carries ``cpu_count`` so readers can tell the runs apart).
+``rl_warm_start`` stays **enabled** here: the chain it creates is what the
+per-trial decomposition works around, so hiding it would benchmark the
+wrong thing.  On a single-core machine the pools only add overhead; the
+parallel-vs-serial comparison is asserted on >= 4 cores only (the recorded
+JSON carries ``cpu_count`` so readers can tell the runs apart).
 """
 
 from __future__ import annotations
@@ -92,7 +85,7 @@ def _identical(a, b) -> bool:
 
 
 @pytest.mark.slow
-def test_rl_chain_vs_trial_fanout():
+def test_rl_trial_fanout_vs_serial():
     scenario = ScenarioConfig.small(seed=29)
     cache = PreparedDataCache()
     clear_trace_cache()
@@ -108,19 +101,16 @@ def test_rl_chain_vs_trial_fanout():
     results = {}
     for label, config in (
         ("serial", _bench_config(n_workers=1)),
-        ("chain", _bench_config(n_workers=N_WORKERS, rl_trial_tasks=False)),
-        ("fan", _bench_config(n_workers=N_WORKERS, rl_trial_tasks=True)),
+        ("fan", _bench_config(n_workers=N_WORKERS)),
     ):
         started = time.perf_counter()
         results[label] = run_experiment(scenario, config, cache=cache)
         timings[label] = time.perf_counter() - started
 
-    # Correctness first: neither the schedule nor the task shape (nor the
-    # shared cache) may change a single number.
-    results_identical = (
-        _identical(warmup, results["serial"])
-        and _identical(results["serial"], results["chain"])
-        and _identical(results["serial"], results["fan"])
+    # Correctness first: neither the schedule nor the shared cache may
+    # change a single number.
+    results_identical = _identical(warmup, results["serial"]) and _identical(
+        results["serial"], results["fan"]
     )
     assert results_identical
 
@@ -133,9 +123,7 @@ def test_rl_chain_vs_trial_fanout():
         "rl_hyperparam_trials": N_TRIALS,
         "rl_episodes": _bench_config().rl_episodes,
         "serial_seconds": round(timings["serial"], 3),
-        "chain_parallel_seconds": round(timings["chain"], 3),
         "fan_parallel_seconds": round(timings["fan"], 3),
-        "fan_vs_chain_speedup": round(timings["chain"] / timings["fan"], 3),
         "parallel_speedup": round(timings["serial"] / timings["fan"], 3),
         "rl_critical_path_seconds": round(fan_stats.critical_path_seconds, 3),
         "rl_critical_path_tasks": len(fan_stats.critical_path),
@@ -154,9 +142,8 @@ def test_rl_chain_vs_trial_fanout():
 
     print(
         f"\nserial: {timings['serial']:8.2f} s"
-        f"\nchain:  {timings['chain']:8.2f} s  ({N_WORKERS} workers, old shape)"
         f"\nfan:    {timings['fan']:8.2f} s  ({N_WORKERS} workers, per-trial tasks)"
-        f"\nfan-vs-chain speedup: {record['fan_vs_chain_speedup']:.2f}x"
+        f"\nparallel speedup: {record['parallel_speedup']:.2f}x"
         f" on {os.cpu_count()} core(s)"
         f"\nRL critical path: {record['rl_critical_path_seconds']:.2f} s"
         f" over {record['rl_critical_path_tasks']} tasks"
@@ -164,15 +151,12 @@ def test_rl_chain_vs_trial_fanout():
     )
 
     # The acceptance bound: with enough cores for the fan to spread (>= 4,
-    # the CI runner size), fanning the trials out must beat the chained
-    # shape — 3 trials put 3x the fan's training work on the chain's
-    # critical path, so this is a structural gap, not a timing coin flip.
+    # the CI runner size), the parallel fan-out must beat the serial run.
     # 2-3 core machines oversubscribe the 4-worker pool (noise could flip
     # a strict comparison) and single-core machines only measure pool
     # overhead; there the JSON records the numbers without asserting.
     if (os.cpu_count() or 1) >= 4 and N_WORKERS >= 4 and N_TRIALS >= 2:
-        assert timings["fan"] < timings["chain"], (
+        assert timings["fan"] < timings["serial"], (
             f"per-trial fan-out ({timings['fan']:.2f}s) did not beat the "
-            f"chained shape ({timings['chain']:.2f}s) on "
-            f"{os.cpu_count()} cores"
+            f"serial run ({timings['serial']:.2f}s) on {os.cpu_count()} cores"
         )

@@ -13,7 +13,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro.baselines.decision_tree import DecisionTreeClassifier
-from repro.core import kernels
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive
 
@@ -141,19 +140,9 @@ class RandomForestClassifier:
             np.arange(n_rows, dtype=np.int64) * X.shape[1], n_trees
         )
         node = np.repeat(roots, n_rows)
-        compiled = kernels.active()
-        if compiled is not None:
-            # Same per-pair comparisons (leaf self-loops are no-ops), just
-            # without one gather/where dispatch per tree level.
-            node = compiled.forest_walk(
-                flat_x, row_base, node, feature, threshold, left, right, depth
-            )
-        else:
-            for _ in range(depth):
-                values = flat_x[row_base + feature[node]]
-                node = np.where(
-                    values <= threshold[node], left[node], right[node]
-                )
+        for _ in range(depth):
+            values = flat_x[row_base + feature[node]]
+            node = np.where(values <= threshold[node], left[node], right[node])
         per_tree = probability[node].reshape(n_trees, n_rows)
         total = np.zeros(n_rows, dtype=float)
         for k in range(n_trees):  # sequential fold: matches the per-tree loop

@@ -68,9 +68,8 @@ stage runs under cProfile, the raw stats are merged across stages
 (``pstats.Stats.add``) and ONE top-cumulative-time table is printed after
 the report (per-stage tables plus the merged ``"total"`` entry are
 surfaced as ``result.extras["profile"]`` in the API).  The profile covers
-whatever the driver process executes — including the compiled decision
-kernels when ``--compiled`` is active, whose numba dispatchers are
-attributed like any other callable.
+whatever the driver process executes; process-pool task bodies run outside
+it.
 
 Every table is rendered by :mod:`repro.evaluation.report` — the CLI prints
 exactly what the library's ``format_*`` helpers produce.
@@ -215,15 +214,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         help="executor backend",
     )
     parser.add_argument(
-        "--rl-trial-tasks",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="run each split's RL hyperparameter trials as independent "
-        "executor tasks (default: on; --no-rl-trial-tasks restores the "
-        "in-task trial loop — results are identical, only the schedule "
-        "changes — but is deprecated and emits a DeprecationWarning)",
-    )
-    parser.add_argument(
         "--charge-training-time",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -241,15 +231,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         "--profile",
         action="store_true",
         help="run each pipeline stage under cProfile and print one merged "
-        "top-cumulative-time table after the report (covers the compiled "
-        "kernels when --compiled is active)",
-    )
-    parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="dispatch the decision core's hottest loops to numba-compiled "
-        "kernels (results identical; falls back to numpy with a warning "
-        "when numba is not installed)",
+        "top-cumulative-time table after the report",
     )
 
 
@@ -524,14 +506,10 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["n_workers"] = args.workers
     if args.executor is not None:
         overrides["executor_kind"] = args.executor
-    if args.rl_trial_tasks is not None:
-        overrides["rl_trial_tasks"] = args.rl_trial_tasks
     if args.charge_training_time is not None:
         overrides["charge_training_time"] = args.charge_training_time
     if args.profile:
         overrides["profile"] = True
-    if args.compiled:
-        overrides["compiled"] = True
     return config.with_overrides(**overrides) if overrides else config
 
 

@@ -174,18 +174,10 @@ class DDDQNAgent:
         scaling affects training only, never the evaluation cost accounting.
         """
         cfg = self.config
-        scaled = Transition(
-            state=np.asarray(transition.state, dtype=float),
-            action=transition.action,
-            reward=transition.reward / cfg.reward_scale,
-            next_state=(
-                None
-                if transition.next_state is None
-                else np.asarray(transition.next_state, dtype=float)
-            ),
-            done=transition.done,
+        # The replay memory copies the states into its float64 arrays.
+        self.replay.push(
+            replace(transition, reward=transition.reward / cfg.reward_scale)
         )
-        self.replay.push(scaled)
         self.env_steps += 1
         stats: Optional[TrainStepStats] = None
         if (

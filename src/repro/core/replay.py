@@ -23,19 +23,8 @@ The sum tree and the prioritized buffer expose two equivalent code paths:
   ``integers`` draw between ``uniform`` draws — rewinds the generator and
   replays the scalar loop verbatim.
 
-At the paper's mini-batch size (32) the sampling path is numpy-dispatch
-bound, so :meth:`PrioritizedReplayBuffer.sample` amortises the per-step
-overheads across training steps: the stratified uniforms of several future
-steps are pre-drawn in one ``Generator.random`` call (raw doubles are
-stream-position-exact: ``uniform(low, high)`` is ``low + (high - low) *
-next_double`` per element, and each step's bounds are applied to its slice
-of the pool when the step actually happens, with whatever tree total is
-current then), transitions are gathered from parallel array-backed storage
-instead of restacked object by object, and the sum-tree descent dispatches
-to the optional compiled kernel (:mod:`repro.core.kernels`).  The pre-wrap
-fallback rewinds the generator to the pool's checkpoint, fast-forwards the
-doubles consumed by earlier steps, and replays the scalar loop verbatim —
-then discards the rest of the pool, whose stream positions it invalidated.
+Both buffers store transitions in parallel float64 arrays (states are 1-D
+vectors of one fixed length), so a mini-batch is five fancy-index gathers.
 
 The equivalence is pinned by ``tests/core/test_replay_vectorized.py``.
 """
@@ -43,18 +32,13 @@ The equivalence is pinned by ``tests/core/test_replay_vectorized.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.mdp import Transition
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_fraction, check_positive
-
-#: Training steps' worth of stratified uniforms pre-drawn per RNG call by
-#: :meth:`PrioritizedReplayBuffer.sample` (see the module docstring).
-PER_PREDRAW_STEPS = 8
 
 
 class SumTree:
@@ -195,10 +179,6 @@ class SumTree:
             raise ValueError("cannot sample from an empty tree")
         values = np.asarray(values, dtype=np.float64).ravel().copy()
         np.clip(values, 0.0, np.nextafter(self.total, 0.0), out=values)
-        compiled = kernels.active()
-        if compiled is not None:
-            leaf = compiled.sumtree_descend(self._tree, values, self.capacity - 1)
-            return leaf - (self.capacity - 1), self._tree[leaf].copy()
         idx = np.zeros(values.shape, dtype=np.int64)
         n_internal = self.capacity - 1
         top = 2 * self.capacity - 2
@@ -234,52 +214,80 @@ class ReplayBatch:
         return int(self.states.shape[0])
 
 
-def _stack_batch(
-    transitions: Sequence[Transition],
-    weights: np.ndarray,
-    indices: np.ndarray,
-) -> ReplayBatch:
-    state_dim = transitions[0].state.shape[0]
-    states = np.stack([t.state for t in transitions])
-    actions = np.array([t.action for t in transitions], dtype=np.int64)
-    rewards = np.array([t.reward for t in transitions], dtype=np.float64)
-    dones = np.array([t.done for t in transitions], dtype=np.float64)
-    next_states = np.stack(
-        [
-            t.next_state if t.next_state is not None else np.zeros(state_dim)
-            for t in transitions
-        ]
-    )
-    return ReplayBatch(
-        states=states,
-        actions=actions,
-        rewards=rewards,
-        next_states=next_states,
-        dones=dones,
-        weights=np.asarray(weights, dtype=np.float64),
-        indices=np.asarray(indices, dtype=np.int64),
-    )
+class _ArrayRing:
+    """Ring-buffer transition storage as parallel float64 arrays.
 
+    The arrays are allocated by the first stored transition, whose state
+    fixes the dimension; a terminal transition stores a zero next state.
+    """
 
-class UniformReplayBuffer:
-    """Plain ring-buffer replay memory with uniform sampling (ablation)."""
-
-    def __init__(self, capacity: int, seed=0) -> None:
+    def __init__(self, capacity: int) -> None:
         check_positive("capacity", capacity)
         self.capacity = int(capacity)
-        self._storage: List[Optional[Transition]] = [None] * self.capacity
         self._next = 0
         self._size = 0
-        self._rng = as_generator(seed, "replay")
+        self._states: Optional[np.ndarray] = None
+        self._next_states: Optional[np.ndarray] = None
+        self._actions: Optional[np.ndarray] = None
+        self._rewards: Optional[np.ndarray] = None
+        self._dones: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self._size
 
+    def _store(self, slot: int, transition: Transition) -> None:
+        """Copy one transition into row ``slot`` of the storage arrays."""
+        state = np.asarray(transition.state, dtype=np.float64)
+        next_state = transition.next_state
+        if next_state is not None:
+            next_state = np.asarray(next_state, dtype=np.float64)
+        if self._states is None and state.ndim == 1:
+            dim = state.shape[0]
+            self._states = np.zeros((self.capacity, dim))
+            self._next_states = np.zeros((self.capacity, dim))
+            self._actions = np.zeros(self.capacity, dtype=np.int64)
+            self._rewards = np.zeros(self.capacity)
+            self._dones = np.zeros(self.capacity)
+        expected = "1-D" if self._states is None else self._states.shape[1:]
+        for array in (state, next_state):
+            if array is not None and (self._states is None or array.shape != expected):
+                raise ValueError(
+                    f"replay states must have shape {expected}, got {array.shape}"
+                )
+        self._states[slot] = state
+        self._next_states[slot] = 0.0 if next_state is None else next_state
+        self._actions[slot] = int(transition.action)
+        self._rewards[slot] = float(transition.reward)
+        self._dones[slot] = float(transition.done)
+
+    def _advance(self, count: int = 1) -> None:
+        self._next = (self._next + count) % self.capacity
+        self._size = min(self._size + count, self.capacity)
+
+    def _gather(self, indices: np.ndarray, weights: np.ndarray) -> ReplayBatch:
+        indices = np.asarray(indices, dtype=np.int64)
+        return ReplayBatch(
+            states=self._states[indices],
+            actions=self._actions[indices],
+            rewards=self._rewards[indices],
+            next_states=self._next_states[indices],
+            dones=self._dones[indices],
+            weights=np.asarray(weights, dtype=np.float64),
+            indices=indices,
+        )
+
+
+class UniformReplayBuffer(_ArrayRing):
+    """Plain ring-buffer replay memory with uniform sampling (ablation)."""
+
+    def __init__(self, capacity: int, seed=0) -> None:
+        super().__init__(capacity)
+        self._rng = as_generator(seed, "replay")
+
     def push(self, transition: Transition) -> None:
         """Store one transition, evicting the oldest when full."""
-        self._storage[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        self._store(self._next, transition)
+        self._advance()
 
     def push_many(self, transitions: Iterable[Transition]) -> None:
         """Bulk insert; identical to calling :meth:`push` repeatedly."""
@@ -292,9 +300,7 @@ class UniformReplayBuffer:
         if self._size == 0:
             raise ValueError("cannot sample from an empty replay buffer")
         indices = self._rng.integers(0, self._size, size=batch_size)
-        transitions = [self._storage[i] for i in indices]
-        weights = np.ones(batch_size)
-        return _stack_batch(transitions, weights, indices)
+        return self._gather(indices, np.ones(batch_size))
 
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
         """No-op: uniform replay does not track priorities."""
@@ -303,7 +309,7 @@ class UniformReplayBuffer:
         """No-op: uniform replay has no importance-sampling correction."""
 
 
-class PrioritizedReplayBuffer:
+class PrioritizedReplayBuffer(_ArrayRing):
     """Proportional prioritized experience replay (Schaul et al., 2015).
 
     Parameters
@@ -327,109 +333,23 @@ class PrioritizedReplayBuffer:
         epsilon: float = 1e-3,
         seed=0,
     ) -> None:
-        check_positive("capacity", capacity)
+        super().__init__(capacity)
         check_fraction("alpha", alpha)
         check_fraction("beta0", beta0)
         check_positive("epsilon", epsilon)
-        self.capacity = int(capacity)
         self.alpha = float(alpha)
         self.beta = float(beta0)
         self.beta0 = float(beta0)
         self.epsilon = float(epsilon)
         self._tree = SumTree(self.capacity)
-        self._storage: List[Optional[Transition]] = [None] * self.capacity
-        self._next = 0
-        self._size = 0
         self._max_priority = 1.0
         self._rng = as_generator(seed, "per")
-        #: Pre-drawn raw uniform doubles for multi-step stratified sampling
-        #: (see the module docstring), plus the generator checkpoint taken
-        #: when the pool was drawn and the number of doubles consumed since.
-        self._pool_values: Optional[np.ndarray] = None
-        self._pool_cursor = 0
-        self._pool_checkpoint = None
-        #: Parallel array-backed transition storage: batch assembly becomes
-        #: five fancy-index gathers instead of a Python restacking loop.
-        #: Disabled (``_arrays_ok = False``) on the first transition whose
-        #: arrays are not plain 1-D float64 vectors of a fixed dimension —
-        #: ``_stack_batch`` then remains the (bit-identical) assembly path.
-        self._arr_states: Optional[np.ndarray] = None
-        self._arr_next_states: Optional[np.ndarray] = None
-        self._arr_actions: Optional[np.ndarray] = None
-        self._arr_rewards: Optional[np.ndarray] = None
-        self._arr_dones: Optional[np.ndarray] = None
-        self._arrays_ok = True
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _store_row(self, slot: int, transition: Transition) -> None:
-        """Mirror one transition into the parallel arrays (exact copies)."""
-        if not self._arrays_ok:
-            return
-        state = transition.state
-        if not isinstance(state, np.ndarray) or state.dtype != np.float64:
-            self._arrays_ok = False
-            return
-        if self._arr_states is None:
-            if state.ndim != 1:
-                self._arrays_ok = False
-                return
-            dim = state.shape[0]
-            self._arr_states = np.zeros((self.capacity, dim))
-            self._arr_next_states = np.zeros((self.capacity, dim))
-            self._arr_actions = np.zeros(self.capacity, dtype=np.int64)
-            self._arr_rewards = np.zeros(self.capacity)
-            self._arr_dones = np.zeros(self.capacity)
-        if state.shape != (self._arr_states.shape[1],):
-            self._arrays_ok = False
-            return
-        next_state = transition.next_state
-        if next_state is None:
-            self._arr_next_states[slot] = 0.0
-        elif (
-            isinstance(next_state, np.ndarray)
-            and next_state.dtype == np.float64
-            and next_state.shape == state.shape
-        ):
-            self._arr_next_states[slot] = next_state
-        else:
-            self._arrays_ok = False
-            return
-        self._arr_states[slot] = state
-        self._arr_actions[slot] = int(transition.action)
-        self._arr_rewards[slot] = float(transition.reward)
-        self._arr_dones[slot] = float(transition.done)
-
-    def _gather_batch(
-        self, indices: np.ndarray, weights: np.ndarray
-    ) -> ReplayBatch:
-        """Assemble a batch; array gathers when possible, else restacking.
-
-        Both paths produce bitwise-identical batches: the parallel arrays
-        hold exact copies of what ``_stack_batch`` would restack.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        if self._arrays_ok and self._arr_states is not None:
-            return ReplayBatch(
-                states=self._arr_states[indices],
-                actions=self._arr_actions[indices],
-                rewards=self._arr_rewards[indices],
-                next_states=self._arr_next_states[indices],
-                dones=self._arr_dones[indices],
-                weights=np.asarray(weights, dtype=np.float64),
-                indices=indices,
-            )
-        transitions = [self._storage[i] for i in indices]
-        return _stack_batch(transitions, weights, indices)
 
     def push(self, transition: Transition) -> None:
         """Store a transition with the maximum priority seen so far."""
-        self._storage[self._next] = transition
-        self._store_row(self._next, transition)
+        self._store(self._next, transition)
         self._tree.update(self._next, self._max_priority**self.alpha)
-        self._next = (self._next + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        self._advance()
 
     def push_many(self, transitions: Iterable[Transition]) -> None:
         """Bulk insert; identical to calling :meth:`push` per transition.
@@ -446,12 +366,9 @@ class PrioritizedReplayBuffer:
         priority = self._max_priority**self.alpha
         slots = (self._next + np.arange(count, dtype=np.int64)) % self.capacity
         for slot, transition in zip(slots, transitions):
-            slot = int(slot)
-            self._storage[slot] = transition
-            self._store_row(slot, transition)
+            self._store(int(slot), transition)
         self._tree.update_many(slots, np.full(count, priority, dtype=np.float64))
-        self._next = int((self._next + count) % self.capacity)
-        self._size = min(self._size + count, self.capacity)
+        self._advance(count)
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -475,90 +392,32 @@ class PrioritizedReplayBuffer:
             return weights / max_weight
         return np.ones(len(weights))
 
-    def _next_doubles(self, count: int) -> np.ndarray:
-        """The next ``count`` raw uniform doubles of the stream, pooled.
-
-        Pre-draws ``PER_PREDRAW_STEPS`` steps' worth in one generator call;
-        ``Generator.random`` consumes one ``next_double`` per element, so
-        slicing the pool step by step yields exactly the doubles a sequence
-        of per-step ``uniform`` calls would have drawn.  A call that drains
-        the pool consumes its tail and draws the shortfall directly (the
-        tail came first in the stream); the next call starts a fresh pool.
-        """
-        pool = self._pool_values
-        if pool is None:
-            self._pool_checkpoint = self._rng.bit_generator.state
-            self._pool_values = pool = self._rng.random(PER_PREDRAW_STEPS * count)
-            self._pool_cursor = 0
-        start = self._pool_cursor
-        available = pool.size - start
-        if available >= count:
-            self._pool_cursor = start + count
-            return pool[start : start + count]
-        raw = np.empty(count)
-        raw[:available] = pool[start:]
-        raw[available:] = self._rng.random(count - available)
-        # Mark the whole pool consumed; the *rewind* checkpoint still covers
-        # this call (checkpoint + ``start`` skipped doubles), but the next
-        # call must start a fresh pool from the advanced generator.
-        self._pool_cursor = pool.size
-        self._pool_values = None
-        return raw
-
-    def _abandon_pool(self) -> None:
-        """Rewind the generator to the first unconsumed pooled double.
-
-        Restores the exact stream position a pool-free implementation would
-        be at, so direct generator draws (the scalar reference path, the
-        pre-wrap fallback) stay stream-identical.
-        """
-        if self._pool_values is None:
-            return
-        self._rng.bit_generator.state = self._pool_checkpoint
-        if self._pool_cursor:
-            self._rng.random(self._pool_cursor)
-        self._pool_values = None
-
     def sample(self, batch_size: int) -> ReplayBatch:
         """Sample proportionally to priority, with importance weights.
 
-        The common path takes this step's stratified uniforms from the
-        pre-drawn pool (``uniform(low, high)`` is ``low + (high - low) *
-        next_double`` element by element, applied here to the pooled raw
-        doubles with this step's current segment bounds — bit- and
-        stream-identical to per-step ``uniform`` calls) and walks the sum
-        tree for the whole batch at once.  Only when a draw lands on a
+        One array ``uniform`` call draws every stratum's value (``low +
+        (high - low) * next_double`` element by element — bit- and
+        stream-identical to one scalar call per stratum) and the sum tree is
+        walked for the whole batch at once.  Only when a draw lands on a
         not-yet-filled slot (possible before the buffer wraps for the first
-        time) does the generator rewind to the pool checkpoint, fast-forward
-        the doubles earlier steps consumed, and replay the scalar loop,
-        whose fallback interleaves an extra ``integers`` draw mid-stream —
-        invalidating (and therefore discarding) the rest of the pool.
+        time) does the generator rewind to its pre-draw state and replay
+        the scalar loop, whose fallback interleaves an extra ``integers``
+        draw mid-stream.
         """
         check_positive("batch_size", batch_size)
         if self._size == 0:
             raise ValueError("cannot sample from an empty replay buffer")
         total = self._tree.total
         segment = total / batch_size
-        checkpoint = self._pool_checkpoint if self._pool_values is not None else None
-        skip = self._pool_cursor if checkpoint is not None else 0
-        if checkpoint is None:
-            checkpoint = self._rng.bit_generator.state
-        raw = self._next_doubles(batch_size)
+        checkpoint = self._rng.bit_generator.state
         steps = np.arange(batch_size, dtype=np.float64)
-        low = steps * segment
-        values = low + ((steps + 1.0) * segment - low) * raw
+        values = self._rng.uniform(steps * segment, (steps + 1.0) * segment)
         indices, priorities = self._tree.sample_many(values)
         if bool((indices >= self._size).any()):
-            # A slot is unfilled iff its index is >= the current size; redo
-            # the draws scalar-style from the checkpoint so the uniform and
-            # fallback-integer draws interleave as they historically did.
             self._rng.bit_generator.state = checkpoint
-            if skip:
-                self._rng.random(skip)
-            self._pool_values = None
             indices, priorities = self._sample_indices_scalar(batch_size, segment)
         weights = self._normalized_weights(priorities, total, self._size, self.beta)
-        return self._gather_batch(indices, weights)
+        return self._gather(indices, weights)
 
     def _sample_indices_scalar(
         self, batch_size: int, segment: float
@@ -571,7 +430,7 @@ class PrioritizedReplayBuffer:
             idx, priority = self._tree.sample(value)
             # Guard against sampling a not-yet-filled slot (only possible
             # before the buffer wraps for the first time).
-            if self._storage[idx] is None:
+            if idx >= self._size:
                 idx = int(self._rng.integers(0, self._size))
                 priority = max(self._tree.get(idx), self.epsilon**self.alpha)
             indices[i] = idx
@@ -583,19 +442,16 @@ class PrioritizedReplayBuffer:
 
         Kept for the equivalence tests and the decision-core benchmark;
         produces bit-identical batches and consumes the RNG stream exactly
-        like :meth:`sample` (any multi-step pool is rewound first, so mixing
-        the two entry points on one buffer stays stream-exact).
+        like :meth:`sample`.
         """
         check_positive("batch_size", batch_size)
         if self._size == 0:
             raise ValueError("cannot sample from an empty replay buffer")
-        self._abandon_pool()
         total = self._tree.total
         segment = total / batch_size
         indices, priorities = self._sample_indices_scalar(batch_size, segment)
         weights = self._normalized_weights(priorities, total, self._size, self.beta)
-        transitions = [self._storage[i] for i in indices]
-        return _stack_batch(transitions, weights, indices)
+        return self._gather(indices, weights)
 
     # ------------------------------------------------------------------ #
     # Priority maintenance

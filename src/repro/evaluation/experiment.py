@@ -35,7 +35,6 @@ import time
 from typing import Optional, Tuple
 
 from repro.config import ScenarioConfig
-from repro.core import kernels
 from repro.evaluation.executor import ExecutorStats, execute_tasks
 from repro.evaluation.pipeline import (
     ApproachResult,
@@ -87,7 +86,6 @@ def run_experiment(
     of always rebuilding it; results are identical either way.
     """
     config = config or ExperimentConfig()
-    kernels.apply_config(config.compiled)
     started = time.perf_counter()
     profiler = StageProfiler(enabled=config.profile)
 

@@ -22,18 +22,17 @@ For parallel execution the driver does not call ``train_split`` /
 ``evaluate_split`` directly: it schedules one :func:`run_split_group` task
 per (split × approach group) through :mod:`repro.evaluation.executor`, so
 e.g. the random-forest family of split 3 trains while the RL agent of split
-1 is still learning.  The dominant "rl" group additionally decomposes into
-one :func:`run_rl_trial` task per hyperparameter candidate plus a
-:func:`run_rl_reduce` select-best task per split
-(``ExperimentConfig.rl_trial_tasks``): only the warm-started trial 0 rides
-the cross-split chain, while the remaining trials fan out across idle
-workers.  All randomness is drawn from keyed
+1 is still learning.  The dominant "rl" group decomposes into one
+:func:`run_rl_trial` task per hyperparameter candidate plus a
+:func:`run_rl_reduce` select-best task per split: only the warm-started
+trial 0 rides the cross-split chain, while the remaining trials fan out
+across idle workers.  All randomness is drawn from keyed
 :class:`~repro.utils.rng.RngFactory` streams (per-trial settings are
 pre-drawn from one sequential stream per split), which makes every task
-self-seeding: serial and parallel schedules — and both ``rl_trial_tasks``
-shapes — produce identical results (wall-clock training-cost accounting
-aside — disable ``ExperimentConfig.charge_training_time`` for
-bitwise-identical runs).
+self-seeding: serial and parallel schedules — and the in-task trial loop
+that ``train_split`` runs through ``SplitContext.rl()`` — produce identical
+results (wall-clock training-cost accounting aside — disable
+``ExperimentConfig.charge_training_time`` for bitwise-identical runs).
 
 Two content-keyed caches remove redundant work across experiments:
 :class:`PreparedDataCache` shares one :class:`PreparedData` product between
@@ -49,7 +48,6 @@ import dataclasses
 import itertools
 import threading
 import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -59,7 +57,6 @@ import numpy as np
 from repro.baselines.dataset import build_prediction_dataset
 from repro.baselines.sc20 import SC20RandomForestPolicy, train_sc20_forest
 from repro.config import ScenarioConfig
-from repro.core import kernels
 from repro.core.dqn import DDDQNAgent, DQNConfig
 from repro.core.environment import MitigationEnv
 from repro.core.features import NodeFeatureTrack, StateNormalizer, build_feature_tracks
@@ -122,6 +119,11 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # Configuration
 # --------------------------------------------------------------------- #
+#: Removed ``ExperimentConfig`` fields that payloads written by older
+#: versions still carry; ``from_dict`` drops them.
+_RETIRED_CONFIG_FIELDS = ("rl_trial_tasks", "compiled")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs controlling how heavy the experiment is to run.
@@ -151,16 +153,6 @@ class ExperimentConfig:
     #: Warm starting chains the RL tasks of consecutive splits, limiting how
     #: much of the RL work the parallel executor can overlap.
     rl_warm_start: bool = True
-    #: Decompose each split's RL hyperparameter search into one executor task
-    #: per trial plus a select-best reduce task (the default).  Only trial 0 —
-    #: the warm-started base candidate — rides the cross-split dependency
-    #: chain; trials 1..N are independent samples that fan out across workers
-    #: immediately, shrinking the serial critical path from splits × trials
-    #: training runs to splits.  Results are bit-identical either way (every
-    #: trial draws from pre-drawn keyed RNG streams); ``False`` restores the
-    #: old in-task trial loop but is **deprecated** (``build_split_tasks``
-    #: warns) and will be removed.
-    rl_trial_tasks: bool = True
     #: Random forest size of the SC20 baseline.
     rf_n_estimators: int = 25
     rf_max_depth: int = 10
@@ -199,13 +191,6 @@ class ExperimentConfig:
     #: never changes results, only adds instrumentation in the driver
     #: process (the process-pool workers run outside the profiler).
     profile: bool = False
-    #: Dispatch the decision core's hottest residual loops (SumTree descent,
-    #: CART forest walk, replay cost fold) to numba-compiled kernels (CLI:
-    #: ``--compiled``; env: ``REPRO_COMPILED``).  Results are bit-identical
-    #: with the flag on or off — the kernels perform the same IEEE-754
-    #: operations in the same order — and when numba is not installed the
-    #: flag degrades to the pure-numpy path with a single RuntimeWarning.
-    compiled: bool = False
 
     @staticmethod
     def fast() -> "ExperimentConfig":
@@ -254,6 +239,8 @@ class ExperimentConfig:
         from repro.serialization import untag
 
         payload = dict(untag(data, "experiment_config"))
+        for name in _RETIRED_CONFIG_FIELDS:
+            payload.pop(name, None)
         payload["rl_hidden_sizes"] = tuple(payload["rl_hidden_sizes"])
         payload["sc20_threshold_offsets"] = tuple(payload["sc20_threshold_offsets"])
         payload["rl_base_config"] = DQNConfig.from_dict(payload["rl_base_config"])
@@ -1115,10 +1102,10 @@ def _rl_trial_settings(
     All trials' hyperparameters and seeds are drawn *sequentially* from the
     single keyed ``search-{split}`` stream — exactly the consumption order
     of the historical in-task trial loop — so the decomposed per-trial
-    tasks reproduce the old loop bit for bit regardless of which worker
-    runs which trial, and both ``rl_trial_tasks`` shapes share one draw
-    sequence.  Trial 0 always uses the base configuration unchanged, so a
-    tiny search budget still contains a known-reasonable setting.
+    tasks reproduce the in-task loop bit for bit regardless of which worker
+    runs which trial.  Trial 0 always uses the base configuration
+    unchanged, so a tiny search budget still contains a known-reasonable
+    setting.
     """
     space = HyperparameterSpace()
     search_rng = RngFactory(scenario.seed).stream(f"search-{split_index}")
@@ -1306,9 +1293,9 @@ def _train_rl_for_split(
     """Hyperparameter search + training of the RL agent for one split.
 
     The in-task serial schedule of the same per-trial computation the
-    executor fans out when ``config.rl_trial_tasks`` is set — kept as the
-    one-release fallback shape.  Returns (best agent, summed per-trial
-    training+validation cost in node-hours, best state).
+    executor fans out; :func:`train_split` and custom "rl"-group builders
+    reach it lazily through :meth:`SplitContext.rl`.  Returns (best agent,
+    summed per-trial training+validation cost in node-hours, best state).
     """
     scoring_traces: Optional[List[EvaluationTrace]] = None
     if _rl_train_tracks(prepared.tracks, split):
@@ -1406,7 +1393,6 @@ def run_split_group(
     not once per task).
     """
     ensure_sc20_variants(config)
-    kernels.apply_config(config.compiled)
     rl_state_in: Optional[dict] = None
     for outcome in deps.values():
         rl_state_in = outcome.rl_state
@@ -1428,7 +1414,6 @@ def run_rl_trial(
     outcome, whose ``rl_state`` seeds this split's warm start.  ``prepared``
     arrives through the executor's ``shared`` channel.
     """
-    kernels.apply_config(config.compiled)
     previous_state: Optional[dict] = None
     for outcome in deps.values():
         previous_state = outcome.rl_state
@@ -1453,7 +1438,6 @@ def run_rl_reduce(
     single-task graph produced.
     """
     ensure_sc20_variants(config)
-    kernels.apply_config(config.compiled)
     trial_results = [
         value for value in deps.values() if isinstance(value, RLTrialResult)
     ]
@@ -1502,9 +1486,8 @@ def build_split_tasks(
     """The executor task graph of one experiment's splits.
 
     One task per (split × enabled approach group) — except the "rl" group,
-    which with ``config.rl_trial_tasks`` (the default, when the built-in RL
-    approach is enabled) decomposes into one task per hyperparameter trial
-    plus a select-best reduce task per split:
+    which (when the built-in RL approach is enabled) decomposes into one
+    task per hyperparameter trial plus a select-best reduce task per split:
 
     * ``rl-trial{t}-{k}`` — trial ``t`` of split ``k``.  Trials 1..N are
       independent hyperparameter samples with **no** dependencies; they fan
@@ -1549,17 +1532,7 @@ def build_split_tasks(
     # Fan out per-trial tasks only when the built-in RL approach runs: a
     # custom approach in the "rl" group may never ask for the shared agent,
     # and the lazy single-task shape must not pay for training it.
-    rl_runs = any(spec.name == "RL" for spec in groups.get("rl", []))
-    if not config.rl_trial_tasks and rl_runs:
-        warnings.warn(
-            "rl_trial_tasks=False (the in-task RL trial loop) is deprecated "
-            "and will be removed: the per-trial task fan-out is bit-identical "
-            "and strictly faster under parallel executors. Drop the override "
-            "(or the --no-rl-trial-tasks flag) to silence this warning.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    rl_fan_out = config.rl_trial_tasks and rl_runs
+    rl_fan_out = any(spec.name == "RL" for spec in groups.get("rl", []))
     tasks: List[Task] = []
     for split in splits:
         for group in groups:

@@ -28,9 +28,6 @@ historical scalar loop (totals fold with ``np.add.accumulate``), so results
 are bit-identical; the scalar per-event path remains as the tested fallback
 for user-registered policies without ``decide_batch`` (and for
 ``ue_cost_fn`` overrides, whose per-event callbacks cannot be batched).
-The hottest residual loops optionally dispatch to the compiled kernels of
-:mod:`repro.core.kernels` (``ExperimentConfig.compiled``), which perform
-the identical element-wise operations.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.features import NodeFeatureTrack
 from repro.core.policies import (
     DecisionContext,
@@ -754,21 +750,7 @@ def _account_panel(
     if n_ues_total == 0:
         return
 
-    compiled = kernels.active()
-    if restartable and n_mit_total and compiled is not None:
-        costs_all = np.empty(n_total, dtype=np.float64)
-        for k in range(len(panel)):
-            a = int(bounds[k])
-            b = int(bounds[k + 1])
-            costs_all[a:b] = compiled.account_costs(
-                np.ascontiguousarray(times_all[a:b], dtype=np.float64),
-                ue_all[a:b],
-                np.ascontiguousarray(mask_all[a:b], dtype=bool),
-                np.ascontiguousarray(job_start_all[a:b], dtype=np.float64),
-                np.ascontiguousarray(job_nodes_all[a:b], dtype=np.float64),
-                HOUR,
-            )
-    elif restartable and n_mit_total:
+    if restartable and n_mit_total:
         positions = np.arange(n_total, dtype=np.int64)
         trace_start_row = np.repeat(bounds[:-1], lengths)
         previous_mit = np.concatenate(

@@ -17,10 +17,9 @@ processes, sessions and machines:
 ``results/<key>.json``
     One :class:`~repro.evaluation.pipeline.ExperimentResult`, keyed by the
     full (scenario, experiment-config) pair *minus* the scheduling knobs
-    (``n_workers``, ``executor_kind``, ``rl_trial_tasks``) — the golden
-    harness proves the schedule never changes the numbers, so serial and
-    parallel runs (and both RL task shapes) of one experiment share a
-    result slot.
+    (``n_workers``, ``executor_kind``) — the golden harness proves the
+    schedule never changes the numbers, so serial and parallel runs of one
+    experiment share a result slot.
 ``sweeps/<key>.json``
     One sweep manifest mapping each point label of a
     :class:`~repro.evaluation.sweep.SweepSpec` to its result key, so
@@ -102,17 +101,9 @@ class StoreGcReport:
 
 #: Experiment-config fields that select a *schedule* or a diagnostic, not a
 #: result: two runs differing only here produce identical numbers
-#: (golden-tested; the per-trial RL task shape is result-identical to the
-#: in-task loop by construction, ``profile`` only adds instrumentation,
-#: and ``compiled`` swaps in kernels that perform the identical IEEE-754
-#: operations), so they must share one result slot.
-_SCHEDULE_FIELDS = (
-    "n_workers",
-    "executor_kind",
-    "rl_trial_tasks",
-    "profile",
-    "compiled",
-)
+#: (golden-tested; ``profile`` only adds instrumentation), so they must
+#: share one result slot.
+_SCHEDULE_FIELDS = ("n_workers", "executor_kind", "profile")
 
 
 def _digest(payload: Any) -> str:
@@ -186,6 +177,14 @@ class ArtifactStore:
     def _put_json(self, key: str, payload: Dict[str, Any]) -> None:
         self.backend.put(key, canonical_json_bytes(payload))
 
+    def _exists(self, key: str) -> bool:
+        """Whether ``key`` holds an artifact, without reading it.
+
+        Artifacts are never empty (the backend writes them atomically), so
+        a positive size is presence.
+        """
+        return self.backend.size(key) > 0
+
     # ------------------------------------------------------------------ #
     # Content keys
     # ------------------------------------------------------------------ #
@@ -235,7 +234,7 @@ class ArtifactStore:
         self, scenario: ScenarioConfig, config: ExperimentConfig
     ) -> bool:
         key = self.prepared_key(scenario, config)
-        return self.backend.get(f"prepared/{key}/meta.json") is not None
+        return self._exists(f"prepared/{key}/meta.json")
 
     def save_prepared(
         self, prepared: PreparedData, config: ExperimentConfig
@@ -248,7 +247,7 @@ class ArtifactStore:
         """
         scenario = prepared.scenario
         key = self.prepared_key(scenario, config)
-        if self.backend.get(f"prepared/{key}/meta.json") is not None:
+        if self._exists(f"prepared/{key}/meta.json"):
             return key
 
         arrays: Dict[str, np.ndarray] = {}
@@ -334,12 +333,11 @@ class ArtifactStore:
     # Experiment results
     # ------------------------------------------------------------------ #
     def has_result(self, scenario: ScenarioConfig, config: ExperimentConfig) -> bool:
-        key = self.result_key(scenario, config)
-        return self.backend.get(f"results/{key}.json") is not None
+        return self.has_result_key(self.result_key(scenario, config))
 
     def has_result_key(self, key: str) -> bool:
         """Whether a result is stored under the given content key."""
-        return self.backend.get(f"results/{key}.json") is not None
+        return self._exists(f"results/{key}.json")
 
     def save_result(
         self,

@@ -9,7 +9,8 @@ per-stage tables the report carries a ``"total"`` entry: all stages'
 raw stats folded into one profile with :meth:`pstats.Stats.add`, so a
 function split across stages (the decision core runs under both
 ``execute_tasks`` and ``aggregate``) shows its true combined cost in a
-single ranking — this merged table is what the CLI prints.
+single ranking — this merged table is what :func:`format_profile` renders
+and the CLI prints.
 
 Profiling covers the driver process: with the ``serial`` executor (or
 ``n_workers=1``) that is the whole experiment; with the process backend the
@@ -104,31 +105,17 @@ def format_profile(report: Dict[str, List[ProfileRow]]) -> str:
     """Human-readable table of a :meth:`StageProfiler.report` mapping.
 
     Prints ONE top-N table — the cross-stage ``"total"`` merge — naming
-    the stages it covers; reports recorded before the merged entry
-    existed fall back to the old stage-by-stage tables.
+    the stages it covers.
     """
     stages = [name for name in report if name != MERGED_KEY]
-    merged = report.get(MERGED_KEY)
-    if merged is not None:
-        lines = [
-            "profile — top functions by cumulative time "
-            f"(merged across stages: {', '.join(stages)})",
-            f"  {'cumtime':>9}  {'tottime':>9}  {'ncalls':>8}  function",
-        ]
-        for row in merged:
-            lines.append(
-                f"  {row['cumtime']:>9.4f}  {row['tottime']:>9.4f}  "
-                f"{row['ncalls']:>8}  {row['function']}"
-            )
-        return "\n".join(lines)
-    lines = []
-    for stage in stages:
-        lines.append(f"profile [{stage}] — top functions by cumulative time")
-        lines.append(f"  {'cumtime':>9}  {'tottime':>9}  {'ncalls':>8}  function")
-        for row in report[stage]:
-            lines.append(
-                f"  {row['cumtime']:>9.4f}  {row['tottime']:>9.4f}  "
-                f"{row['ncalls']:>8}  {row['function']}"
-            )
-        lines.append("")
-    return "\n".join(lines).rstrip()
+    lines = [
+        "profile — top functions by cumulative time "
+        f"(merged across stages: {', '.join(stages)})",
+        f"  {'cumtime':>9}  {'tottime':>9}  {'ncalls':>8}  function",
+    ]
+    for row in report.get(MERGED_KEY, []):
+        lines.append(
+            f"  {row['cumtime']:>9.4f}  {row['tottime']:>9.4f}  "
+            f"{row['ncalls']:>8}  {row['function']}"
+        )
+    return "\n".join(lines)

@@ -132,8 +132,7 @@ class TestLearning:
         agent.observe(
             Transition(state=np.zeros(4), action=0, reward=-50.0, next_state=None, done=True)
         )
-        stored = agent.replay._storage[0]
-        assert stored.reward == pytest.approx(-5.0)
+        assert agent.replay._rewards[0] == pytest.approx(-5.0)
 
     def test_target_network_syncs(self, rng):
         agent = DDDQNAgent(4, _config(train_frequency=1, target_sync_frequency=5))

@@ -163,6 +163,25 @@ class TestPrioritizedReplayBuffer:
         with pytest.raises(ValueError):
             PrioritizedReplayBuffer(4).sample(1)
 
+    def test_push_rejects_a_2d_state(self):
+        buffer = PrioritizedReplayBuffer(4)
+        bad = Transition(
+            state=np.zeros((2, 2)), action=0, reward=0.0, next_state=None, done=True
+        )
+        with pytest.raises(ValueError, match="shape"):
+            buffer.push(bad)
+        assert len(buffer) == 0
+
+    def test_push_rejects_a_state_of_another_length(self):
+        buffer = PrioritizedReplayBuffer(4)
+        buffer.push(_transition(0))
+        with pytest.raises(ValueError, match=r"\(4,\)"):
+            buffer.push(
+                Transition(
+                    state=np.zeros(3), action=0, reward=0.0, next_state=None, done=True
+                )
+            )
+
     def test_new_transitions_get_max_priority(self):
         buffer = PrioritizedReplayBuffer(16, alpha=1.0, seed=3)
         buffer.push(_transition(0))

@@ -131,16 +131,18 @@ class TestPrioritizedReplayVectorized:
         batched.push_many(transitions)  # wraps the ring three times
         assert np.array_equal(scalar._tree._tree, batched._tree._tree)
         assert scalar._next == batched._next and len(scalar) == len(batched)
-        assert all(
-            scalar._storage[i] is batched._storage[i] for i in range(8)
-        )
+        for name in ("_states", "_next_states", "_actions", "_rewards", "_dones"):
+            assert np.array_equal(getattr(scalar, name), getattr(batched, name))
+        # The last eight transitions survive, in ring order.
+        slot = 25 % 8
+        assert np.array_equal(batched._states[slot], transitions[-8].state)
 
     def test_prewrap_unfilled_slot_fallback_matches_scalar(self, rng):
         """A draw landing on a not-yet-filled slot rewinds and replays.
 
         The fallback is only reachable before the buffer wraps (and needs a
         zero-priority region adjacent to live leaves), so the tree is rigged
-        directly: leaf 2 gets priority while ``storage[2]`` is still None.
+        directly: leaf 2 gets priority while slot 2 is still unfilled.
         The batched path must detect it, rewind the generator, and produce
         exactly the scalar loop's indices/weights — including the extra
         mid-stream ``integers`` draw the fallback consumes.
@@ -193,13 +195,12 @@ class TestPrioritizedReplayVectorized:
 
 
 class TestPerDrawPool:
-    """The multi-step pre-drawn uniform pool must be RNG-stream-exact.
+    """Batched stratified draws must stay RNG-stream-exact over many rounds.
 
-    ``sample`` pre-draws ``PER_PREDRAW_STEPS`` steps' worth of raw doubles
-    per generator call; slicing that pool step by step must yield exactly
-    the doubles a pool-free buffer draws one ``uniform`` call at a time —
-    across pool refills, partial drains, and mid-stream scalar entry
-    points (which rewind the pool).
+    ``sample`` draws a whole batch's stratified values in one ``uniform``
+    call; over long interleaved sample/update sequences (and varying batch
+    sizes) it must consume the stream exactly like the scalar loop's one
+    ``uniform`` call per stratum.
     """
 
     def _filled_pair(self, rng, capacity=128, fill=200, seed=9):
@@ -222,62 +223,29 @@ class TestPerDrawPool:
         assert np.array_equal(scalar._tree._tree, pooled._tree._tree)
 
     def test_constant_batch_size_spans_many_pools(self, rng):
-        """At batch 32 a pool covers PER_PREDRAW_STEPS calls; 50 rounds
-        force several full drain-and-refill cycles."""
-        from repro.core.replay import PER_PREDRAW_STEPS
-
+        """50 rounds at the paper's batch size stay in lockstep."""
         scalar, pooled = self._filled_pair(rng)
-        rounds = PER_PREDRAW_STEPS * 6 + 2  # refills plus a partial pool
-        for _ in range(rounds):
+        for _ in range(50):
             self._assert_round(scalar, pooled, 32, rng)
 
     def test_varying_batch_sizes_straddle_pool_boundaries(self, rng):
-        """Cycling 1/7/32/64 makes calls drain the pool mid-slice: the
-        tail-plus-shortfall path must splice the stream seamlessly."""
+        """Cycling 1/7/32/64 keeps the streams aligned at every size."""
         scalar, pooled = self._filled_pair(rng, capacity=256, fill=300)
         for _ in range(8):
             for batch_size in (1, 7, 32, 64):
                 self._assert_round(scalar, pooled, batch_size, rng)
 
-    def test_scalar_entry_point_mid_pool_rewinds_exactly(self, rng):
-        """``_sample_scalar`` on a buffer holding a half-consumed pool must
-        rewind the generator to the first unconsumed double, keeping the
-        whole interleaved sequence stream-identical to a pool-free run."""
-        scalar, pooled = self._filled_pair(rng, seed=21)
-        for batch_size, entry in (
-            (16, "pooled"),   # opens a pool, consumes 1/8th
-            (16, "scalar"),   # must rewind the remaining 7/8ths
-            (8, "pooled"),
-            (8, "pooled"),
-            (24, "scalar"),
-            (32, "pooled"),
-        ):
-            reference = scalar._sample_scalar(batch_size)
-            if entry == "pooled":
-                batch = pooled.sample(batch_size)
-            else:
-                batch = pooled._sample_scalar(batch_size)
-            assert np.array_equal(reference.indices, batch.indices)
-            assert np.array_equal(reference.weights, batch.weights)
-        # Rewinding the still-open pool restores the exact pool-free
-        # generator state — the invariant the rewind exists to provide.
-        pooled._abandon_pool()
-        assert (
-            scalar._rng.bit_generator.state["state"]
-            == pooled._rng.bit_generator.state["state"]
-        )
-
     def test_prewrap_fallback_discards_pool(self, rng):
-        """The unfilled-slot fallback replays the draws scalar-style from
-        the pool checkpoint — even when the pool was opened by an earlier,
-        smaller call."""
+        """The unfilled-slot fallback rewinds to its pre-draw state and
+        replays the draws scalar-style — also after earlier batched calls
+        advanced the stream."""
         transitions = _make_transitions(rng, 3)
         scalar = PrioritizedReplayBuffer(8, seed=13)
         pooled = PrioritizedReplayBuffer(8, seed=13)
         for buffer in (scalar, pooled):
             for transition in transitions:
                 buffer.push(transition)
-        self._assert_round(scalar, pooled, 4, rng)  # opens a pool
+        self._assert_round(scalar, pooled, 4, rng)  # advances the stream
         for buffer in (scalar, pooled):
             buffer._tree.update(5, 50.0)  # unfilled slot dominates the mass
         reference = scalar._sample_scalar(16)

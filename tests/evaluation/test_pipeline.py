@@ -93,13 +93,13 @@ class TestStages:
         self, tiny_prepared, tiny_scenario
     ):
         splits = make_splits(tiny_scenario)
-        config = TINY_CONFIG.with_overrides(rl_trial_tasks=False)
-        tasks = build_split_tasks(tiny_prepared, splits, config)
-        # 4 groups (static, rf, rl, oracle) x n splits.
-        assert len(tasks) == 4 * len(splits)
+        tasks = build_split_tasks(tiny_prepared, splits, TINY_CONFIG)
+        # 4 groups (static, rf, rl, oracle) x n splits, plus the one trial
+        # task TINY_CONFIG's single RL trial adds per split.
+        assert len(tasks) == 5 * len(splits)
         by_key = {task.key: task for task in tasks}
         # Warm start is on by default: RL tasks form a chain...
-        assert by_key["rl-1"].deps == ("rl-0",)
+        assert by_key["rl-trial0-1"].deps == ("rl-0",)
         # ...while everything else is independent.
         assert by_key["rf-1"].deps == ()
         assert by_key["static-3"].deps == ()
@@ -161,9 +161,10 @@ class TestStages:
         # Regression: include_rf=False used to crash in ensure_sc20_variants,
         # which mistook the disabled default variants for name collisions.
         splits = make_splits(tiny_scenario)
-        config = TINY_CONFIG.with_overrides(include_rf=False, rl_trial_tasks=False)
+        config = TINY_CONFIG.with_overrides(include_rf=False)
         tasks = build_split_tasks(tiny_prepared, splits, config)
-        assert len(tasks) == 3 * len(splits)  # static, rl, oracle
+        # static, rl trial + reduce, oracle
+        assert len(tasks) == 4 * len(splits)
         assert not any(task.key.startswith("rf-") for task in tasks)
 
     def test_run_experiment_without_rf_family(self, tiny_scenario):
@@ -173,11 +174,10 @@ class TestStages:
 
     def test_rl_chain_released_without_warm_start(self, tiny_prepared, tiny_scenario):
         splits = make_splits(tiny_scenario)
-        config = TINY_CONFIG.with_overrides(
-            rl_warm_start=False, rl_trial_tasks=False
-        )
+        config = TINY_CONFIG.with_overrides(rl_warm_start=False)
         tasks = build_split_tasks(tiny_prepared, splits, config)
-        rl_deps = [task.deps for task in tasks if task.key.startswith("rl-")]
+        # The chain runs through each split's base candidate (trial 0).
+        rl_deps = [task.deps for task in tasks if task.key.startswith("rl-trial0-")]
         # Either fully independent (all splits have training data) or fully
         # chained (some split must pass the previous agent through).
         assert all(deps == () for deps in rl_deps) or all(

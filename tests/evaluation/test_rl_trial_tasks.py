@@ -1,4 +1,4 @@
-"""Tests for the per-trial RL task decomposition (``rl_trial_tasks``).
+"""Tests for the per-trial RL task decomposition.
 
 Three properties carry the feature:
 
@@ -7,9 +7,9 @@ Three properties carry the feature:
   select-best reduce task, which keeps the old ``rl-{split}`` key);
   ``key_prefix`` keeps two sweep points' trial tasks disjoint.
 * **Determinism** — the decomposed graph is *result-identical* to the
-  historical in-task trial loop, serially and with workers: the per-trial
-  settings are pre-drawn from the same sequential keyed stream the loop
-  consumed.
+  in-task trial loop ``train_split`` runs, serially and with workers: the
+  per-trial settings are pre-drawn from the same sequential keyed stream
+  the loop consumes.
 * **Accounting** — ``training_cost_node_hours`` is the sum of the per-trial
   training spans, independent of how the trials were scheduled (the
   regression test for the whole-loop wall-clock span bug).
@@ -28,8 +28,10 @@ from repro.evaluation.pipeline import (
     _rl_n_trials,
     _rl_trial_settings,
     build_split_tasks,
+    evaluate_split,
     make_splits,
     prepare_data,
+    train_split,
 )
 from repro.utils.timeutils import DAY
 
@@ -142,51 +144,6 @@ class TestGraphShape:
         assert f"rl-{splits[0].index}" in keys
         assert not any("rl-trial" in key for key in keys)
 
-    def test_disabling_trial_tasks_restores_single_rl_tasks(
-        self, tiny_prepared, tiny_scenario
-    ):
-        splits = make_splits(tiny_scenario)
-        tasks = build_split_tasks(
-            tiny_prepared, splits, TRIAL_CONFIG.with_overrides(rl_trial_tasks=False)
-        )
-        keys = {task.key for task in tasks}
-        assert not any("rl-trial" in key for key in keys)
-        assert {f"rl-{split.index}" for split in splits} <= keys
-
-
-class TestTrialTasksDeprecation:
-    """``rl_trial_tasks=False`` still works but is on its way out."""
-
-    def test_disabling_trial_tasks_warns(self, tiny_prepared, tiny_scenario):
-        splits = make_splits(tiny_scenario)
-        with pytest.warns(DeprecationWarning, match="rl_trial_tasks=False"):
-            build_split_tasks(
-                tiny_prepared,
-                splits,
-                TRIAL_CONFIG.with_overrides(rl_trial_tasks=False),
-            )
-
-    def test_default_fan_out_is_silent(self, tiny_prepared, tiny_scenario):
-        import warnings
-
-        splits = make_splits(tiny_scenario)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_split_tasks(tiny_prepared, splits, TRIAL_CONFIG)
-
-    def test_no_warning_when_rl_is_disabled(self, tiny_prepared, tiny_scenario):
-        # The override is meaningless without the built-in RL approach, and
-        # nagging about a no-op flag would be noise.
-        import warnings
-
-        splits = make_splits(tiny_scenario)
-        config = TRIAL_CONFIG.with_overrides(
-            include_rl=False, rl_trial_tasks=False
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_split_tasks(tiny_prepared, splits, config)
-
 
 class TestTrialSettings:
     def test_settings_are_stable_and_per_trial_distinct(self, tiny_scenario):
@@ -223,21 +180,24 @@ class TestDeterminism:
                 assert left.costs == right.costs, name
                 assert left.confusion == right.confusion, name
 
-    def test_fan_equals_chain_serially(self, tiny_scenario, fan_serial):
-        chain = run_experiment(
-            tiny_scenario, TRIAL_CONFIG.with_overrides(rl_trial_tasks=False)
-        )
-        self._assert_identical(chain, fan_serial)
-
-    @pytest.mark.parametrize("rl_trial_tasks", [True, False], ids=["fan", "chain"])
-    def test_two_workers_equal_serial_fan(
-        self, tiny_scenario, fan_serial, rl_trial_tasks
+    def test_train_split_equals_fan_out(
+        self, tiny_prepared, tiny_scenario, fan_serial
     ):
+        # train_split reaches the in-task trial loop through
+        # SplitContext.rl(); on the first split (no warm-start carry) it
+        # must reproduce the fan-out's trial tasks and reduce exactly.
+        split = make_splits(tiny_scenario)[0]
+        trained = train_split(tiny_prepared, split, TRIAL_CONFIG)
+        assert "RL" in trained.policies
+        evaluated = evaluate_split(tiny_prepared, split, trained, TRIAL_CONFIG)
+        for name, evaluation in evaluated.evaluations.items():
+            reference = fan_serial.approaches[name].per_split[split.index]
+            assert evaluation.costs == reference.costs, name
+            assert evaluation.confusion == reference.confusion, name
+
+    def test_two_workers_equal_serial_fan(self, tiny_scenario, fan_serial):
         parallel = run_experiment(
-            tiny_scenario,
-            TRIAL_CONFIG.with_overrides(
-                n_workers=2, rl_trial_tasks=rl_trial_tasks
-            ),
+            tiny_scenario, TRIAL_CONFIG.with_overrides(n_workers=2)
         )
         self._assert_identical(parallel, fan_serial)
 

@@ -50,20 +50,6 @@ class TestParsing:
         with pytest.raises(SystemExit):
             cli.main(["report", "--store", "x", "--which", "totl"])
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_rl_trial_tasks_flag_reaches_the_config(self, command):
-        parser = cli.build_parser()
-        default = parser.parse_args([command] + FAST_FLAGS)
-        assert default.rl_trial_tasks is None
-        # Unset -> the ExperimentConfig default (per-trial tasks on).
-        assert cli._config_from_args(default).rl_trial_tasks is True
-
-        on = parser.parse_args([command, "--rl-trial-tasks"] + FAST_FLAGS)
-        assert cli._config_from_args(on).rl_trial_tasks is True
-
-        off = parser.parse_args([command, "--no-rl-trial-tasks"] + FAST_FLAGS)
-        assert cli._config_from_args(off).rl_trial_tasks is False
-
 
 class TestServe:
     """The `serve` subcommand over a tiny mcelog file (fast policies only)."""

@@ -9,6 +9,7 @@ reloaded result is field-identical to the freshly computed one.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.evaluation.pipeline import (
 )
 from repro.serialization import SchemaError
 from repro.store import ArtifactStore
+from repro.store.backends import DictBackend
 from repro.utils.timeutils import DAY
 from repro.serialization import canonical_json, tag
 
@@ -168,6 +170,74 @@ class TestExperimentResults:
 
     def test_miss_returns_none(self, store):
         assert store.load_result(SCENARIO, TINY) is None
+
+
+class TestOlderPayloads:
+    #: Content keys of (SCENARIO, TINY), recorded before the retired
+    #: ``rl_trial_tasks`` / ``compiled`` config fields were removed.
+    RESULT_KEY = "afe30b0897a0f235"
+    PREPARED_KEY = "c04a414ab07b5ebc"
+
+    def _old_config_payload(self):
+        payload = TINY.to_dict()
+        payload["rl_trial_tasks"] = False
+        payload["compiled"] = True
+        return payload
+
+    def test_retired_config_fields_load_with_unchanged_keys(self, store):
+        config = ExperimentConfig.from_dict(self._old_config_payload())
+        assert config == TINY
+        assert store.result_key(SCENARIO, config) == self.RESULT_KEY
+        assert store.prepared_key(SCENARIO, config) == self.PREPARED_KEY
+
+    def test_gc_reads_results_stored_with_retired_fields(self, store):
+        payload = tag(
+            "stored_result",
+            {
+                "scenario": SCENARIO.to_dict(),
+                "config": self._old_config_payload(),
+                "result": {},
+            },
+        )
+        store.backend.put(
+            f"results/{self.RESULT_KEY}.json", json.dumps(payload).encode()
+        )
+        assert store.referenced_prepared_keys() == {self.PREPARED_KEY}
+
+
+class TestExistenceChecks:
+    """``has_*`` and the ``save_prepared`` guard never read an artifact."""
+
+    class _CountingBackend(DictBackend):
+        def __init__(self):
+            super().__init__()
+            self.gets = 0
+
+        def get(self, key):
+            self.gets += 1
+            return super().get(key)
+
+    def test_checks_use_size_not_get(self):
+        backend = self._CountingBackend()
+        store = ArtifactStore(backend=backend)
+        result_key = store.result_key(SCENARIO, TINY)
+        prepared_key = store.prepared_key(SCENARIO, TINY)
+        backend.gets = 0
+
+        assert not store.has_result(SCENARIO, TINY)
+        assert not store.has_result_key(result_key)
+        assert not store.has_prepared(SCENARIO, TINY)
+
+        backend.put(f"results/{result_key}.json", b"{}")
+        backend.put(f"prepared/{prepared_key}/meta.json", b"{}")
+        assert store.has_result(SCENARIO, TINY)
+        assert store.has_result_key(result_key)
+        assert store.has_prepared(SCENARIO, TINY)
+        # An already stored product short-circuits before anything is read
+        # or written (the stand-in has nothing else to serialize).
+        stand_in = SimpleNamespace(scenario=SCENARIO)
+        assert store.save_prepared(stand_in, TINY) == prepared_key
+        assert backend.gets == 0
 
 
 class TestInventory:
