@@ -135,11 +135,9 @@ class MitigationEnv:
             mitigation_cost_paid=0.0,
             ue_cost_paid=0.0,
         )
-        # Skip any leading UE events (the agent is never invoked on them).
+        # Skip any leading UE events (the agent is never invoked on them);
+        # every kept track has a decision point, so one remains.
         self._skip_ue_events()
-        if self._episode.index >= len(track):
-            # Degenerate track (UE only); restart on another node.
-            return self.reset(None if node is None else None)
         return self._current_state()
 
     def _skip_ue_events(self) -> None:
@@ -212,7 +210,6 @@ class MitigationEnv:
         }
         if done:
             info["episode"] = self.episode_summary()
-            self._episode = None if False else ep  # keep for summary access
         return next_state, reward, done, info
 
     # ------------------------------------------------------------------ #

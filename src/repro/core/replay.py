@@ -6,31 +6,28 @@ uncorrected errors (Section 3.3.4): transitions with a large temporal-
 difference error — typically the rare terminal UE transitions — are replayed
 far more often than the abundant uneventful ones.
 
-The sum tree and the prioritized buffer expose two equivalent code paths:
-
-* the scalar per-element methods (``SumTree.update`` / ``SumTree.sample``,
-  ``PrioritizedReplayBuffer._sample_scalar`` /
-  ``_update_priorities_scalar``) — the historical reference implementation;
-* vectorized batch methods (``SumTree.update_many`` / ``SumTree.sample_many``,
-  the default ``sample`` / ``update_priorities`` / ``push_many``) that
-  reproduce the scalar results *bit for bit*: every floating-point operation
-  is applied element-wise in the same order the scalar loops used
-  (``np.add.at`` is an ordered, unbuffered fold; batched
-  ``Generator.uniform`` draws consume the stream exactly like the scalar
-  calls; priority exponentiation stays per-element because NumPy's SIMD
-  ``pow`` is not bitwise-identical to Python's), and the one stream-order
-  hazard — the pre-wrap unfilled-slot fallback, which interleaves an extra
-  ``integers`` draw between ``uniform`` draws — rewinds the generator and
-  replays the scalar loop verbatim.
+The sum tree keeps its nodes in a flat list of Python floats and answers
+each update and each draw with one scalar root-to-leaf walk; the batch
+methods (``SumTree.update_many`` / ``SumTree.sample_many``) are plain loops
+over those walks.  At the paper's batch size of 32 this beats a
+level-synchronous numpy descent, whose per-level dispatch dominates.
+``PrioritizedReplayBuffer.sample`` draws every stratum's value with one array
+``uniform`` call, which consumes the generator exactly like one scalar call
+per stratum.  The one stream-order hazard — the pre-wrap unfilled-slot
+fallback, which interleaves an extra ``integers`` draw between ``uniform``
+draws — rewinds the generator and replays the draws one stratum at a time
+(``_sample_indices_scalar``).  Priority exponentiation uses Python's ``**``
+per element because NumPy's SIMD ``pow`` is not bitwise-identical to it.
 
 Both buffers store transitions in parallel float64 arrays (states are 1-D
 vectors of one fixed length), so a mini-batch is five fancy-index gathers.
 
-The equivalence is pinned by ``tests/core/test_replay_vectorized.py``.
+The sampled stream is pinned by ``tests/core/test_replay_stream.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
@@ -46,156 +43,83 @@ class SumTree:
 
     Supports O(log n) priority updates and O(log n) sampling proportional to
     the stored priorities.  Leaves are allocated in ring-buffer order by the
-    replay memory.
+    replay memory.  The tree is a flat list of Python floats: a PER batch
+    walks it 32 times per train step, and scalar list walks beat numpy's
+    per-call dispatch at that size.
     """
 
     def __init__(self, capacity: int) -> None:
         check_positive("capacity", capacity)
         self.capacity = int(capacity)
-        self._tree = np.zeros(2 * self.capacity - 1, dtype=np.float64)
-        #: Upper bound on the root-to-leaf path length; the batched descent
-        #: runs exactly this many levels (parked rows are no-ops), which
-        #: avoids a per-level any() termination check.
-        self._depth_bound = (
-            int(np.ceil(np.log2(self.capacity))) + 1 if self.capacity > 1 else 0
-        )
+        self._tree: List[float] = [0.0] * (2 * self.capacity - 1)
 
     @property
     def total(self) -> float:
         """Sum of all leaf priorities."""
-        return float(self._tree[0])
+        return self._tree[0]
 
     def _leaf_index(self, data_index: int) -> int:
+        if not (0 <= data_index < self.capacity):
+            raise IndexError(f"leaf index {data_index} out of range")
         return data_index + self.capacity - 1
 
     def update(self, data_index: int, priority: float) -> None:
         """Set the priority of leaf ``data_index``."""
-        if not (0 <= data_index < self.capacity):
-            raise IndexError(f"leaf index {data_index} out of range")
+        idx = self._leaf_index(data_index)
         if priority < 0:
             raise ValueError("priorities must be non-negative")
-        idx = self._leaf_index(data_index)
-        change = priority - self._tree[idx]
-        self._tree[idx] = priority
+        tree = self._tree
+        priority = float(priority)
+        change = priority - tree[idx]
+        tree[idx] = priority
         while idx > 0:
             idx = (idx - 1) // 2
-            self._tree[idx] += change
+            tree[idx] += change
 
     def update_many(self, data_indices: np.ndarray, priorities: np.ndarray) -> None:
-        """Apply a batch of :meth:`update` calls, bit-identical to the loop.
-
-        Repeated indices behave exactly like sequential scalar updates: each
-        occurrence's propagated change is measured against the value the
-        previous occurrence left behind, and all ancestor additions are
-        applied in update order (``np.add.at`` folds repeated indices
-        sequentially), so internal-node rounding matches the scalar path.
-        """
+        """Apply :meth:`update` to each ``(index, priority)`` pair in order."""
         indices = np.asarray(data_indices, dtype=np.int64).ravel()
         priorities = np.asarray(priorities, dtype=np.float64).ravel()
         if indices.size != priorities.size:
             raise ValueError("indices and priorities must be equally long")
-        if indices.size == 0:
-            return
-        if int(indices.min()) < 0 or int(indices.max()) >= self.capacity:
-            raise IndexError("leaf index out of range")
-        if (priorities < 0).any():
-            raise ValueError("priorities must be non-negative")
-
-        leaves = indices + (self.capacity - 1)
-        # The change each update propagates is (new - value at its turn);
-        # duplicates therefore read the previous occurrence's priority.
-        order = np.argsort(leaves, kind="stable")
-        sorted_leaves = leaves[order]
-        sorted_priorities = priorities[order]
-        first = np.ones(leaves.size, dtype=bool)
-        first[1:] = sorted_leaves[1:] != sorted_leaves[:-1]
-        previous = np.empty(leaves.size, dtype=np.float64)
-        previous[first] = self._tree[sorted_leaves[first]]
-        previous[~first] = sorted_priorities[:-1][~first[1:]]
-        changes_sorted = sorted_priorities - previous
-        changes = np.empty(leaves.size, dtype=np.float64)
-        changes[order] = changes_sorted
-
-        # Leaf values are assignments, not additions: the last update of
-        # each leaf wins, exactly like sequential overwrites.
-        last = np.ones(leaves.size, dtype=bool)
-        last[:-1] = sorted_leaves[:-1] != sorted_leaves[1:]
-        self._tree[sorted_leaves[last]] = sorted_priorities[last]
-
-        # Ancestor chains (leaf excluded, root included), padded with -1;
-        # flattened row-major so a node shared by several updates receives
-        # its additions in update order — np.add.at applies repeated
-        # indices as an ordered fold, matching the scalar propagation.
-        # Floor division makes -1 a fixed point ((-1 - 1) // 2 == -1), so
-        # exhausted chains pad themselves without per-level masking.
-        chains: List[np.ndarray] = []
-        cursor = leaves
-        for _ in range(self._depth_bound):
-            cursor = (cursor - 1) // 2
-            chains.append(cursor)
-        if not chains:
-            return
-        paths = np.stack(chains, axis=1)
-        valid = paths >= 0
-        flat_nodes = paths.ravel()[valid.ravel()]
-        flat_changes = np.broadcast_to(
-            changes[:, None], paths.shape
-        ).ravel()[valid.ravel()]
-        np.add.at(self._tree, flat_nodes, flat_changes)
+        for index, priority in zip(indices.tolist(), priorities.tolist()):
+            self.update(index, priority)
 
     def get(self, data_index: int) -> float:
         """Priority currently stored at leaf ``data_index``."""
-        return float(self._tree[self._leaf_index(data_index)])
+        return self._tree[self._leaf_index(data_index)]
 
     def sample(self, value: float) -> Tuple[int, float]:
         """Find the leaf such that the prefix sum of priorities covers ``value``.
 
         Returns ``(data_index, priority)``.
         """
-        if self.total <= 0:
+        tree = self._tree
+        total = tree[0]
+        if total <= 0:
             raise ValueError("cannot sample from an empty tree")
-        value = float(np.clip(value, 0.0, np.nextafter(self.total, 0.0)))
+        value = min(max(float(value), 0.0), math.nextafter(total, 0.0))
+        n_internal = self.capacity - 1
         idx = 0
-        while idx < self.capacity - 1:
+        while idx < n_internal:
             left = 2 * idx + 1
-            right = left + 1
-            if value <= self._tree[left] or self._tree[right] <= 0.0:
+            left_sum = tree[left]
+            if value <= left_sum or tree[left + 1] <= 0.0:
                 idx = left
             else:
-                value -= self._tree[left]
-                idx = right
-        data_index = idx - (self.capacity - 1)
-        return data_index, float(self._tree[idx])
+                value -= left_sum
+                idx = left + 1
+        return idx - n_internal, tree[idx]
 
     def sample_many(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`sample` over an array of values.
-
-        All values descend the tree level by level; the per-element
-        comparisons and subtractions are the same operations the scalar
-        walk performs, so the returned ``(data_indices, priorities)`` are
-        bit-identical to calling :meth:`sample` once per value.
-        """
-        if self.total <= 0:
-            raise ValueError("cannot sample from an empty tree")
-        values = np.asarray(values, dtype=np.float64).ravel().copy()
-        np.clip(values, 0.0, np.nextafter(self.total, 0.0), out=values)
-        idx = np.zeros(values.shape, dtype=np.int64)
-        n_internal = self.capacity - 1
-        top = 2 * self.capacity - 2
-        for _ in range(self._depth_bound):
-            active = idx < n_internal
-            left = 2 * idx + 1
-            right = left + 1
-            # Leaf rows gather out-of-range children; clip the gather (their
-            # results are discarded by the np.where below).
-            left_c = np.minimum(left, top)
-            right_c = np.minimum(right, top)
-            go_left = (values <= self._tree[left_c]) | (self._tree[right_c] <= 0.0)
-            next_idx = np.where(go_left, left, right)
-            next_values = np.where(go_left, values, values - self._tree[left_c])
-            idx = np.where(active, next_idx, idx)
-            values = np.where(active, next_values, values)
-        return idx - n_internal, self._tree[idx].copy()
+        """:meth:`sample` each value; returns ``(data_indices, priorities)``."""
+        drawn = [
+            self.sample(value)
+            for value in np.asarray(values, dtype=np.float64).ravel().tolist()
+        ]
+        indices = np.array([index for index, _ in drawn], dtype=np.int64)
+        priorities = np.array([priority for _, priority in drawn], dtype=np.float64)
+        return indices, priorities
 
 
 @dataclass
@@ -260,9 +184,14 @@ class _ArrayRing:
         self._rewards[slot] = float(transition.reward)
         self._dones[slot] = float(transition.done)
 
-    def _advance(self, count: int = 1) -> None:
-        self._next = (self._next + count) % self.capacity
-        self._size = min(self._size + count, self.capacity)
+    def push_many(self, transitions: Iterable[Transition]) -> None:
+        """Bulk insert; identical to calling :meth:`push` repeatedly."""
+        for transition in transitions:
+            self.push(transition)
+
+    def _advance(self) -> None:
+        self._next = (self._next + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def _gather(self, indices: np.ndarray, weights: np.ndarray) -> ReplayBatch:
         indices = np.asarray(indices, dtype=np.int64)
@@ -288,11 +217,6 @@ class UniformReplayBuffer(_ArrayRing):
         """Store one transition, evicting the oldest when full."""
         self._store(self._next, transition)
         self._advance()
-
-    def push_many(self, transitions: Iterable[Transition]) -> None:
-        """Bulk insert; identical to calling :meth:`push` repeatedly."""
-        for transition in transitions:
-            self.push(transition)
 
     def sample(self, batch_size: int) -> ReplayBatch:
         """Sample a batch uniformly at random (importance weights are 1)."""
@@ -351,25 +275,6 @@ class PrioritizedReplayBuffer(_ArrayRing):
         self._tree.update(self._next, self._max_priority**self.alpha)
         self._advance()
 
-    def push_many(self, transitions: Iterable[Transition]) -> None:
-        """Bulk insert; identical to calling :meth:`push` per transition.
-
-        Every transition receives the same ``max_priority ** alpha`` leaf
-        value a sequence of pushes would have assigned (pushes never raise
-        the maximum), and the tree update folds the ring-buffer slots —
-        including wrap-around overwrites — in insertion order.
-        """
-        transitions = list(transitions)
-        if not transitions:
-            return
-        count = len(transitions)
-        priority = self._max_priority**self.alpha
-        slots = (self._next + np.arange(count, dtype=np.int64)) % self.capacity
-        for slot, transition in zip(slots, transitions):
-            self._store(int(slot), transition)
-        self._tree.update_many(slots, np.full(count, priority, dtype=np.float64))
-        self._advance(count)
-
     # ------------------------------------------------------------------ #
     # Sampling
     # ------------------------------------------------------------------ #
@@ -397,8 +302,8 @@ class PrioritizedReplayBuffer(_ArrayRing):
 
         One array ``uniform`` call draws every stratum's value (``low +
         (high - low) * next_double`` element by element — bit- and
-        stream-identical to one scalar call per stratum) and the sum tree is
-        walked for the whole batch at once.  Only when a draw lands on a
+        stream-identical to one scalar call per stratum), then each value
+        walks the sum tree.  Only when a draw lands on a
         not-yet-filled slot (possible before the buffer wraps for the first
         time) does the generator rewind to its pre-draw state and replay
         the scalar loop, whose fallback interleaves an extra ``integers``
@@ -457,23 +362,19 @@ class PrioritizedReplayBuffer(_ArrayRing):
     # Priority maintenance
     # ------------------------------------------------------------------ #
     def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
-        """Refresh priorities with the latest |TD errors| (batched).
+        """Refresh priorities with the latest |TD errors|.
 
-        The α-exponentiation stays per-element (NumPy's SIMD ``pow`` is not
-        bitwise-identical to Python's ``**`` on large arrays) and the tree
-        refresh goes through :meth:`SumTree.update_many`, so the stored
-        priorities match the scalar reference exactly.
+        The α-exponentiation is Python's ``**`` per element: NumPy's SIMD
+        ``pow`` is not bitwise-identical to it on large arrays.
         """
         td_errors = np.abs(np.asarray(td_errors, dtype=float)).ravel()
-        indices = np.asarray(indices, dtype=np.int64).ravel()
-        if indices.size == 0:
+        if td_errors.size == 0:
             return
         priorities = td_errors + self.epsilon
         self._max_priority = max(self._max_priority, float(priorities.max()))
-        powered = np.array(
-            [float(priority) ** self.alpha for priority in priorities]
+        self._tree.update_many(
+            indices, [priority**self.alpha for priority in priorities.tolist()]
         )
-        self._tree.update_many(indices, powered)
 
     def _update_priorities_scalar(
         self, indices: np.ndarray, td_errors: np.ndarray

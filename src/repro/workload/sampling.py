@@ -84,6 +84,13 @@ class NodeJobTimeline:
         return nodes * lost / HOUR
 
 
+def _cdf(probabilities: np.ndarray) -> np.ndarray:
+    """Normalised cumulative sum, built as ``Generator.choice`` builds it."""
+    cdf = probabilities.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 class JobSequenceSampler:
     """Sample per-node job timelines from a job log (node-count weighted)."""
 
@@ -93,14 +100,23 @@ class JobSequenceSampler:
         self.job_log = job_log
         self._rng = as_generator(seed, "job-sampler")
         weights = job_log.n_nodes.astype(float)
-        self._probabilities = weights / weights.sum()
+        probabilities = weights / weights.sum()
         self._durations = job_log.durations
         self._n_nodes = job_log.n_nodes
+        length_weights = probabilities * self._durations
+        length_total = length_weights.sum()
+        # Draws are ``cdf.searchsorted(rng.random(size), side="right")``,
+        # which is what ``Generator.choice(p=...)`` computes on every call:
+        # the same draws from the same stream, without rebuilding the CDF.
+        self._cdf = _cdf(probabilities)
+        self._length_biased_cdf = (
+            _cdf(length_weights / length_total) if length_total > 0 else None
+        )
 
     def sample_jobs(self, size: int, rng=None) -> Tuple[np.ndarray, np.ndarray]:
         """Draw ``size`` (duration, n_nodes) pairs, node-count weighted."""
         rng = self._rng if rng is None else as_generator(rng)
-        idx = rng.choice(len(self.job_log), size=size, p=self._probabilities)
+        idx = self._cdf.searchsorted(rng.random(size), side="right")
         return self._durations[idx], self._n_nodes[idx]
 
     def sample_timeline(
@@ -114,6 +130,8 @@ class JobSequenceSampler:
         utilization of the production system.
         """
         check_positive("time range", t_end - t_start)
+        if self._length_biased_cdf is None:
+            raise ValueError("cannot sample a timeline: every job has zero duration")
         rng = self._rng if rng is None else as_generator(rng)
 
         starts = []
@@ -122,9 +140,7 @@ class JobSequenceSampler:
 
         # Length-biased first job: longer jobs are more likely to be the one
         # in progress at an arbitrary observation instant.
-        length_weights = self._probabilities * self._durations
-        length_weights = length_weights / length_weights.sum()
-        first = int(rng.choice(len(self.job_log), p=length_weights))
+        first = int(self._length_biased_cdf.searchsorted(rng.random(), side="right"))
         first_duration = float(self._durations[first])
         phase = float(rng.uniform(0.0, first_duration))
         t = t_start - phase

@@ -45,6 +45,15 @@ class TestSumTree:
         idx, priority = tree.sample(5.5)
         assert idx == 2
 
+    def test_sample_never_walks_into_a_zero_subtree(self):
+        """Rounding drift can leave an internal sum above its leaves; a draw
+        at the top of the range must still land on a leaf with priority."""
+        tree = SumTree(2)
+        for priority in (0.3, 0.9, 0.05):
+            tree.update(0, priority)
+        assert tree.total > tree.get(0)  # 0.05 + 1 ulp-scale drift
+        assert tree.sample(tree.total) == (0, 0.05)
+
     def test_sample_empty_tree_raises(self):
         with pytest.raises(ValueError):
             SumTree(4).sample(0.0)
@@ -53,6 +62,14 @@ class TestSumTree:
         tree = SumTree(4)
         with pytest.raises(IndexError):
             tree.update(4, 1.0)
+
+    @pytest.mark.parametrize("index", [-3, -1, 4, 7])
+    def test_get_out_of_range_names_the_leaf(self, index):
+        tree = SumTree(4)
+        tree.update(0, 1.0)
+        tree.update(1, 2.0)
+        with pytest.raises(IndexError, match=rf"^leaf index {index} out of range$"):
+            tree.get(index)
 
     def test_negative_priority_rejected(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,13 @@
-"""Equivalence suite: vectorized replay memory vs the scalar reference.
+"""Equivalence suite: batch replay entry points vs the per-element ones.
 
-The vectorized :class:`SumTree` batch methods and the batched
+The :class:`SumTree` batch methods and the batched
 :class:`PrioritizedReplayBuffer` sampling/priority-refresh must reproduce
-the historical per-element implementations *bit for bit* — same tree
-contents, same RNG stream consumption, same sampled indices and weights —
-because RL training (and therefore the golden experiment fingerprints)
-depends on every one of those bits.
+the per-element methods *bit for bit* — same tree contents, same RNG stream
+consumption, same sampled indices and weights — because RL training (and
+therefore the golden experiment fingerprints) depends on every one of those
+bits.  Both sides walk the same tree code, so these tests pin the batching
+(stream order, duplicate folds, the pre-wrap rewind); the recorded stream in
+``test_replay_stream.py`` pins the walks themselves.
 """
 
 from __future__ import annotations

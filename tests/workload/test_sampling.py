@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.utils.rng import as_generator
 from repro.utils.timeutils import DAY, HOUR
 from repro.workload.job import JobLog, JobRecord
 from repro.workload.sampling import JobSequenceSampler, NodeJobTimeline
@@ -114,3 +115,91 @@ class TestJobSequenceSampler:
         timeline = sampler.sample_timeline(0.0, horizon)
         for t in np.linspace(0, horizon, 10):
             assert timeline.potential_ue_cost(t, None, True) >= 0.0
+
+
+class _ChoiceReference:
+    """Oracle: the sampler written with ``Generator.choice(p=...)``.
+
+    ``choice`` rebuilds the CDF from ``p`` on every call; the sampler keeps
+    precomputed CDFs and must consume the stream and return the draws
+    exactly as these calls do.
+    """
+
+    def __init__(self, job_log: JobLog) -> None:
+        weights = job_log.n_nodes.astype(float)
+        self.probabilities = weights / weights.sum()
+        self.durations = job_log.durations
+        self.n_nodes = job_log.n_nodes
+        self.size = len(job_log)
+
+    def sample_jobs(self, size, rng):
+        idx = rng.choice(self.size, size=size, p=self.probabilities)
+        return self.durations[idx], self.n_nodes[idx]
+
+    def sample_timeline(self, t_start, t_end, rng):
+        length_weights = self.probabilities * self.durations
+        length_weights = length_weights / length_weights.sum()
+        first = int(rng.choice(self.size, p=length_weights))
+        duration = float(self.durations[first])
+        t = t_start - float(rng.uniform(0.0, duration))
+        starts, durations, nodes = [t], [duration], [float(self.n_nodes[first])]
+        t += duration
+        while t < t_end:
+            batch_durations, batch_nodes = self.sample_jobs(16, rng)
+            for duration, n in zip(batch_durations, batch_nodes):
+                starts.append(t)
+                durations.append(float(duration))
+                nodes.append(float(n))
+                t += float(duration)
+                if t >= t_end:
+                    break
+        return np.asarray(starts), np.asarray(durations), np.asarray(nodes)
+
+
+class TestMatchesChoiceReference:
+    """Cached-CDF draws are bit- and stream-identical to ``choice(p=...)``."""
+
+    def test_sample_jobs(self, job_log):
+        sampler = JobSequenceSampler(job_log, seed=3)
+        reference = _ChoiceReference(job_log)
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        for size in (1, 16, 5, 300, 16):
+            got = sampler.sample_jobs(size, rng=ours)
+            want = reference.sample_jobs(size, theirs)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert ours.random() == theirs.random()
+
+    def test_sample_timeline_over_several_calls(self, job_log):
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        sampler = JobSequenceSampler(job_log, seed=0)
+        reference = _ChoiceReference(job_log)
+        for t_start, t_end in ((0.0, DAY), (3 * DAY, 10 * DAY), (HOUR, 2 * HOUR)) * 3:
+            got = sampler.sample_timeline(t_start, t_end, rng=ours)
+            starts, durations, nodes = reference.sample_timeline(t_start, t_end, theirs)
+            assert np.array_equal(got.starts, starts)
+            assert np.array_equal(got.durations, durations)
+            assert np.array_equal(got.n_nodes, nodes)
+        assert ours.random() == theirs.random()
+
+    def test_internal_stream_matches_reference(self):
+        sampler = JobSequenceSampler(_simple_job_log(), seed=4)
+        reference = _ChoiceReference(_simple_job_log())
+        theirs = as_generator(4, "job-sampler")
+        for _ in range(3):
+            got = sampler.sample_timeline(0.0, 3 * DAY)
+            starts, _, nodes = reference.sample_timeline(0.0, 3 * DAY, theirs)
+            assert np.array_equal(got.starts, starts)
+            assert np.array_equal(got.n_nodes, nodes)
+            got_durations, _ = sampler.sample_jobs(7)
+            want_durations, _ = reference.sample_jobs(7, theirs)
+            assert np.array_equal(got_durations, want_durations)
+
+
+def test_timeline_of_zero_duration_jobs_is_a_one_line_error():
+    log = JobLog.from_records(
+        [JobRecord(submit=0, start=0, end=0, n_nodes=4, job_id=0)]
+    )
+    sampler = JobSequenceSampler(log, seed=0)
+    assert sampler.sample_jobs(3)[1].tolist() == [4, 4, 4]
+    with pytest.raises(ValueError, match="zero duration"):
+        sampler.sample_timeline(0.0, DAY)
