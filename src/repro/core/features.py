@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.merging import MergedEvent, merge_node_events
-from repro.telemetry.records import EventKind, EventRecord
+from repro.telemetry.records import TERMINAL_KINDS, EventKind, EventRecord
 from repro.utils.timeutils import HOUR, MINUTE
 
 #: Names of the telemetry-derived state features, in vector order.
@@ -59,6 +59,12 @@ FEATURE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(FEATURE_NAMES)
 #: Δt values for the feature-variation-over-time calculation (Equation 2).
 VARIATION_DELTAS: Tuple[float, ...] = (MINUTE, HOUR)
 
+# Kind codes as plain ints: the online extractor compares every grouped
+# event's code against them without going through the enum.
+_CE = int(EventKind.CE)
+_UE_WARNING = int(EventKind.UE_WARNING)
+_BOOT = int(EventKind.BOOT)
+
 
 def feature_variation(
     history_times: Sequence[float],
@@ -74,7 +80,7 @@ def feature_variation(
     last event at or before that instant.
     """
     t_ref = now - delta
-    idx = int(np.searchsorted(history_times, t_ref, side="right")) - 1
+    idx = int(np.asarray(history_times).searchsorted(t_ref, side="right")) - 1
     past = history_values[idx] if idx >= 0 else 0.0
     if past == 0.0:
         return 0.0
@@ -535,7 +541,7 @@ class OnlineFeatureState:
         self._group.append(
             (t, int(kind), int(ce_count), int(dimm), int(rank), int(bank), int(row), int(col))
         )
-        if EventKind(int(kind)).counts_as_ue:
+        if kind in TERMINAL_KINDS:
             self._group_has_ue = True
             out.append(self._finalize())
         return out
@@ -588,7 +594,7 @@ class OnlineFeatureState:
         group = self._group
         ces_in_step = 0.0
         for t_ev, kind, count, dimm, rank, bank, row, col in group:
-            if kind == int(EventKind.CE):
+            if kind == _CE:
                 count_f = float(count)
                 ces_in_step += count_f
                 self._ces_total += count_f
@@ -601,9 +607,9 @@ class OnlineFeatureState:
                     self._rows.add((dimm, rank, bank, row))
                 if col >= 0:
                     self._cols.add((dimm, rank, bank, col))
-            elif kind == int(EventKind.UE_WARNING):
+            elif kind == _UE_WARNING:
                 self._warnings_total += 1.0
-            elif kind == int(EventKind.BOOT):
+            elif kind == _BOOT:
                 self._boots_total += 1.0
                 self._last_boot_time = t_ev
 
@@ -615,31 +621,30 @@ class OnlineFeatureState:
         else:
             time_since_boot = t - self._last_boot_time
 
-        vec = np.zeros(N_FEATURES)
-        vec[FEATURE_INDEX["ces_since_last_event"]] = ces_in_step
-        vec[FEATURE_INDEX["ces_total"]] = self._ces_total
-        vec[FEATURE_INDEX["ranks_with_ce"]] = len(self._ranks)
-        vec[FEATURE_INDEX["banks_with_ce"]] = len(self._banks)
-        vec[FEATURE_INDEX["rows_with_ce"]] = len(self._rows)
-        vec[FEATURE_INDEX["cols_with_ce"]] = len(self._cols)
-        vec[FEATURE_INDEX["dimms_with_ce"]] = len(self._dimms)
-        vec[FEATURE_INDEX["ue_warnings_total"]] = self._warnings_total
-        vec[FEATURE_INDEX["time_since_boot"]] = max(time_since_boot, 0.0)
-        vec[FEATURE_INDEX["boots_total"]] = self._boots_total
+        ces_total = self._ces_total
+        boots_total = self._boots_total
         hist_times = self._hist_times.view()
         hist_ces = self._hist_ces.view()
         hist_boots = self._hist_boots.view()
-        vec[FEATURE_INDEX["ces_total_var_1min"]] = feature_variation(
-            hist_times, hist_ces, t, self._ces_total, MINUTE
-        )
-        vec[FEATURE_INDEX["ces_total_var_1hour"]] = feature_variation(
-            hist_times, hist_ces, t, self._ces_total, HOUR
-        )
-        vec[FEATURE_INDEX["boots_var_1min"]] = feature_variation(
-            hist_times, hist_boots, t, self._boots_total, MINUTE
-        )
-        vec[FEATURE_INDEX["boots_var_1hour"]] = feature_variation(
-            hist_times, hist_boots, t, self._boots_total, HOUR
+        # Entries in FEATURE_NAMES order.
+        vec = np.array(
+            [
+                ces_in_step,
+                ces_total,
+                len(self._ranks),
+                len(self._banks),
+                len(self._rows),
+                len(self._cols),
+                len(self._dimms),
+                self._warnings_total,
+                max(time_since_boot, 0.0),
+                boots_total,
+                feature_variation(hist_times, hist_ces, t, ces_total, MINUTE),
+                feature_variation(hist_times, hist_ces, t, ces_total, HOUR),
+                feature_variation(hist_times, hist_boots, t, boots_total, MINUTE),
+                feature_variation(hist_times, hist_boots, t, boots_total, HOUR),
+            ],
+            dtype=np.float64,
         )
 
         self._hist_times.append(t)

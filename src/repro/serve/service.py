@@ -33,6 +33,12 @@ equivalence suite pins decisions and totals against
 :func:`~repro.evaluation.runner.replay_decision_masks` and
 :func:`~repro.evaluation.runner.evaluate_policy` for the forest and RL
 policies alike.
+
+:class:`ServeReport` has a constant-size repr (policy name and counts only).
+``asyncio.run`` on CPython 3.11 and 3.12 formats its main task, result
+included, while restoring the SIGINT handler at exit; a dataclass repr of
+the report would print every per-node mask and every kept decision, a cost
+that grows with the stream and is paid twice per :func:`serve_log` call.
 """
 
 from __future__ import annotations
@@ -112,7 +118,7 @@ class DecisionRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ServeReport:
     """Outcome and telemetry of one service run.
 
@@ -163,6 +169,16 @@ class ServeReport:
     def batch_size_histogram(self) -> Dict[int, int]:
         """``{batch size: number of ticks}`` over the run."""
         return dict(sorted(Counter(int(b) for b in self.batch_sizes).items()))
+
+    def __repr__(self) -> str:
+        # Counts only, never the arrays or the decision log (module docstring).
+        return (
+            f"ServeReport(policy_name={self.policy_name!r}, "
+            f"n_events={self.n_events}, n_steps={self.n_steps}, "
+            f"n_decision_points={self.n_decision_points}, n_ues={self.n_ues}, "
+            f"n_mitigations={self.n_mitigations}, n_ticks={self.n_ticks}, "
+            f"n_nodes={len(self.masks)}, n_decisions={len(self.decisions)})"
+        )
 
     def summary(self) -> str:
         """One-paragraph human-readable digest."""

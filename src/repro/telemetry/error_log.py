@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from repro.telemetry.records import EventKind, EventRecord
+from repro.telemetry.records import TERMINAL_KINDS, EventKind, EventRecord
 
 _COLUMNS = (
     ("time", np.float64),
@@ -29,6 +29,38 @@ _COLUMNS = (
     ("scrubber", np.bool_),
     ("manufacturer", np.int8),
 )
+
+#: Rows per column chunk when iterating a log: each chunk is read into plain
+#: Python lists at once, so a large log never materialises whole columns.
+_ITER_CHUNK = 1024
+
+#: EventKind by integer code; a dict lookup is cheaper than ``EventKind(code)``.
+_KIND_BY_CODE = {int(kind): kind for kind in EventKind}
+
+#: Kind codes counted as uncorrected errors, for the vectorised mask.
+_TERMINAL_CODES = tuple(sorted(int(kind) for kind in TERMINAL_KINDS))
+
+
+def _make_record(
+    time, node, dimm, kind, ce_count, rank, bank, row, col, scrubber, manufacturer
+) -> EventRecord:
+    """Build one record from one row of plain Python column values."""
+    event_kind = _KIND_BY_CODE.get(kind)
+    if event_kind is None:
+        raise ValueError(f"{kind!r} is not a valid EventKind")
+    return EventRecord(
+        time=time,
+        node=node,
+        dimm=dimm,
+        kind=event_kind,
+        ce_count=ce_count,
+        rank=rank,
+        bank=bank,
+        row=row,
+        col=col,
+        scrubber=scrubber,
+        manufacturer=manufacturer,
+    )
 
 
 @dataclass(frozen=True)
@@ -120,7 +152,11 @@ class ErrorLog:
         return int(self.time.shape[0])
 
     def __iter__(self) -> Iterator[EventRecord]:
-        return (self.record(i) for i in range(len(self)))
+        columns = [getattr(self, name) for name, _ in _COLUMNS]
+        for lo in range(0, len(self), _ITER_CHUNK):
+            chunk = [column[lo : lo + _ITER_CHUNK].tolist() for column in columns]
+            for row in zip(*chunk):
+                yield _make_record(*row)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ErrorLog):
@@ -137,19 +173,7 @@ class ErrorLog:
 
     def record(self, index: int) -> EventRecord:
         """Materialise event ``index`` as an :class:`EventRecord`."""
-        return EventRecord(
-            time=float(self.time[index]),
-            node=int(self.node[index]),
-            dimm=int(self.dimm[index]),
-            kind=EventKind(int(self.kind[index])),
-            ce_count=int(self.ce_count[index]),
-            rank=int(self.rank[index]),
-            bank=int(self.bank[index]),
-            row=int(self.row[index]),
-            col=int(self.col[index]),
-            scrubber=bool(self.scrubber[index]),
-            manufacturer=int(self.manufacturer[index]),
-        )
+        return _make_record(*(getattr(self, name)[index].item() for name, _ in _COLUMNS))
 
     def to_records(self) -> List[EventRecord]:
         """Materialise the whole log as a list of records."""
@@ -174,9 +198,10 @@ class ErrorLog:
     @property
     def is_ue_mask(self) -> np.ndarray:
         """Mask of events counted as uncorrected errors (UE or over-temp)."""
-        return (self.kind == int(EventKind.UE)) | (
-            self.kind == int(EventKind.OVERTEMP)
-        )
+        mask = np.zeros(self.kind.shape, dtype=bool)
+        for code in _TERMINAL_CODES:
+            mask |= self.kind == code
+        return mask
 
     def filter_kind(self, kind: EventKind) -> "ErrorLog":
         """Events of one kind only."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import FrozenSet, Tuple
 
 #: Anonymised manufacturer labels used throughout the paper.
 MANUFACTURER_NAMES: Tuple[str, ...] = ("A", "B", "C")
@@ -43,7 +43,14 @@ class EventKind(enum.IntEnum):
         Critical over-temperature conditions cause a node shutdown and are
         counted as equivalent to uncorrected errors (Section 2.1.2).
         """
-        return self in (EventKind.UE, EventKind.OVERTEMP)
+        return self in TERMINAL_KINDS
+
+
+#: Event kinds that terminate the node like an uncorrected error: UEs and
+#: critical over-temperature shutdowns (Section 2.1.2).  IntEnum members hash
+#: and compare like their integer codes, so a raw kind code tests against
+#: this set as well.
+TERMINAL_KINDS: FrozenSet[EventKind] = frozenset({EventKind.UE, EventKind.OVERTEMP})
 
 
 @dataclass(frozen=True, order=True)
@@ -96,7 +103,7 @@ class EventRecord:
     @property
     def is_ue(self) -> bool:
         """True if this event is counted as an uncorrected error."""
-        return EventKind(self.kind).counts_as_ue
+        return self.kind in TERMINAL_KINDS
 
     @property
     def manufacturer_name(self) -> str:

@@ -62,7 +62,7 @@ class NodeJobTimeline:
         (the sampler always covers the evaluation range, so this is only hit
         by out-of-range queries in user code).
         """
-        idx = int(np.searchsorted(self.starts, t, side="right")) - 1
+        idx = int(self.starts.searchsorted(t, side="right")) - 1
         idx = max(0, min(idx, len(self.starts) - 1))
         return float(self.starts[idx]), float(self.n_nodes[idx])
 

@@ -8,6 +8,8 @@ with and without restartable jobs, under any micro-batch configuration.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.baselines.static import (
     PeriodicMitigatePolicy,
 )
 from repro.core.dqn import DDDQNAgent, DQNConfig
+from repro.core.features import OnlineFeatureState
 from repro.core.policies import MitigationPolicy, RLPolicy
 from repro.evaluation.runner import (
     build_traces,
@@ -345,3 +348,46 @@ class TestServiceBehavior:
         )
         with pytest.raises(RuntimeError, match="stream went away"):
             asyncio.run(service.run(_FailingSource()))
+
+
+class TestServingCostHooks:
+    """What keeps a served event cheap, and what perfbench instruments."""
+
+    def test_report_repr_is_constant_size(self, reduced_error_log, jobs):
+        # asyncio.run formats its main task (result included) at exit on
+        # CPython 3.11/3.12, so the report's repr must not grow with the
+        # stream; asserted on the repr itself to hold on every version.
+        config = ServeConfig(keep_decisions=True)
+        full = serve_log(reduced_error_log, AlwaysMitigatePolicy(), jobs, config)
+        prefix = serve_log(
+            reduced_error_log.select(np.arange(100)), AlwaysMitigatePolicy(), jobs, config
+        )
+        assert len(full.decisions) == full.n_steps > len(prefix.decisions) > 0
+        for report in (full, prefix):
+            text = repr(report)
+            assert len(text) < 300
+            assert "array(" not in text
+            assert "DecisionRecord" not in text
+        # Only the counts' digits may differ between the two runs.
+        assert re.sub(r"\d+", "#", repr(full)) == re.sub(r"\d+", "#", repr(prefix))
+
+    def test_absorb_is_called_once_per_served_event(
+        self, reduced_error_log, jobs, sc20_policy, monkeypatch
+    ):
+        config = ServeConfig(mitigation_cost_node_hours=MITIGATION_COST)
+        plain = serve_log(reduced_error_log, sc20_policy, jobs, config)
+
+        original = OnlineFeatureState.absorb
+        calls = []
+
+        def counting(self, record):
+            calls.append(record.time)
+            return original(self, record)
+
+        monkeypatch.setattr(OnlineFeatureState, "absorb", counting)
+        wrapped = serve_log(reduced_error_log, sc20_policy, jobs, config)
+        assert len(calls) == wrapped.n_events == len(reduced_error_log)
+        assert set(wrapped.masks) == set(plain.masks)
+        for node, mask in plain.masks.items():
+            assert np.array_equal(wrapped.masks[node], mask), node
+        assert wrapped.ue_cost_node_hours == plain.ue_cost_node_hours

@@ -1,9 +1,11 @@
 """Tests for the columnar ErrorLog container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.telemetry.error_log import ErrorLog
+from repro.telemetry.error_log import _ITER_CHUNK, ErrorLog
 from repro.telemetry.records import EventKind, EventRecord
 
 
@@ -141,3 +143,55 @@ class TestGrouping:
     def test_equality(self, log):
         assert log == ErrorLog.from_records(_sample_records())
         assert log != log.filter_node(1)
+
+
+def _long_log(n: int) -> ErrorLog:
+    """A log spanning several iteration chunks, every column varied."""
+    rng = np.random.default_rng(3)
+    kind = rng.integers(0, len(EventKind), n)
+    return ErrorLog(
+        time=np.sort(rng.uniform(0.0, 1e6, n)),
+        node=rng.integers(0, 50, n),
+        dimm=rng.integers(-1, 400, n),
+        kind=kind,
+        ce_count=np.where(kind == int(EventKind.CE), rng.integers(1, 9, n), 0),
+        rank=rng.integers(-1, 2, n),
+        bank=rng.integers(-1, 16, n),
+        row=rng.integers(-1, 1 << 17, n),
+        col=rng.integers(-1, 1 << 10, n),
+        scrubber=rng.random(n) < 0.3,
+        manufacturer=rng.integers(-1, 3, n),
+    )
+
+
+class TestIteration:
+    def test_iteration_matches_record_across_chunks(self):
+        log = _long_log(2 * _ITER_CHUNK + 37)
+        iterated = list(log)
+        indexed = [log.record(i) for i in range(len(log))]
+        assert len(iterated) == len(log)
+        # astuple, not ==: EventRecord equality skips the compare=False fields.
+        assert [dataclasses.astuple(r) for r in iterated] == [
+            dataclasses.astuple(r) for r in indexed
+        ]
+        for records in (iterated, indexed):
+            for record in records:
+                assert type(record.kind) is EventKind
+                assert type(record.time) is float
+                assert type(record.node) is int
+                assert type(record.scrubber) is bool
+
+    def test_ue_mask_agrees_with_records(self):
+        log = _long_log(_ITER_CHUNK + 5)
+        assert np.array_equal(log.is_ue_mask, [record.is_ue for record in log])
+
+    def test_unknown_kind_code_raises_on_both_paths(self):
+        base = _long_log(2)
+        columns = {name: getattr(base, name) for name in ErrorLog.__slots__}
+        columns["kind"] = [int(EventKind.BOOT), 9]
+        log = ErrorLog(**columns)
+        assert log.record(0).kind is EventKind.BOOT
+        with pytest.raises(ValueError):
+            log.record(1)
+        with pytest.raises(ValueError):
+            list(log)
