@@ -275,26 +275,6 @@ class DecisionTreeClassifier:
             node = np.where(values <= threshold[node], left[node], right[node])
         return probability[node]
 
-    def _predict_proba_queue(self, X: np.ndarray) -> np.ndarray:
-        """Historical queue-based traversal (reference for equivalence tests)."""
-        if not self.is_fitted:
-            raise RuntimeError("the tree has not been fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        probabilities = np.empty(X.shape[0], dtype=float)
-        queue = [(0, np.arange(X.shape[0]))]
-        while queue:
-            node_index, rows = queue.pop()
-            if rows.size == 0:
-                continue
-            node = self._nodes[node_index]
-            if node.feature is None:
-                probabilities[rows] = node.probability
-                continue
-            mask = X[rows, node.feature] <= node.threshold
-            queue.append((node.left, rows[mask]))
-            queue.append((node.right, rows[~mask]))
-        return probabilities
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Explicit batched probability prediction for a feature matrix.
 

@@ -79,6 +79,7 @@ class DQNConfig:
         check_fraction("epsilon_start", self.epsilon_start)
         check_fraction("epsilon_end", self.epsilon_end)
         check_positive("epsilon_decay_steps", self.epsilon_decay_steps)
+        check_positive("per_beta_steps", self.per_beta_steps)
         check_positive("reward_scale", self.reward_scale)
         check_positive("huber_delta", self.huber_delta)
         if self.epsilon_end > self.epsilon_start:
@@ -199,32 +200,34 @@ class DDDQNAgent:
         if self.train_steps % cfg.target_sync_frequency == 0:
             self.target.copy_from(self.online)
         self.training_wallclock_seconds += time.perf_counter() - started
-        return TrainStepStats(
-            loss=loss, mean_abs_td_error=float(np.mean(np.abs(td_errors))), mean_q=mean_q
-        )
+        # Means are ``x.sum() / n``: np.mean's exact arithmetic, minus its dispatch.
+        abs_td = float(np.abs(td_errors).sum() / len(td_errors))
+        return TrainStepStats(loss=loss, mean_abs_td_error=abs_td, mean_q=mean_q)
 
     def _update_from_batch(self, batch: ReplayBatch):
         cfg = self.config
+        n = len(batch)
+        rows = np.arange(n)
         q_next_online = self.online.forward(batch.next_states)
         if cfg.double:
             next_actions = np.argmax(q_next_online, axis=1)
             q_next_target = self.target.forward(batch.next_states)
-            next_values = q_next_target[np.arange(len(batch)), next_actions]
+            next_values = q_next_target[rows, next_actions]
         else:
             next_values = np.max(q_next_online, axis=1)
         targets = batch.rewards + cfg.gamma * (1.0 - batch.dones) * next_values
 
         q = self.online.forward(batch.states, cache=True)
-        selected = q[np.arange(len(batch)), batch.actions]
+        selected = q[rows, batch.actions]
         td_errors = selected - targets
 
-        loss = float(np.mean(batch.weights * huber_loss(td_errors, cfg.huber_delta)))
-        d_selected = batch.weights * huber_grad(td_errors, cfg.huber_delta) / len(batch)
+        loss = float((batch.weights * huber_loss(td_errors, cfg.huber_delta)).sum() / n)
+        d_selected = batch.weights * huber_grad(td_errors, cfg.huber_delta) / n
         d_q = np.zeros_like(q)
-        d_q[np.arange(len(batch)), batch.actions] = d_selected
-        grads = self.online.backward(d_q)
-        self.optimizer.update(self.online.parameters(), grads)
-        return td_errors, loss, float(np.mean(selected))
+        d_q[rows, batch.actions] = d_selected
+        self.online.backward(d_q)  # fills online.grad
+        self.optimizer.update([self.online.params], [self.online.grad])
+        return td_errors, loss, float(selected.sum() / n)
 
     # ------------------------------------------------------------------ #
     # Persistence
@@ -269,7 +272,7 @@ class DDDQNAgent:
             weight = state.get(f"hidden_{i}_w")
             if weight is None:
                 break
-            hidden_sizes.append(int(weight.shape[1]))
+            hidden_sizes.append(int(np.shape(weight)[-1]))
         if not hidden_sizes or int(state["hidden_0_w"].shape[0]) != int(state_dim):
             raise ValueError(
                 "state dict does not describe a network over "

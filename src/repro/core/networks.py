@@ -5,11 +5,23 @@ hidden layers (256, 256, 128 and 64 neurons, Section 3.3.2) and a dueling
 head that splits the estimate into a state-value and per-action advantages
 (Wang et al., 2016).  No deep-learning framework is available in this
 offline environment, so forward and backward passes are written directly
-with NumPy; the network is small enough that this is fast.
+with NumPy.
+
+At the sizes trained here each layer costs more in NumPy call overhead than
+in arithmetic.  So a network keeps all its parameters in **one** float64
+vector (``params``) and its gradients in another (``grad``); ``weights``,
+``biases`` and the head arrays are views into ``params``.  A target sync is
+one vector copy and an Adam step a few whole-vector ufuncs.  Elementwise
+arithmetic does not depend on how elements are grouped, so this changes no
+bit of training, and neither do means written ``x.sum(...) / n``: that is
+exactly what ``np.mean`` computes, minus its dispatch
+(``tests/core/test_dqn_stream.py`` pins this).  :meth:`backward` returns
+views into ``grad`` that its next call overwrites.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +43,11 @@ def huber_loss(errors: np.ndarray, delta: float = 1.0) -> np.ndarray:
 def huber_grad(errors: np.ndarray, delta: float = 1.0) -> np.ndarray:
     """Derivative of the Huber loss with respect to the errors."""
     errors = np.asarray(errors, dtype=float)
-    return np.clip(errors, -delta, delta)
+    return np.minimum(np.maximum(errors, -delta), delta)
+
+
+#: Attributes that are views into a network's flat vectors.
+_VIEWS = "_params _grads weights biases value_w value_b advantage_w advantage_b".split()
 
 
 @dataclass
@@ -39,12 +55,11 @@ class _LayerCache:
     """Forward-pass intermediates needed by back-propagation."""
 
     inputs: np.ndarray
-    pre_activations: List[np.ndarray]
     activations: List[np.ndarray]
 
 
 class AdamOptimizer:
-    """Adam optimiser over a flat list of parameter arrays."""
+    """Adam optimiser over a list of arrays (a network passes ``[net.params]``)."""
 
     def __init__(
         self,
@@ -71,7 +86,7 @@ class AdamOptimizer:
             self._v = [np.zeros_like(p) for p in params]
         self._t += 1
         lr_t = self.learning_rate * (
-            np.sqrt(1 - self.beta2**self._t) / (1 - self.beta1**self._t)
+            math.sqrt(1 - self.beta2**self._t) / (1 - self.beta1**self._t)
         )
         for p, g, m, v in zip(params, grads, self._m, self._v):
             m *= self.beta1
@@ -112,78 +127,95 @@ class DuelingQNetwork:
         check_positive("n_actions", n_actions)
         if not hidden_sizes:
             raise ValueError("at least one hidden layer is required")
+        for size in hidden_sizes:
+            check_positive("hidden layer size", size)
         self.input_dim = int(input_dim)
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.n_actions = int(n_actions)
         self.dueling = bool(dueling)
 
+        # (name, shape) of every parameter tensor, in parameters() order.
+        dims = (self.input_dim,) + self.hidden_sizes
+        layout: List[Tuple[str, Tuple[int, ...]]] = []
+        for i, (fan_in, size) in enumerate(zip(dims, dims[1:])):
+            layout += [(f"hidden_{i}_w", (fan_in, size)), (f"hidden_{i}_b", (size,))]
+        last, n_actions = dims[-1], self.n_actions
+        layout += [("value_w", (last, 1)), ("value_b", (1,))]
+        layout += [("advantage_w", (last, n_actions)), ("advantage_b", (n_actions,))]
+        self._layout = tuple(layout)
+        self.params = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self.grad = np.zeros_like(self.params)
+        self._bind_views()
+
         rng = as_generator(seed, "qnetwork")
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
-        previous = self.input_dim
-        for size in self.hidden_sizes:
-            self.weights.append(self._he_init(rng, previous, size))
-            self.biases.append(np.zeros(size))
-            previous = size
-        last_hidden = previous
-        self.value_w = self._he_init(rng, last_hidden, 1)
-        self.value_b = np.zeros(1)
-        self.advantage_w = self._he_init(rng, last_hidden, self.n_actions)
-        self.advantage_b = np.zeros(self.n_actions)
+        for (name, shape), view in zip(self._layout, self._params):
+            if name.endswith("_w"):  # He initialisation; biases start at zero
+                view[...] = rng.normal(0.0, np.sqrt(2.0 / shape[0]), size=shape)
         self._cache: Optional[_LayerCache] = None
 
-    @staticmethod
-    def _he_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-        scale = np.sqrt(2.0 / fan_in)
-        return rng.normal(0.0, scale, size=(fan_in, fan_out))
+    def _bind_views(self) -> None:
+        """(Re)build the per-tensor views into ``params`` and ``grad``."""
+        self._params, self._grads = self._split(self.params), self._split(self.grad)
+        n = 2 * len(self.hidden_sizes)
+        self.weights, self.biases = self._params[0:n:2], self._params[1:n:2]
+        self.value_w, self.value_b, self.advantage_w, self.advantage_b = (
+            self._params[n:]
+        )
+
+    def _split(self, flat: np.ndarray) -> List[np.ndarray]:
+        shapes = [shape for _, shape in self._layout]
+        parts = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes])[:-1])
+        return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+    def __getstate__(self) -> Dict:
+        # Pickle the flat vectors only: views would unpickle as copies.
+        return {key: value for key, value in self.__dict__.items() if key not in _VIEWS}
+
+    def __setstate__(self, state: Dict) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     # ------------------------------------------------------------------ #
     # Parameters
     # ------------------------------------------------------------------ #
     def parameters(self) -> List[np.ndarray]:
-        """All trainable arrays, in a stable order."""
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend([w, b])
-        params.extend([self.value_w, self.value_b, self.advantage_w, self.advantage_b])
-        return params
+        """All trainable arrays (views into ``params``), in a stable order."""
+        return list(self._params)
 
     def copy_from(self, other: "DuelingQNetwork") -> None:
         """Hard-copy another network's parameters (target-network sync)."""
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            if mine.shape != theirs.shape:
-                raise ValueError("cannot copy parameters between different shapes")
-            mine[...] = theirs
+        if self._layout != other._layout:
+            raise ValueError("cannot copy parameters between different shapes")
+        self.params[...] = other.params
 
     def clone(self) -> "DuelingQNetwork":
         """Structural copy with identical parameters."""
-        copy = DuelingQNetwork(
-            self.input_dim, self.hidden_sizes, self.n_actions, self.dueling
-        )
+        args = (self.input_dim, self.hidden_sizes, self.n_actions, self.dueling)
+        copy = DuelingQNetwork(*args)
         copy.copy_from(self)
         return copy
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Serialisable mapping of parameter names to arrays (copies)."""
-        out: Dict[str, np.ndarray] = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out[f"hidden_{i}_w"] = w.copy()
-            out[f"hidden_{i}_b"] = b.copy()
-        out["value_w"] = self.value_w.copy()
-        out["value_b"] = self.value_b.copy()
-        out["advantage_w"] = self.advantage_w.copy()
-        out["advantage_b"] = self.advantage_b.copy()
-        return out
+        names = [name for name, _ in self._layout]
+        return {name: view.copy() for name, view in zip(names, self._params)}
 
     def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Load parameters previously produced by :meth:`state_dict`."""
-        for i in range(len(self.weights)):
-            self.weights[i][...] = state[f"hidden_{i}_w"]
-            self.biases[i][...] = state[f"hidden_{i}_b"]
-        self.value_w[...] = state["value_w"]
-        self.value_b[...] = state["value_b"]
-        self.advantage_w[...] = state["advantage_w"]
-        self.advantage_b[...] = state["advantage_b"]
+        """Load parameters previously produced by :meth:`state_dict`.
+
+        Each entry must have its layout shape exactly (no broadcast); any
+        mismatch raises ``ValueError`` before a parameter is written.
+        """
+        unexpected = sorted(set(state) - {name for name, _ in self._layout})
+        if unexpected:
+            raise ValueError(f"state dict has unexpected entry {unexpected[0]!r}")
+        for name, shape in self._layout:
+            got = np.shape(state[name]) if name in state else "missing"
+            if got != shape:
+                msg = f"state dict entry {name!r}: expected shape {shape}, got {got}"
+                raise ValueError(msg)
+        for (name, _), view in zip(self._layout, self._params):
+            view[...] = state[name]
 
     # ------------------------------------------------------------------ #
     # Forward / backward
@@ -196,23 +228,21 @@ class DuelingQNetwork:
                 f"expected states of dimension {self.input_dim}, got {x.shape[1]}"
             )
         h = x
-        pre_activations: List[np.ndarray] = []
         activations: List[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
-            z = h @ w + b
-            h = np.maximum(z, 0.0)
-            pre_activations.append(z)
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
             activations.append(h)
         advantage = h @ self.advantage_w + self.advantage_b
         if self.dueling:
             value = h @ self.value_w + self.value_b
-            q = value + advantage - advantage.mean(axis=1, keepdims=True)
+            mean_advantage = advantage.sum(axis=1, keepdims=True) / self.n_actions
+            q = value + advantage - mean_advantage
         else:
             q = advantage
         if cache:
-            self._cache = _LayerCache(
-                inputs=x, pre_activations=pre_activations, activations=activations
-            )
+            self._cache = _LayerCache(inputs=x, activations=activations)
         return q
 
     def backward(self, d_q: np.ndarray) -> List[np.ndarray]:
@@ -220,44 +250,37 @@ class DuelingQNetwork:
 
         ``d_q`` is the gradient of the scalar loss with respect to the
         Q-value outputs of the last :meth:`forward` call with ``cache=True``.
-        The returned list matches the order of :meth:`parameters`.
+        The returned list matches the order of :meth:`parameters`; its
+        arrays are views into ``grad``, overwritten by the next call.
         """
         if self._cache is None:
             raise RuntimeError("forward(..., cache=True) must be called first")
         cache = self._cache
         d_q = np.atleast_2d(np.asarray(d_q, dtype=float))
         h_last = cache.activations[-1]
+        grads = self._grads
+        n = 2 * len(self.hidden_sizes)
+        grad_value_w, grad_value_b, grad_advantage_w, grad_advantage_b = grads[n:]
 
         if self.dueling:
-            d_value = d_q.sum(axis=1, keepdims=True)
-            d_advantage = d_q - d_q.mean(axis=1, keepdims=True)
+            d_advantage = d_q - d_q.sum(axis=1, keepdims=True) / d_q.shape[1]
         else:
-            d_value = np.zeros((d_q.shape[0], 1))
+            # The value head is unused: its gradients stay zero.
             d_advantage = d_q
-
-        grad_value_w = h_last.T @ d_value
-        grad_value_b = d_value.sum(axis=0)
-        grad_advantage_w = h_last.T @ d_advantage
-        grad_advantage_b = d_advantage.sum(axis=0)
-
+        np.matmul(h_last.T, d_advantage, out=grad_advantage_w)
+        d_advantage.sum(axis=0, out=grad_advantage_b)
         d_h = d_advantage @ self.advantage_w.T
         if self.dueling:
-            d_h = d_h + d_value @ self.value_w.T
+            d_value = d_q.sum(axis=1, keepdims=True)
+            np.matmul(h_last.T, d_value, out=grad_value_w)
+            d_value.sum(axis=0, out=grad_value_b)
+            d_h += d_value @ self.value_w.T
 
-        grads_hidden: List[Tuple[np.ndarray, np.ndarray]] = []
-        for layer in range(len(self.weights) - 1, -1, -1):
-            z = cache.pre_activations[layer]
-            d_z = d_h * (z > 0.0)
-            h_prev = (
-                cache.activations[layer - 1] if layer > 0 else cache.inputs
-            )
-            grads_hidden.append((h_prev.T @ d_z, d_z.sum(axis=0)))
-            d_h = d_z @ self.weights[layer].T
-
-        grads: List[np.ndarray] = []
-        for grad_w, grad_b in reversed(grads_hidden):
-            grads.extend([grad_w, grad_b])
-        grads.extend(
-            [grad_value_w, grad_value_b, grad_advantage_w, grad_advantage_b]
-        )
-        return grads
+        for layer in range(len(self.hidden_sizes) - 1, -1, -1):
+            d_h *= cache.activations[layer] > 0.0  # h > 0 exactly where z > 0
+            h_prev = cache.activations[layer - 1] if layer > 0 else cache.inputs
+            np.matmul(h_prev.T, d_h, out=grads[2 * layer])
+            d_h.sum(axis=0, out=grads[2 * layer + 1])
+            if layer > 0:  # layer 0's input gradient is not needed
+                d_h = d_h @ self.weights[layer].T
+        return list(grads)

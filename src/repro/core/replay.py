@@ -388,5 +388,5 @@ class PrioritizedReplayBuffer(_ArrayRing):
 
     def anneal(self, fraction: float) -> None:
         """Anneal the importance-sampling exponent β from β₀ to 1."""
-        fraction = float(np.clip(fraction, 0.0, 1.0))
+        fraction = min(max(float(fraction), 0.0), 1.0)
         self.beta = self.beta0 + (1.0 - self.beta0) * fraction

@@ -26,20 +26,6 @@ from typing import Iterable, Iterator, List, TextIO, Union
 from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.records import EventKind, EventRecord
 
-_CE_FIELDS = (
-    "time",
-    "node",
-    "dimm",
-    "count",
-    "rank",
-    "bank",
-    "row",
-    "col",
-    "scrubber",
-    "manufacturer",
-)
-_UE_FIELDS = ("time", "node", "dimm", "manufacturer")
-
 _KIND_TAGS = {
     EventKind.CE: "CE",
     EventKind.UE: "UE",

@@ -52,6 +52,11 @@ class TestDQNConfig:
         with pytest.raises(ValueError):
             DQNConfig(**{field: value})
 
+    def test_rejects_zero_per_beta_steps(self):
+        # β annealing divides by it at every train step.
+        with pytest.raises(ValueError, match="per_beta_steps must be > 0, got 0"):
+            DQNConfig(per_beta_steps=0)
+
     def test_epsilon_ordering_enforced(self):
         with pytest.raises(ValueError):
             DQNConfig(epsilon_start=0.1, epsilon_end=0.5)
@@ -116,6 +121,23 @@ class TestAgentBasics:
         agent = DDDQNAgent(4, _config())
         with pytest.raises(ValueError, match="dimensional"):
             DDDQNAgent.from_state_dict(7, agent.state_dict())
+
+    def test_from_state_dict_names_a_missing_entry(self):
+        state = DDDQNAgent(4, _config()).state_dict()
+        del state["value_b"]
+        expected = r"'value_b': expected shape \(1,\), got missing"
+        with pytest.raises(ValueError, match=expected):
+            DDDQNAgent.from_state_dict(4, state)
+
+    @pytest.mark.parametrize(
+        "corrupt,shape", [(lambda w: w[:1], r"\(1, 8\)"), (lambda w: w[0], r"\(8,\)")]
+    )
+    def test_from_state_dict_rejects_a_misshapen_entry(self, corrupt, shape):
+        state = DDDQNAgent(4, _config()).state_dict()
+        state["hidden_1_w"] = corrupt(state["hidden_1_w"])
+        expected = rf"'hidden_1_w': expected shape \(16, 8\), got {shape}"
+        with pytest.raises(ValueError, match=expected):
+            DDDQNAgent.from_state_dict(4, state)
 
 
 class TestLearning:

@@ -1,5 +1,7 @@
 """Tests for the NumPy dueling Q-network, Adam and the Huber loss."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,3 +151,87 @@ class TestDuelingQNetwork:
             DuelingQNetwork(0)
         with pytest.raises(ValueError):
             DuelingQNetwork(4, hidden_sizes=())
+
+    def test_rejects_an_empty_hidden_layer(self):
+        with pytest.raises(ValueError, match="hidden layer size must be > 0, got 0"):
+            DuelingQNetwork(3, hidden_sizes=(0,))
+
+
+class TestFlatParameterBuffer:
+    """The parameters live in one vector; copies must never alias it."""
+
+    @staticmethod
+    def _net(seed=0):
+        return DuelingQNetwork(5, hidden_sizes=(7, 6), n_actions=2, seed=seed)
+
+    def test_parameters_are_views_of_one_buffer(self):
+        net = self._net()
+        params = net.parameters()
+        assert all(np.shares_memory(p, net.params) for p in params)
+        assert sum(p.size for p in params) == net.params.size
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), net.params)
+        # The named attributes are the same views.
+        assert net.weights[1] is params[2] and net.advantage_b is params[-1]
+        net.params[-1] = 3.5
+        assert net.advantage_b[-1] == 3.5
+
+    def test_backward_returns_views_of_the_gradient_buffer(self):
+        net = self._net()
+        net.forward(np.ones((3, 5)), cache=True)
+        grads = net.backward(np.ones((3, 2)))
+        assert all(np.shares_memory(g, net.grad) for g in grads)
+        assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+
+    def test_clone_and_copy_from_never_share_the_buffer(self):
+        online = self._net(seed=1)
+        target = online.clone()
+        synced = self._net(seed=2)
+        synced.copy_from(online)
+        for copy in (target, synced):
+            assert not np.shares_memory(copy.params, online.params)
+            assert np.array_equal(copy.params, online.params)
+        before = target.params.copy()
+        online.forward(np.ones((4, 5)), cache=True)
+        online.backward(np.ones((4, 2)))
+        AdamOptimizer(1e-2).update([online.params], [online.grad])
+        assert not np.array_equal(online.params, before)
+        assert np.array_equal(target.params, before)
+        assert np.array_equal(synced.params, before)
+
+    def test_copy_between_layouts_rejected(self):
+        with pytest.raises(ValueError):
+            self._net().copy_from(DuelingQNetwork(5, hidden_sizes=(6, 7)))
+
+    def test_pickle_keeps_the_views_bound(self):
+        net = pickle.loads(pickle.dumps(self._net()))
+        assert all(np.shares_memory(p, net.params) for p in net.parameters())
+        assert np.shares_memory(net.weights[0], net.params)
+        net.params[:] = 0.0
+        assert not net.forward(np.ones((2, 5))).any()
+
+
+class TestLoadStateDict:
+    def test_rejects_a_row_that_would_broadcast(self):
+        net = DuelingQNetwork(4, hidden_sizes=(8, 8), seed=0)
+        state = net.state_dict()
+        state["hidden_1_w"] = state["hidden_1_w"][:1]
+        before = net.params.copy()
+        with pytest.raises(
+            ValueError, match=r"'hidden_1_w': expected shape \(8, 8\), got \(1, 8\)"
+        ):
+            net.load_state_dict(state)
+        # Nothing was written.
+        assert np.array_equal(net.params, before)
+
+    def test_names_a_missing_entry(self):
+        net = DuelingQNetwork(4, hidden_sizes=(8,), seed=0)
+        state = net.state_dict()
+        del state["value_b"]
+        expected = r"'value_b': expected shape \(1,\), got missing"
+        with pytest.raises(ValueError, match=expected):
+            net.load_state_dict(state)
+
+    def test_names_an_unexpected_entry(self):
+        state = DuelingQNetwork(4, hidden_sizes=(8, 8), seed=0).state_dict()
+        with pytest.raises(ValueError, match="unexpected entry 'hidden_1_b'"):
+            DuelingQNetwork(4, hidden_sizes=(8,), seed=0).load_state_dict(state)
