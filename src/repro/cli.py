@@ -856,34 +856,74 @@ def _serve_policy(
 def _cmd_serve(args) -> int:
     import asyncio
     import json
+    import os
 
     from repro.serve import (
         ConstantJobProvider,
         DecisionService,
-        ReplaySource,
         SampledJobProvider,
         ServeConfig,
         TailSource,
+        serve_log,
     )
 
+    # Every flag is checked before any data is generated or any policy is
+    # trained, so a typo costs nothing and ends in one line, no traceback.
     restartable = args.restartable == "on"
     if not 0.0 <= args.train_fraction < 1.0:
         raise SystemExit("error: --train-fraction must be in [0, 1)")
-
+    speed, cost = args.replay_at_speed, args.mitigation_cost
+    for flag, value, ok, rule in (
+        ("--max-batch", args.max_batch, args.max_batch >= 1, ">= 1"),
+        ("--max-delay-ms", args.max_delay_ms, args.max_delay_ms >= 0, ">= 0"),
+        ("--merge-window-seconds", args.merge_window_seconds,
+         args.merge_window_seconds > 0, "> 0"),
+        ("--job-nodes", args.job_nodes, args.job_nodes > 0, "> 0"),
+        ("--replay-at-speed", speed, speed is None or speed > 0, "> 0"),
+        ("--mitigation-cost", cost, cost is None or cost >= 0, ">= 0"),
+    ):
+        if not ok:
+            raise SystemExit(f"error: {flag} must be {rule}, got {value!r}")
+    preset = None
     if args.source.startswith("preset:"):
-        name = args.source.split(":", 1)[1]
-        if name not in PRESETS:
+        preset = args.source.split(":", 1)[1]
+        if preset not in PRESETS:
             raise SystemExit(
-                f"error: unknown preset {name!r}; choose from {', '.join(PRESETS)}"
+                f"error: unknown preset {preset!r}; choose from {', '.join(PRESETS)}"
             )
+        scenario = getattr(ScenarioConfig, preset)()
+        if args.seed is not None:
+            scenario = scenario.with_seed(args.seed)
+        default_cost_minutes = scenario.evaluation.mitigation_cost_node_minutes
+    else:
+        if args.replay_at_speed is not None:
+            raise SystemExit(
+                "error: --replay-at-speed paces a replayed preset stream; "
+                "file sources already arrive at their own pace"
+            )
+        if args.policy == "rl":
+            raise SystemExit(
+                "error: --policy rl needs a job log to train against; use a "
+                "preset source (--source preset:NAME)"
+            )
+        if not os.path.isfile(args.source):
+            raise SystemExit(f"error: --source {args.source!r} is not a file")
+        default_cost_minutes = 2.0
+    cost_hours = (cost if cost is not None else default_cost_minutes) / 60.0
+    config = ServeConfig(
+        mitigation_cost_node_hours=cost_hours,
+        restartable=restartable,
+        max_batch=args.max_batch,
+        max_delay_seconds=args.max_delay_ms / 1000.0,
+        merge_window_seconds=args.merge_window_seconds,
+    )
+
+    if preset is not None:
         from repro.telemetry.generator import TelemetryGenerator
         from repro.telemetry.reduction import prepare_log
         from repro.workload.generator import WorkloadGenerator
         from repro.workload.sampling import JobSequenceSampler
 
-        scenario = getattr(ScenarioConfig, name)()
-        if args.seed is not None:
-            scenario = scenario.with_seed(args.seed)
         raw = TelemetryGenerator(
             scenario.topology,
             scenario.fault_model,
@@ -900,12 +940,6 @@ def _cmd_serve(args) -> int:
             seed=scenario.seed,
         ).generate()
         sampler = JobSequenceSampler(job_log, seed=scenario.seed)
-        cost_minutes = (
-            args.mitigation_cost
-            if args.mitigation_cost is not None
-            else scenario.evaluation.mitigation_cost_node_minutes
-        )
-        cost_hours = cost_minutes / 60.0
         t_lo = float(log.time[0])
         t_hi = float(log.time[-1])
         cutoff = t_lo + args.train_fraction * (t_hi - t_lo)
@@ -922,22 +956,12 @@ def _cmd_serve(args) -> int:
             job_sampler=sampler,
         )
         jobs = SampledJobProvider(sampler, cutoff, t_hi + 1.0, seed=scenario.seed)
-        source = ReplaySource(served, speed=args.replay_at_speed)
-        described = (
-            f"{len(served)} events of preset:{name} "
-            f"({len(train_log)} used for training)"
+        print(
+            f"serving {len(served)} events of preset:{preset} "
+            f"({len(train_log)} used for training) with policy {policy.name}"
         )
+        report = serve_log(served, policy, jobs, config, speed=args.replay_at_speed)
     else:
-        if args.replay_at_speed is not None:
-            raise SystemExit(
-                "error: --replay-at-speed paces a replayed preset stream; "
-                "file sources already arrive at their own pace"
-            )
-        if args.policy == "rl":
-            raise SystemExit(
-                "error: --policy rl needs a job log to train against; use a "
-                "preset source (--source preset:NAME)"
-            )
         train_log = None
         if args.policy in ("sc20", "myopic"):
             from repro.telemetry.error_log import ErrorLog
@@ -945,10 +969,6 @@ def _cmd_serve(args) -> int:
 
             with open(args.source, "r", encoding="utf-8") as handle:
                 train_log = ErrorLog.from_records(list(iter_mcelog_records(handle)))
-        cost_minutes = (
-            args.mitigation_cost if args.mitigation_cost is not None else 2.0
-        )
-        cost_hours = cost_minutes / 60.0
         policy = _serve_policy(
             args.policy,
             train_log,
@@ -959,19 +979,10 @@ def _cmd_serve(args) -> int:
             args.rl_episodes,
         )
         jobs = ConstantJobProvider(n_nodes=args.job_nodes)
-        source = TailSource(args.source, follow=args.follow)
-        described = args.source + (" (following)" if args.follow else "")
-
-    config = ServeConfig(
-        mitigation_cost_node_hours=cost_hours,
-        restartable=restartable,
-        max_batch=args.max_batch,
-        max_delay_seconds=args.max_delay_ms / 1000.0,
-        merge_window_seconds=args.merge_window_seconds,
-    )
-    print(f"serving {described} with policy {policy.name}")
-    service = DecisionService(policy, jobs, config)
-    report = asyncio.run(service.run(source))
+        following = " (following)" if args.follow else ""
+        print(f"serving {args.source}{following} with policy {policy.name}")
+        service = DecisionService(policy, jobs, config)
+        report = asyncio.run(service.run(TailSource(args.source, follow=args.follow)))
     print(report.summary())
     histogram = report.batch_size_histogram()
     if histogram:

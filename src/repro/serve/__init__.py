@@ -1,13 +1,14 @@
 """Online micro-batched decision serving (``python -m repro serve``).
 
-This package turns the offline evaluation stack into a long-lived daemon: an
-asyncio loop tails an mcelog event stream, maintains one incremental
+This package turns the offline evaluation stack into a long-lived daemon: a
+synchronous core ingests an mcelog event stream, maintains one incremental
 :class:`~repro.core.features.OnlineFeatureState` per node, and answers all
 concurrently pending nodes with a single batched
 :meth:`~repro.core.policies.MitigationPolicy.decide_nodes` call per tick.
-Decisions are bit-identical to an offline
-:func:`~repro.evaluation.runner.evaluate_policy` replay of the same events
-(see :mod:`repro.serve.service` for the exactness argument).
+In-memory logs drive the core directly; async sources (a tailed mcelog
+file, a paced replay) go through :meth:`DecisionService.run`.  Decisions are
+bit-identical to an offline :func:`~repro.evaluation.runner.evaluate_policy`
+replay of the same events (see :mod:`repro.serve.service`).
 """
 
 from repro.serve.jobs import (

@@ -2,11 +2,9 @@
 
 A fleet-scale deployment of the paper's mitigation policies cannot afford
 one model evaluation per node event: UE storms deliver bursts of correlated
-events across many nodes at once.  :class:`DecisionService` therefore runs a
-single asyncio loop that
+events across many nodes at once.  :class:`DecisionService` therefore
 
-1. ingests an mcelog event stream (replayed or tailed, see
-   :mod:`repro.serve.sources`) into one incremental
+1. ingests an mcelog event stream into one incremental
    :class:`~repro.core.features.OnlineFeatureState` per node,
 2. finalises merged decision steps the moment the stream clock passes their
    merge window (a deadline heap keys the open groups), and
@@ -17,8 +15,10 @@ single asyncio loop that
 
 A tick fires as soon as ``max_batch`` nodes are ready or ``max_delay``
 wall-clock seconds after the first step of the open batch arrived, whichever
-comes first — the classical throughput/latency knob pair of a batching RPC
-server.
+comes first.  That rule is a synchronous core: :meth:`DecisionService.serve`
+drives it from a plain iterable (an in-memory log) with no event loop, and
+:meth:`DecisionService.run` from an async source (a tailed mcelog file or a
+paced replay, see :mod:`repro.serve.sources`).
 
 Equivalence with the offline replay is exact, not approximate: the per-node
 step sequence is bit-identical to :func:`~repro.core.features
@@ -38,18 +38,19 @@ policies alike.
 ``asyncio.run`` on CPython 3.11 and 3.12 formats its main task, result
 included, while restoring the SIGINT handler at exit; a dataclass repr of
 the report would print every per-node mask and every kept decision, a cost
-that grows with the stream and is paid twice per :func:`serve_log` call.
+that grows with the stream and is paid twice whenever
+:meth:`DecisionService.run` runs under ``asyncio.run``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import heapq
 import time as time_module
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from numbers import Integral
+from typing import Deque, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -61,9 +62,6 @@ from repro.telemetry.records import EventRecord
 from repro.utils.timeutils import MINUTE
 from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.sampling import NodeJobTimeline
-
-#: End-of-stream marker on the ingestion queue.
-_EOF = object()
 
 
 @dataclass(frozen=True)
@@ -82,17 +80,16 @@ class ServeConfig:
     max_batch: int = 64
     max_delay_seconds: float = 0.05
     merge_window_seconds: float = MINUTE
-    queue_size: int = 4096
     keep_decisions: bool = True
 
     def __post_init__(self) -> None:
         check_non_negative("mitigation_cost_node_hours", self.mitigation_cost_node_hours)
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        if not isinstance(self.max_batch, Integral) or self.max_batch < 1:
+            raise ValueError(
+                f"max_batch must be an integer >= 1, got {self.max_batch!r}"
+            )
         check_non_negative("max_delay_seconds", self.max_delay_seconds)
         check_positive("merge_window_seconds", self.merge_window_seconds)
-        if self.queue_size < 1:
-            raise ValueError("queue_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -221,11 +218,12 @@ class _NodeState:
 
 
 class DecisionService:
-    """Long-lived micro-batching decision loop over an async event source.
+    """Micro-batching decision loop over one event stream.
 
-    One instance serves one stream; :meth:`run` consumes the source to
-    exhaustion (or forever, for a following tail) and returns the
-    :class:`ServeReport`.  The policy must implement ``decide_nodes`` for
+    One instance serves one stream: :meth:`serve` (a plain iterable) or
+    :meth:`run` (an async source, forever for a following tail) consumes it
+    and returns the :class:`ServeReport`; any later call raises
+    ``RuntimeError``.  The policy must implement ``decide_nodes`` for
     batched ticks — every built-in online-servable policy does; the base
     class falls back to per-row ``decide`` calls.
     """
@@ -252,6 +250,8 @@ class DecisionService:
         self._batch_sizes: List[int] = []
         self._tick_latencies: List[float] = []
         self._decisions: List[DecisionRecord] = []
+        self._batch_deadline: Optional[float] = None
+        self._started: Optional[float] = None
 
     # ------------------------------------------------------------------ #
     # ingestion                                                          #
@@ -302,17 +302,6 @@ class DecisionService:
             if state.features.open_group_deadline != deadline:
                 continue  # stale entry: the group already closed
             steps = state.features.advance_to(clock)
-            state.pushed_deadline = None
-            if steps:
-                state.pending.extend(steps)
-                self._ready.add(node)
-
-    def _flush_all(self) -> None:
-        """Force-close every open group (end of stream)."""
-        self._deadlines.clear()
-        for node in sorted(self._nodes):
-            state = self._nodes[node]
-            steps = state.features.flush()
             state.pushed_deadline = None
             if steps:
                 state.pending.extend(steps)
@@ -412,93 +401,98 @@ class DecisionService:
             self._tick_index += 1
 
     # ------------------------------------------------------------------ #
-    # main loop                                                          #
+    # the tick rule and its two drivers                                  #
     # ------------------------------------------------------------------ #
 
-    async def run(self, source) -> ServeReport:
-        """Consume ``source`` to exhaustion and return the run report."""
-        started = time_module.perf_counter()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self._config.queue_size)
+    def _begin(self) -> None:
+        if self._started is not None:
+            raise RuntimeError("a DecisionService serves one stream; create a new one")
+        self._started = time_module.perf_counter()
 
-        async def _produce() -> None:
-            try:
-                async for record in source:
-                    await queue.put(record)
-            except asyncio.CancelledError:
-                raise
-            except BaseException:
-                # The source failed: the consumer must still see the end
-                # marker (so run() reaches ``await producer`` and re-raises
-                # this error), but a plain put could block on a full queue.
-                while True:
-                    try:
-                        queue.put_nowait(_EOF)
-                        break
-                    except asyncio.QueueFull:
-                        await asyncio.sleep(0)
-                raise
-            else:
-                await queue.put(_EOF)
+    def _offer(self, record: Optional[EventRecord]) -> None:
+        """The tick rule: ingest ``record`` (if any), then fire the due ticks."""
+        if record is not None:
+            self._ingest(record)
+        while len(self._ready) >= self._config.max_batch:
+            self._tick()
+            self._batch_deadline = None
+        now = time_module.monotonic()
+        if self._batch_deadline is not None and now >= self._batch_deadline:
+            self._tick()
+            self._batch_deadline = None
+        if self._batch_deadline is None and self._ready:
+            self._batch_deadline = now + self._config.max_delay_seconds
 
-        producer = asyncio.create_task(_produce())
-        try:
-            await self._consume(queue)
-        except BaseException:
-            producer.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await producer
-            raise
-        await producer
-        return self._report(time_module.perf_counter() - started)
-
-    async def _consume(self, queue: asyncio.Queue) -> None:
-        loop = asyncio.get_running_loop()
-        max_batch = self._config.max_batch
-        max_delay = self._config.max_delay_seconds
-        batch_deadline: Optional[float] = None
-        eof = False
-        while not eof:
-            # Drain whatever already arrived (up to one batch's worth).
-            while len(self._ready) < max_batch:
-                try:
-                    item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is _EOF:
-                    eof = True
-                    break
-                self._ingest(item)
-            if eof:
-                break
-            if len(self._ready) >= max_batch:
-                self._tick()
-                batch_deadline = None
-                continue
-            if self._ready:
-                if batch_deadline is None:
-                    batch_deadline = loop.time() + max_delay
-                remaining = batch_deadline - loop.time()
-                if remaining <= 0:
-                    self._tick()
-                    batch_deadline = None
-                    continue
-                try:
-                    item = await asyncio.wait_for(queue.get(), timeout=remaining)
-                except asyncio.TimeoutError:
-                    self._tick()
-                    batch_deadline = None
-                    continue
-            else:
-                batch_deadline = None
-                item = await queue.get()
-            if item is _EOF:
-                eof = True
-            else:
-                self._ingest(item)
-        # End of stream: close every open merge group and drain the backlog.
-        self._flush_all()
+    def _finish(self) -> ServeReport:
+        """End of stream: force-close every open merge group, drain, report."""
+        self._deadlines.clear()
+        for node in sorted(self._nodes):
+            state = self._nodes[node]
+            steps = state.features.flush()
+            state.pushed_deadline = None
+            if steps:
+                state.pending.extend(steps)
+                self._ready.add(node)
         while self._ready:
             self._tick()
+        return self._report(time_module.perf_counter() - self._started)
+
+    def serve(self, records: Iterable[EventRecord]) -> ServeReport:
+        """Serve a plain record iterable (e.g. an ``ErrorLog``) to its end."""
+        self._begin()
+        for record in records:
+            self._offer(record)
+        return self._finish()
+
+    async def run(self, source) -> ServeReport:
+        """Consume an async ``source`` to exhaustion and return the report.
+
+        The source is awaited directly, one record at a time.  While a batch
+        is open, a loop timer at its deadline fires the max-delay tick, so an
+        idle source still gets its ready steps decided; an error in that tick
+        cancels the wait and is raised here.  On exit or cancellation the
+        timer is cancelled and the iterator closed.
+        """
+        self._begin()
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        records = source.__aiter__()
+        timer: Optional[asyncio.TimerHandle] = None
+        failure: List[Exception] = []
+
+        def arm() -> None:
+            nonlocal timer
+            if timer is None and self._batch_deadline is not None:
+                delay = self._batch_deadline - time_module.monotonic()
+                timer = loop.call_later(delay, on_deadline)
+
+        def on_deadline() -> None:
+            nonlocal timer
+            timer = None
+            try:
+                self._offer(None)
+            except Exception as exc:
+                failure.append(exc)
+                task.cancel()
+            else:
+                arm()
+
+        try:
+            async for record in records:
+                self._offer(record)
+                arm()
+        except asyncio.CancelledError:
+            if not failure:
+                raise
+            if hasattr(task, "uncancel"):  # Python >= 3.11
+                task.uncancel()
+            raise failure[0] from None
+        finally:
+            if timer is not None:
+                timer.cancel()
+            if hasattr(records, "aclose"):
+                await records.aclose()
+        return self._finish()
 
     # ------------------------------------------------------------------ #
     # reporting                                                          #
@@ -553,10 +547,13 @@ def serve_log(
     config: Optional[ServeConfig] = None,
     speed: Optional[float] = None,
 ) -> ServeReport:
-    """Serve a whole error log through a fresh service (sync convenience).
+    """Serve a whole error log through a fresh service.
 
-    ``speed=None`` replays unthrottled (maximal batching); a positive value
-    replays at that multiple of real time, exercising the max-delay path.
+    ``speed=None`` serves the log unthrottled through the synchronous core,
+    with no event loop; a positive value replays it at that multiple of real
+    time through :meth:`DecisionService.run`, exercising the max-delay path.
     """
     service = DecisionService(policy, jobs, config)
+    if speed is None:
+        return service.serve(log)
     return asyncio.run(service.run(ReplaySource(log, speed=speed)))

@@ -1,8 +1,9 @@
-"""Asynchronous mcelog event sources for the decision service.
+"""Asynchronous mcelog event sources for :meth:`DecisionService.run`.
 
 A *source* is anything the service can ``async for`` over to obtain
 :class:`~repro.telemetry.records.EventRecord` objects in non-decreasing time
-order.  Two implementations cover replay and live ingestion:
+order, as they arrive; an in-memory log needs none, ``DecisionService.serve``
+takes any plain iterable.  Two implementations cover replay and live ingestion:
 
 * :class:`ReplaySource` replays an in-memory :class:`~repro.telemetry
   .error_log.ErrorLog` (or any record sequence), optionally throttled to a
@@ -34,10 +35,10 @@ class ReplaySource:
         An :class:`ErrorLog` or an iterable of :class:`EventRecord` in
         non-decreasing time order.
     speed:
-        ``None`` replays as fast as the consumer drains (offline
-        equivalence runs); a positive float maps event time to wall time at
-        that multiple of real time — ``speed=3600`` compresses an hour of
-        telemetry into one second, the replayed-at-speed storm mode.
+        ``None`` replays as fast as the service awaits records; a positive
+        float maps event time to wall time at that multiple of real time —
+        ``speed=3600`` compresses an hour of telemetry into one second, the
+        replayed-at-speed storm mode.
     """
 
     def __init__(
@@ -55,7 +56,7 @@ class ReplaySource:
         loop = asyncio.get_running_loop()
         anchor_event: Optional[float] = None
         anchor_wall = 0.0
-        for count, record in enumerate(iter(self._events)):
+        for record in self._events:
             if speed is not None:
                 if anchor_event is None:
                     anchor_event = record.time
@@ -65,10 +66,6 @@ class ReplaySource:
                     delay = target - loop.time()
                     if delay > 0:
                         await asyncio.sleep(delay)
-            elif count % 1024 == 1023:
-                # Unthrottled replay still yields to the event loop now and
-                # then so the consumer can interleave ticks with ingestion.
-                await asyncio.sleep(0)
             yield record
 
 

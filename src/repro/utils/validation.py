@@ -15,8 +15,8 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_non_negative(name: str, value: float) -> float:
-    """Raise ``ValueError`` unless ``value`` is >= 0."""
-    if value < 0:
+    """Raise ``ValueError`` unless ``value`` is >= 0 (NaN included)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 

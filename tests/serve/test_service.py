@@ -8,6 +8,7 @@ with and without restartable jobs, under any micro-batch configuration.
 
 from __future__ import annotations
 
+import asyncio
 import re
 
 import numpy as np
@@ -36,9 +37,11 @@ from repro.serve import (
     ReplaySource,
     SampledJobProvider,
     ServeConfig,
+    TailSource,
     TimelineJobProvider,
     serve_log,
 )
+from repro.telemetry.records import EventRecord
 from repro.utils.timeutils import DAY
 
 MITIGATION_COST = 2 / 60.0
@@ -330,8 +333,11 @@ class TestServiceBehavior:
             ServeConfig(max_delay_seconds=-1.0)
         with pytest.raises(ValueError):
             ServeConfig(mitigation_cost_node_hours=-1.0)
-        with pytest.raises(ValueError):
-            ServeConfig(queue_size=0)
+        with pytest.raises(ValueError, match="max_batch must be an integer"):
+            ServeConfig(max_batch=2.5)
+        for field_name in ("max_delay_seconds", "mitigation_cost_node_hours"):
+            with pytest.raises(ValueError, match=field_name):
+                ServeConfig(**{field_name: float("nan")})
 
     def test_source_errors_propagate(self, jobs):
         class _FailingSource:
@@ -341,13 +347,113 @@ class TestServiceBehavior:
                 yield EventRecord(time=1.0, node=0, dimm=0, ce_count=1)
                 raise RuntimeError("stream went away")
 
-        import asyncio
-
         service = DecisionService(
             AlwaysMitigatePolicy(), ConstantJobProvider(), ServeConfig()
         )
         with pytest.raises(RuntimeError, match="stream went away"):
             asyncio.run(service.run(_FailingSource()))
+
+
+class TestDrivers:
+    """``serve`` (plain iterables) and ``run`` (async sources) share one core."""
+
+    @staticmethod
+    def _ce(time, node=0):
+        return EventRecord(time=time, node=node, dimm=0, ce_count=1)
+
+    @staticmethod
+    def _service(policy=None, **config):
+        return DecisionService(
+            policy or AlwaysMitigatePolicy(), ConstantJobProvider(), ServeConfig(**config)
+        )
+
+    def test_in_memory_serving_never_creates_an_event_loop(
+        self, reduced_error_log, jobs, monkeypatch
+    ):
+        def no_loop():
+            raise AssertionError("serve_log(speed=None) created an event loop")
+
+        monkeypatch.setattr(asyncio.events, "new_event_loop", no_loop)
+        monkeypatch.setattr(asyncio, "new_event_loop", no_loop)
+        report = serve_log(reduced_error_log, AlwaysMitigatePolicy(), jobs)
+        assert report.n_events == len(reduced_error_log)
+
+    def test_idle_source_ticks_at_max_delay(self):
+        order = []
+
+        class _Logged(AlwaysMitigatePolicy):
+            def decide_nodes(self, features, ue_costs, times=None, nodes=None):
+                order.append(("decide", times.tolist()))
+                return super().decide_nodes(features, ue_costs, times=times, nodes=nodes)
+
+        async def idle_source():
+            # The second record closes the first one's merge group, so one
+            # step is ready; then the source goes quiet well past max_delay.
+            for record in (self._ce(0.0), self._ce(120.0)):
+                order.append(("yield", record.time))
+                yield record
+            await asyncio.sleep(0.3)
+            order.append(("yield", 240.0))
+            yield self._ce(240.0)
+
+        service = self._service(_Logged(), max_delay_seconds=0.02)
+        report = asyncio.run(service.run(idle_source()))
+        assert order[:4] == [
+            ("yield", 0.0),
+            ("yield", 120.0),
+            ("decide", [0.0]),
+            ("yield", 240.0),
+        ]
+        assert report.n_events == 3 and report.n_decision_points == 3
+
+    def test_a_failing_max_delay_tick_ends_run_on_an_idle_source(self):
+        class _Broken(AlwaysMitigatePolicy):
+            def decide_nodes(self, features, ue_costs, times=None, nodes=None):
+                raise RuntimeError("policy went away")
+
+        async def idle_source():
+            yield self._ce(0.0)
+            yield self._ce(120.0)
+            await asyncio.sleep(3600)  # the source never speaks again
+
+        async def scenario():
+            task = asyncio.ensure_future(
+                self._service(_Broken(), max_delay_seconds=0.02).run(idle_source())
+            )
+            done, _ = await asyncio.wait((task,), timeout=5.0)
+            task.cancel()  # a no-op once it has ended
+            assert done, "run kept waiting on the source after its tick failed"
+            return task.exception()
+
+        error = asyncio.run(scenario())
+        assert isinstance(error, RuntimeError) and str(error) == "policy went away"
+
+    def test_cancelled_follow_run_leaves_no_task_and_closes_the_source(self, tmp_path):
+        path = tmp_path / "live.log"
+        path.write_text(
+            "CE time=1.0 node=0 dimm=0 count=1\nCE time=100.0 node=0 dimm=0 count=1\n"
+        )
+        records = TailSource(path, follow=True, poll_seconds=0.01).__aiter__()
+
+        async def scenario():
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(self._service().run(records), 0.1)
+            return asyncio.all_tasks() - {asyncio.current_task()}
+
+        assert asyncio.run(scenario()) == set()
+        assert records.ag_frame is None  # closed, and its file with it
+
+    def test_service_is_single_use(self):
+        records = [self._ce(0.0), self._ce(120.0)]
+        used = self._service()
+        assert used.serve(records).n_events == 2
+        served_async = self._service()
+        assert asyncio.run(served_async.run(ReplaySource(records))).n_events == 2
+        for service in (used, served_async):
+            with pytest.raises(RuntimeError, match="create a new one"):
+                service.serve(records)
+            with pytest.raises(RuntimeError, match="create a new one"):
+                asyncio.run(service.run(ReplaySource(records)))
 
 
 class TestServingCostHooks:

@@ -134,6 +134,33 @@ class TestServe:
                 ]
             )
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-batch", "0"),
+            ("--max-delay-ms", "-1"),
+            ("--max-delay-ms", "nan"),
+            ("--merge-window-seconds", "0"),
+            ("--mitigation-cost", "-1"),
+            ("--replay-at-speed", "0"),
+            ("--job-nodes", "-1"),
+            ("--source", "no-such-spool.log"),
+        ],
+    )
+    def test_serve_rejects_a_bad_flag_before_any_work(
+        self, tmp_path, monkeypatch, flag, value
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a policy was built before the flags were checked")
+
+        monkeypatch.setattr(cli, "_serve_policy", never)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["serve", "--source", "preset:small", "--policy", "never", flag, value])
+        message = str(excinfo.value.code)
+        assert message.startswith(f"error: {flag}")
+        assert "\n" not in message
+
     def test_serve_trains_a_forest_on_the_file(self, tmp_path, capsys):
         """sc20 on a file source trains on the file's own contents."""
         # A handful of CE/UE pairs gives the dataset both classes.

@@ -15,7 +15,7 @@ class TestCheckPositive:
     def test_accepts_positive(self):
         assert check_positive("x", 3.5) == 3.5
 
-    @pytest.mark.parametrize("value", [0, -1, -0.001])
+    @pytest.mark.parametrize("value", [0, -1, -0.001, float("nan")])
     def test_rejects_non_positive(self, value):
         with pytest.raises(ValueError, match="x"):
             check_positive("x", value)
@@ -29,13 +29,18 @@ class TestCheckNonNegative:
         with pytest.raises(ValueError):
             check_non_negative("x", -1e-9)
 
+    def test_rejects_nan(self):
+        # ``nan < 0`` is False, so a plain negativity test lets NaN through.
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            check_non_negative("x", float("nan"))
+
 
 class TestCheckFraction:
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_accepts_fractions(self, value):
         assert check_fraction("x", value) == value
 
-    @pytest.mark.parametrize("value", [-0.1, 1.1, 2.0])
+    @pytest.mark.parametrize("value", [-0.1, 1.1, 2.0, float("nan")])
     def test_rejects_outside_unit_interval(self, value):
         with pytest.raises(ValueError):
             check_fraction("x", value)
