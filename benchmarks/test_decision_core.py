@@ -4,6 +4,12 @@ Opt-in (marked ``slow``): run with
 
     python -m pytest benchmarks/test_decision_core.py -m slow -s
 
+with BLAS pinned to one thread (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1), as
+``perfbench/`` and CI do.  A threaded BLAS makes the lockstep walk's many small per-round forwards
+noisy on small hosts: unpinned, the RL/restart=on vector-over-scalar ratio
+can fall below its gate on a 2-vCPU machine at no fault of the code.
+
 Three microbenchmarks over ``ScenarioConfig.benchmark()``, all asserting
 *identical results* between the scalar and vectorized implementations
 before recording any timing:

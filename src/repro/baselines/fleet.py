@@ -50,9 +50,9 @@ DEFAULT_SEGMENT_POLICY = "sc20"
 class SegmentedFleetPolicy(MitigationPolicy):
     """Route decisions to one sub-policy per fleet segment.
 
-    Every evaluation trace belongs to exactly one node, so a whole trace —
-    and therefore every batched window of it — resolves through a single
-    sub-policy; the composite only has to dispatch, never to merge.
+    Every evaluation trace belongs to exactly one node, so every row of a
+    replay panel resolves through the sub-policy of its node's segment; the
+    composite only has to partition rows, never to merge decisions.
 
     Training costs of shared artifacts (the SC20 forest) are charged to the
     approaches that own them, so the composite itself reports zero.
@@ -77,15 +77,21 @@ class SegmentedFleetPolicy(MitigationPolicy):
         self.segment_policies: List[MitigationPolicy] = list(segment_policies)
         self.name = name
         self._node_segment = topology.node_segment()
+        #: Segment of each row of the prepared panel (see
+        #: :meth:`prepare_traces`).
+        self._row_segment: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
-    def _policy_for_node(self, node: int) -> MitigationPolicy:
-        if not (0 <= node < self._node_segment.size):
+    def _segments_of(self, nodes) -> np.ndarray:
+        """Segment index of each node id, rejecting ids outside the topology."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        outside = (nodes < 0) | (nodes >= self._node_segment.size)
+        if outside.any():
             raise ValueError(
-                f"node {node} outside the topology "
+                f"node {int(nodes[outside].flat[0])} outside the topology "
                 f"[0, {self._node_segment.size})"
             )
-        return self.segment_policies[int(self._node_segment[node])]
+        return self._node_segment[nodes]
 
     def _unique_policies(self) -> List[MitigationPolicy]:
         unique: List[MitigationPolicy] = []
@@ -100,18 +106,27 @@ class SegmentedFleetPolicy(MitigationPolicy):
         return any(policy.cost_dependent for policy in self.segment_policies)
 
     def decide(self, context: DecisionContext) -> bool:
-        return self._policy_for_node(context.node).decide(context)
+        segment = int(self._segments_of(context.node))
+        return self.segment_policies[segment].decide(context)
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
     ) -> Optional[np.ndarray]:
-        return self._policy_for_node(trace.node).decide_batch(
-            trace, ue_costs, start=start, stop=stop
-        )
+        """Each segment's rows answered by its sub-policy in one call."""
+        if self._row_segment is None:
+            return None
+        costs = np.asarray(ue_costs, dtype=float)
+        segments = self._row_segment[rows]
+        out = np.empty(len(rows), dtype=bool)
+        for segment in np.unique(segments):
+            idx = np.flatnonzero(segments == segment)
+            decided = self.segment_policies[int(segment)].decide_rows(
+                rows[idx], costs[idx]
+            )
+            if decided is None:
+                return None
+            out[idx] = decided
+        return out
 
     def decide_nodes(
         self,
@@ -129,7 +144,7 @@ class SegmentedFleetPolicy(MitigationPolicy):
         features = np.asarray(features, dtype=float)
         costs = np.asarray(ue_costs, dtype=float)
         out = np.empty(len(nodes), dtype=bool)
-        segments = self._node_segment[nodes]
+        segments = self._segments_of(nodes)
         for segment in np.unique(segments):
             idx = np.flatnonzero(segments == segment)
             out[idx] = self.segment_policies[int(segment)].decide_nodes(
@@ -145,14 +160,21 @@ class SegmentedFleetPolicy(MitigationPolicy):
             policy.reset()
 
     def prepare_trace(self, features: np.ndarray) -> None:
-        # The runner does not say which node the matrix belongs to, so every
-        # distinct sub-policy gets to cache it; lookups key on identity.
+        # The scalar replay does not say which node the matrix belongs to,
+        # so every distinct sub-policy gets to cache it.
         for policy in self._unique_policies():
             policy.prepare_trace(features)
 
     def prepare_traces(self, traces) -> None:
+        """Prepare every sub-policy's panel and record each row's segment."""
+        self._row_segment = None
         for policy in self._unique_policies():
             policy.prepare_traces(traces)
+        if traces:
+            segments = self._segments_of([trace.node for trace in traces])
+            self._row_segment = np.repeat(
+                segments, [len(trace) for trace in traces]
+            )
 
 
 def build_fleet_policy(ctx) -> MitigationPolicy:

@@ -10,17 +10,12 @@ calibrated probability.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.baselines.sc20 import SC20RandomForestPolicy
-from repro.core.policies import (
-    DecisionContext,
-    MitigationPolicy,
-    WindowSpec,
-    concat_ranges,
-)
+from repro.core.policies import DecisionContext, MitigationPolicy
 from repro.utils.validation import check_non_negative
 
 
@@ -56,51 +51,19 @@ class MyopicRFPolicy(MitigationPolicy):
         expected_ue_cost = probability * context.ue_cost
         return expected_ue_cost > self.mitigation_cost
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
     ) -> Optional[np.ndarray]:
-        """Element-wise expected-cost rule over the cached forest outputs."""
-        if ue_costs is None:
-            return None
-        stop = len(trace) if stop is None else stop
-        probabilities = self.sc20_policy.trace_probabilities(trace)[start:stop]
-        expected = probabilities * np.asarray(ue_costs, dtype=float)
-        return expected > self.mitigation_cost
+        """Element-wise expected-cost rule over the panel's forest outputs.
 
-    def decide_windows(
-        self,
-        windows: Sequence[WindowSpec],
-        ue_costs: Optional[np.ndarray] = None,
-    ) -> Optional[np.ndarray]:
-        """All windows of a lockstep round in one expected-cost comparison.
-
-        Gathers every window's forest probabilities out of the stacked bulk
-        prediction (see :meth:`SC20RandomForestPolicy.prepare_traces`) with
-        one fancy-index and applies the element-wise rule once — the same
-        multiply/compare, on the same values, as per-window
-        :meth:`decide_batch` calls, so the decisions match bit for bit.
-        Falls back to the per-window default when the bulk cache is absent
-        or a window's trace is not part of the prepared panel.
+        The same multiply/compare, on the same probabilities (see
+        :meth:`SC20RandomForestPolicy.prepare_traces`), as sequential
+        :meth:`decide` calls, so the decisions match bit for bit.
         """
-        if ue_costs is None:
+        probabilities = self.sc20_policy.panel_probabilities
+        if probabilities is None:
             return None
-        stacked, offsets = self.sc20_policy.stacked_probabilities()
-        if stacked is None or offsets is None:
-            return super().decide_windows(windows, ue_costs)
-        starts = np.empty(len(windows), dtype=np.int64)
-        stops = np.empty(len(windows), dtype=np.int64)
-        for k, (trace, start, stop) in enumerate(windows):
-            base = offsets.get(id(trace.features))
-            if base is None:
-                return super().decide_windows(windows, ue_costs)
-            starts[k] = base + start
-            stops[k] = base + stop
-        rows, _ = concat_ranges(starts, stops)
-        expected = stacked[rows] * np.asarray(ue_costs, dtype=float)
+        expected = probabilities[rows] * np.asarray(ue_costs, dtype=float)
         return expected > self.mitigation_cost
 
     def decide_nodes(

@@ -10,7 +10,7 @@ from optimal, to show its sensitivity to this user-defined parameter.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +80,10 @@ class SC20RandomForestPolicy(MitigationPolicy):
         training_cost_node_hours: float = 0.0,
     ) -> None:
         check_fraction("threshold", threshold)
+        if not np.isfinite(threshold_offset):
+            raise ValueError(
+                f"threshold_offset must be finite, got {threshold_offset!r}"
+            )
         self.forest = forest
         self.threshold = float(threshold)
         self.threshold_offset = float(threshold_offset)
@@ -87,16 +91,9 @@ class SC20RandomForestPolicy(MitigationPolicy):
         self._training_cost = float(training_cost_node_hours)
         self._normalizer = StateNormalizer()
         self._trace_probabilities: Optional[np.ndarray] = None
-        #: Bulk-prepared (features object, probabilities) pairs, consumed
-        #: in order by :meth:`prepare_trace` (see :meth:`prepare_traces`).
-        self._prepared_queue: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._prepared_cursor = 0
-        #: Lockstep lookups into the bulk prediction: probability slice per
-        #: feature-matrix identity, plus the stacked probability vector and
-        #: each trace's row offset into it (see :meth:`prepare_traces`).
-        self._prepared_by_id: Optional[Dict[int, np.ndarray]] = None
-        self._stacked_probabilities: Optional[np.ndarray] = None
-        self._stacked_offsets: Optional[Dict[int, int]] = None
+        #: Forest probabilities of the prepared panel's rows (see
+        #: :meth:`prepare_traces`); Myopic-RF indexes them too.
+        self.panel_probabilities: Optional[np.ndarray] = None
 
     @property
     def effective_threshold(self) -> float:
@@ -132,100 +129,41 @@ class SC20RandomForestPolicy(MitigationPolicy):
         self._trace_probabilities = None
 
     def prepare_trace(self, features: np.ndarray) -> None:
-        """Cache the forest probabilities of a whole trace at once.
-
-        Serves the cache from the bulk :meth:`prepare_traces` queue when the
-        runner hands traces back in the prepared order (verified by object
-        identity — any other flow just predicts directly; probabilities are
-        bitwise identical either way because tree routing is per-row).
-        """
-        if self._prepared_cursor < len(self._prepared_queue):
-            queued_features, probabilities = self._prepared_queue[
-                self._prepared_cursor
-            ]
-            if queued_features is features:
-                self._prepared_cursor += 1
-                self._trace_probabilities = probabilities
-                return
+        """Cache the forest probabilities of a whole trace at once."""
         self._trace_probabilities = self.predict_probabilities(features)
 
     def prepare_traces(self, traces) -> None:
-        """One forest predict for a whole replay's worth of traces.
+        """One forest predict for a whole replay panel.
 
-        The per-trace probability slices are additionally cached *on the
-        forest*, keyed by the identity of the feature arrays: every policy
+        The panel's probabilities are additionally cached *on the forest*,
+        keyed by the identities of the traces' feature arrays: every policy
         sharing the forest — the SC20 threshold variants, Myopic-RF, and
         the 41-candidate optimal-threshold grid — replays the same traces,
         so the whole family costs one ensemble prediction instead of one
-        per policy.  Holding references to the keyed arrays keeps the
-        identity check sound; the cache holds at most one trace set (the
-        next distinct set replaces it), its feature arrays are normally
-        shared with the pipeline's process-wide trace cache anyway, and the
-        runner clears each policy's queue at the end of the replay by
-        calling ``prepare_traces(())``.
+        per policy.  The cache holds references to the keyed arrays, which
+        keeps the identity check sound; it holds one panel (the next
+        distinct panel replaces it), and its feature arrays are normally
+        shared with the pipeline's process-wide trace cache anyway.  Called
+        with an empty sequence, this drops the policy's reference.
         """
-        traces = [trace for trace in traces if len(trace)]
+        self.panel_probabilities = None
         if not traces:
-            self._prepared_queue = []
-            self._prepared_cursor = 0
-            self._prepared_by_id = None
-            self._stacked_probabilities = None
-            self._stacked_offsets = None
             return
         key = tuple(id(trace.features) for trace in traces)
-        cached = getattr(self.forest, "_shared_trace_predictions", None)
-        if cached is not None and cached[0] == key:
-            self._prepared_queue = cached[2]
-            self._prepared_cursor = 0
-            self._stacked_probabilities = cached[3]
-            self._stacked_offsets = cached[4]
-            self._prepared_by_id = cached[5]
-            return
-        stacked = np.concatenate([trace.features for trace in traces])
-        probabilities = self.predict_probabilities(stacked)
-        queue: List[Tuple[np.ndarray, np.ndarray]] = []
-        by_id: Dict[int, np.ndarray] = {}
-        offsets: Dict[int, int] = {}
-        offset = 0
-        for trace in traces:
-            piece = probabilities[offset : offset + len(trace)]
-            queue.append((trace.features, piece))
-            by_id[id(trace.features)] = piece
-            offsets[id(trace.features)] = offset
-            offset += len(trace)
-        # (key, keyed array references — they pin the ids —, slices,
-        #  stacked probabilities, per-trace offsets, slices by identity)
-        self.forest._shared_trace_predictions = (
-            key,
-            [trace.features for trace in traces],
-            queue,
-            probabilities,
-            offsets,
-            by_id,
-        )
-        self._prepared_queue = queue
-        self._prepared_cursor = 0
-        self._stacked_probabilities = probabilities
-        self._stacked_offsets = offsets
-        self._prepared_by_id = by_id
-
-    def stacked_probabilities(
-        self,
-    ) -> Tuple[Optional[np.ndarray], Optional[Dict[int, int]]]:
-        """The bulk prediction as ``(stacked vector, offsets by identity)``.
-
-        ``offsets`` maps ``id(trace.features)`` to the trace's first row in
-        the stacked vector; both are ``None`` before :meth:`prepare_traces`.
-        Myopic-RF's ``decide_windows`` gathers arbitrary multi-trace window
-        batches out of this with one fancy-index.
-        """
-        return self._stacked_probabilities, self._stacked_offsets
+        cached = self.forest._shared_trace_predictions
+        if cached is None or cached[0] != key:
+            features = [trace.features for trace in traces]
+            probabilities = self.predict_probabilities(np.concatenate(features))
+            # (key, the keyed arrays — they pin the ids —, probabilities)
+            cached = (key, features, probabilities)
+            self.forest._shared_trace_predictions = cached
+        self.panel_probabilities = cached[2]
 
     def probability_for(self, context: DecisionContext) -> float:
         """Probability of an upcoming UE at this decision point.
 
-        Uses the per-trace cache when available (the common path in the
-        evaluation runner) and falls back to a single prediction otherwise.
+        Uses the :meth:`prepare_trace` cache when available (the scalar
+        evaluation replay) and falls back to a single prediction otherwise.
         """
         cache = self._trace_probabilities
         if cache is not None and 0 <= context.event_index < len(cache):
@@ -235,42 +173,17 @@ class SC20RandomForestPolicy(MitigationPolicy):
     def decide(self, context: DecisionContext) -> bool:
         return self.probability_for(context) >= self.effective_threshold
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs=None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> np.ndarray:
-        """Threshold the per-trace probability cache in one comparison.
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Threshold the panel's forest probabilities in one comparison.
 
-        Uses exactly the probabilities sequential :meth:`decide` calls read
-        (the :meth:`prepare_trace` cache, or one batched forest predict when
-        the cache is absent), so the decisions match bit for bit.
+        Tree routing is per row, so these are bitwise the probabilities
+        sequential :meth:`decide` calls read from the per-trace cache.
         """
-        stop = len(trace) if stop is None else stop
-        return self.trace_probabilities(trace)[start:stop] >= self.effective_threshold
-
-    def trace_probabilities(self, trace) -> np.ndarray:
-        """Forest probabilities for every event of a trace (cached).
-
-        The bulk :meth:`prepare_traces` cache is consulted first, by the
-        identity of the trace's feature matrix — the lockstep runner asks
-        for different traces' windows back to back, so a cache validated by
-        the *current* trace alone would thrash (or, worse, alias two traces
-        of equal length).  The per-trace :meth:`prepare_trace` cache covers
-        the remaining single-trace flows.
-        """
-        by_id = self._prepared_by_id
-        if by_id is not None:
-            cached = by_id.get(id(trace.features))
-            if cached is not None:
-                return cached
-        cache = self._trace_probabilities
-        if cache is None or len(cache) != len(trace):
-            self.prepare_trace(trace.features)
-            cache = self._trace_probabilities
-        return cache
+        if self.panel_probabilities is None:
+            return None
+        return self.panel_probabilities[rows] >= self.effective_threshold
 
     def decide_nodes(
         self,

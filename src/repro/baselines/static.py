@@ -7,9 +7,11 @@ cost achievable by event-triggered policies and the maximum mitigation cost;
 the Oracle mitigates only on the last event before each UE, which is the
 optimal event-triggered strategy but requires knowledge of the future.
 
-Every policy here also implements the vectorized ``decide_batch`` protocol
-(none of them reads the potential UE cost, so a whole trace resolves in one
-call; see :func:`repro.evaluation.runner.evaluate_policy`).
+Every policy here also answers the batched ``decide_rows`` protocol.  None
+of them reads the potential UE cost, so the whole replay panel resolves in
+one call (see :func:`repro.evaluation.runner.evaluate_policy`): the Oracle
+indexes the panel's stacked look-ahead flags, and the periodic baseline
+indexes its clock, replayed once per trace in ``prepare_traces``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.policies import DecisionContext, MitigationPolicy
+from repro.utils.validation import check_positive
 
 
 class NeverMitigatePolicy(MitigationPolicy):
@@ -29,15 +32,8 @@ class NeverMitigatePolicy(MitigationPolicy):
     def decide(self, context: DecisionContext) -> bool:
         return False
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> np.ndarray:
-        stop = len(trace) if stop is None else stop
-        return np.zeros(stop - start, dtype=bool)
+    def decide_rows(self, rows: np.ndarray, ue_costs: np.ndarray) -> np.ndarray:
+        return np.zeros(len(rows), dtype=bool)
 
     def decide_nodes(
         self,
@@ -61,15 +57,8 @@ class AlwaysMitigatePolicy(MitigationPolicy):
     def decide(self, context: DecisionContext) -> bool:
         return True
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> np.ndarray:
-        stop = len(trace) if stop is None else stop
-        return np.ones(stop - start, dtype=bool)
+    def decide_rows(self, rows: np.ndarray, ue_costs: np.ndarray) -> np.ndarray:
+        return np.ones(len(rows), dtype=bool)
 
     def decide_nodes(
         self,
@@ -91,18 +80,26 @@ class OraclePolicy(MitigationPolicy):
 
     name = "Oracle"
 
+    def __init__(self) -> None:
+        #: The prepared panel's stacked ``is_last_before_ue`` flags.
+        self._panel_flags: Optional[np.ndarray] = None
+
     def decide(self, context: DecisionContext) -> bool:
         return bool(context.is_last_event_before_ue)
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> np.ndarray:
-        stop = len(trace) if stop is None else stop
-        return np.asarray(trace.is_last_before_ue[start:stop], dtype=bool)
+    def prepare_traces(self, traces) -> None:
+        self._panel_flags = None
+        if traces:
+            self._panel_flags = np.concatenate(
+                [np.asarray(trace.is_last_before_ue, dtype=bool) for trace in traces]
+            )
+
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
+    ) -> Optional[np.ndarray]:
+        if self._panel_flags is None:
+            return None
+        return self._panel_flags[rows]
 
     def decide_nodes(
         self,
@@ -126,11 +123,12 @@ class PeriodicMitigatePolicy(MitigationPolicy):
     """
 
     def __init__(self, period_hours: float = 24.0) -> None:
-        if period_hours <= 0:
-            raise ValueError("period_hours must be > 0")
+        check_positive("period_hours", period_hours)
         self.period_seconds = float(period_hours) * 3600.0
         self.name = f"Periodic-{period_hours:g}h"
         self._last_mitigation: float | None = None
+        #: Decisions of the prepared panel's rows (see :meth:`prepare_traces`).
+        self._panel_mask: Optional[np.ndarray] = None
 
     def reset(self) -> None:
         self._last_mitigation = None
@@ -144,34 +142,31 @@ class PeriodicMitigatePolicy(MitigationPolicy):
             return True
         return False
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> np.ndarray:
-        """Jump scan over the decision-point times.
+    def prepare_traces(self, traces) -> None:
+        """Replay the mitigation clock of every trace of the panel.
 
-        Reproduces the sequential ``t - last >= period`` comparisons exactly
-        (the search advances in chunks but evaluates the same element-wise
-        subtraction the scalar path uses), and leaves ``_last_mitigation``
-        where a sequential replay would have.  Only whole-trace calls make
-        sense for this stateful policy; the runner issues exactly those
-        because the policy is not cost-dependent, and partial ranges are
-        rejected rather than answered wrongly.
+        The clock never reads the potential UE cost, so the panel's
+        decisions are fixed here, whatever rows :meth:`decide_rows` is
+        later asked for.  Each trace starts with a fresh clock, as the
+        scalar path's :meth:`reset` gives it.
         """
-        stop = len(trace) if stop is None else stop
-        if start != 0 or stop != len(trace):
-            raise ValueError(
-                "PeriodicMitigatePolicy.decide_batch replays its mitigation "
-                "clock from the trace start; partial [start, stop) ranges "
-                "are not supported"
+        self._panel_mask = None
+        if traces:
+            self._panel_mask = np.concatenate(
+                [self._jump_scan(trace) for trace in traces]
             )
+
+    def _jump_scan(self, trace) -> np.ndarray:
+        """Sequential decisions of one trace, from a fresh clock.
+
+        Reproduces the sequential ``t - last >= period`` comparisons exactly:
+        the search advances in chunks but evaluates the same element-wise
+        subtraction the scalar path uses.
+        """
         decisions = np.zeros(len(trace), dtype=bool)
         decision_points = np.flatnonzero(~np.asarray(trace.is_ue, dtype=bool))
         times = trace.times[decision_points]
-        last = self._last_mitigation
+        last = None
         i = 0
         chunk = 512
         while i < len(times):
@@ -193,8 +188,14 @@ class PeriodicMitigatePolicy(MitigationPolicy):
             decisions[decision_points[j]] = True
             last = float(times[j])
             i = j + 1
-        self._last_mitigation = last
-        return decisions[start:stop]
+        return decisions
+
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
+    ) -> Optional[np.ndarray]:
+        if self._panel_mask is None:
+            return None
+        return self._panel_mask[rows]
 
     def decide_nodes(
         self,

@@ -7,48 +7,29 @@ features and the potential UE cost of the job running on the node.  The
 Oracle baseline additionally needs to know whether the current event is the
 last one before a UE — a field real policies must never read (it encodes the
 future); it exists only to quantify the room for improvement (Section 4.2).
+
+A policy answers that question through three methods:
+
+* :meth:`MitigationPolicy.decide` — one event; the scalar reference replay.
+* :meth:`MitigationPolicy.decide_rows` — any rows of the *panel* fixed by
+  :meth:`MitigationPolicy.prepare_traces` (the replay's traces, their
+  events concatenated in order); the batched offline replay asks for the
+  whole panel once and then for the rows of each renewal-walk round.
+* :meth:`MitigationPolicy.decide_nodes` — one pending step per node; a
+  serving tick.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.core.dqn import DDDQNAgent
 from repro.core.features import StateNormalizer
 from repro.core.mdp import Action
-
-#: One window of a multi-trace batched decision request: the trace object
-#: and the half-open event range ``[start, stop)`` within it.
-WindowSpec = Tuple[object, int, int]
-
-
-def concat_ranges(
-    starts: np.ndarray, stops: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenated ``arange(start, stop)`` index runs, vectorized.
-
-    Returns ``(rows, widths)`` where ``rows`` is the concatenation of every
-    window's index range (used to gather window slices out of one stacked
-    per-panel array in a single fancy-index operation) and ``widths`` the
-    per-window lengths.  Shared by the lockstep evaluation runner and the
-    policies' ``decide_windows`` implementations.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    stops = np.asarray(stops, dtype=np.int64)
-    widths = stops - starts
-    total = int(widths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64), widths
-    bounds = np.empty(widths.size + 1, dtype=np.int64)
-    bounds[0] = 0
-    np.cumsum(widths, out=bounds[1:])
-    pos = np.arange(total, dtype=np.int64)
-    rows = pos - np.repeat(bounds[:-1] - starts, widths)
-    return rows, widths
 
 
 @dataclass(frozen=True)
@@ -88,77 +69,25 @@ class MitigationPolicy(abc.ABC):
     def decide(self, context: DecisionContext) -> bool:
         """Return True to trigger a mitigation at this event."""
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
     ) -> Optional[np.ndarray]:
-        """Vectorised :meth:`decide` over events ``[start, stop)`` of a trace.
+        """Vectorised :meth:`decide` over rows of the prepared replay panel.
 
-        ``trace`` is an :class:`repro.evaluation.runner.EvaluationTrace`;
-        ``ue_costs`` (when the policy is :attr:`cost_dependent`) carries the
-        potential UE cost of each event in the range, aligned with it
-        (``len(ue_costs) == stop - start``).  Implementations must return a
-        boolean array for the range whose entries at non-UE events equal
-        what sequential :meth:`decide` calls would have returned (entries at
-        UE events are ignored — the runner never consults the policy there),
-        or ``None`` to decline, which sends the evaluation runner down the
-        scalar per-event path.  The base implementation declines: policies
-        that only implement :meth:`decide` keep working unchanged.
+        The panel is the events of the traces last handed to
+        :meth:`prepare_traces`, concatenated in order; ``rows`` indexes it
+        (any subset, in any order the runner needs) and ``ue_costs`` holds
+        the potential UE cost of each row, aligned with ``rows``.
+        Implementations return a boolean array aligned with ``rows`` whose
+        entries at non-UE events equal what sequential :meth:`decide` calls
+        would have returned under those costs (entries at UE events are
+        ignored — the runner never consults the policy there), or ``None``
+        to decline, which sends the evaluation runner down the scalar
+        per-event path for the whole replay.  The base implementation
+        declines: policies that only implement :meth:`decide` keep working
+        unchanged.
         """
         return None
-
-    def decide_windows(
-        self,
-        windows: Sequence[WindowSpec],
-        ue_costs: Optional[np.ndarray] = None,
-    ) -> Optional[np.ndarray]:
-        """Batched :meth:`decide_batch` over windows of *several* traces.
-
-        The lockstep evaluation runner resolves the speculative renewal
-        windows of every trace in the panel per round and submits them as
-        one call: ``windows`` is a sequence of ``(trace, start, stop)``
-        specs and ``ue_costs`` (for :attr:`cost_dependent` policies) one
-        float array concatenating each window's potential UE costs in
-        window order.  Implementations return one boolean array of the
-        summed window widths (entries at UE events are ignored), or
-        ``None`` to decline — which sends the *whole policy* down the
-        scalar per-event path, exactly like a declined ``decide_batch``.
-
-        The base implementation loops :meth:`decide_batch` per window, so
-        any policy with a working ``decide_batch`` participates in lockstep
-        replay unchanged; implementations overriding this (the RL agent,
-        Myopic-RF) answer all windows with one batched model evaluation.
-        Note the windows of one call may interleave different traces:
-        ``decide_batch`` implementations must key any per-trace cache on
-        the ``trace`` argument itself (all built-ins do).
-        """
-        pieces: List[np.ndarray] = []
-        offset = 0
-        for trace, start, stop in windows:
-            width = stop - start
-            if self.cost_dependent:
-                if ue_costs is None:
-                    return None
-                piece = self.decide_batch(
-                    trace,
-                    ue_costs=ue_costs[offset : offset + width],
-                    start=start,
-                    stop=stop,
-                )
-            else:
-                piece = self.decide_batch(trace, start=start, stop=stop)
-            if piece is None:
-                return None
-            pieces.append(np.asarray(piece, dtype=bool))
-            offset += width
-        if not pieces:
-            return np.zeros(0, dtype=bool)
-        if len(pieces) == 1:
-            return pieces[0]
-        return np.concatenate(pieces)
 
     def decide_nodes(
         self,
@@ -171,9 +100,9 @@ class MitigationPolicy(abc.ABC):
 
         This is the *serving* entry point: a micro-batch tick hands the
         policy the current feature vector and potential UE cost of several
-        distinct nodes at once — unlike :meth:`decide_batch`, the rows are
-        not a window of one trace but one pending step per node.  Returns a
-        boolean array aligned with the rows.
+        distinct nodes at once — unlike :meth:`decide_rows`, the rows are
+        not events of a prepared panel but one pending step per node.
+        Returns a boolean array aligned with the rows.
 
         The base implementation loops :meth:`decide` with one
         :class:`DecisionContext` per row, which is correct for any policy
@@ -196,26 +125,28 @@ class MitigationPolicy(abc.ABC):
         return out
 
     def reset(self) -> None:
-        """Called before each node's test trace is replayed (stateless by default)."""
+        """Called before each trace of the scalar replay (stateless by default)."""
 
     def prepare_trace(self, features: np.ndarray) -> None:
-        """Optional hook: pre-compute per-trace data from the feature matrix.
+        """Optional scalar-replay hook: pre-compute per-trace data.
 
-        The evaluation runner calls this once per node trace with the full
-        ``(n_events, N_FEATURES)`` telemetry feature matrix before replaying
-        the events, so that policies backed by batch predictors (the random
-        forests) can vectorise their per-event work.
+        The scalar reference replay calls this once per node trace, after
+        :meth:`reset`, with the full ``(n_events, N_FEATURES)`` telemetry
+        feature matrix, so that policies backed by batch predictors (the
+        random forests) can vectorise their per-event :meth:`decide` work.
+        The batched path never calls it.
         """
 
     def prepare_traces(self, traces) -> None:
-        """Optional bulk hook: pre-compute data for a whole replay at once.
+        """Fix the panel that :meth:`decide_rows` answers.
 
         The vectorized evaluation runner calls this once with the full list
         of :class:`~repro.evaluation.runner.EvaluationTrace` objects before
-        replaying them (it still calls :meth:`prepare_trace` per trace, in
-        order), so batch predictors can amortise one prediction over every
-        trace of the split instead of paying per-trace call overhead.  The
-        scalar reference path never calls it.
+        replaying them — the panel is their events concatenated in order —
+        and once with ``()`` afterwards, which releases whatever the policy
+        cached.  Policies compute their per-row inputs here (one forest
+        predict, one feature normalisation) and index them with ``rows``.
+        The scalar reference path never calls it.
         """
 
     @property
@@ -243,124 +174,39 @@ class RLPolicy(MitigationPolicy):
         self.normalizer = normalizer or StateNormalizer()
         self.name = name
         self._training_cost = float(training_cost_node_hours)
-        self._norm_features: Optional[np.ndarray] = None
-        self._norm_features_source: Optional[np.ndarray] = None
-        self._norm_stacked: Optional[np.ndarray] = None
-        self._norm_offsets: Optional[Dict[int, int]] = None
-        self._norm_pinned: Optional[List[np.ndarray]] = None
+        #: Feature rows of the prepared panel (see :meth:`prepare_traces`):
+        #: normalised for the stock normalizer, raw for a custom one.
+        self._panel: Optional[np.ndarray] = None
 
     def decide(self, context: DecisionContext) -> bool:
         state = self.normalizer.state_vector(context.features, context.ue_cost)
         return self.agent.act(state, explore=False) == Action.MITIGATE
 
-    def prepare_trace(self, features: np.ndarray) -> None:
-        """Pre-normalise the telemetry part of the state for a whole trace.
+    def prepare_traces(self, traces) -> None:
+        """Stack the panel's feature rows, normalised once where possible.
 
         The cost column is the only state component that changes between the
-        decision core's speculative windows, so normalising the feature
-        columns once per trace removes most per-window work.  Only the stock
-        :class:`StateNormalizer` transform is separable this way; custom
-        normalizers fall back to whole-state normalisation per window.
+        decision core's speculative windows, so the stock
+        :class:`StateNormalizer` transform of the feature columns runs once
+        per panel here; it is element-wise, so the rows are bit-identical to
+        normalising each state on its own.  A custom normalizer is not known
+        to be separable: its rows stay raw and :meth:`decide_rows` hands
+        them to :meth:`decide_nodes`.  Called with an empty sequence, this
+        releases the panel.
         """
-        if type(self.normalizer) is not StateNormalizer:
-            self._norm_features = None
-            self._norm_features_source = None
+        self._panel = None
+        if not traces:
             return
-        offsets = self._norm_offsets
-        if offsets is not None and self._norm_stacked is not None:
-            base = offsets.get(id(features))
-            if base is not None:
-                # The panel-wide stack already holds this trace's rows
-                # (element-wise transform, so slicing it is bit-identical
-                # to re-normalising the trace on its own).
-                self._norm_features = self._norm_stacked[
-                    base : base + len(features)
-                ]
-                self._norm_features_source = features
-                return
-        padded = np.concatenate(
-            [features, np.zeros((len(features), 1))], axis=1
-        )
-        self._norm_features = self.normalizer.transform(padded)[:, :-1]
-        self._norm_features_source = features
+        features = np.concatenate([trace.features for trace in traces])
+        if type(self.normalizer) is StateNormalizer:
+            padded = np.concatenate([features, np.zeros((len(features), 1))], axis=1)
+            features = self.normalizer.transform(padded)[:, :-1]
+        self._panel = features
 
-    def prepare_traces(self, traces) -> None:
-        """Pre-normalise the telemetry features of a whole replay panel.
-
-        Stacks every trace's feature matrix, normalises once, and remembers
-        each trace's row offset into the stack (keyed by the identity of its
-        feature matrix, with the matrices pinned so the keys stay valid), so
-        :meth:`decide_windows` can gather any mix of per-trace windows with
-        one fancy-index instead of per-trace slicing.  The transform is
-        element-wise, so the stacked rows are bit-identical to the
-        per-trace :meth:`prepare_trace` cache.  Called with an empty
-        sequence, this releases the cache.
-        """
-        self._norm_stacked = None
-        self._norm_offsets = None
-        self._norm_pinned = None
-        if type(self.normalizer) is not StateNormalizer:
-            return
-        mats = [trace.features for trace in traces]
-        if not mats:
-            return
-        stacked_raw = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)
-        padded = np.concatenate(
-            [stacked_raw, np.zeros((len(stacked_raw), 1))], axis=1
-        )
-        self._norm_stacked = self.normalizer.transform(padded)[:, :-1]
-        offsets: Dict[int, int] = {}
-        offset = 0
-        for mat in mats:
-            offsets[id(mat)] = offset
-            offset += len(mat)
-        self._norm_offsets = offsets
-        self._norm_pinned = mats
-
-    def decide_windows(
-        self,
-        windows: Sequence[WindowSpec],
-        ue_costs: Optional[np.ndarray] = None,
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
     ) -> Optional[np.ndarray]:
-        """All windows of a lockstep round in one Q-network forward.
-
-        Gathers the pre-normalised feature rows of every window out of the
-        :meth:`prepare_traces` stack, appends the (exactly replicated) cost
-        column transform, and runs a single batched advantage-difference
-        evaluation over the concatenation.  Falls back to the per-window
-        default when the bulk cache is missing (custom normalizer, or a
-        trace outside the prepared panel).  The same batched-GEMM rounding
-        caveat as :meth:`decide_batch` applies — pinned by the equivalence
-        suites and the golden harness.
-        """
-        if ue_costs is None:
-            return None
-        offsets = self._norm_offsets
-        if offsets is None or self._norm_stacked is None:
-            return super().decide_windows(windows, ue_costs)
-        starts = np.empty(len(windows), dtype=np.int64)
-        stops = np.empty(len(windows), dtype=np.int64)
-        for k, (trace, start, stop) in enumerate(windows):
-            base = offsets.get(id(trace.features))
-            if base is None:
-                return super().decide_windows(windows, ue_costs)
-            starts[k] = base + start
-            stops[k] = base + stop
-        rows, _ = concat_ranges(starts, stops)
-        costs = np.asarray(ue_costs, dtype=float)
-        states = np.empty((rows.size, self._norm_stacked.shape[1] + 1))
-        states[:, :-1] = self._norm_stacked[rows]
-        states[:, -1] = np.log1p(np.maximum(costs, 0.0))
-        return self._greedy_decisions(states)
-
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> Optional[np.ndarray]:
-        """One greedy Q-network forward over a whole range of events.
+        """One greedy Q-network forward over rows of the prepared panel.
 
         The state normalisation is element-wise (bit-identical to the
         per-event path), but the matrix products are not: batched GEMMs
@@ -375,23 +221,16 @@ class RLPolicy(MitigationPolicy):
         itself is batched), so this does not add a new class of
         machine-dependence.
         """
-        if ue_costs is None:
+        if self._panel is None:
             return None
-        stop = len(trace) if stop is None else stop
         costs = np.asarray(ue_costs, dtype=float)
-        if (
-            self._norm_features is not None
-            and self._norm_features_source is trace.features
-        ):
-            # Reuse the per-trace normalised features; the cost column's
-            # transform (log1p of the clamped cost) is replicated exactly.
-            states = np.empty((stop - start, self._norm_features.shape[1] + 1))
-            states[:, :-1] = self._norm_features[start:stop]
-            states[:, -1] = np.log1p(np.maximum(costs, 0.0))
-        else:
-            states = self.normalizer.transform(
-                np.concatenate([trace.features[start:stop], costs[:, None]], axis=1)
-            )
+        if type(self.normalizer) is not StateNormalizer:
+            return self.decide_nodes(self._panel[rows], costs)
+        # The cost column's transform (log1p of the clamped cost) is
+        # replicated exactly.
+        states = np.empty((rows.size, self._panel.shape[1] + 1))
+        states[:, :-1] = self._panel[rows]
+        states[:, -1] = np.log1p(np.maximum(costs, 0.0))
         return self._greedy_decisions(states)
 
     def decide_nodes(
@@ -403,10 +242,9 @@ class RLPolicy(MitigationPolicy):
     ) -> np.ndarray:
         """One Q-network forward for a whole micro-batch of nodes.
 
-        Same element-wise state normalisation as the uncached
-        :meth:`decide_batch` branch, so each row's state is bit-identical to
-        what ``decide()`` would build; the batched-GEMM rounding caveat of
-        :meth:`decide_batch` applies unchanged.
+        Same element-wise state normalisation as ``decide()``, so each row's
+        state is bit-identical to what it would build; the batched-GEMM
+        rounding caveat of :meth:`decide_rows` applies unchanged.
         """
         costs = np.asarray(ue_costs, dtype=float)
         states = self.normalizer.transform(
@@ -486,21 +324,10 @@ class FallbackPolicy(MitigationPolicy):
     def decide(self, context: DecisionContext) -> bool:
         return self.inner.decide(context)
 
-    def decide_batch(
-        self,
-        trace,
-        ue_costs: Optional[np.ndarray] = None,
-        start: int = 0,
-        stop: Optional[int] = None,
+    def decide_rows(
+        self, rows: np.ndarray, ue_costs: np.ndarray
     ) -> Optional[np.ndarray]:
-        return self.inner.decide_batch(trace, ue_costs, start=start, stop=stop)
-
-    def decide_windows(
-        self,
-        windows: Sequence[WindowSpec],
-        ue_costs: Optional[np.ndarray] = None,
-    ) -> Optional[np.ndarray]:
-        return self.inner.decide_windows(windows, ue_costs)
+        return self.inner.decide_rows(rows, ue_costs)
 
     def decide_nodes(
         self,

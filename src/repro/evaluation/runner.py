@@ -7,27 +7,29 @@ approaches are charged against identical UEs and identical job states.  The
 runner accumulates the cost–benefit breakdown of Section 4.3 and the
 classical ML confusion counts of Section 4.4.
 
-Replay is vectorized (the *decision core*): policies implementing
-``MitigationPolicy.decide_batch`` decide a whole trace per call, and the
-cost accounting becomes a segmented scan over the resulting decision mask —
-the mitigation-dependent UE-cost resets are reconstructed from
-forward-filled last-mitigation/last-UE indices instead of being carried
-event by event.  Policies whose decisions *feed back* into the potential UE
-cost (``cost_dependent`` — the RL agent and Myopic-RF — with restartable
-jobs) are resolved through a renewal walk: decisions are batch-computed
-under the running last-mitigation assumption and re-batched only over the
-remainder of the job a fresh mitigation actually affects.  The walk runs in
-*lockstep* across the whole trace panel: every trace keeps a frontier
-cursor, each round concatenates the open speculative windows of all traces
-into one ``MitigationPolicy.decide_windows`` call (and one segmented cost
+Replay is vectorized (the *decision core*).  The traces of a replay form
+one *panel*, their events concatenated in order; ``prepare_traces`` hands
+it to the policy once, and ``MitigationPolicy.decide_rows`` answers any
+rows of it.  The first call asks for every row under the no-mitigation
+cost baseline, and the cost accounting becomes a segmented scan over the
+resulting decision mask — the mitigation-dependent UE-cost resets are
+reconstructed from forward-filled last-mitigation/last-UE indices instead
+of being carried event by event.  Policies whose decisions *feed back* into
+the potential UE cost (``cost_dependent`` — the RL agent and Myopic-RF —
+with restartable jobs) are resolved through a renewal walk: decisions are
+batch-computed under the running last-mitigation assumption and re-batched
+only over the remainder of the job a fresh mitigation actually affects.
+The walk runs in *lockstep* across the whole panel: every trace keeps a
+frontier cursor, each round asks one ``decide_rows`` call for the open
+speculative windows of all traces (and runs one segmented cost
 computation), and traces retire from the frontier as they finish — so the
-per-window Python and dispatch overhead that used to dominate restart=on
-replay is paid once per *round* instead of once per window.  Every
-floating-point operation is applied element-wise in the order of the
-historical scalar loop (totals fold with ``np.add.accumulate``), so results
-are bit-identical; the scalar per-event path remains as the tested fallback
-for user-registered policies without ``decide_batch`` (and for
-``ue_cost_fn`` overrides, whose per-event callbacks cannot be batched).
+per-window Python and dispatch overhead is paid once per *round* instead of
+once per window.  Every floating-point operation is applied element-wise in
+the order of the historical scalar loop (totals fold with
+``np.add.accumulate``), so results are bit-identical; the scalar per-event
+path remains as the tested fallback for user-registered policies without
+``decide_rows`` (and for ``ue_cost_fn`` overrides, whose per-event
+callbacks cannot be batched).
 """
 
 from __future__ import annotations
@@ -38,12 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.features import NodeFeatureTrack
-from repro.core.policies import (
-    DecisionContext,
-    MitigationPolicy,
-    WindowSpec,
-    concat_ranges,
-)
+from repro.core.policies import DecisionContext, MitigationPolicy
 from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.metrics import ConfusionCounts
 from repro.utils.rng import RngFactory
@@ -237,48 +234,57 @@ def _timeline_job_arrays(
     return arrays
 
 
-def _candidate_decisions(
-    trace: EvaluationTrace,
-    policy: MitigationPolicy,
-    job_start: np.ndarray,
-    job_nodes: np.ndarray,
-) -> Optional[np.ndarray]:
-    """Whole-trace decision mask under the no-mitigation cost baseline.
+def _concat_ranges(
+    starts: np.ndarray, stops: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``arange(start, stop)`` index runs, vectorized.
 
-    Decisions of cost-independent policies — and of cost-dependent ones
-    when mitigations cannot reset the UE cost (``restartable=False``) —
-    resolve in this single batch: the potential cost of every event is the
-    no-mitigation baseline either way.  With restartable jobs the result is
-    the *candidate* mask the lockstep renewal walk starts from (see
-    :func:`_lockstep_walk`).  Returns ``None`` when the policy declines,
-    sending the caller down the scalar path.  Every per-event cost is
-    computed with the same element-wise operations as
-    ``NodeJobTimeline.potential_ue_cost``.
+    Returns ``(rows, widths)`` where ``rows`` is the concatenation of every
+    window's index range (the panel rows of one lockstep round, gathered
+    out of the panel-wide arrays in a single fancy-index operation) and
+    ``widths`` the per-window lengths.
     """
-    n = len(trace)
-    if not policy.cost_dependent:
-        mask = policy.decide_batch(trace)
-    else:
-        base_costs = job_nodes * np.maximum(0.0, trace.times - job_start) / HOUR
-        mask = policy.decide_batch(trace, ue_costs=base_costs)
-    if mask is None:
+    widths = stops - starts
+    total = int(widths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), widths
+    bounds = np.empty(widths.size + 1, dtype=np.int64)
+    bounds[0] = 0
+    np.cumsum(widths, out=bounds[1:])
+    pos = np.arange(total, dtype=np.int64)
+    rows = pos - np.repeat(bounds[:-1] - starts, widths)
+    return rows, widths
+
+
+def _decide_rows(
+    policy: MitigationPolicy,
+    rows: np.ndarray,
+    costs: np.ndarray,
+    is_ue: np.ndarray,
+) -> Optional[np.ndarray]:
+    """The policy's decisions at panel ``rows``, forced False at UE events.
+
+    ``costs`` and ``is_ue`` are aligned with ``rows``.  Returns ``None``
+    when the policy declines, sending the caller down the scalar path.
+    """
+    result = policy.decide_rows(rows, costs)
+    if result is None:
         return None
-    mask = np.array(mask, dtype=bool, copy=True)
-    if mask.shape != (n,):
+    decisions = np.asarray(result, dtype=bool)
+    if decisions.shape != rows.shape:
         raise ValueError(
-            f"decide_batch of {policy.name!r} returned shape {mask.shape}, "
-            f"expected ({n},)"
+            f"decide_rows of {policy.name!r} returned shape "
+            f"{decisions.shape}, expected {rows.shape}"
         )
-    mask[np.asarray(trace.is_ue, dtype=bool)] = False
-    return mask
+    return decisions & ~is_ue
 
 
 #: Cumulative statistics of the lockstep renewal walk (reset via
-#: :func:`reset_renewal_walk_stats`): ``rounds`` counts ``decide_windows``
-#: calls, ``windows`` the speculative windows submitted across all rounds,
-#: ``retries`` the seeded continuation windows among them (windows whose
-#: initial guess is the unconfirmed decision suffix of the previous
-#: window — the lockstep analog of a fixpoint retry).
+#: :func:`reset_renewal_walk_stats`): ``rounds`` counts the walk's
+#: ``decide_rows`` calls, ``windows`` the speculative windows submitted
+#: across all rounds, ``retries`` the seeded continuation windows among them
+#: (windows whose initial guess is the unconfirmed decision suffix of the
+#: previous window — the lockstep analog of a fixpoint retry).
 _WALK_STATS = {"rounds": 0, "windows": 0, "retries": 0}
 
 #: Window-scheduling knobs of the lockstep walk.  Pure performance tuning:
@@ -310,10 +316,11 @@ def reset_renewal_walk_stats() -> None:
 class _PanelArrays:
     """Panel-concatenated event arrays of one replay.
 
-    Built once per batched replay and shared by the lockstep walk and the
-    panel accounting; ``bounds[k]:bounds[k+1]`` is trace ``k``'s row range.
-    ``candidates`` (the baseline-cost candidate decision mask, see
-    :func:`_panel_candidates`) is attached once the policy has answered.
+    Built once per batched replay — the panel whose rows the policy's
+    ``decide_rows`` answers — and shared by the lockstep walk and the panel
+    accounting; ``bounds[k]:bounds[k+1]`` is trace ``k``'s row range.
+    ``candidates`` (the whole-panel decision mask under the no-mitigation
+    cost baseline) is attached once the policy has answered.
     """
 
     bounds: np.ndarray
@@ -324,57 +331,24 @@ class _PanelArrays:
     candidates: Optional[np.ndarray] = None
 
 
-def _panel_arrays(
-    panel: Sequence[Tuple[EvaluationTrace, np.ndarray, np.ndarray]],
-) -> _PanelArrays:
+def _panel_arrays(traces: Sequence[EvaluationTrace]) -> _PanelArrays:
     """Concatenate a (non-empty) panel's per-trace arrays."""
-    n_traces = len(panel)
+    job_arrays = [_timeline_job_arrays(trace) for trace in traces]
     lengths = np.fromiter(
-        (len(trace) for trace, _, _ in panel), dtype=np.int64, count=n_traces
+        (len(trace) for trace in traces), dtype=np.int64, count=len(traces)
     )
-    bounds = np.empty(n_traces + 1, dtype=np.int64)
+    bounds = np.empty(len(traces) + 1, dtype=np.int64)
     bounds[0] = 0
     np.cumsum(lengths, out=bounds[1:])
     return _PanelArrays(
         bounds=bounds,
-        times=np.concatenate([trace.times for trace, _, _ in panel]),
+        times=np.concatenate([trace.times for trace in traces]),
         is_ue=np.concatenate(
-            [np.asarray(trace.is_ue, dtype=bool) for trace, _, _ in panel]
+            [np.asarray(trace.is_ue, dtype=bool) for trace in traces]
         ),
-        job_start=np.concatenate([entry[1] for entry in panel]),
-        job_nodes=np.concatenate([entry[2] for entry in panel]),
+        job_start=np.concatenate([starts for starts, _ in job_arrays]),
+        job_nodes=np.concatenate([nodes for _, nodes in job_arrays]),
     )
-
-
-def _panel_candidates(
-    panel: Sequence[Tuple[EvaluationTrace, np.ndarray, np.ndarray]],
-    arrays: _PanelArrays,
-    policy: MitigationPolicy,
-) -> Optional[np.ndarray]:
-    """Whole-panel candidate mask of a cost-dependent policy, in one call.
-
-    The candidate decisions (see :func:`_candidate_decisions`) of every
-    trace depend only on the no-mitigation baseline costs, so the whole
-    panel resolves as a single ``decide_windows`` call — one batched model
-    evaluation instead of one ``decide_batch`` per trace.  Returns ``None``
-    when the policy declines (the caller falls back to the scalar path).
-    """
-    base_costs = (
-        arrays.job_nodes * np.maximum(0.0, arrays.times - arrays.job_start) / HOUR
-    )
-    windows = [(trace, 0, len(trace)) for trace, _, _ in panel]
-    result = policy.decide_windows(windows, ue_costs=base_costs)
-    if result is None:
-        return None
-    mask = np.array(result, dtype=bool, copy=True)
-    n_total = int(arrays.bounds[-1])
-    if mask.shape != (n_total,):
-        raise ValueError(
-            f"decide_windows of {policy.name!r} returned shape {mask.shape}, "
-            f"expected ({n_total},)"
-        )
-    mask[arrays.is_ue] = False
-    return mask
 
 
 class _Frontier:
@@ -383,12 +357,11 @@ class _Frontier:
     Replays the renewal walk of one trace — the same two regimes, window
     guesses, and chunk doubling as the historical per-trace walk — but
     pauses whenever a speculative window needs the policy, so the runner
-    can answer every paused trace's window with one batched
-    ``decide_windows`` call per round.
+    can answer every paused trace's window with one batched ``decide_rows``
+    call per round.
     """
 
     __slots__ = (
-        "trace",
         "n",
         "times",
         "is_ue",
@@ -408,7 +381,6 @@ class _Frontier:
 
     def __init__(
         self,
-        trace: EvaluationTrace,
         base: int,
         times: np.ndarray,
         is_ue: np.ndarray,
@@ -420,7 +392,6 @@ class _Frontier:
         # All arrays are this trace's views into the panel-concatenated
         # arrays (``resolved`` writes through to the walk's global mask);
         # ``breaks`` holds the trace-relative UE/candidate positions.
-        self.trace = trace
         self.n = int(times.shape[0])
         self.times = times
         self.is_ue = is_ue
@@ -540,34 +511,30 @@ class _Frontier:
 
 
 def _lockstep_walk(
-    panel: Sequence[Tuple[EvaluationTrace, np.ndarray, np.ndarray]],
-    arrays: _PanelArrays,
-    policy: MitigationPolicy,
+    arrays: _PanelArrays, policy: MitigationPolicy
 ) -> Optional[np.ndarray]:
     """Resolve the cost-feedback renewal walk of every trace in lockstep.
 
-    ``panel`` carries ``(trace, job_start, job_nodes)`` per
-    trace; ``arrays`` their panel-wide concatenation (see
-    :func:`_panel_arrays`).  Each trace replays the same renewal walk as
-    before — candidate
-    decisions apply verbatim while no live mitigation influences the next
-    event; otherwise guess a window's decisions, derive each event's
-    implied last-mitigation cost reference from the guess, decide under
-    those costs, and consume the longest prefix on which the decisions
-    confirm the guess *plus one* (the first divergent decision only depends
-    on the confirmed prefix, so it is valid too), seeding the next window's
-    guess with the unconfirmed decision suffix — but all traces' open
-    windows are answered by a single
-    ``decide_windows`` call per round, and the cost references of the whole
-    round are derived with one segmented scan over the concatenation
-    (global ``maximum.accumulate`` positions clamped at each window's
-    start, which reproduces the per-window scans exactly because positions
-    from earlier windows are always below the current window's start).
+    ``arrays`` is the panel (see :func:`_panel_arrays`), with its candidate
+    mask attached.  Each trace replays the same renewal walk as before —
+    candidate decisions apply verbatim while no live mitigation influences
+    the next event; otherwise guess a window's decisions, derive each
+    event's implied last-mitigation cost reference from the guess, decide
+    under those costs, and consume the longest prefix on which the
+    decisions confirm the guess *plus one* (the first divergent decision
+    only depends on the confirmed prefix, so it is valid too), seeding the
+    next window's guess with the unconfirmed decision suffix — but all
+    traces' open windows are answered by a single ``decide_rows`` call per
+    round, and the cost references of the whole round are derived with one
+    segmented scan over the concatenation (global ``maximum.accumulate``
+    positions clamped at each window's start, which reproduces the
+    per-window scans exactly because positions from earlier windows are
+    always below the current window's start).
 
     Returns the panel-concatenated resolved mask (sliced per trace by
-    ``arrays.bounds``), or ``None`` when the policy declines a window
-    batch — the caller then replays the panel scalar (batch support is a
-    property of the policy, not of one trace).
+    ``arrays.bounds``), or ``None`` when the policy declines a round — the
+    caller then replays the panel scalar (batch support is a property of
+    the policy, not of one trace).
     """
     trace_bounds = arrays.bounds
     ue_all = arrays.is_ue
@@ -575,12 +542,11 @@ def _lockstep_walk(
     breaks_all = np.flatnonzero(ue_all | arrays.candidates)
     break_bounds = np.searchsorted(breaks_all, trace_bounds, side="left")
     frontiers: List[_Frontier] = []
-    for k, (trace, _, _) in enumerate(panel):
+    for k in range(trace_bounds.size - 1):
         a = int(trace_bounds[k])
         b = int(trace_bounds[k + 1])
         frontiers.append(
             _Frontier(
-                trace,
                 a,
                 arrays.times[a:b],
                 ue_all[a:b],
@@ -607,15 +573,13 @@ def _lockstep_walk(
         stops = np.empty(n_windows, dtype=np.int64)
         lm = np.empty(n_windows, dtype=np.float64)
         guesses: List[np.ndarray] = []
-        windows: List[WindowSpec] = []
         for k, frontier in enumerate(pending):
             starts[k] = frontier.base + frontier.i0
             stops[k] = frontier.base + frontier.stop
             last_mitigation = frontier.last_mitigation
             lm[k] = -np.inf if last_mitigation is None else last_mitigation
             guesses.append(frontier.guess)
-            windows.append((frontier.trace, frontier.i0, frontier.stop))
-        rows, widths = concat_ranges(starts, stops)
+        rows, widths = _concat_ranges(starts, stops)
         total = int(rows.size)
         bounds = np.empty(n_windows + 1, dtype=np.int64)
         bounds[0] = 0
@@ -655,19 +619,12 @@ def _lockstep_walk(
         reference = np.maximum(job_start_c, reference_times)
         costs_c = job_nodes_c * np.maximum(0.0, times_c - reference) / HOUR
 
-        result = policy.decide_windows(windows, ue_costs=costs_c)
-        if result is None:
-            # The policy declined the window batch (its right under the
-            # decide_windows contract): abandon the batch resolution and
-            # let the caller replay the panel scalar.
+        decisions_c = _decide_rows(policy, rows, costs_c, ue_c)
+        if decisions_c is None:
+            # The policy declined the round (its right under the
+            # decide_rows contract): abandon the batch resolution and let
+            # the caller replay the panel scalar.
             return None
-        decisions_c = np.asarray(result, dtype=bool)
-        if decisions_c.shape != (total,):
-            raise ValueError(
-                f"decide_windows of {policy.name!r} returned shape "
-                f"{decisions_c.shape}, expected ({total},)"
-            )
-        decisions_c = decisions_c & ~ue_c
 
         # First divergence (and thus the consumed prefix) of every window
         # from one global comparison.
@@ -706,7 +663,6 @@ def _lockstep_walk(
 
 
 def _account_panel(
-    panel: Sequence[Tuple[EvaluationTrace, np.ndarray, np.ndarray]],
     arrays: _PanelArrays,
     mask_all: np.ndarray,
     accumulator: _ReplayAccumulator,
@@ -729,8 +685,6 @@ def _account_panel(
     loop).  Only the classical ML metrics (searchsorted range counts over
     each trace's own sorted times) stay per trace.
     """
-    if not panel:
-        return
     bounds = arrays.bounds
     lengths = np.diff(bounds)
     n_total = int(bounds[-1])
@@ -779,13 +733,13 @@ def _account_panel(
     ue_hi = np.searchsorted(ue_pos_global, bounds[1:], side="left")
     mit_lo = np.searchsorted(mit_pos_global, bounds[:-1], side="left")
     mit_hi = np.searchsorted(mit_pos_global, bounds[1:], side="left")
-    for k, (trace, _, _) in enumerate(panel):
+    for k in range(bounds.size - 1):
         if ue_hi[k] == ue_lo[k]:
             continue
         base = bounds[k]
         ue_positions = ue_pos_global[ue_lo[k] : ue_hi[k]] - base
         mitigation_positions = mit_pos_global[mit_lo[k] : mit_hi[k]] - base
-        times = trace.times
+        times = times_all[bounds[k] : bounds[k + 1]]
         is_ue = ue_all[bounds[k] : bounds[k + 1]]
 
         ue_times = times[ue_positions]
@@ -815,53 +769,39 @@ def _resolve_panel_masks(
     traces: Sequence[EvaluationTrace],
     policy: MitigationPolicy,
     restartable: bool,
-) -> Optional[Tuple[List[Tuple[EvaluationTrace, np.ndarray, np.ndarray]], Optional[_PanelArrays], Optional[np.ndarray]]]:
-    """Resolve every trace's final decision mask through the batched core.
+) -> Optional[Tuple[_PanelArrays, np.ndarray]]:
+    """Resolve the panel's final decision mask through the batched core.
 
     This is the whole vectorized decision pipeline minus the accounting:
-    per-trace hooks and candidate masks (in trace order, exactly as the
-    scalar path runs them), then — for cost-dependent policies under
-    restartable jobs — the lockstep renewal walk.  Callers must have called
-    ``policy.prepare_traces(traces)`` beforehand (and are responsible for
-    releasing the bulk caches afterwards).
+    one ``decide_rows`` call over every row of the panel under the
+    no-mitigation cost baseline — the final mask for cost-independent
+    policies and under ``restartable=False``, else the candidate mask the
+    lockstep renewal walk starts from.  Callers must have called
+    ``policy.prepare_traces(traces)`` on the non-empty ``traces``
+    beforehand (and are responsible for releasing the panel afterwards).
 
-    Returns ``(panel, arrays, resolved)`` where ``resolved`` is the
+    Returns ``(arrays, resolved)`` where ``resolved`` is the
     panel-concatenated final mask (``arrays.bounds`` slices it per trace),
     or ``None`` when the policy declines anywhere — batch support is a
     property of the policy, not of one trace, so the caller falls back to
-    the scalar path wholesale.  An empty ``traces`` yields ``([], None,
-    None)``.
+    the scalar path wholesale.  Every per-event cost is computed with the
+    same element-wise operations as ``NodeJobTimeline.potential_ue_cost``.
     """
-    panel: List[Tuple[EvaluationTrace, np.ndarray, np.ndarray]] = []
-    chunks: List[np.ndarray] = []
-    for trace in traces:
-        policy.reset()
-        policy.prepare_trace(trace.features)
-        job_start, job_nodes = _timeline_job_arrays(trace)
-        if not policy.cost_dependent:
-            # Cost-independent candidates stay per trace, right after the
-            # trace's own hooks (the pairing the scalar path has).
-            mask = _candidate_decisions(trace, policy, job_start, job_nodes)
-            if mask is None:
-                return None
-            chunks.append(mask)
-        panel.append((trace, job_start, job_nodes))
-    if not panel:
-        return [], None, None
-    arrays = _panel_arrays(panel)
-    if policy.cost_dependent:
-        arrays.candidates = _panel_candidates(panel, arrays, policy)
-        if arrays.candidates is None:
-            return None
-    else:
-        arrays.candidates = np.concatenate(chunks)
+    arrays = _panel_arrays(traces)
+    base_costs = (
+        arrays.job_nodes * np.maximum(0.0, arrays.times - arrays.job_start) / HOUR
+    )
+    rows = np.arange(arrays.times.size, dtype=np.int64)
+    arrays.candidates = _decide_rows(policy, rows, base_costs, arrays.is_ue)
+    if arrays.candidates is None:
+        return None
     if policy.cost_dependent and restartable:
-        resolved = _lockstep_walk(panel, arrays, policy)
+        resolved = _lockstep_walk(arrays, policy)
         if resolved is None:
             return None
     else:
         resolved = arrays.candidates
-    return panel, arrays, resolved
+    return arrays, resolved
 
 
 def replay_decision_masks(
@@ -881,23 +821,15 @@ def replay_decision_masks(
     mitigation-cost feedback), so they are bit-identical to the decisions an
     evaluation of the same panel charges.
     """
+    if not traces:
+        return []
     if vectorized:
         policy.prepare_traces(traces)
         resolution = _resolve_panel_masks(traces, policy, restartable)
         policy.prepare_traces(())
         if resolution is not None:
-            panel, arrays, resolved = resolution
-            if not panel:
-                return []
-            bounds = arrays.bounds
-            return [
-                np.array(
-                    resolved[int(bounds[k]) : int(bounds[k + 1])],
-                    dtype=bool,
-                    copy=True,
-                )
-                for k in range(len(panel))
-            ]
+            arrays, resolved = resolution
+            return np.split(resolved, arrays.bounds[1:-1])
     masks: List[np.ndarray] = []
     for trace in traces:
         policy.reset()
@@ -1032,7 +964,7 @@ def evaluate_policy(
         scalar path: an arbitrary per-event callback cannot be batched.
     vectorized:
         Use the batched decision core for policies implementing
-        ``decide_batch`` (the default).  ``False`` forces the per-event
+        ``decide_rows`` (the default).  ``False`` forces the per-event
         reference path for every policy — results are identical either way
         (the equivalence suite pins this); the flag exists for A/B
         measurement and debugging.
@@ -1044,42 +976,32 @@ def evaluate_policy(
     check_non_negative("mitigation_overhead_seconds", mitigation_overhead_seconds)
 
     accumulator = _ReplayAccumulator()
-    use_batches = vectorized and ue_cost_fn is None
-    prepared_bulk = use_batches
-    if use_batches:
-        # Bulk pre-computation across the whole replay (one batch predictor
-        # call instead of one per trace); the scalar reference path below
-        # never does this, so policies may treat it as a pure optimisation.
+    # Batched replay asks the policy for the whole panel's rows at the
+    # no-mitigation baseline costs, resolves the cost-feedback renewal walk
+    # over the panel in lockstep where needed, and accounts the resolved
+    # mask.  A decline anywhere — batch support is a property of the
+    # policy, not of one trace — falls back wholesale: the whole replay
+    # re-runs through the scalar reference path, so the per-trace hook
+    # sequence and the order of the cost folds stay exactly those of
+    # ``vectorized=False``.
+    resolution = None
+    if vectorized and ue_cost_fn is None and traces:
         policy.prepare_traces(traces)
-
-    # Batched replay is two-phase: collect every trace's candidate mask
-    # (one whole-trace decide_batch each, with the per-trace hooks run in
-    # trace order, exactly as the scalar path runs them), then resolve the
-    # cost-feedback renewal walk over the whole panel in lockstep and
-    # account each mask.  Cost-independent (or restart=off) panels skip the
-    # walk: their candidate masks are already final.  A decline anywhere —
-    # batch support is a property of the policy, not of one trace — falls
-    # back wholesale: the whole replay re-runs through the scalar reference
-    # path, so the per-trace hook sequence and the order of the cost folds
-    # stay exactly those of ``vectorized=False``.
-    if use_batches:
         resolution = _resolve_panel_masks(traces, policy, restartable)
-        if resolution is None:
-            use_batches = False
-        else:
-            panel, arrays, resolved = resolution
-            if panel:
-                _account_panel(
-                    panel,
-                    arrays,
-                    resolved,
-                    accumulator,
-                    restartable,
-                    prediction_window_seconds,
-                    mitigation_overhead_seconds,
-                )
-
-    if not use_batches:
+        # Release the policy's panel so a policy kept alive in the results
+        # does not pin this replay's trace data.
+        policy.prepare_traces(())
+    if resolution is not None:
+        arrays, resolved = resolution
+        _account_panel(
+            arrays,
+            resolved,
+            accumulator,
+            restartable,
+            prediction_window_seconds,
+            mitigation_overhead_seconds,
+        )
+    else:
         for trace in traces:
             policy.reset()
             policy.prepare_trace(trace.features)
@@ -1092,11 +1014,6 @@ def evaluate_policy(
                 mitigation_overhead_seconds,
                 ue_cost_fn,
             )
-
-    if prepared_bulk:
-        # Release the per-policy bulk caches so a policy kept alive in the
-        # results does not pin this replay's trace data.
-        policy.prepare_traces(())
 
     n_ues = accumulator.n_ues
     n_mitigations = accumulator.n_mitigations

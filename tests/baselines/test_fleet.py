@@ -16,7 +16,8 @@ from repro.baselines.fleet import (
 )
 from repro.baselines.static import AlwaysMitigatePolicy, NeverMitigatePolicy
 from repro.config import ScenarioConfig
-from repro.core.policies import DecisionContext, FallbackPolicy
+from repro.core.policies import CallablePolicy, DecisionContext, FallbackPolicy
+from repro.evaluation.runner import EvaluationTrace
 from repro.telemetry.topology import ClusterTopology, FleetSegment
 
 
@@ -38,6 +39,18 @@ def _context(node: int) -> DecisionContext:
         node=node,
         features=np.zeros(4),
         ue_cost=1.0,
+    )
+
+
+def _trace(node: int, n_events: int) -> EvaluationTrace:
+    """A replay trace stub: routing reads only its node and length."""
+    return EvaluationTrace(
+        node=node,
+        times=np.arange(n_events, dtype=float),
+        features=np.zeros((n_events, 4)),
+        is_ue=np.zeros(n_events, dtype=bool),
+        is_last_before_ue=np.zeros(n_events, dtype=bool),
+        timeline=None,
     )
 
 
@@ -77,18 +90,43 @@ class TestRouting:
         with pytest.raises(ValueError, match="nodes"):
             policy.decide_nodes(np.zeros((2, 4)), np.ones(2))
 
-    def test_decide_batch_routes_whole_trace_by_its_node(self):
+    def test_decide_rows_routes_rows_by_segment(self):
         policy = SegmentedFleetPolicy(
             _topology(), [AlwaysMitigatePolicy(), NeverMitigatePolicy()]
         )
-        trace_hot = SimpleNamespace(node=1)
-        trace_cold = SimpleNamespace(node=6)
-        # Static policies answer decide_batch without touching the trace
-        # payload beyond its node, so a stub suffices here.
-        hot = policy.decide_batch(trace_hot, np.ones(3), start=0, stop=3)
-        cold = policy.decide_batch(trace_cold, np.ones(3), start=0, stop=3)
-        assert bool(np.all(hot)) is True
-        assert bool(np.any(cold)) is False
+        # Panel rows 0-2: hot node 1; rows 3-4: cold node 6; row 5: hot node 2.
+        policy.prepare_traces([_trace(1, 3), _trace(6, 2), _trace(2, 1)])
+        out = policy.decide_rows(np.array([5, 0, 3, 4, 1]), np.ones(5))
+        np.testing.assert_array_equal(
+            out, np.array([True, True, False, False, True])
+        )
+        policy.prepare_traces(())
+        assert policy.decide_rows(np.array([0]), np.ones(1)) is None
+
+    def test_decide_rows_declines_with_a_declining_sub_policy(self):
+        policy = SegmentedFleetPolicy(
+            _topology(),
+            [AlwaysMitigatePolicy(), CallablePolicy(lambda ctx: False)],
+        )
+        policy.prepare_traces([_trace(1, 2), _trace(6, 2)])
+        assert policy.decide_rows(np.arange(4), np.ones(4)) is None
+        # Rows of the batch-capable segment alone are still answered.
+        assert policy.decide_rows(np.arange(2), np.ones(2)).all()
+
+    @pytest.mark.parametrize("node", [-1, 8])
+    def test_out_of_range_node_rejected_by_every_entry_point(self, node):
+        policy = SegmentedFleetPolicy(
+            _topology(), [AlwaysMitigatePolicy(), NeverMitigatePolicy()]
+        )
+        message = rf"node {node} outside the topology \[0, 8\)"
+        with pytest.raises(ValueError, match=message):
+            policy.decide(_context(node))
+        with pytest.raises(ValueError, match=message):
+            policy.decide_nodes(
+                np.zeros((2, 4)), np.ones(2), nodes=np.array([0, node])
+            )
+        with pytest.raises(ValueError, match=message):
+            policy.prepare_traces([_trace(0, 1), _trace(node, 1)])
 
     def test_validation(self):
         plain = ClusterTopology(

@@ -93,6 +93,14 @@ class TestSC20Policy:
         with pytest.raises(ValueError):
             SC20RandomForestPolicy(forest, threshold=1.5)
 
+    @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
+    def test_non_finite_offset_rejected(self, trained, offset):
+        forest, _, _ = trained
+        with pytest.raises(ValueError, match="threshold_offset must be finite"):
+            SC20RandomForestPolicy(forest, threshold_offset=offset)
+        with pytest.raises(ValueError, match="threshold_offset must be finite"):
+            SC20RandomForestPolicy(forest).with_threshold(0.5, offset=offset)
+
     def test_threshold_grid(self):
         grid = SC20RandomForestPolicy.threshold_grid(11)
         assert len(grid) == 11

@@ -64,5 +64,10 @@ class TestPeriodic:
         with pytest.raises(ValueError):
             PeriodicMitigatePolicy(period_hours=0)
 
+    @pytest.mark.parametrize("period", [-1.0, float("nan")])
+    def test_rejects_negative_and_nan_period(self, period):
+        with pytest.raises(ValueError, match="period_hours must be > 0"):
+            PeriodicMitigatePolicy(period_hours=period)
+
     def test_name_includes_period(self):
         assert PeriodicMitigatePolicy(period_hours=6).name == "Periodic-6h"

@@ -1,21 +1,27 @@
 """Equivalence suite: the vectorized decision core vs the scalar replay.
 
-``evaluate_policy(vectorized=True)`` — batched ``decide_batch`` decisions
-plus the segmented-scan cost accounting (and, for cost-dependent policies
-under restartable jobs, the speculative renewal walk) — must produce
-*identical* ``PolicyEvaluation`` objects to the per-event reference path
-for every built-in policy, over generated traces, all restartable/cost
-combinations.  Policies without ``decide_batch`` (user-registered customs)
-must silently take the scalar path and still work, including through the
-approach registry.
+``evaluate_policy(vectorized=True)`` — batched ``decide_rows`` decisions
+over the replay panel plus the segmented-scan cost accounting (and, for
+cost-dependent policies under restartable jobs, the speculative renewal
+walk) — must produce *identical* ``PolicyEvaluation`` objects to the
+per-event reference path for every built-in policy, over generated traces,
+all restartable/cost combinations.  The vectorized run of a built-in fails
+if it calls ``decide``, so a ``decide_rows`` that wrongly declined (and
+sent the replay down the scalar fallback) cannot pass.  Policies without
+``decide_rows`` (user-registered customs) must silently take the scalar
+path and still work, including through the approach registry.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager, nullcontext
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.baselines.dataset import build_prediction_dataset
+from repro.baselines.fleet import SegmentedFleetPolicy
 from repro.baselines.myopic import MyopicRFPolicy
 from repro.baselines.sc20 import SC20RandomForestPolicy, train_sc20_forest
 from repro.baselines.static import (
@@ -26,11 +32,13 @@ from repro.baselines.static import (
 )
 from repro.config import ScenarioConfig
 from repro.core.dqn import DDDQNAgent, DQNConfig
+from repro.core.features import StateNormalizer
 from repro.core.policies import CallablePolicy, MitigationPolicy, RLPolicy
 from repro.evaluation.experiment import run_experiment
 from repro.evaluation.pipeline import ExperimentConfig
 from repro.evaluation.registry import ApproachSpec, register_approach, unregister_approach
 from repro.evaluation.runner import build_traces, evaluate_policy
+from repro.telemetry.topology import FleetSegment
 from repro.utils.timeutils import DAY
 
 
@@ -65,15 +73,39 @@ def _rl_policy(normalizer, seed, mitigate_bias=0.0):
     return RLPolicy(agent, normalizer)
 
 
-def _assert_paths_identical(traces, policy, mitigation_cost, restartable, **kwargs):
+@contextmanager
+def _decide_forbidden(policy):
+    """Make ``decide`` raise on ``policy`` and on a Fleet-mix's sub-policies."""
+    def forbidden(context):
+        raise AssertionError(f"{policy.name}: the batched replay called decide")
+
+    patched = [policy]
+    if isinstance(policy, SegmentedFleetPolicy):
+        patched += policy.segment_policies
+    for target in patched:
+        target.decide = forbidden
+    try:
+        yield
+    finally:
+        for target in patched:
+            target.__dict__.pop("decide", None)
+
+
+def _assert_paths_identical(
+    traces, policy, mitigation_cost, restartable, batched=True, **kwargs
+):
+    """Scalar and vectorized replays agree; ``batched`` forbids ``decide``
+    during the vectorized one (the policy must answer through
+    ``decide_rows``)."""
     scalar = evaluate_policy(
         traces, policy, mitigation_cost, restartable=restartable,
         vectorized=False, **kwargs,
     )
-    vectorized = evaluate_policy(
-        traces, policy, mitigation_cost, restartable=restartable,
-        vectorized=True, **kwargs,
-    )
+    with _decide_forbidden(policy) if batched else nullcontext():
+        vectorized = evaluate_policy(
+            traces, policy, mitigation_cost, restartable=restartable,
+            vectorized=True, **kwargs,
+        )
     assert scalar.costs == vectorized.costs, policy.name
     assert scalar.confusion == vectorized.confusion, policy.name
     assert scalar.n_decision_points == vectorized.n_decision_points
@@ -115,14 +147,60 @@ class TestScalarVectorEquivalence:
         policy = _rl_policy(normalizer, seed=int(17 + bias), mitigate_bias=bias)
         _assert_paths_identical(traces, policy, 2 / 60.0, restartable)
 
+    @pytest.mark.parametrize("restartable", [True, False])
+    def test_rl_custom_normalizer(self, traces, restartable):
+        """A normalizer whose feature columns depend on the cost is not
+        pre-normalised per panel: its rows go through ``decide_nodes``."""
+
+        class _CostScaledNormalizer(StateNormalizer):
+            def transform(self, state):
+                out = super().transform(state)
+                return out * (1.0 + out[..., -1:])
+
+        policy = _rl_policy(_CostScaledNormalizer(), seed=29, mitigate_bias=1.0)
+        result = _assert_paths_identical(traces, policy, 2 / 60.0, restartable)
+        assert 0 < result.costs.n_mitigations < result.n_decision_points
+
     def test_ue_cost_fn_forces_the_scalar_path(self, traces):
         """A per-event cost override cannot be batched; both flags agree."""
         def double_cost(trace, index, time, default):
             return 2.0 * default
 
         _assert_paths_identical(
-            traces, AlwaysMitigatePolicy(), 2 / 60.0, True, ue_cost_fn=double_cost
+            traces,
+            AlwaysMitigatePolicy(),
+            2 / 60.0,
+            True,
+            batched=False,
+            ue_cost_fn=double_cost,
         )
+
+    @pytest.mark.parametrize("restartable", [True, False])
+    def test_fleet_mix(self, scenario, traces, sc20_policy, restartable):
+        """Fleet-mix routes each segment's rows to its sub-policy's
+        ``decide_rows``: SC20, Myopic-RF, Always and Oracle segments."""
+        quarter = scenario.topology.n_nodes // 4
+        topology = replace(
+            scenario.topology,
+            segments=tuple(
+                FleetSegment(name=f"s{k}", n_nodes=quarter, manufacturer=k % 3)
+                for k in range(4)
+            ),
+        )
+        sc20 = sc20_policy.with_threshold(0.4)
+        policy = SegmentedFleetPolicy(
+            topology,
+            [
+                sc20,
+                MyopicRFPolicy(sc20, 2 / 60.0),
+                AlwaysMitigatePolicy(),
+                OraclePolicy(),
+            ],
+        )
+        segments = {int(topology.node_segment()[trace.node]) for trace in traces}
+        assert segments == {0, 1, 2, 3}
+        assert policy.cost_dependent
+        _assert_paths_identical(traces, policy, 2 / 60.0, restartable)
 
     def test_mitigation_overhead_edge(self, traces):
         """Zero overhead makes same-timestamp completions an edge case."""
@@ -136,7 +214,7 @@ class TestScalarVectorEquivalence:
 
 
 class _ThresholdOnCostPolicy(MitigationPolicy):
-    """A decide()-only policy (no decide_batch): the fallback must carry it.
+    """A decide()-only policy (no decide_rows): the fallback must carry it.
 
     Mitigates when the potential UE cost exceeds a threshold — deliberately
     cost-dependent, so under restartable jobs its decisions feed back into
@@ -160,18 +238,21 @@ class TestScalarFallback:
             _ThresholdOnCostPolicy(5.0),
             CallablePolicy(lambda ctx: ctx.event_index % 3 == 0, name="every-3rd"),
         ):
-            _assert_paths_identical(traces, policy, 2 / 60.0, restartable)
+            _assert_paths_identical(
+                traces, policy, 2 / 60.0, restartable, batched=False
+            )
 
-    def test_decide_batch_declines_on_base_class(self, traces):
-        assert _ThresholdOnCostPolicy(1.0).decide_batch(traces[0]) is None
+    def test_decide_rows_declines_on_base_class(self):
+        policy = _ThresholdOnCostPolicy(1.0)
+        assert policy.decide_rows(np.arange(3), np.ones(3)) is None
 
     @pytest.mark.parametrize("restartable", [True, False])
     def test_full_trace_only_cost_dependent_policy_falls_back(
         self, traces, restartable
     ):
-        """A cost-dependent policy that declines partial windows must abort
-        the renewal walk mid-trace and re-replay scalar — not have its
-        ``None`` coerced into all-False decisions."""
+        """A cost-dependent policy that declines all but whole-panel row
+        requests must abort the renewal walk mid-panel and re-replay scalar
+        — not have its ``None`` coerced into all-False decisions."""
 
         class _FullTraceOnly(MitigationPolicy):
             name = "full-trace-only"
@@ -180,18 +261,20 @@ class TestScalarFallback:
             def decide(self, context) -> bool:
                 return context.ue_cost > 2.0
 
-            def decide_batch(self, trace, ue_costs=None, start=0, stop=None):
-                stop = len(trace) if stop is None else stop
-                if ue_costs is None or start != 0 or stop != len(trace):
-                    return None
-                import numpy as np
+            def prepare_traces(self, traces) -> None:
+                self.n_rows = sum(len(trace) for trace in traces)
 
+            def decide_rows(self, rows, ue_costs):
+                if not np.array_equal(rows, np.arange(self.n_rows)):
+                    return None
                 return np.asarray(ue_costs) > 2.0
 
-        _assert_paths_identical(traces, _FullTraceOnly(), 2 / 60.0, restartable)
+        _assert_paths_identical(
+            traces, _FullTraceOnly(), 2 / 60.0, restartable, batched=False
+        )
 
     def test_registry_registered_custom_policy_runs_through_experiment(self):
-        """A registered approach without decide_batch completes an
+        """A registered approach without decide_rows completes an
         experiment via the scalar fallback and matches a directly computed
         scalar evaluation."""
         spec = register_approach(

@@ -1,7 +1,7 @@
 """Edge cases of the lockstep renewal walk (the cross-trace replay).
 
 The walk resolves every cost-feedback trace of the panel in rounds of one
-``decide_windows`` call each; these tests pin the panel shapes that stress
+``decide_rows`` call each; these tests pin the panel shapes that stress
 its frontier bookkeeping — empty traces, single-event traces, wildly mixed
 lengths, guesses that diverge every round — plus the decline contract: a
 policy without window support falls back to the scalar path for *that
@@ -29,7 +29,7 @@ MITIGATION_COST = 2 / 60.0
 
 
 class _CostThresholdBatchPolicy(MitigationPolicy):
-    """Cost-feedback policy with full batch/window support.
+    """Cost-feedback policy with full ``decide_rows`` support.
 
     Mitigates while the potential UE cost exceeds a threshold — under
     restartable jobs each mitigation resets the cost, so its decisions feed
@@ -45,9 +45,7 @@ class _CostThresholdBatchPolicy(MitigationPolicy):
     def decide(self, context) -> bool:
         return context.ue_cost > self.threshold
 
-    def decide_batch(self, trace, ue_costs=None, start=0, stop=None):
-        if ue_costs is None:
-            return None
+    def decide_rows(self, rows, ue_costs):
         return np.asarray(ue_costs, dtype=float) > self.threshold
 
 
@@ -69,14 +67,12 @@ class _InverseCostPolicy(MitigationPolicy):
     def decide(self, context) -> bool:
         return context.ue_cost <= self.threshold
 
-    def decide_batch(self, trace, ue_costs=None, start=0, stop=None):
-        if ue_costs is None:
-            return None
+    def decide_rows(self, rows, ue_costs):
         return np.asarray(ue_costs, dtype=float) <= self.threshold
 
 
 class _NoBatchCostPolicy(MitigationPolicy):
-    """Cost-feedback policy without decide_batch: scalar fallback only."""
+    """Cost-feedback policy without decide_rows: scalar fallback only."""
 
     name = "no-batch"
     cost_dependent = True
@@ -199,23 +195,25 @@ class TestDeclinePerPolicy:
         assert renewal_walk_stats()["rounds"] > 0  # lockstep walk ran
 
     def test_mid_walk_decline_aborts_to_scalar(self, job_sampler):
-        """A policy that answers whole-trace batches but declines partial
-        windows makes the walk abort mid-panel; the wholesale fallback must
-        reproduce the scalar results exactly."""
+        """A policy that answers the whole panel but declines the walk's
+        partial row sets makes the walk abort mid-panel; the wholesale
+        fallback must reproduce the scalar results exactly."""
 
-        class _WholeTraceOnly(_CostThresholdBatchPolicy):
-            name = "whole-trace-only"
+        class _WholePanelOnly(_CostThresholdBatchPolicy):
+            name = "whole-panel-only"
 
-            def decide_batch(self, trace, ue_costs=None, start=0, stop=None):
-                stop = len(trace) if stop is None else stop
-                if start != 0 or stop != len(trace):
+            def prepare_traces(self, traces):
+                self.n_rows = sum(len(trace) for trace in traces)
+
+            def decide_rows(self, rows, ue_costs):
+                if not np.array_equal(rows, np.arange(self.n_rows)):
                     return None
-                return super().decide_batch(trace, ue_costs, start, stop)
+                return super().decide_rows(rows, ue_costs)
 
         traces = _mixed_panel(job_sampler)
         reset_renewal_walk_stats()
-        _assert_identical(traces, _WholeTraceOnly(1.0))
+        _assert_identical(traces, _WholePanelOnly(1.0))
         stats = renewal_walk_stats()
-        # The walk started (whole-trace candidates were answered) but could
-        # not finish a single window round.
-        assert stats["windows"] == stats["rounds"] == 0 or stats["rounds"] >= 1
+        # The walk started (the whole-panel candidates were answered) and
+        # opened a round, whose row request was declined.
+        assert stats["rounds"] == 1
