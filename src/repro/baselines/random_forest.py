@@ -46,6 +46,13 @@ class RandomForestClassifier:
         #: (written by ``SC20RandomForestPolicy.prepare_traces``).
         self._shared_trace_predictions: Optional[tuple] = None
 
+    def __getstate__(self) -> dict:
+        # The shared trace predictions are derived and pin one replay's
+        # feature arrays; a pickled forest (an executor result) drops them.
+        state = self.__dict__.copy()
+        state["_shared_trace_predictions"] = None
+        return state
+
     @property
     def is_fitted(self) -> bool:
         return bool(self.trees_)

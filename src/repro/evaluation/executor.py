@@ -149,8 +149,8 @@ class ExecutorStats:
         self.critical_path = tuple(reversed(path))
 
 
-def _validate(tasks: Sequence[Task]) -> None:
-    keys = [task.key for task in tasks]
+def _validate(tasks: Sequence[Task], done: Dict[str, Any]) -> None:
+    keys = [task.key for task in tasks] + list(done)
     if len(set(keys)) != len(keys):
         duplicates = sorted({k for k in keys if keys.count(k) > 1})
         raise TaskGraphError(f"duplicate task keys: {duplicates}")
@@ -168,7 +168,8 @@ def _by_priority(ready: List[Task]) -> List[Task]:
 
 def _topological_order(tasks: Sequence[Task]) -> List[Task]:
     """Kahn's algorithm: priority, then input order, among ready tasks."""
-    done: set = set()
+    # Deps outside the graph (results passed in as ``done``) are satisfied.
+    done = {dep for task in tasks for dep in task.deps} - {t.key for t in tasks}
     pending: List[Task] = list(tasks)
     ordered: List[Task] = []
     while pending:
@@ -232,8 +233,9 @@ def _run_serial(
     tasks: Sequence[Task],
     shared: Any = _NO_SHARED,
     stats: Optional[ExecutorStats] = None,
+    done: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    results: Dict[str, Any] = {}
+    results = dict(done or {})
     for task in _topological_order(tasks):
         dep_results = {dep: results[dep] for dep in task.deps}
         if stats is None:
@@ -251,6 +253,7 @@ def _run_pooled(
     shared: Any = _NO_SHARED,
     stats: Optional[ExecutorStats] = None,
     max_in_flight: Optional[int] = None,
+    done: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Schedule on ``pool``; pass ``shared`` only for same-process pools
     (process pools receive it through the worker initializer instead).
@@ -263,7 +266,7 @@ def _run_pooled(
     the priority selection over everything ready *now*.
     """
     trampoline = _invoke if stats is None else _invoke_timed
-    results: Dict[str, Any] = {}
+    results = dict(done or {})
     pending: List[Task] = _topological_order(tasks)
     in_flight: Dict[Any, str] = {}
     try:
@@ -316,6 +319,7 @@ def execute_tasks(
     kind: str = "process",
     shared: Any = _NO_SHARED,
     stats: Optional[ExecutorStats] = None,
+    done: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Execute a task graph and return ``{task.key: result}``.
 
@@ -337,16 +341,21 @@ def execute_tasks(
         execution seconds, the run's wall-clock, and the measured critical
         path.  Timing adds one clock read per task — negligible against the
         training workloads this executor schedules.
+    done:
+        Results of tasks finished earlier (e.g. served from a cache), keyed
+        like tasks: ``tasks`` may depend on them, and they are returned
+        with the rest.
     """
     tasks = list(tasks)
-    _validate(tasks)
+    done = dict(done or {})
+    _validate(tasks, done)
     if not tasks:
         if stats is not None:
             stats._finalize(tasks, 0.0)
-        return {}
+        return done
     started = time.perf_counter()
     try:
-        return _dispatch(tasks, n_workers, kind, shared, stats)
+        return _dispatch(tasks, done, n_workers, kind, shared, stats)
     finally:
         if stats is not None:
             stats._finalize(tasks, time.perf_counter() - started)
@@ -354,16 +363,17 @@ def execute_tasks(
 
 def _dispatch(
     tasks: List[Task],
+    done: Dict[str, Any],
     n_workers: int,
     kind: str,
     shared: Any,
     stats: Optional[ExecutorStats],
 ) -> Dict[str, Any]:
     if n_workers <= 1 or kind == "serial":
-        return _run_serial(tasks, shared, stats)
+        return _run_serial(tasks, shared, stats, done)
     if kind == "thread":
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            return _run_pooled(tasks, pool, shared, stats, max_in_flight=n_workers)
+            return _run_pooled(tasks, pool, shared, stats, n_workers, done)
     if kind != "process":
         raise ValueError(f"unknown executor kind {kind!r}")
     pool_kwargs: Dict[str, Any] = {"max_workers": n_workers}
@@ -380,10 +390,12 @@ def _dispatch(
             RuntimeWarning,
             stacklevel=3,
         )
-        return _run_serial(tasks, shared, stats)
+        return _run_serial(tasks, shared, stats, done)
     try:
         with pool:
-            return _run_pooled(tasks, pool, stats=stats, max_in_flight=n_workers)
+            return _run_pooled(
+                tasks, pool, stats=stats, max_in_flight=n_workers, done=done
+            )
     except (BrokenProcessPool, _PoolSpawnError) as exc:
         # Worker spawn refused at submit time, or the platform killed the
         # workers mid-run (sandbox limits, OOM of a forked child — but also
@@ -398,4 +410,4 @@ def _dispatch(
             RuntimeWarning,
             stacklevel=3,
         )
-        return _run_serial(tasks, shared, stats)
+        return _run_serial(tasks, shared, stats, done)

@@ -35,7 +35,7 @@ import time
 from typing import Optional, Tuple
 
 from repro.config import ScenarioConfig
-from repro.evaluation.executor import ExecutorStats, execute_tasks
+from repro.evaluation.executor import ExecutorStats
 from repro.evaluation.pipeline import (
     ApproachResult,
     ExperimentConfig,
@@ -43,6 +43,7 @@ from repro.evaluation.pipeline import (
     PreparedDataCache,
     aggregate,
     build_split_tasks,
+    execute_split_tasks,
     make_splits,
     prepare_data,
 )
@@ -83,7 +84,9 @@ def run_experiment(
     ``cache`` optionally serves the prepared data from a
     :class:`~repro.evaluation.pipeline.PreparedDataCache` (with whatever
     sharing and disk-spill behaviour that cache is configured for) instead
-    of always rebuilding it; results are identical either way.
+    of always rebuilding it, and reuses the SC20 forests it holds for this
+    telemetry (fitting only the missing ones, which it then keeps); results
+    are identical either way.
     """
     config = config or ExperimentConfig()
     started = time.perf_counter()
@@ -102,13 +105,7 @@ def run_experiment(
     with profiler.stage("execute_tasks"):
         tasks = build_split_tasks(prepared, splits, config)
         stats = ExecutorStats()
-        outcomes = execute_tasks(
-            tasks,
-            n_workers=config.n_workers,
-            kind=config.executor_kind,
-            shared=prepared,
-            stats=stats,
-        )
+        outcomes = execute_split_tasks(tasks, config, prepared, stats, cache)
     with profiler.stage("aggregate"):
         result = aggregate(
             prepared,

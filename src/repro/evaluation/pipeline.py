@@ -45,12 +45,14 @@ replay the same immutable test traces instead of rebuilding them per task.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
+import re
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,7 +67,7 @@ from repro.core.policies import MitigationPolicy, RLPolicy
 from repro.core.trainer import train_agent
 from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.cross_validation import TimeSeriesNestedCV, TimeSeriesSplit
-from repro.evaluation.executor import ExecutorStats, Task
+from repro.evaluation.executor import ExecutorStats, Task, execute_tasks
 from repro.evaluation.metrics import ConfusionCounts
 from repro.evaluation.registry import (
     approach_groups,
@@ -105,6 +107,8 @@ __all__ = [
     "clear_trace_cache",
     "default_prepared_cache",
     "evaluate_split",
+    "execute_split_tasks",
+    "fit_split_forest",
     "make_splits",
     "prepare_data",
     "prepared_data_key",
@@ -184,6 +188,8 @@ class ExperimentConfig:
     #: (Section 4.3).  Wall-clock is inherently non-deterministic; disable to
     #: make two runs of the same experiment bitwise identical (the
     #: determinism tests and the parallel-vs-serial comparison rely on this).
+    #: A forest fit shared by several sweep points or suite blocks (see
+    #: :func:`build_split_tasks`) charges its one measured time to each.
     charge_training_time: bool = True
     #: Run each pipeline stage under cProfile and surface the top cumulative
     #: functions in ``ExperimentResult.extras["profile"]`` (CLI:
@@ -616,6 +622,10 @@ class PreparedDataCache:
     sessions (externally supplied logs are never spilled: their content is
     not derivable from the scenario).  ``spill_hits`` / ``spill_saves``
     count the disk traffic.
+
+    A forest family keeps SC20 forest fits by their content-keyed task key
+    (see :func:`build_split_tasks`), in an LRU of the same ``maxsize``, so
+    later sweeps — suite blocks, a claim worker's points — do not refit.
     """
 
     def __init__(self, maxsize: int = 8, spill=None) -> None:
@@ -624,6 +634,7 @@ class PreparedDataCache:
         self._prepared: "OrderedDict[Tuple, Tuple[PreparedData, Tuple]]" = OrderedDict()
         self._telemetry: "OrderedDict[Tuple, ErrorLog]" = OrderedDict()
         self._job_logs: "OrderedDict[Tuple, JobLog]" = OrderedDict()
+        self._forests: "OrderedDict[str, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.prepare_calls = 0
@@ -637,6 +648,22 @@ class PreparedDataCache:
         self._prepared.clear()
         self._telemetry.clear()
         self._job_logs.clear()
+        self._forests.clear()
+
+    def cached_forests(self, keys: Iterable[str]) -> Dict[str, Any]:
+        """The forest fits this cache holds among the task ``keys``."""
+        found = {key: self._forests[key] for key in keys if key in self._forests}
+        for key in found:
+            self._forests.move_to_end(key)
+        return found
+
+    def keep_forests(self, results: Dict[str, Any]) -> None:
+        """Remember the shared forest fits among executor ``results``."""
+        for key, fit in results.items():
+            if _SHARED_FOREST_KEY.fullmatch(key):
+                self._forests[key] = fit
+                self._forests.move_to_end(key)
+        self._evict(self._forests, self.maxsize)
 
     @staticmethod
     def _evict(cache: "OrderedDict", maxsize: int) -> None:
@@ -858,7 +885,9 @@ class SplitContext:
     Lazily computes — and caches — the expensive shared resources: the test
     traces, the trained SC20 forest with its optimal threshold, and the
     hyperparameter-searched RL agent.  Builders of the same group therefore
-    train each model exactly once per split.
+    train each model exactly once per split.  ``forest`` hands in the
+    split's :func:`fit_split_forest` result (the "rf" task reads it from
+    its forest task); left unset, :meth:`sc20` fits it itself.
     """
 
     _UNSET = object()
@@ -869,11 +898,13 @@ class SplitContext:
         split: TimeSeriesSplit,
         config: ExperimentConfig,
         rl_carry_in: Optional[dict] = None,
+        forest: Any = _UNSET,
     ) -> None:
         self.prepared = prepared
         self.split = split
         self.config = config
         self.rl_carry_in = rl_carry_in
+        self._forest = forest
         self.factory = RngFactory(prepared.scenario.seed)
         self._test_traces: Optional[List[EvaluationTrace]] = None
         self._sc20 = self._UNSET
@@ -935,7 +966,9 @@ class SplitContext:
     def sc20(self) -> Optional[SC20SplitArtifacts]:
         """Trained SC20 forest and optimal threshold (None without history)."""
         if self._sc20 is self._UNSET:
-            self._sc20 = _train_sc20_for_split(self, self.config, self.factory)
+            if self._forest is self._UNSET:
+                self._forest = fit_split_forest(self.prepared, self.split, self.config)
+            self._sc20 = _train_sc20_for_split(self, self._forest)
         return self._sc20
 
     def sc20_if_trained(self) -> Optional[SC20SplitArtifacts]:
@@ -1013,25 +1046,41 @@ def _select_optimal_threshold(
     return best_threshold
 
 
-def _train_sc20_for_split(
-    ctx: SplitContext, config: ExperimentConfig, factory: RngFactory
-) -> Optional[SC20SplitArtifacts]:
-    """Train the split's random forest and pick its optimal threshold."""
-    split = ctx.split
+def fit_split_forest(
+    prepared: PreparedData, split: TimeSeriesSplit, config: ExperimentConfig
+) -> Optional[Tuple[Any, float]]:
+    """Fit one split's SC20 forest: ``(forest, fit seconds)``, or ``None``.
+
+    Reads only the feature tracks inside the split's history, the prediction
+    window and the forest settings (``None`` when the history holds no
+    example), so the points of one telemetry can share it.
+    """
+    evaluation_cfg = prepared.scenario.evaluation
     dataset = build_prediction_dataset(
-        ctx.tracks,
-        prediction_window_seconds=ctx.prediction_window,
+        prepared.tracks,
+        prediction_window_seconds=evaluation_cfg.prediction_window_seconds,
         t_start=split.train_range[0],
         t_end=split.history_range[1],
     )
     if len(dataset) == 0:
         return None
-    forest, rf_seconds = train_sc20_forest(
+    seed = RngFactory(prepared.scenario.seed).stream(f"rf-{split.index}")
+    return train_sc20_forest(
         dataset,
         n_estimators=config.rf_n_estimators,
         max_depth=config.rf_max_depth,
-        seed=int(factory.stream(f"rf-{split.index}").integers(1 << 30)),
+        seed=int(seed.integers(1 << 30)),
     )
+
+
+def _train_sc20_for_split(
+    ctx: SplitContext, fit: Optional[Tuple[Any, float]]
+) -> Optional[SC20SplitArtifacts]:
+    """Pick the optimal threshold of the split's fitted forest (per point:
+    it replays this point's test traces at its mitigation cost)."""
+    if fit is None:
+        return None
+    forest, rf_seconds = fit
     base_policy = SC20RandomForestPolicy(
         forest, training_cost_node_hours=rf_seconds / 3600.0
     )
@@ -1041,7 +1090,7 @@ def _train_sc20_for_split(
         ctx.mitigation_cost,
         ctx.restartable,
         ctx.prediction_window,
-        config.threshold_grid_size,
+        ctx.config.threshold_grid_size,
     )
     return SC20SplitArtifacts(base_policy=base_policy, optimal_threshold=optimal)
 
@@ -1365,7 +1414,8 @@ def _evaluate_group(
     }
     # Figure 6 artifacts are read from the context cache, never computed
     # here: a custom approach in the "rf" / "rl" group whose builder did not
-    # ask for the shared model must not pay for training it.
+    # ask for the shared model must not pay for training it (for "rf", the
+    # threshold search; the forest fit is its own task).
     sc20_artifacts = ctx.sc20_if_trained()
     return GroupOutcome(
         split_index=ctx.split.index,
@@ -1388,16 +1438,30 @@ def run_split_group(
     """Train and evaluate one approach group on one split (executor task).
 
     ``deps`` carries at most the previous split's "rl" outcome, whose
-    ``rl_state`` seeds this split's warm start.  ``prepared`` arrives
-    through the executor's ``shared`` channel (shipped once per worker,
-    not once per task).
+    ``rl_state`` seeds this split's warm start, or the split's forest fit
+    ("rf" group).  ``prepared`` arrives through the executor's ``shared``
+    channel (shipped once per worker, not once per task).
     """
     ensure_sc20_variants(config)
     rl_state_in: Optional[dict] = None
+    forest: Any = SplitContext._UNSET
     for outcome in deps.values():
-        rl_state_in = outcome.rl_state
-    ctx = SplitContext(prepared, split, config, rl_carry_in=rl_state_in)
+        if isinstance(outcome, GroupOutcome):
+            rl_state_in = outcome.rl_state
+        else:
+            forest = outcome
+    ctx = SplitContext(prepared, split, config, rl_state_in, forest)
     return _evaluate_group(ctx, group, config)
+
+
+def run_forest_fit(
+    deps: Dict[str, Any],
+    prepared: PreparedData,
+    split: TimeSeriesSplit,
+    config: ExperimentConfig,
+) -> Optional[Tuple[Any, float]]:
+    """Fit one split's shared SC20 forest (executor task)."""
+    return fit_split_forest(prepared, split, config)
 
 
 def run_rl_trial(
@@ -1471,6 +1535,50 @@ def _has_rl_train_data(prepared: PreparedData, split: TimeSeriesSplit) -> bool:
 #: the chained single-task shape): the chain is the task graph's critical
 #: path, so among simultaneously ready tasks it always gets a worker first.
 _CHAIN_PRIORITY = 10
+#: Forest fits unblock every sharing point's "rf" task: ahead of ordinary
+#: tasks, behind the chain.
+_FOREST_PRIORITY = 5
+#: Keys of shared (content-keyed) forest tasks, the ones a cache keeps.
+_SHARED_FOREST_KEY = re.compile(r"forest-[0-9a-f]{16}-\d+")
+
+
+def _forest_task_key(
+    prepared: PreparedData,
+    split: TimeSeriesSplit,
+    config: ExperimentConfig,
+    key_prefix: str,
+) -> str:
+    """Key of the task fitting ``split``'s forest (:func:`fit_split_forest`).
+
+    Content-keyed by the error side of :func:`prepared_data_key` (and the
+    nonce of external logs), the split's history range, the prediction
+    window and the forest settings.  Hand-built products (no data key) get
+    a key scoped to their point instead.
+    """
+    if not prepared.data_key:
+        return f"{key_prefix}forest-{split.index}"
+    scenario = prepared.scenario
+    evaluation_cfg = scenario.evaluation
+    content = (
+        # The error side of prepared_data_key, plus any external-log nonce.
+        scenario.seed, scenario.topology, scenario.fault_model,
+        scenario.duration_seconds, evaluation_cfg.ue_burst_window_seconds,
+        evaluation_cfg.merge_window_seconds, _effective_manufacturer(scenario, config),
+        prepared.data_key[len(prepared_data_key(scenario, config)):],
+        # The split's history and the forest's own settings.
+        split.index, split.train_range[0], split.history_range[1],
+        evaluation_cfg.prediction_window_seconds,
+        config.rf_n_estimators, config.rf_max_depth,
+    )
+    digest = hashlib.sha256(repr(content).encode("utf-8")).hexdigest()[:16]
+    return f"forest-{digest}-{split.index}"
+
+
+def _point_task(
+    deps: Dict[str, Any], shared: Dict[str, PreparedData], fn, point: str, *args
+) -> Any:
+    """Run task ``fn`` on one point's entry of a per-point prepared-data map."""
+    return fn(deps, shared[point], *args)
 
 
 def build_split_tasks(
@@ -1478,10 +1586,7 @@ def build_split_tasks(
     splits: Sequence[TimeSeriesSplit],
     config: ExperimentConfig,
     key_prefix: str = "",
-    task_fn: Optional[Callable[..., Any]] = None,
-    task_args: Tuple = (),
-    trial_task_fn: Optional[Callable[..., Any]] = None,
-    reduce_task_fn: Optional[Callable[..., Any]] = None,
+    point: Optional[str] = None,
 ) -> List[Task]:
     """The executor task graph of one experiment's splits.
 
@@ -1500,30 +1605,34 @@ def build_split_tasks(
       the old single "rl" task, so :func:`aggregate` and the chain edges
       are oblivious to the decomposition.
 
+    With the "rf" group, each split also gets a ``forest-<digest>-{k}``
+    task (:func:`run_forest_fit`); ``rf-{k}`` depends on exactly that task
+    and reads the forest from it.  The key is content-keyed and outside
+    ``key_prefix`` (:func:`_forest_task_key`): points sharing a telemetry
+    emit the same task, and :func:`execute_split_tasks` runs it once.
+
     Chain tasks get a high :attr:`~repro.evaluation.executor.Task.priority`
-    (critical-path-first scheduling).  RL tasks of consecutive splits are
-    chained when the warm start (or the pass-the-previous-agent-through
-    fallback of splits without training data) makes split ``k`` depend on
-    split ``k - 1``; every other task is independent.
+    (critical-path-first scheduling), forest tasks the next highest.  RL
+    tasks of consecutive splits are chained when the warm start (or the
+    pass-the-previous-agent-through fallback of splits without training
+    data) makes split ``k`` depend on split ``k - 1``; every other task
+    depends at most on its split's forest.
 
     The returned tasks carry only (split[, trial][, group], config); the
     driver passes the heavyweight :class:`PreparedData` once through the
-    executor's ``shared`` channel instead of once per task.
-
-    ``key_prefix`` namespaces the task keys (and the RL chain's dependency
-    edges) so several experiments can coexist in one task graph — the sweep
-    engine prefixes each point's tasks with its label.  ``task_fn`` /
-    ``trial_task_fn`` / ``reduce_task_fn`` (+ ``task_args``) substitute
-    custom module-level task callables invoked as
-    ``task_fn(deps, shared, *task_args, split, group, config)``,
-    ``trial_task_fn(deps, shared, *task_args, split, trial, config)`` and
-    ``reduce_task_fn(deps, shared, *task_args, split, config)`` in place of
-    :func:`run_split_group` / :func:`run_rl_trial` / :func:`run_rl_reduce`.
+    executor's ``shared`` channel instead of once per task.  ``key_prefix``
+    namespaces the per-point keys (and the RL chain's edges) so several
+    experiments can coexist in one graph; ``point`` makes the tasks read
+    their data from a ``shared`` map of point -> :class:`PreparedData`
+    instead — the sweep engine passes each point's label as both.
     """
     ensure_sc20_variants(config)
-    fn = run_split_group if task_fn is None else task_fn
-    trial_fn = run_rl_trial if trial_task_fn is None else trial_task_fn
-    reduce_fn = run_rl_reduce if reduce_task_fn is None else reduce_task_fn
+
+    def task(key, fn, args, deps=(), priority=0) -> Task:
+        if point is not None:
+            fn, args = _point_task, (fn, point) + args
+        return Task(key=key, fn=fn, args=args, deps=deps, priority=priority)
+
     groups = approach_groups(config)
     chain_rl = "rl" in groups and (
         config.rl_warm_start
@@ -1536,43 +1645,65 @@ def build_split_tasks(
     tasks: List[Task] = []
     for split in splits:
         for group in groups:
-            chain_dep: Tuple[str, ...] = ()
+            deps: Tuple[str, ...] = ()
             if group == "rl" and chain_rl and split.index > 0:
-                chain_dep = (f"{key_prefix}rl-{split.index - 1}",)
+                deps = (f"{key_prefix}rl-{split.index - 1}",)
+            if group == "rf":
+                deps = (_forest_task_key(prepared, split, config, key_prefix),)
+                tasks.append(task(
+                    deps[0], run_forest_fit, (split, config), (), _FOREST_PRIORITY
+                ))
             if group == "rl" and rl_fan_out:
                 trial_keys: List[str] = []
                 for trial in range(_rl_n_trials(config)):
                     key = f"{key_prefix}rl-trial{trial}-{split.index}"
                     trial_keys.append(key)
-                    tasks.append(
-                        Task(
-                            key=key,
-                            fn=trial_fn,
-                            args=tuple(task_args) + (split, trial, config),
-                            deps=chain_dep if trial == 0 else (),
-                            priority=_CHAIN_PRIORITY if trial == 0 else 0,
-                        )
-                    )
-                tasks.append(
-                    Task(
-                        key=f"{key_prefix}rl-{split.index}",
-                        fn=reduce_fn,
-                        args=tuple(task_args) + (split, config),
-                        deps=tuple(trial_keys),
-                        priority=_CHAIN_PRIORITY,
-                    )
-                )
+                    chained = trial == 0
+                    tasks.append(task(
+                        key, run_rl_trial, (split, trial, config),
+                        deps if chained else (), _CHAIN_PRIORITY if chained else 0,
+                    ))
+                tasks.append(task(
+                    f"{key_prefix}rl-{split.index}", run_rl_reduce, (split, config),
+                    tuple(trial_keys), _CHAIN_PRIORITY,
+                ))
                 continue
-            tasks.append(
-                Task(
-                    key=f"{key_prefix}{group}-{split.index}",
-                    fn=fn,
-                    args=tuple(task_args) + (split, group, config),
-                    deps=chain_dep,
-                    priority=_CHAIN_PRIORITY if group == "rl" and chain_rl else 0,
-                )
-            )
+            tasks.append(task(
+                f"{key_prefix}{group}-{split.index}", run_split_group,
+                (split, group, config), deps,
+                _CHAIN_PRIORITY if group == "rl" and chain_rl else 0,
+            ))
     return tasks
+
+
+def execute_split_tasks(
+    tasks: Sequence[Task],
+    config: ExperimentConfig,
+    shared: Any,
+    stats: Optional[ExecutorStats] = None,
+    cache: Optional[PreparedDataCache] = None,
+) -> Dict[str, Any]:
+    """Run the :func:`build_split_tasks` graphs of one or more points.
+
+    A forest task several points share runs once; a fit ``cache`` holds is
+    not scheduled (it reaches the "rf" tasks as a finished dependency), and
+    fresh fits are kept in it.
+    """
+    graph: Dict[str, Task] = {}
+    for task in tasks:
+        graph.setdefault(task.key, task)  # only shared forest tasks repeat
+    done = cache.cached_forests(graph) if cache is not None else {}
+    outcomes = execute_tasks(
+        [task for key, task in graph.items() if key not in done],
+        n_workers=config.n_workers,
+        kind=config.executor_kind,
+        shared=shared,
+        stats=stats,
+        done=done,
+    )
+    if cache is not None:
+        cache.keep_forests(outcomes)
+    return outcomes
 
 
 # --------------------------------------------------------------------- #

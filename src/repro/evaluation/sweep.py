@@ -51,20 +51,17 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ScenarioConfig
 from repro.evaluation.costs import CostBreakdown
-from repro.evaluation.executor import ExecutorStats, Task, execute_tasks
+from repro.evaluation.executor import ExecutorStats, Task
 from repro.evaluation.pipeline import (
     ExperimentConfig,
     ExperimentResult,
-    GroupOutcome,
     PreparedData,
     PreparedDataCache,
     aggregate,
     build_split_tasks,
     default_prepared_cache,
+    execute_split_tasks,
     make_splits,
-    run_rl_reduce,
-    run_rl_trial,
-    run_split_group,
 )
 from repro.evaluation.report import format_cost_table, format_sweep_table
 from repro.telemetry.error_log import ErrorLog
@@ -387,45 +384,6 @@ class SweepResult:
 # --------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------- #
-def _run_sweep_group(
-    deps: Dict[str, GroupOutcome],
-    shared: Dict[str, PreparedData],
-    label: str,
-    split,
-    group: str,
-    config: ExperimentConfig,
-) -> GroupOutcome:
-    """Executor task of one (point × split × group); module-level so the
-    process backend can pickle it.  ``shared`` is the per-point prepared-data
-    map shipped once per worker."""
-    return run_split_group(deps, shared[label], split, group, config)
-
-
-def _run_sweep_rl_trial(
-    deps: Dict[str, Any],
-    shared: Dict[str, PreparedData],
-    label: str,
-    split,
-    trial: int,
-    config: ExperimentConfig,
-):
-    """One (point × split × RL trial) task — the sweep-side trampoline of
-    :func:`~repro.evaluation.pipeline.run_rl_trial`."""
-    return run_rl_trial(deps, shared[label], split, trial, config)
-
-
-def _run_sweep_rl_reduce(
-    deps: Dict[str, Any],
-    shared: Dict[str, PreparedData],
-    label: str,
-    split,
-    config: ExperimentConfig,
-) -> GroupOutcome:
-    """One (point × split) RL select-best reduce task — the sweep-side
-    trampoline of :func:`~repro.evaluation.pipeline.run_rl_reduce`."""
-    return run_rl_reduce(deps, shared[label], split, config)
-
-
 def assign_shard(
     points: Sequence[SweepPoint], index: int, count: int
 ) -> Tuple[SweepPoint, ...]:
@@ -461,7 +419,9 @@ def run_sweep(
     together on the executor, so ``config.n_workers`` parallelism spans the
     whole sweep rather than one experiment at a time, and (b) points sharing
     data-preparation inputs reuse one prepared dataset through ``cache``
-    (the process-wide default when ``None``).
+    (the process-wide default when ``None``), and (c) points sharing a
+    telemetry share one SC20 forest fit per split — a fit ``cache`` already
+    holds from an earlier sweep is not repeated.
 
     ``error_log`` / ``job_log`` optionally substitute externally supplied
     logs for the synthetic generators, exactly as in ``run_experiment``.
@@ -539,22 +499,13 @@ def run_sweep(
                     splits_by_label[point.label],
                     config,
                     key_prefix=f"{point.label}/",
-                    task_fn=_run_sweep_group,
-                    task_args=(point.label,),
-                    trial_task_fn=_run_sweep_rl_trial,
-                    reduce_task_fn=_run_sweep_rl_reduce,
+                    point=point.label,
                 )
             )
 
     stats = ExecutorStats()
     with profiler.stage("execute_tasks"):
-        outcomes = execute_tasks(
-            tasks,
-            n_workers=config.n_workers,
-            kind=config.executor_kind,
-            shared=prepared,
-            stats=stats,
-        )
+        outcomes = execute_split_tasks(tasks, config, prepared, stats, cache)
     elapsed = time.perf_counter() - started
 
     results: Dict[str, ExperimentResult] = {}

@@ -69,3 +69,19 @@ class TestRandomForest:
         # A 30-tree ensemble should produce intermediate probabilities, not
         # only hard 0/1 votes.
         assert np.any((proba > 0.05) & (proba < 0.95))
+
+    def test_pickle_drops_the_shared_trace_predictions(self):
+        import pickle
+
+        X, y = _dataset(120, seed=6)
+        forest = RandomForestClassifier(n_estimators=4, max_depth=4, seed=6).fit(X, y)
+        expected = forest.predict_batch(X)
+        # What SC20RandomForestPolicy.prepare_traces leaves on a forest: the
+        # panel key, the pinned feature arrays and their probabilities.
+        forest._shared_trace_predictions = ((id(X),), [X], expected)
+        restored = pickle.loads(pickle.dumps(forest))
+        assert restored._shared_trace_predictions is None
+        np.testing.assert_array_equal(restored.predict_batch(X), expected)
+        np.testing.assert_array_equal(restored.predict_proba(X), forest.predict_proba(X))
+        # The live forest keeps its cache.
+        assert forest._shared_trace_predictions is not None

@@ -275,3 +275,25 @@ class TestSharedPayload:
     def test_without_shared_signature_is_unchanged(self):
         results = execute_tasks(_graph(), n_workers=2, kind="process")
         assert results["d"] == 1111
+
+
+class TestDoneResults:
+    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    def test_tasks_read_finished_results_as_deps(self, kind):
+        # "a" and "b" finished earlier (e.g. served from a cache): only the
+        # remaining tasks run, and every result comes back.
+        remaining = [task for task in _graph() if task.key in ("c", "d")]
+        stats = ExecutorStats()
+        results = execute_tasks(
+            remaining, n_workers=2, kind=kind, stats=stats, done={"a": 1, "b": 10}
+        )
+        assert results == {"a": 1, "b": 10, "c": 111, "d": 1111}
+        assert set(stats.task_seconds) == {"c", "d"}
+        assert stats.critical_path == ("c", "d")
+
+    def test_only_done_results(self):
+        assert execute_tasks([], done={"a": 1}) == {"a": 1}
+
+    def test_a_task_repeating_a_done_key_raises(self):
+        with pytest.raises(TaskGraphError, match="duplicate"):
+            execute_tasks(_graph(), done={"a": 1})

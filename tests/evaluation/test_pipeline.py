@@ -95,13 +95,17 @@ class TestStages:
         splits = make_splits(tiny_scenario)
         tasks = build_split_tasks(tiny_prepared, splits, TINY_CONFIG)
         # 4 groups (static, rf, rl, oracle) x n splits, plus the one trial
-        # task TINY_CONFIG's single RL trial adds per split.
-        assert len(tasks) == 5 * len(splits)
+        # task TINY_CONFIG's single RL trial adds per split and the split's
+        # forest fit.
+        assert len(tasks) == 6 * len(splits)
         by_key = {task.key: task for task in tasks}
         # Warm start is on by default: RL tasks form a chain...
         assert by_key["rl-trial0-1"].deps == ("rl-0",)
-        # ...while everything else is independent.
-        assert by_key["rf-1"].deps == ()
+        # ...the rf group depends exactly on its split's forest fit...
+        (forest_key,) = by_key["rf-1"].deps
+        assert forest_key.startswith("forest-") and forest_key.endswith("-1")
+        assert by_key[forest_key].deps == ()
+        # ...and everything else is independent.
         assert by_key["static-3"].deps == ()
 
     def test_build_split_tasks_default_fans_out_rl_trials(
@@ -112,13 +116,14 @@ class TestStages:
         # runs one trial per split, so each split gains exactly one extra task.
         splits = make_splits(tiny_scenario)
         tasks = build_split_tasks(tiny_prepared, splits, TINY_CONFIG)
-        assert len(tasks) == 5 * len(splits)
+        assert len(tasks) == 6 * len(splits)
         by_key = {task.key: task for task in tasks}
         # The reduce keeps the old chain key and carries the warm-start edge
         # to the next split's base candidate.
         assert by_key["rl-0"].deps == ("rl-trial0-0",)
         assert by_key["rl-trial0-1"].deps == ("rl-0",)
-        assert by_key["rf-1"].deps == ()
+        (forest_key,) = by_key["rf-1"].deps
+        assert forest_key.startswith("forest-") and forest_key.endswith("-1")
 
     def test_group_tag_alone_does_not_trigger_training(
         self, tiny_prepared, tiny_scenario, monkeypatch
@@ -165,7 +170,7 @@ class TestStages:
         tasks = build_split_tasks(tiny_prepared, splits, config)
         # static, rl trial + reduce, oracle
         assert len(tasks) == 4 * len(splits)
-        assert not any(task.key.startswith("rf-") for task in tasks)
+        assert not any(task.key.startswith(("rf-", "forest-")) for task in tasks)
 
     def test_run_experiment_without_rf_family(self, tiny_scenario):
         config = TINY_CONFIG.with_overrides(include_rf=False, include_rl=False)

@@ -96,6 +96,11 @@ class TestGraphShape:
         assert by_key["rl-trial0-0"].priority > by_key["rl-trial1-0"].priority
         assert by_key["rl-0"].priority > by_key["rl-trial1-0"].priority
         assert by_key["rf-0"].priority == 0
+        # rf-0 depends exactly on its forest fit, which outranks ordinary
+        # tasks (it unblocks every sharing point's rf task) but not the chain.
+        (forest_key,) = by_key["rf-0"].deps
+        assert forest_key.startswith("forest-") and forest_key.endswith("-0")
+        assert 0 < by_key[forest_key].priority < by_key["rl-0"].priority
 
     def test_key_prefix_keeps_two_points_disjoint(
         self, tiny_prepared, tiny_scenario
@@ -109,7 +114,12 @@ class TestGraphShape:
         )
         keys_a = {task.key for task in point_a}
         keys_b = {task.key for task in point_b}
-        assert not keys_a & keys_b
+        # Only the content-keyed forest fits (outside the prefix) are
+        # shared: one per split.  Every other key is the point's own.
+        shared = keys_a & keys_b
+        assert shared == {key for key in keys_a if key.startswith("forest-")}
+        assert len(shared) == len(splits)
+        assert all(key.startswith("cost=2/") for key in keys_a - shared)
         # Dependency edges stay inside their own point.
         for task in point_a:
             assert all(dep in keys_a for dep in task.deps)
