@@ -12,15 +12,17 @@ The driver is a thin orchestrator over three explicit layers:
     Pure stages, each returning a serializable dataclass:
     ``prepare_data`` (telemetry + workload generation, reduction, Table 1
     feature tracks), ``make_splits`` (the Figure 2 nested cross-validation
-    layout), ``train_split`` / ``evaluate_split`` (per-split model training
-    and test-range replay), and ``aggregate`` (the
+    layout), the per-split executor tasks (forest fit, RL trials and their
+    select-best reduce, per-group test-range replay — the only place a
+    split's models are trained), and ``aggregate`` (the
     :class:`ExperimentResult` behind Figures 3, 4, 5, 7 and Table 2).
 :mod:`repro.evaluation.executor`
-    A dependency-aware task runner.  :func:`run_experiment` schedules one
-    task per (split × approach group) and runs them on a process pool when
-    ``ExperimentConfig.n_workers > 1``.  Every task seeds its own random
-    streams from keyed :class:`~repro.utils.rng.RngFactory` streams, so
-    parallel and serial schedules produce identical results (set
+    A dependency-aware task runner.  :func:`run_experiment` schedules the
+    task graph of :func:`~repro.evaluation.pipeline.build_split_tasks` and
+    runs it on a process pool when ``ExperimentConfig.n_workers > 1``.
+    Every task seeds its own random streams from keyed
+    :class:`~repro.utils.rng.RngFactory` streams, so parallel and serial
+    schedules produce identical results (set
     ``charge_training_time=False`` to also zero out the wall-clock
     training-cost accounting, the only non-deterministic quantity).
 

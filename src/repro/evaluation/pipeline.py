@@ -1,37 +1,33 @@
 """Staged experiment pipeline: pure stages composed by the driver.
 
-The monolithic ``run_experiment`` loop is decomposed into five stages, each a
-pure function returning a serializable dataclass:
+The ``run_experiment`` driver runs three stages around one executor graph:
 
 ``prepare_data``
     Telemetry generation (or ingestion), retirement-bias / UE-burst
     reduction, workload generation and per-node Table 1 feature tracks.
 ``make_splits``
     The time-series nested cross-validation layout (Figure 2).
-``train_split``
-    Builds every enabled approach's policy for one split via the approach
-    registry (random-forest training, threshold selection, RL hyperparameter
-    search).
-``evaluate_split``
-    Replays trained policies over the split's test traces.
+:func:`build_split_tasks` / :func:`execute_split_tasks`
+    The per-split executor tasks (:mod:`repro.evaluation.executor`):
+    :func:`run_forest_fit` fits a split's SC20 forest, :func:`run_rl_trial`
+    trains one RL hyperparameter candidate, :func:`run_rl_reduce` selects a
+    split's best candidate and evaluates the "rl" group, and
+    :func:`run_split_group` evaluates any other approach group on the
+    split's test traces.
 ``aggregate``
     Folds per-split evaluations into the :class:`ExperimentResult` behind
     Figures 3, 4, 5, 7 and Table 2.
 
-For parallel execution the driver does not call ``train_split`` /
-``evaluate_split`` directly: it schedules one :func:`run_split_group` task
-per (split × approach group) through :mod:`repro.evaluation.executor`, so
-e.g. the random-forest family of split 3 trains while the RL agent of split
-1 is still learning.  The dominant "rl" group decomposes into one
-:func:`run_rl_trial` task per hyperparameter candidate plus a
-:func:`run_rl_reduce` select-best task per split: only the warm-started
-trial 0 rides the cross-split chain, while the remaining trials fan out
-across idle workers.  All randomness is drawn from keyed
-:class:`~repro.utils.rng.RngFactory` streams (per-trial settings are
-pre-drawn from one sequential stream per split), which makes every task
-self-seeding: serial and parallel schedules — and the in-task trial loop
-that ``train_split`` runs through ``SplitContext.rl()`` — produce identical
-results (wall-clock training-cost accounting aside — disable
+These tasks are the only place a split's models are trained.  An approach's
+group names the model its builder receives through the read-only
+:class:`SplitContext`: "rf" builders get the split's forest, "rl" builders
+the selected agent, every other builder ``None`` (as for a split without
+training data).  Only the warm-started RL trial 0 rides the cross-split
+chain, while the remaining trials fan out across idle workers.  All
+randomness is drawn from keyed :class:`~repro.utils.rng.RngFactory` streams
+(per-trial settings are pre-drawn from one sequential stream per split),
+which makes every task self-seeding: serial and parallel schedules produce
+identical results (wall-clock training-cost accounting aside — disable
 ``ExperimentConfig.charge_training_time`` for bitwise-identical runs).
 
 Two content-keyed caches remove redundant work across experiments:
@@ -100,13 +96,10 @@ __all__ = [
     "RLTrialResult",
     "SC20SplitArtifacts",
     "SplitContext",
-    "SplitEvaluation",
-    "TrainedSplit",
     "aggregate",
     "build_split_tasks",
     "clear_trace_cache",
     "default_prepared_cache",
-    "evaluate_split",
     "execute_split_tasks",
     "fit_split_forest",
     "make_splits",
@@ -116,7 +109,6 @@ __all__ = [
     "run_rl_trial",
     "run_split_group",
     "trace_cache_stats",
-    "train_split",
 ]
 
 
@@ -464,26 +456,6 @@ class PreparedData:
 
 
 @dataclass(frozen=True)
-class TrainedSplit:
-    """Output of :func:`train_split` — ready-to-evaluate policies."""
-
-    split_index: int
-    policies: Dict[str, MitigationPolicy]
-    #: Best RL agent state after this split (input to the next split's
-    #: warm start); passes the incoming state through when RL did not train.
-    rl_state: Optional[dict] = None
-
-
-@dataclass(frozen=True)
-class SplitEvaluation:
-    """Output of :func:`evaluate_split` — per-approach test-range results."""
-
-    split_index: int
-    evaluations: Dict[str, PolicyEvaluation]
-    n_test_events: int
-
-
-@dataclass(frozen=True)
 class GroupOutcome:
     """Result of one (split × approach-group) executor task."""
 
@@ -491,7 +463,7 @@ class GroupOutcome:
     group: str
     evaluations: Dict[str, PolicyEvaluation]
     n_test_events: int
-    #: RL warm-start carry (only set by the "rl" group).
+    #: RL warm-start carry (only set by the "rl" reduce task).
     rl_state: Optional[dict] = None
     #: Trained artifacts for Figure 6 (last split wins during aggregation).
     sc20_policy: Optional[SC20RandomForestPolicy] = None
@@ -882,34 +854,33 @@ class SC20SplitArtifacts:
 class SplitContext:
     """Everything an approach builder may need for one split.
 
-    Lazily computes — and caches — the expensive shared resources: the test
-    traces, the trained SC20 forest with its optimal threshold, and the
-    hyperparameter-searched RL agent.  Builders of the same group therefore
-    train each model exactly once per split.  ``forest`` hands in the
-    split's :func:`fit_split_forest` result (the "rf" task reads it from
-    its forest task); left unset, :meth:`sc20` fits it itself.
+    A read-only view: it never trains.  Its executor task hands in the
+    models — ``forest``, the split's :func:`fit_split_forest` result (the
+    "rf" task reads it from its forest task), and ``rl`` with its
+    warm-start ``rl_state`` (the "rl" reduce task selects them).  The test
+    traces and the forest's optimal-threshold search are computed lazily
+    and cached, so the builders of one group share them.
     """
-
-    _UNSET = object()
 
     def __init__(
         self,
         prepared: PreparedData,
         split: TimeSeriesSplit,
         config: ExperimentConfig,
-        rl_carry_in: Optional[dict] = None,
-        forest: Any = _UNSET,
+        forest: Optional[Tuple[Any, float]] = None,
+        rl: Optional[RLPolicy] = None,
+        rl_state: Optional[dict] = None,
     ) -> None:
         self.prepared = prepared
         self.split = split
         self.config = config
-        self.rl_carry_in = rl_carry_in
+        #: Best RL agent state of this split, carried to the next split.
+        self.rl_state = rl_state
         self._forest = forest
+        self._rl = rl
         self.factory = RngFactory(prepared.scenario.seed)
         self._test_traces: Optional[List[EvaluationTrace]] = None
-        self._sc20 = self._UNSET
-        self._rl = self._UNSET
-        self._rl_carry_out: Optional[dict] = rl_carry_in
+        self._sc20: Optional[SC20SplitArtifacts] = None
 
     # -- scenario shortcuts -------------------------------------------- #
     @property
@@ -964,56 +935,34 @@ class SplitContext:
         )
 
     def sc20(self) -> Optional[SC20SplitArtifacts]:
-        """Trained SC20 forest and optimal threshold (None without history)."""
-        if self._sc20 is self._UNSET:
-            if self._forest is self._UNSET:
-                self._forest = fit_split_forest(self.prepared, self.split, self.config)
-            self._sc20 = _train_sc20_for_split(self, self._forest)
+        """The given forest at its optimal threshold (None without a forest).
+
+        The threshold search replays this point's test traces at its
+        mitigation cost, so it runs here, per point, once per context.
+        """
+        if self._sc20 is None and self._forest is not None:
+            forest, rf_seconds = self._forest
+            base_policy = SC20RandomForestPolicy(
+                forest, training_cost_node_hours=rf_seconds / 3600.0
+            )
+            optimal = _select_optimal_threshold(
+                base_policy,
+                self.test_traces(),
+                self.mitigation_cost,
+                self.restartable,
+                self.prediction_window,
+                self.config.threshold_grid_size,
+            )
+            self._sc20 = SC20SplitArtifacts(base_policy, optimal)
         return self._sc20
 
     def sc20_if_trained(self) -> Optional[SC20SplitArtifacts]:
-        """The cached SC20 artifacts — never triggers training."""
-        return None if self._sc20 is self._UNSET else self._sc20
+        """The cached SC20 artifacts — never runs the threshold search."""
+        return self._sc20
 
     def rl(self) -> Optional[RLPolicy]:
-        """Hyperparameter-searched RL policy (None when nothing trained)."""
-        if self._rl is self._UNSET:
-            agent, training_cost, best_state = _train_rl_for_split(
-                self.prepared, self.split, self.config, self.rl_carry_in
-            )
-            if agent is not None:
-                self._rl_carry_out = best_state
-                self._rl = RLPolicy(
-                    agent,
-                    StateNormalizer(),
-                    training_cost_node_hours=training_cost,
-                )
-            else:
-                self._rl = None
+        """The split's selected RL policy (None when none was handed in)."""
         return self._rl
-
-    def rl_if_trained(self) -> Optional[RLPolicy]:
-        """The cached RL policy — never triggers training."""
-        return None if self._rl is self._UNSET else self._rl
-
-    def _inject_rl(
-        self, policy: Optional[RLPolicy], carry_out: Optional[dict]
-    ) -> None:
-        """Pre-seed the RL slot with an externally assembled policy.
-
-        Used by the per-trial reduce task (:func:`run_rl_reduce`), which
-        selects the best trial itself and must hand the resulting policy to
-        every builder of the "rl" group without retriggering the in-task
-        search.
-        """
-        self._rl = policy
-        if carry_out is not None:
-            self._rl_carry_out = carry_out
-
-    @property
-    def rl_carry_out(self) -> Optional[dict]:
-        """RL state to hand to the next split (after :meth:`rl` ran)."""
-        return self._rl_carry_out
 
 
 # --------------------------------------------------------------------- #
@@ -1073,28 +1022,6 @@ def fit_split_forest(
     )
 
 
-def _train_sc20_for_split(
-    ctx: SplitContext, fit: Optional[Tuple[Any, float]]
-) -> Optional[SC20SplitArtifacts]:
-    """Pick the optimal threshold of the split's fitted forest (per point:
-    it replays this point's test traces at its mitigation cost)."""
-    if fit is None:
-        return None
-    forest, rf_seconds = fit
-    base_policy = SC20RandomForestPolicy(
-        forest, training_cost_node_hours=rf_seconds / 3600.0
-    )
-    optimal = _select_optimal_threshold(
-        base_policy,
-        ctx.test_traces(),
-        ctx.mitigation_cost,
-        ctx.restartable,
-        ctx.prediction_window,
-        ctx.config.threshold_grid_size,
-    )
-    return SC20SplitArtifacts(base_policy=base_policy, optimal_threshold=optimal)
-
-
 def _score_policy(
     policy: MitigationPolicy,
     traces: Sequence[EvaluationTrace],
@@ -1149,12 +1076,11 @@ def _rl_trial_settings(
     """Pre-draw every trial's ``(DQNConfig, env seed)`` for one split.
 
     All trials' hyperparameters and seeds are drawn *sequentially* from the
-    single keyed ``search-{split}`` stream — exactly the consumption order
-    of the historical in-task trial loop — so the decomposed per-trial
-    tasks reproduce the in-task loop bit for bit regardless of which worker
-    runs which trial.  Trial 0 always uses the base configuration
-    unchanged, so a tiny search budget still contains a known-reasonable
-    setting.
+    single keyed ``search-{split}`` stream, so each trial's settings are a
+    pure function of (scenario, config, split, trial): the per-trial tasks
+    give the same numbers whichever worker runs which trial, in any order.
+    Trial 0 always uses the base configuration unchanged, so a tiny search
+    budget still contains a known-reasonable setting.
     """
     space = HyperparameterSpace()
     search_rng = RngFactory(scenario.seed).stream(f"search-{split_index}")
@@ -1174,7 +1100,8 @@ def _rl_trial_settings(
 def _rl_train_tracks(
     tracks: Dict[int, NodeFeatureTrack], split: TimeSeriesSplit
 ) -> Dict[int, NodeFeatureTrack]:
-    """The nodes with trainable decision points inside the split's train range."""
+    """The nodes with trainable decision points inside the split's train range
+    (none: the split has no RL training data)."""
     sliced = {
         node: track.slice_time(*split.train_range) for node, track in tracks.items()
     }
@@ -1228,7 +1155,6 @@ def _train_one_rl_trial(
     trial: int,
     config: ExperimentConfig,
     previous_state: Optional[dict],
-    scoring_traces: Optional[List[EvaluationTrace]] = None,
 ) -> RLTrialResult:
     """Train and score one hyperparameter candidate of one split.
 
@@ -1238,13 +1164,8 @@ def _train_one_rl_trial(
     recorded ``train_seconds`` span covers exactly this trial's training and
     scoring — summing the spans gives schedule-independent
     ``training_cost_node_hours`` accounting however the trials were laid
-    out across workers.
-
-    ``scoring_traces`` lets a caller running several trials in one process
-    (the in-task loop of :func:`_train_rl_for_split`) prefetch
-    :func:`_rl_scoring_traces` once; per-trial executor tasks leave it
-    ``None`` and share the build through the process-wide trace cache
-    instead.
+    out across workers.  The trials of a split share their scoring traces
+    through the process-wide trace cache.
     """
     scenario = prepared.scenario
     evaluation_cfg = scenario.evaluation
@@ -1260,8 +1181,7 @@ def _train_one_rl_trial(
             train_seconds=0.0,
             trained=False,
         )
-    if scoring_traces is None:
-        scoring_traces = _rl_scoring_traces(prepared, split)
+    scoring_traces = _rl_scoring_traces(prepared, split)
     dqn_config, env_seed = _rl_trial_settings(scenario, config, split.index)[trial]
     normalizer = StateNormalizer()
 
@@ -1306,14 +1226,13 @@ def _select_best_rl_trial(
 ) -> Tuple[Optional[DDDQNAgent], float, Optional[dict]]:
     """Fold a split's trial results into (best agent, cost node-hours, state).
 
-    The selection rule matches the historical loop exactly: trials are
-    considered in index order and a later trial must *strictly* beat the
-    running best, so ties resolve to the lowest trial index whichever order
-    the tasks finished in.  The charged training cost is the **sum of the
-    per-trial spans** — schedule-independent accounting that neither counts
-    executor queueing time (parallel trials) nor double-counts the agent's
-    internal gradient-update clock (the reconstructed best agent starts
-    with a zeroed counter).
+    Trials are considered in index order and a later trial must *strictly*
+    beat the running best, so ties resolve to the lowest trial index
+    whichever order the tasks finished in.  The charged training cost is
+    the **sum of the per-trial spans** — schedule-independent accounting
+    that neither counts executor queueing time (parallel trials) nor
+    double-counts the agent's internal gradient-update clock (the
+    reconstructed best agent starts with a zeroed counter).
     """
     ordered = sorted(trial_results, key=lambda result: result.trial)
     total_seconds = sum(result.train_seconds for result in ordered)
@@ -1333,124 +1252,54 @@ def _select_best_rl_trial(
     return _agent_from_state(config, best.state), total_seconds / 3600.0, best.state
 
 
-def _train_rl_for_split(
-    prepared: PreparedData,
-    split: TimeSeriesSplit,
-    config: ExperimentConfig,
-    previous_state: Optional[dict],
-) -> Tuple[Optional[DDDQNAgent], float, Optional[dict]]:
-    """Hyperparameter search + training of the RL agent for one split.
-
-    The in-task serial schedule of the same per-trial computation the
-    executor fans out; :func:`train_split` and custom "rl"-group builders
-    reach it lazily through :meth:`SplitContext.rl`.  Returns (best agent,
-    summed per-trial training+validation cost in node-hours, best state).
-    """
-    scoring_traces: Optional[List[EvaluationTrace]] = None
-    if _rl_train_tracks(prepared.tracks, split):
-        # Prefetch once for all trials (matters for hand-built PreparedData
-        # without a content key, which opts out of the trace cache).
-        scoring_traces = _rl_scoring_traces(prepared, split)
-    results = [
-        _train_one_rl_trial(
-            prepared, split, trial, config, previous_state, scoring_traces
-        )
-        for trial in range(_rl_n_trials(config))
-    ]
-    return _select_best_rl_trial(config, results)
-
-
 # --------------------------------------------------------------------- #
-# Stages 3 and 4: per-split training and evaluation
+# Executor tasks: the only place a split's models are trained
 # --------------------------------------------------------------------- #
-def train_split(
-    prepared: PreparedData,
-    split: TimeSeriesSplit,
-    config: ExperimentConfig,
-    rl_state_in: Optional[dict] = None,
-) -> TrainedSplit:
-    """Build every enabled approach's policy for one split via the registry."""
-    ensure_sc20_variants(config)
-    ctx = SplitContext(prepared, split, config, rl_carry_in=rl_state_in)
-    policies = {
-        spec.name: spec.build(ctx, config, ctx.factory)
-        for spec in enabled_specs(config)
-    }
-    return TrainedSplit(
-        split_index=split.index, policies=policies, rl_state=ctx.rl_carry_out
-    )
-
-
-def evaluate_split(
-    prepared: PreparedData,
-    split: TimeSeriesSplit,
-    trained: TrainedSplit,
-    config: ExperimentConfig,
-) -> SplitEvaluation:
-    """Replay a split's trained policies over its test traces."""
-    ctx = SplitContext(prepared, split, config)
-    evaluations = {
-        name: ctx.evaluate(policy) for name, policy in trained.policies.items()
-    }
-    return SplitEvaluation(
-        split_index=split.index,
-        evaluations=evaluations,
-        n_test_events=sum(len(trace) for trace in ctx.test_traces()),
-    )
-
-
 def _evaluate_group(
     ctx: SplitContext, group: str, config: ExperimentConfig
 ) -> GroupOutcome:
     """Build and evaluate every enabled approach of ``group`` on ``ctx``.
 
-    The shared tail of :func:`run_split_group` and :func:`run_rl_reduce`,
-    so the single-task and per-trial task shapes cannot drift apart.
+    The shared tail of :func:`run_split_group` and :func:`run_rl_reduce`.
     """
     specs = [spec for spec in enabled_specs(config) if spec.group == group]
     evaluations = {
         spec.name: ctx.evaluate(spec.build(ctx, config, ctx.factory))
         for spec in specs
     }
-    # Figure 6 artifacts are read from the context cache, never computed
-    # here: a custom approach in the "rf" / "rl" group whose builder did not
-    # ask for the shared model must not pay for training it (for "rf", the
-    # threshold search; the forest fit is its own task).
+    # The Figure 6 forest is read from the context cache, never computed
+    # here: an "rf" builder that did not ask for the shared forest must not
+    # pay for its threshold search.
     sc20_artifacts = ctx.sc20_if_trained()
     return GroupOutcome(
         split_index=ctx.split.index,
         group=group,
         evaluations=evaluations,
         n_test_events=sum(len(trace) for trace in ctx.test_traces()),
-        rl_state=ctx.rl_carry_out if group == "rl" else None,
+        rl_state=ctx.rl_state,
         sc20_policy=sc20_artifacts.optimal_policy if sc20_artifacts else None,
-        rl_policy=ctx.rl_if_trained(),
+        rl_policy=ctx.rl(),
     )
 
 
 def run_split_group(
-    deps: Dict[str, "GroupOutcome"],
+    deps: Dict[str, Any],
     prepared: PreparedData,
     split: TimeSeriesSplit,
     group: str,
     config: ExperimentConfig,
 ) -> GroupOutcome:
-    """Train and evaluate one approach group on one split (executor task).
+    """Evaluate one approach group on one split (executor task).
 
-    ``deps`` carries at most the previous split's "rl" outcome, whose
-    ``rl_state`` seeds this split's warm start, or the split's forest fit
-    ("rf" group).  ``prepared`` arrives through the executor's ``shared``
-    channel (shipped once per worker, not once per task).
+    ``deps`` holds the split's forest fit for the "rf" group and nothing
+    for any other, whose builders therefore get ``None`` from
+    :meth:`SplitContext.sc20` / :meth:`SplitContext.rl`.  ``prepared``
+    arrives through the executor's ``shared`` channel (shipped once per
+    worker, not once per task).
     """
     ensure_sc20_variants(config)
-    rl_state_in: Optional[dict] = None
-    forest: Any = SplitContext._UNSET
-    for outcome in deps.values():
-        if isinstance(outcome, GroupOutcome):
-            rl_state_in = outcome.rl_state
-        else:
-            forest = outcome
-    ctx = SplitContext(prepared, split, config, rl_state_in, forest)
+    forest = next(iter(deps.values()), None)
+    ctx = SplitContext(prepared, split, config, forest=forest)
     return _evaluate_group(ctx, group, config)
 
 
@@ -1494,46 +1343,30 @@ def run_rl_reduce(
 
     The reduce task of the per-trial fan-out: ``deps`` carries this split's
     :class:`RLTrialResult`\\ s, from which the best candidate is chosen by
-    the same strictly-better-in-trial-order rule as the historical loop,
+    the strictly-better-in-trial-order rule of :func:`_select_best_rl_trial`,
     reconstructed via :meth:`~repro.core.dqn.DDDQNAgent.from_state_dict`
-    and handed to every builder of the group.  Keyed under
-    ``rl-{split}``, so the warm-start chain (the next split's trial 0
-    depends on this task) and :func:`aggregate` see exactly the shape the
-    single-task graph produced.
+    and handed to every builder of the group.  Keyed under ``rl-{split}``:
+    the next split's trial 0 depends on it, and :func:`aggregate` reads it.
     """
     ensure_sc20_variants(config)
-    trial_results = [
-        value for value in deps.values() if isinstance(value, RLTrialResult)
-    ]
-    agent, training_cost, best_state = _select_best_rl_trial(config, trial_results)
-    ctx = SplitContext(prepared, split, config)
+    agent, training_cost, best_state = _select_best_rl_trial(
+        config, list(deps.values())
+    )
+    policy = None
     if agent is not None:
-        ctx._inject_rl(
-            RLPolicy(
-                agent, StateNormalizer(), training_cost_node_hours=training_cost
-            ),
-            best_state,
+        policy = RLPolicy(
+            agent, StateNormalizer(), training_cost_node_hours=training_cost
         )
-    else:
-        ctx._inject_rl(None, None)
+    ctx = SplitContext(prepared, split, config, rl=policy, rl_state=best_state)
     return _evaluate_group(ctx, "rl", config)
 
 
 # --------------------------------------------------------------------- #
 # Task-graph construction
 # --------------------------------------------------------------------- #
-def _has_rl_train_data(prepared: PreparedData, split: TimeSeriesSplit) -> bool:
-    """Whether any node has decision points inside the split's train range."""
-    for track in prepared.tracks.values():
-        sliced = track.slice_time(*split.train_range)
-        if len(sliced) and sliced.n_decision_points > 0:
-            return True
-    return False
-
-
-#: Priority of the tasks on the RL warm-start chain (trial-0, reduce, and
-#: the chained single-task shape): the chain is the task graph's critical
-#: path, so among simultaneously ready tasks it always gets a worker first.
+#: Priority of the tasks on the RL warm-start chain (trial 0 and the
+#: reduce): the chain is the task graph's critical path, so among
+#: simultaneously ready tasks it always gets a worker first.
 _CHAIN_PRIORITY = 10
 #: Forest fits unblock every sharing point's "rf" task: ahead of ordinary
 #: tasks, behind the chain.
@@ -1601,9 +1434,10 @@ def build_split_tasks(
       cross-split edge, so the serial critical path holds ``splits`` (not
       ``splits × trials``) training runs.
     * ``rl-{k}`` — the reduce: selects the split's best trial, evaluates the
-      group, and carries the warm-start state.  It keeps the exact key of
-      the old single "rl" task, so :func:`aggregate` and the chain edges
-      are oblivious to the decomposition.
+      group, and carries the warm-start state.
+
+    Without the built-in RL approach, an "rl"-group task is an ordinary
+    group task: no trials, no chain edge, and its builders get no agent.
 
     With the "rf" group, each split also gets a ``forest-<digest>-{k}``
     task (:func:`run_forest_fit`); ``rf-{k}`` depends on exactly that task
@@ -1612,11 +1446,11 @@ def build_split_tasks(
     emit the same task, and :func:`execute_split_tasks` runs it once.
 
     Chain tasks get a high :attr:`~repro.evaluation.executor.Task.priority`
-    (critical-path-first scheduling), forest tasks the next highest.  RL
-    tasks of consecutive splits are chained when the warm start (or the
-    pass-the-previous-agent-through fallback of splits without training
-    data) makes split ``k`` depend on split ``k - 1``; every other task
-    depends at most on its split's forest.
+    (critical-path-first scheduling), forest tasks the next highest.  The
+    trial fan-outs of consecutive splits are chained when the warm start
+    (or the pass-the-previous-agent-through fallback of splits without
+    training data) makes split ``k`` depend on split ``k - 1``; every other
+    task depends at most on its split's forest.
 
     The returned tasks carry only (split[, trial][, group], config); the
     driver passes the heavyweight :class:`PreparedData` once through the
@@ -1634,26 +1468,29 @@ def build_split_tasks(
         return Task(key=key, fn=fn, args=args, deps=deps, priority=priority)
 
     groups = approach_groups(config)
-    chain_rl = "rl" in groups and (
-        config.rl_warm_start
-        or any(not _has_rl_train_data(prepared, split) for split in splits)
-    )
     # Fan out per-trial tasks only when the built-in RL approach runs: a
-    # custom approach in the "rl" group may never ask for the shared agent,
-    # and the lazy single-task shape must not pay for training it.
+    # custom approach in the "rl" group gets no agent, so nothing trains.
     rl_fan_out = any(spec.name == "RL" for spec in groups.get("rl", []))
+    chain_rl = rl_fan_out and (
+        config.rl_warm_start
+        or any(not _rl_train_tracks(prepared.tracks, split) for split in splits)
+    )
     tasks: List[Task] = []
     for split in splits:
         for group in groups:
-            deps: Tuple[str, ...] = ()
-            if group == "rl" and chain_rl and split.index > 0:
-                deps = (f"{key_prefix}rl-{split.index - 1}",)
             if group == "rf":
-                deps = (_forest_task_key(prepared, split, config, key_prefix),)
+                forest_key = _forest_task_key(prepared, split, config, key_prefix)
                 tasks.append(task(
-                    deps[0], run_forest_fit, (split, config), (), _FOREST_PRIORITY
+                    forest_key, run_forest_fit, (split, config), (), _FOREST_PRIORITY
                 ))
-            if group == "rl" and rl_fan_out:
+                tasks.append(task(
+                    f"{key_prefix}rf-{split.index}", run_split_group,
+                    (split, group, config), (forest_key,),
+                ))
+            elif group == "rl" and rl_fan_out:
+                chain: Tuple[str, ...] = ()
+                if chain_rl and split.index > 0:
+                    chain = (f"{key_prefix}rl-{split.index - 1}",)
                 trial_keys: List[str] = []
                 for trial in range(_rl_n_trials(config)):
                     key = f"{key_prefix}rl-trial{trial}-{split.index}"
@@ -1661,18 +1498,17 @@ def build_split_tasks(
                     chained = trial == 0
                     tasks.append(task(
                         key, run_rl_trial, (split, trial, config),
-                        deps if chained else (), _CHAIN_PRIORITY if chained else 0,
+                        chain if chained else (), _CHAIN_PRIORITY if chained else 0,
                     ))
                 tasks.append(task(
                     f"{key_prefix}rl-{split.index}", run_rl_reduce, (split, config),
                     tuple(trial_keys), _CHAIN_PRIORITY,
                 ))
-                continue
-            tasks.append(task(
-                f"{key_prefix}{group}-{split.index}", run_split_group,
-                (split, group, config), deps,
-                _CHAIN_PRIORITY if group == "rl" and chain_rl else 0,
-            ))
+            else:
+                tasks.append(task(
+                    f"{key_prefix}{group}-{split.index}", run_split_group,
+                    (split, group, config),
+                ))
     return tasks
 
 
@@ -1707,7 +1543,7 @@ def execute_split_tasks(
 
 
 # --------------------------------------------------------------------- #
-# Stage 5: aggregation
+# Stage 3: aggregation
 # --------------------------------------------------------------------- #
 def _final_test_features(
     prepared: PreparedData, splits: Sequence[TimeSeriesSplit], config: ExperimentConfig

@@ -3,8 +3,8 @@
 Every bar of Figure 3 — Never/Always-mitigate, the SC20-RF family, Myopic-RF,
 the RL agent and the Oracle — is an :class:`ApproachSpec`: a display name, a
 ``build(ctx, config, factory) -> MitigationPolicy`` factory, a *group* naming
-the training resource it shares with sibling approaches, and an ``enabled``
-predicate over the :class:`~repro.evaluation.pipeline.ExperimentConfig`.
+the trained model its builder receives, and an ``enabled`` predicate over
+the :class:`~repro.evaluation.pipeline.ExperimentConfig`.
 
 The experiment driver derives everything from the registry: the canonical
 approach ordering (``APPROACH_ORDER``), the set of per-split tasks handed to
@@ -21,10 +21,14 @@ driver:
 ... ))  # doctest: +SKIP
 
 Builders receive the per-split :class:`~repro.evaluation.pipeline.SplitContext`
-(training data, cached shared resources such as the trained forest or the RL
-agent), the experiment config, and a scenario-rooted
-:class:`~repro.utils.rng.RngFactory` whose keyed streams make results
-independent of execution order — the property the parallel executor relies on.
+(training data and the models its executor task trained), the experiment
+config, and a scenario-rooted :class:`~repro.utils.rng.RngFactory` whose
+keyed streams make results independent of execution order — the property
+the parallel executor relies on.  The group decides the model: "rf"
+builders get the split's forest from ``ctx.sc20()``, "rl" builders the
+selected agent from ``ctx.rl()`` (when the built-in RL approach runs);
+every other builder gets ``None`` from both, as for a split without
+training data.
 
 The registry is process-global.  The process-pool executor reaches it through
 ``fork`` inheritance on Linux; on spawn-based platforms, approaches registered
@@ -84,8 +88,9 @@ class ApproachSpec:
     name: str
     #: Factory producing the policy evaluated on each split's test range.
     build: PolicyBuilder
-    #: Approaches in the same group share one executor task per split (and
-    #: through the :class:`SplitContext` cache, one set of trained models).
+    #: Approaches in the same group share one executor task per split, and
+    #: the group names the model the builder receives: "rf" the split's
+    #: forest, "rl" the selected agent, any other group none.
     group: str = "custom"
     #: Sort position in reports; registration order breaks ties.
     order: float = 1000.0

@@ -16,11 +16,15 @@ from repro.evaluation.cross_validation import TimeSeriesNestedCV
 from repro.evaluation.experiment import ExperimentConfig, run_experiment
 from repro.evaluation.pipeline import (
     PreparedData,
+    _rl_n_trials,
     build_split_tasks,
-    evaluate_split,
+    execute_split_tasks,
     make_splits,
     prepare_data,
-    train_split,
+    run_forest_fit,
+    run_rl_reduce,
+    run_rl_trial,
+    run_split_group,
 )
 from repro.evaluation.registry import enabled_specs
 from repro.utils.timeutils import DAY
@@ -64,30 +68,61 @@ class TestStages:
         ).splits(0.0, tiny_scenario.duration_seconds)
         assert splits == expected
 
-    def test_train_and_evaluate_split_cover_enabled_approaches(
+    def test_split_tasks_cover_enabled_approaches(
         self, tiny_prepared, tiny_scenario
     ):
+        # Every group's task on the split with the most history: together
+        # they evaluate exactly the enabled approaches, and the "rf" and
+        # "rl" tasks return the models their dependencies trained.
         split = make_splits(tiny_scenario)[-1]
-        trained = train_split(tiny_prepared, split, TINY_CONFIG)
-        expected = [spec.name for spec in enabled_specs(TINY_CONFIG)]
-        assert list(trained.policies) == expected
-
-        evaluated = evaluate_split(tiny_prepared, split, trained, TINY_CONFIG)
-        assert list(evaluated.evaluations) == expected
-        assert evaluated.n_test_events > 0
-        for name, evaluation in evaluated.evaluations.items():
+        data, config = tiny_prepared, TINY_CONFIG
+        forest = {"forest": run_forest_fit({}, data, split, config)}
+        trials = {
+            f"rl-trial{trial}": run_rl_trial({}, data, split, trial, config)
+            for trial in range(_rl_n_trials(config))
+        }
+        outcomes = [
+            run_split_group({}, data, split, "static", config),
+            run_split_group(forest, data, split, "rf", config),
+            run_rl_reduce(trials, data, split, config),
+            run_split_group({}, data, split, "oracle", config),
+        ]
+        evaluations = {
+            name: evaluation
+            for outcome in outcomes
+            for name, evaluation in outcome.evaluations.items()
+        }
+        assert list(evaluations) == [spec.name for spec in enabled_specs(TINY_CONFIG)]
+        assert outcomes[1].sc20_policy is not None
+        assert outcomes[2].rl_policy is not None
+        assert all(outcome.n_test_events > 0 for outcome in outcomes)
+        for name, evaluation in evaluations.items():
             assert evaluation.policy_name == name
 
-    def test_rl_state_carries_between_splits(self, tiny_prepared, tiny_scenario):
-        splits = make_splits(tiny_scenario)
-        first = train_split(tiny_prepared, splits[0], TINY_CONFIG)
-        second = train_split(
-            tiny_prepared, splits[1], TINY_CONFIG, rl_state_in=first.rl_state
+    def test_rl_state_carries_between_splits(
+        self, tiny_prepared, tiny_scenario, monkeypatch
+    ):
+        # The warm-start chain of the task graph: split 1's base candidate
+        # loads exactly the state split 0's reduce selected.
+        import repro.evaluation.pipeline as pipeline_mod
+
+        loaded = {}
+        original = pipeline_mod._train_one_rl_trial
+
+        def recording(prepared, split, trial, config, previous_state):
+            loaded[(split.index, trial)] = previous_state
+            return original(prepared, split, trial, config, previous_state)
+
+        monkeypatch.setattr(pipeline_mod, "_train_one_rl_trial", recording)
+        config = TINY_CONFIG.with_overrides(executor_kind="serial")
+        splits = make_splits(tiny_scenario)[:2]
+        outcomes = execute_split_tasks(
+            build_split_tasks(tiny_prepared, splits, config), config, tiny_prepared
         )
-        # Whenever the RL agent trained, its state is available to chain.
-        if first.policies["RL"].name == "RL" and first.rl_state is not None:
-            assert isinstance(first.rl_state, dict)
-        assert second.split_index == 1
+        carried = outcomes["rl-0"].rl_state
+        assert isinstance(carried, dict)
+        assert loaded[(0, 0)] is None
+        assert loaded[(1, 0)] is carried
 
     def test_build_split_tasks_one_per_group_and_rl_chain(
         self, tiny_prepared, tiny_scenario
@@ -141,9 +176,7 @@ class TestStages:
         def _exploding_rl_training(*args, **kwargs):
             raise AssertionError("RL training ran despite include_rl=False")
 
-        monkeypatch.setattr(
-            pipeline_mod, "_train_rl_for_split", _exploding_rl_training
-        )
+        monkeypatch.setattr(pipeline_mod, "train_agent", _exploding_rl_training)
         register_approach(ApproachSpec(
             name="Cheap-RL-variant",
             build=lambda ctx, cfg, rng: CallablePolicy(
@@ -161,6 +194,44 @@ class TestStages:
             unregister_approach("Cheap-RL-variant")
         assert list(outcome.evaluations) == ["Cheap-RL-variant"]
         assert outcome.rl_policy is None
+
+    def test_custom_group_gets_no_model_and_trains_none(
+        self, tiny_prepared, tiny_scenario, monkeypatch
+    ):
+        # The group names the model a builder receives: outside "rf" and
+        # "rl", ctx.sc20() / ctx.rl() are None, and asking fits nothing.
+        from repro.baselines.random_forest import RandomForestClassifier
+        from repro.core.policies import CallablePolicy
+        from repro.evaluation.registry import (
+            ApproachSpec,
+            register_approach,
+            unregister_approach,
+        )
+
+        fits = []
+        original_fit = RandomForestClassifier.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(self)
+            return original_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(RandomForestClassifier, "fit", counting_fit)
+        seen = {}
+
+        def build(ctx, cfg, rng):
+            seen["sc20"], seen["rl"] = ctx.sc20(), ctx.rl()
+            return CallablePolicy(lambda context: False, name="Model-reader")
+
+        register_approach(ApproachSpec(name="Model-reader", build=build))
+        try:
+            split = make_splits(tiny_scenario)[-1]
+            outcome = run_split_group({}, tiny_prepared, split, "custom", TINY_CONFIG)
+        finally:
+            unregister_approach("Model-reader")
+        assert seen == {"sc20": None, "rl": None}
+        assert fits == []
+        assert list(outcome.evaluations) == ["Model-reader"]
+        assert outcome.sc20_policy is None and outcome.rl_policy is None
 
     def test_build_split_tasks_without_rf_family(self, tiny_prepared, tiny_scenario):
         # Regression: include_rf=False used to crash in ensure_sc20_variants,

@@ -2,9 +2,23 @@
 
 import pytest
 
-from repro.core.policies import CallablePolicy, MitigationPolicy
+from repro.core.features import StateNormalizer
+from repro.core.policies import (
+    CallablePolicy,
+    FallbackPolicy,
+    MitigationPolicy,
+    RLPolicy,
+)
 from repro.evaluation.experiment import APPROACH_ORDER, ExperimentConfig
-from repro.evaluation.pipeline import PreparedData, SplitContext, make_splits
+from repro.evaluation.pipeline import (
+    PreparedData,
+    SplitContext,
+    _rl_n_trials,
+    _select_best_rl_trial,
+    _train_one_rl_trial,
+    fit_split_forest,
+    make_splits,
+)
 from repro.evaluation.registry import (
     ApproachSpec,
     approach_groups,
@@ -183,11 +197,27 @@ class TestBuilderRoundTrip:
             reduction_report=reduction_report,
         )
         split = make_splits(scenario)[-1]  # most history: every model trains
-        ctx = SplitContext(prepared, split, build_config)
+        # The models the executor tasks would hand in: the split's forest
+        # fit and the RL search's selected agent.
+        forest = fit_split_forest(prepared, split, build_config)
+        trials = [
+            _train_one_rl_trial(prepared, split, trial, build_config, None)
+            for trial in range(_rl_n_trials(build_config))
+        ]
+        agent, cost, state = _select_best_rl_trial(build_config, trials)
+        assert forest is not None and agent is not None
+        rl = RLPolicy(agent, StateNormalizer(), training_cost_node_hours=cost)
+        ctx = SplitContext(
+            prepared, split, build_config, forest=forest, rl=rl, rl_state=state
+        )
+        trained = {"SC20-RF", "SC20-RF-2%", "SC20-RF-5%", "Myopic-RF", "RL"}
+        assert trained <= {spec.name for spec in enabled_specs(build_config)}
         for spec in enabled_specs(build_config):
             policy = spec.build(ctx, build_config, ctx.factory)
             assert isinstance(policy, MitigationPolicy), spec.name
             assert policy.name == spec.name
+            if spec.name in trained:
+                assert not isinstance(policy, FallbackPolicy), spec.name
             evaluation = ctx.evaluate(policy)
             assert evaluation.policy_name == spec.name
             assert evaluation.costs.total >= 0.0

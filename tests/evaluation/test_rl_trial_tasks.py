@@ -6,10 +6,9 @@ Three properties carry the feature:
   dependencies; only trial 0 rides the warm-start chain (through the
   select-best reduce task, which keeps the old ``rl-{split}`` key);
   ``key_prefix`` keeps two sweep points' trial tasks disjoint.
-* **Determinism** — the decomposed graph is *result-identical* to the
-  in-task trial loop ``train_split`` runs, serially and with workers: the
-  per-trial settings are pre-drawn from the same sequential keyed stream
-  the loop consumes.
+* **Determinism** — the graph is *result-identical* serially and with
+  workers: the per-trial settings are pre-drawn from one sequential keyed
+  stream per split, so no trial depends on the schedule.
 * **Accounting** — ``training_cost_node_hours`` is the sum of the per-trial
   training spans, independent of how the trials were scheduled (the
   regression test for the whole-loop wall-clock span bug).
@@ -27,11 +26,11 @@ from repro.evaluation.pipeline import (
     RLTrialResult,
     _rl_n_trials,
     _rl_trial_settings,
+    _select_best_rl_trial,
+    _train_one_rl_trial,
     build_split_tasks,
-    evaluate_split,
     make_splits,
     prepare_data,
-    train_split,
 )
 from repro.utils.timeutils import DAY
 
@@ -127,9 +126,9 @@ class TestGraphShape:
     def test_fan_out_requires_the_builtin_rl_approach(
         self, tiny_prepared, tiny_scenario
     ):
-        # A custom approach sharing the "rl" group must keep the lazy
-        # single-task shape when the built-in RL approach is disabled: the
-        # trial tasks would train an agent no builder may ever ask for.
+        # Without the built-in RL approach, a custom approach in the "rl"
+        # group gets an ordinary group task: no trials to train an agent
+        # nobody is handed, and no chain edge between splits.
         from repro.core.policies import CallablePolicy
         from repro.evaluation.registry import (
             ApproachSpec,
@@ -153,6 +152,8 @@ class TestGraphShape:
         keys = {task.key for task in tasks}
         assert f"rl-{splits[0].index}" in keys
         assert not any("rl-trial" in key for key in keys)
+        rl_tasks = [task for task in tasks if task.key.startswith("rl-")]
+        assert all(task.deps == () and task.priority == 0 for task in rl_tasks)
 
 
 class TestTrialSettings:
@@ -189,21 +190,6 @@ class TestDeterminism:
             ):
                 assert left.costs == right.costs, name
                 assert left.confusion == right.confusion, name
-
-    def test_train_split_equals_fan_out(
-        self, tiny_prepared, tiny_scenario, fan_serial
-    ):
-        # train_split reaches the in-task trial loop through
-        # SplitContext.rl(); on the first split (no warm-start carry) it
-        # must reproduce the fan-out's trial tasks and reduce exactly.
-        split = make_splits(tiny_scenario)[0]
-        trained = train_split(tiny_prepared, split, TRIAL_CONFIG)
-        assert "RL" in trained.policies
-        evaluated = evaluate_split(tiny_prepared, split, trained, TRIAL_CONFIG)
-        for name, evaluation in evaluated.evaluations.items():
-            reference = fan_serial.approaches[name].per_split[split.index]
-            assert evaluation.costs == reference.costs, name
-            assert evaluation.confusion == reference.confusion, name
 
     def test_two_workers_equal_serial_fan(self, tiny_scenario, fan_serial):
         parallel = run_experiment(
@@ -251,13 +237,13 @@ class TestTrainingCostAccounting:
         return dataclasses.replace(tiny_prepared, data_key=()), clock
 
     def test_cost_is_sum_of_trial_spans(self, fake_timed_pipeline, tiny_scenario):
-        from repro.evaluation.pipeline import _train_rl_for_split
-
         prepared, clock = fake_timed_pipeline
         split = make_splits(tiny_scenario)[-1]
-        agent, cost_hours, state = _train_rl_for_split(
-            prepared, split, TRIAL_CONFIG, None
-        )
+        trials = [
+            _train_one_rl_trial(prepared, split, trial, TRIAL_CONFIG, None)
+            for trial in range(_rl_n_trials(TRIAL_CONFIG))
+        ]
+        agent, cost_hours, state = _select_best_rl_trial(TRIAL_CONFIG, trials)
         assert agent is not None and state is not None
         # 3 trials x 1 fake hour each; the 500 s trace builds are excluded.
         assert cost_hours == pytest.approx(3.0)
@@ -266,8 +252,6 @@ class TestTrainingCostAccounting:
         assert agent.training_cost_node_hours == 0.0
 
     def test_reduce_sums_spans_from_any_schedule(self):
-        from repro.evaluation.pipeline import _select_best_rl_trial
-
         trials = [
             RLTrialResult(0, trial=t, score=float(-t), state={"hidden_0_w": None},
                           train_seconds=3600.0, trained=True)

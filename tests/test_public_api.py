@@ -61,9 +61,10 @@ class TestEvaluationSurface:
     PUBLIC = ("run_experiment", "run_sweep", "SweepSpec", "ExperimentConfig",
               "PreparedDataCache", "format_cost_table", "register_approach")
     INTERNAL = ("build_split_tasks", "prepared_data_key", "trace_cache_stats",
-                "train_split", "evaluate_split", "aggregate", "make_splits",
-                "prepare_data", "execute_tasks", "Task", "SplitContext",
-                "GroupOutcome")
+                "aggregate", "make_splits", "prepare_data", "execute_tasks",
+                "Task", "SplitContext", "GroupOutcome")
+    # Stages deleted outright: a split's models train only in executor tasks.
+    REMOVED = ("train_split", "evaluate_split", "TrainedSplit", "SplitEvaluation")
     # Where each internal actually lives — the supported import path.
     HOMES = {"execute_tasks": "repro.evaluation.executor",
              "Task": "repro.evaluation.executor"}
@@ -76,7 +77,7 @@ class TestEvaluationSurface:
         for name in self.INTERNAL:
             assert name not in evaluation.__all__, name
 
-    @pytest.mark.parametrize("name", INTERNAL)
+    @pytest.mark.parametrize("name", INTERNAL + REMOVED)
     def test_old_import_path_is_gone(self, name):
         """The deprecation shim served its one release and is removed."""
         with pytest.raises(AttributeError, match="no attribute"):
@@ -86,6 +87,13 @@ class TestEvaluationSurface:
     def test_home_module_import_path_works(self, name):
         home = self.HOMES.get(name, "repro.evaluation.pipeline")
         assert getattr(importlib.import_module(home), name) is not None
+
+    @pytest.mark.parametrize("name", REMOVED)
+    def test_removed_stage_is_gone(self, name):
+        from repro.evaluation import pipeline
+
+        assert not hasattr(pipeline, name)
+        assert name not in pipeline.__all__
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError, match="no attribute"):

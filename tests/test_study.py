@@ -2,8 +2,8 @@
 
 The load-bearing test here is the acceptance round-trip: a sweep run into a
 fresh store, all in-memory caches dropped, then ``Study.resume()`` of the
-same spec — which must call ``prepare_data`` / ``train_split`` exactly zero
-times while reproducing a byte-identical ``SweepResult`` JSON.
+same spec — which must call ``prepare_data`` and every executor task body
+exactly zero times while reproducing a byte-identical ``SweepResult`` JSON.
 """
 
 from __future__ import annotations
@@ -34,25 +34,29 @@ TINY = ExperimentConfig(
 SPEC = SweepSpec(base=SCENARIO, mitigation_costs=(2.0, 10.0))
 
 
+#: The executor task bodies: everything that trains or evaluates a split.
+TASK_BODIES = ("run_forest_fit", "run_rl_trial", "run_rl_reduce", "run_split_group")
+
+
 @pytest.fixture()
 def stage_counters(monkeypatch):
-    """Count every ``prepare_data`` / ``train_split`` stage invocation."""
-    calls = {"prepare_data": 0, "train_split": 0}
-    orig_prepare = pipeline.prepare_data
-    orig_train = pipeline.train_split
+    """Count every ``prepare_data`` call and every executor task body run."""
+    calls = dict.fromkeys(("prepare_data",) + TASK_BODIES, 0)
 
-    def counting_prepare(*args, **kwargs):
-        calls["prepare_data"] += 1
-        return orig_prepare(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    def counting_train(*args, **kwargs):
-        calls["train_split"] += 1
-        return orig_train(*args, **kwargs)
+        return wrapper
 
+    counting_prepare = counting("prepare_data", pipeline.prepare_data)
     monkeypatch.setattr(pipeline, "prepare_data", counting_prepare)
-    monkeypatch.setattr(pipeline, "train_split", counting_train)
     # run_experiment binds prepare_data into its own namespace at import.
     monkeypatch.setattr(experiment, "prepare_data", counting_prepare)
+    # build_split_tasks reads the task bodies from the module when it runs.
+    for name in TASK_BODIES:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
     return calls
 
 
@@ -97,6 +101,7 @@ class TestScenarioStudies:
         first.run(TINY)
         computed_calls = dict(stage_counters)
         assert computed_calls["prepare_data"] == 1
+        assert computed_calls["run_split_group"] > 0
 
         clear_trace_cache()
         second = Study.from_scenario(SCENARIO, store=store)
@@ -130,17 +135,19 @@ class TestSweepResume:
         assert first.points_computed == ["cost=2", "cost=10"]
         assert first.points_loaded == []
         assert stage_counters["prepare_data"] == 1  # both points share data
-        assert stage_counters["train_split"] == 0  # group tasks, not train_split
+        # Both points trained and evaluated (the forest fits may come from
+        # the process-wide cache of an earlier run).
+        for name in ("run_rl_trial", "run_rl_reduce", "run_split_group"):
+            assert stage_counters[name] > 0, name
         json_1 = result_1.to_json()
 
         # Simulate a new session: drop every in-memory cache.
         clear_trace_cache()
-        stage_counters["prepare_data"] = 0
-        stage_counters["train_split"] = 0
+        stage_counters.update(dict.fromkeys(stage_counters, 0))
 
         second = Study.from_sweep(SPEC, store=ArtifactStore(tmp_path / "runs"))
         result_2 = second.resume(TINY)
-        assert stage_counters == {"prepare_data": 0, "train_split": 0}
+        assert stage_counters == dict.fromkeys(stage_counters, 0)
         assert second.points_loaded == ["cost=2", "cost=10"]
         assert second.points_computed == []
         assert result_2.to_json() == json_1
