@@ -83,18 +83,8 @@ def cached_experiment(
     scenario: ScenarioConfig, config: ExperimentConfig, key_extra: str = ""
 ) -> ExperimentResult:
     """Run (or reuse) an experiment for the given scenario/config pair."""
-    key = (
-        scenario.name,
-        scenario.seed,
-        scenario.evaluation.mitigation_cost_node_minutes,
-        scenario.evaluation.restartable,
-        config.rl_episodes,
-        config.rl_hyperparam_trials,
-        config.job_scaling_factor,
-        config.manufacturer,
-        config.include_rl,
-        key_extra,
-    )
+    # Key on the full frozen dataclasses, so no field can be left out.
+    key = (scenario, config, key_extra)
     if key not in _CACHE:
         _CACHE[key] = run_experiment(scenario, config)
     return _CACHE[key]

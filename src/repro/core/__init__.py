@@ -4,8 +4,8 @@ This package contains the paper's primary contribution (Section 3): the
 Markov-decision-process formulation of uncorrected-error mitigation control,
 the per-node feature extraction of Table 1, the log-replay environment, the
 dueling double deep Q-network with prioritized experience replay, the
-training loop and hyperparameter search, plus policy wrappers used by the
-evaluation harness.
+training loop and the hyperparameter search space, plus policy wrappers
+used by the evaluation harness.
 """
 
 from repro.core.dqn import DDDQNAgent, DQNConfig
@@ -20,7 +20,7 @@ from repro.core.features import (
     build_feature_tracks,
     extract_node_features,
 )
-from repro.core.hyperparams import HyperparameterSpace, RandomSearchResult, random_search
+from repro.core.hyperparams import HyperparameterSpace
 from repro.core.mdp import Action, Transition, compute_reward
 from repro.core.policies import (
     DecisionContext,
@@ -46,7 +46,6 @@ __all__ = [
     "OnlineStep",
     "PrioritizedReplayBuffer",
     "RLPolicy",
-    "RandomSearchResult",
     "StateNormalizer",
     "SumTree",
     "TabularQAgent",
@@ -57,6 +56,5 @@ __all__ = [
     "build_feature_tracks",
     "compute_reward",
     "extract_node_features",
-    "random_search",
     "train_agent",
 ]

@@ -1,22 +1,20 @@
-"""Two-round random hyperparameter search (Section 4.1).
+"""The sampling space of the random hyperparameter search (Section 4.1).
 
 The paper tunes the learning rate, the discount factor γ, the update and
 synchronisation frequencies of the two networks and some prioritized-replay
 parameters with a first round of random search (60 configurations), followed
 by a second, narrowed round around the best configuration; the agent finally
-selected is the best performer on the validation set.
+selected is the best performer on the validation set.  Both rounds run as
+executor tasks (:func:`repro.evaluation.pipeline.build_split_tasks`); this
+module holds only the space they sample from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
-
-from repro.core.dqn import DQNConfig
-from repro.utils.rng import as_generator
-from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -70,71 +68,3 @@ class HyperparameterSpace:
             self.gamma_complement, max(1e-4, 1.0 - float(best["gamma"]))
         )
         return replace(self, learning_rate=lr, gamma_complement=gamma_c)
-
-
-@dataclass
-class RandomSearchResult:
-    """Outcome of a hyperparameter search."""
-
-    best_params: Dict[str, object]
-    best_score: float
-    trials: List[Tuple[Dict[str, object], float]] = field(default_factory=list)
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.trials)
-
-    def best_config(self, base: Optional[DQNConfig] = None) -> DQNConfig:
-        """Materialise the best assignment on top of a base config."""
-        base = base or DQNConfig()
-        return base.with_overrides(**self.best_params)
-
-
-def random_search(
-    evaluate: Callable[[Dict[str, object]], float],
-    space: Optional[HyperparameterSpace] = None,
-    n_initial: int = 60,
-    n_refine: int = 20,
-    seed=0,
-) -> RandomSearchResult:
-    """Two-round random search maximising ``evaluate(params)``.
-
-    Parameters
-    ----------
-    evaluate:
-        Callable scoring one hyperparameter assignment (higher is better);
-        in the paper this is the validation-set reward of an agent trained
-        with those hyperparameters.
-    space:
-        Sampling space of the first round.
-    n_initial:
-        Number of configurations in the first round (paper: 60).
-    n_refine:
-        Number of configurations in the narrowed second round.
-    """
-    check_positive("n_initial", n_initial)
-    space = space or HyperparameterSpace()
-    rng = as_generator(seed, "hyperparams")
-
-    trials: List[Tuple[Dict[str, object], float]] = []
-    best_params: Optional[Dict[str, object]] = None
-    best_score = -np.inf
-
-    def _run_round(current_space: HyperparameterSpace, n: int) -> None:
-        nonlocal best_params, best_score
-        for _ in range(int(n)):
-            params = current_space.sample(rng)
-            score = float(evaluate(params))
-            trials.append((params, score))
-            if score > best_score:
-                best_score = score
-                best_params = params
-
-    _run_round(space, n_initial)
-    if n_refine > 0 and best_params is not None:
-        _run_round(space.narrowed_around(best_params), n_refine)
-
-    assert best_params is not None
-    return RandomSearchResult(
-        best_params=best_params, best_score=best_score, trials=trials
-    )

@@ -10,8 +10,10 @@ The ``run_experiment`` driver runs three stages around one executor graph:
 :func:`build_split_tasks` / :func:`execute_split_tasks`
     The per-split executor tasks (:mod:`repro.evaluation.executor`):
     :func:`run_forest_fit` fits a split's SC20 forest, :func:`run_rl_trial`
-    trains one RL hyperparameter candidate, :func:`run_rl_reduce` selects a
-    split's best candidate and evaluates the "rl" group, and
+    trains one RL hyperparameter candidate, :func:`run_rl_search` picks the
+    first search round's winner for the narrowed second round,
+    :func:`run_rl_reduce` selects a split's best candidate and evaluates
+    the "rl" group, and
     :func:`run_split_group` evaluates any other approach group on the
     split's test traces.
 ``aggregate``
@@ -23,12 +25,14 @@ group names the model its builder receives through the read-only
 :class:`SplitContext`: "rf" builders get the split's forest, "rl" builders
 the selected agent, every other builder ``None`` (as for a split without
 training data).  Only the warm-started RL trial 0 rides the cross-split
-chain, while the remaining trials fan out across idle workers.  All
+chain, while the remaining trials fan out across idle workers; a second,
+narrowed search round waits only for the first round's winner.  All
 randomness is drawn from keyed :class:`~repro.utils.rng.RngFactory` streams
-(per-trial settings are pre-drawn from one sequential stream per split),
-which makes every task self-seeding: serial and parallel schedules produce
-identical results (wall-clock training-cost accounting aside — disable
-``ExperimentConfig.charge_training_time`` for bitwise-identical runs).
+(per-trial settings are pre-drawn from one sequential stream per split and
+search round), which makes every task self-seeding: serial and parallel
+schedules produce identical results (wall-clock training-cost accounting
+aside — disable ``ExperimentConfig.charge_training_time`` for
+bitwise-identical runs).
 
 Two content-keyed caches remove redundant work across experiments:
 :class:`PreparedDataCache` shares one :class:`PreparedData` product between
@@ -106,6 +110,7 @@ __all__ = [
     "prepare_data",
     "prepared_data_key",
     "run_rl_reduce",
+    "run_rl_search",
     "run_rl_trial",
     "run_split_group",
     "trace_cache_stats",
@@ -135,7 +140,8 @@ class ExperimentConfig:
     #: Number of random-search trials in the first round (the first trial
     #: always uses the base configuration unchanged).
     rl_hyperparam_trials: int = 2
-    #: Number of trials in the narrowed second round.
+    #: Number of trials in the second round, narrowed around the first
+    #: round's winner.
     rl_hyperparam_refine: int = 0
     #: Hidden layout of the Q-network (paper: 256, 256, 128, 64).
     rl_hidden_sizes: Sequence[int] = (64, 48)
@@ -1065,34 +1071,52 @@ class RLTrialResult:
     trained: bool
 
 
+def _rl_n_first_round(config: ExperimentConfig) -> int:
+    """Number of first-round hyperparameter trials per split."""
+    return max(1, config.rl_hyperparam_trials)
+
+
 def _rl_n_trials(config: ExperimentConfig) -> int:
     """Number of hyperparameter trials per split (both search rounds)."""
-    return max(1, config.rl_hyperparam_trials) + max(0, config.rl_hyperparam_refine)
+    return _rl_n_first_round(config) + max(0, config.rl_hyperparam_refine)
 
 
 def _rl_trial_settings(
-    scenario: ScenarioConfig, config: ExperimentConfig, split_index: int
+    scenario: ScenarioConfig,
+    config: ExperimentConfig,
+    split_index: int,
+    winner: int = 0,
 ) -> List[Tuple[DQNConfig, int]]:
     """Pre-draw every trial's ``(DQNConfig, env seed)`` for one split.
 
-    All trials' hyperparameters and seeds are drawn *sequentially* from the
-    single keyed ``search-{split}`` stream, so each trial's settings are a
-    pure function of (scenario, config, split, trial): the per-trial tasks
-    give the same numbers whichever worker runs which trial, in any order.
-    Trial 0 always uses the base configuration unchanged, so a tiny search
-    budget still contains a known-reasonable setting.
+    The first round's trials are drawn *sequentially* from the keyed
+    ``search-{split}`` stream; trial 0 always uses the base configuration
+    unchanged, so a tiny search budget still contains a known-reasonable
+    setting.  The second round's trials are drawn from the ``refine-{split}``
+    stream, in the space narrowed around the learning rate and γ of first-
+    round trial ``winner``.  Each trial's settings are therefore a pure
+    function of (scenario, config, split, trial, winner): the per-trial
+    tasks give the same numbers whichever worker runs which trial, in any
+    order.
     """
+    factory = RngFactory(scenario.seed)
     space = HyperparameterSpace()
-    search_rng = RngFactory(scenario.seed).stream(f"search-{split_index}")
+    rng = factory.stream(f"search-{split_index}")
     settings: List[Tuple[DQNConfig, int]] = []
     for trial in range(_rl_n_trials(config)):
-        params = {} if trial == 0 else space.sample(search_rng)
+        if trial == _rl_n_first_round(config):
+            best = settings[winner][0]
+            space = space.narrowed_around(
+                {"learning_rate": best.learning_rate, "gamma": best.gamma}
+            )
+            rng = factory.stream(f"refine-{split_index}")
+        params = {} if trial == 0 else space.sample(rng)
         dqn_config = config.rl_base_config.with_overrides(
             hidden_sizes=tuple(config.rl_hidden_sizes),
-            seed=int(search_rng.integers(1 << 30)),
+            seed=int(rng.integers(1 << 30)),
             **params,
         )
-        env_seed = int(search_rng.integers(1 << 30))
+        env_seed = int(rng.integers(1 << 30))
         settings.append((dqn_config, env_seed))
     return settings
 
@@ -1155,9 +1179,12 @@ def _train_one_rl_trial(
     trial: int,
     config: ExperimentConfig,
     previous_state: Optional[dict],
+    winner: int = 0,
 ) -> RLTrialResult:
     """Train and score one hyperparameter candidate of one split.
 
+    ``winner`` is the first round's best trial, around which a second-round
+    trial's settings are narrowed (:func:`_rl_trial_settings`).
     Self-seeding (all randomness comes from keyed streams of the scenario
     root plus the pre-drawn trial settings), so the executor may run trials
     in any order on any worker without changing a single number.  The
@@ -1182,7 +1209,8 @@ def _train_one_rl_trial(
             trained=False,
         )
     scoring_traces = _rl_scoring_traces(prepared, split)
-    dqn_config, env_seed = _rl_trial_settings(scenario, config, split.index)[trial]
+    settings = _rl_trial_settings(scenario, config, split.index, winner)
+    dqn_config, env_seed = settings[trial]
     normalizer = StateNormalizer()
 
     started = time.perf_counter()
@@ -1221,27 +1249,36 @@ def _train_one_rl_trial(
     )
 
 
+def _best_rl_trial(trial_results: Iterable[RLTrialResult]) -> Optional[RLTrialResult]:
+    """The best trained trial, or ``None`` when no trial trained.
+
+    Trials are considered in index order and a later trial must *strictly*
+    beat the running best, so ties resolve to the lowest trial index
+    whichever order the tasks finished in.
+    """
+    best: Optional[RLTrialResult] = None
+    best_score = -np.inf
+    for result in sorted(trial_results, key=lambda result: result.trial):
+        if result.trained and result.score > best_score:
+            best_score = result.score
+            best = result
+    return best
+
+
 def _select_best_rl_trial(
     config: ExperimentConfig, trial_results: Sequence[RLTrialResult]
 ) -> Tuple[Optional[DDDQNAgent], float, Optional[dict]]:
     """Fold a split's trial results into (best agent, cost node-hours, state).
 
-    Trials are considered in index order and a later trial must *strictly*
-    beat the running best, so ties resolve to the lowest trial index
-    whichever order the tasks finished in.  The charged training cost is
-    the **sum of the per-trial spans** — schedule-independent accounting
+    The best trial is :func:`_best_rl_trial`'s.  The charged training cost
+    is the **sum of the per-trial spans** — schedule-independent accounting
     that neither counts executor queueing time (parallel trials) nor
     double-counts the agent's internal gradient-update clock (the
     reconstructed best agent starts with a zeroed counter).
     """
     ordered = sorted(trial_results, key=lambda result: result.trial)
     total_seconds = sum(result.train_seconds for result in ordered)
-    best: Optional[RLTrialResult] = None
-    best_score = -np.inf
-    for result in ordered:
-        if result.trained and result.score > best_score:
-            best_score = result.score
-            best = result
+    best = _best_rl_trial(ordered)
     if best is None:
         # No trial trained (no history in the train range): pass the
         # previous split's agent through, or nothing if there is none yet.
@@ -1322,15 +1359,34 @@ def run_rl_trial(
 ) -> RLTrialResult:
     """Train one RL hyperparameter candidate (per-trial executor task).
 
-    ``deps`` is empty for the independent search trials 1..N; trial 0 — the
-    warm-started base candidate — receives the previous split's "rl" reduce
-    outcome, whose ``rl_state`` seeds this split's warm start.  ``prepared``
-    arrives through the executor's ``shared`` channel.
+    ``deps`` is empty for the independent first-round trials 1..N-1; trial
+    0 — the warm-started base candidate — receives the previous split's
+    "rl" reduce outcome, whose ``rl_state`` seeds this split's warm start.
+    A second-round trial receives only :func:`run_rl_search`'s winner
+    index.  ``prepared`` arrives through the executor's ``shared`` channel.
     """
+    if trial >= _rl_n_first_round(config):
+        (winner,) = deps.values()
+        return _train_one_rl_trial(prepared, split, trial, config, None, winner)
     previous_state: Optional[dict] = None
     for outcome in deps.values():
         previous_state = outcome.rl_state
     return _train_one_rl_trial(prepared, split, trial, config, previous_state)
+
+
+def run_rl_search(
+    deps: Dict[str, Any],
+    prepared: PreparedData,
+    split: TimeSeriesSplit,
+    config: ExperimentConfig,
+) -> int:
+    """Index of a split's first-round winner (executor task).
+
+    The winner is :func:`_best_rl_trial`'s over ``deps``, trial 0 when none
+    trained.  The second round receives only this index, no agent.
+    """
+    best = _best_rl_trial(deps.values())
+    return 0 if best is None else best.trial
 
 
 def run_rl_reduce(
@@ -1364,9 +1420,9 @@ def run_rl_reduce(
 # --------------------------------------------------------------------- #
 # Task-graph construction
 # --------------------------------------------------------------------- #
-#: Priority of the tasks on the RL warm-start chain (trial 0 and the
-#: reduce): the chain is the task graph's critical path, so among
-#: simultaneously ready tasks it always gets a worker first.
+#: Priority of the tasks on the RL warm-start chain (trial 0, the second
+#: search round and the reduce): the chain is the task graph's critical
+#: path, so among simultaneously ready tasks it always gets a worker first.
 _CHAIN_PRIORITY = 10
 #: Forest fits unblock every sharing point's "rf" task: ahead of ordinary
 #: tasks, behind the chain.
@@ -1427,14 +1483,19 @@ def build_split_tasks(
     which (when the built-in RL approach is enabled) decomposes into one
     task per hyperparameter trial plus a select-best reduce task per split:
 
-    * ``rl-trial{t}-{k}`` — trial ``t`` of split ``k``.  Trials 1..N are
-      independent hyperparameter samples with **no** dependencies; they fan
-      out across workers immediately.  Trial 0, the warm-started base
-      candidate, depends on the previous split's reduce task — the only
-      cross-split edge, so the serial critical path holds ``splits`` (not
-      ``splits × trials``) training runs.
-    * ``rl-{k}`` — the reduce: selects the split's best trial, evaluates the
-      group, and carries the warm-start state.
+    * ``rl-trial{t}-{k}`` — trial ``t`` of split ``k``.  The first round's
+      trials 1..N-1 (``N = rl_hyperparam_trials``) are independent samples
+      with **no** dependencies; they fan out across workers immediately.
+      Trial 0, the warm-started base candidate, depends on the previous
+      split's reduce task — the only cross-split edge, so the serial
+      critical path holds ``splits`` (not ``splits × trials``) training
+      runs.
+    * ``rl-search-{k}`` — only with ``rl_hyperparam_refine = R >= 1``:
+      depends on the first round and returns its winner's index.  The
+      second round's trials N..N+R-1 depend on it alone and sample the
+      space narrowed around that winner.
+    * ``rl-{k}`` — the reduce: selects the split's best trial over both
+      rounds, evaluates the group, and carries the warm-start state.
 
     Without the built-in RL approach, an "rl"-group task is an ordinary
     group task: no trials, no chain edge, and its builders get no agent.
@@ -1445,8 +1506,9 @@ def build_split_tasks(
     ``key_prefix`` (:func:`_forest_task_key`): points sharing a telemetry
     emit the same task, and :func:`execute_split_tasks` runs it once.
 
-    Chain tasks get a high :attr:`~repro.evaluation.executor.Task.priority`
-    (critical-path-first scheduling), forest tasks the next highest.  The
+    Chain tasks (trial 0, the second round and the reduce) get a high
+    :attr:`~repro.evaluation.executor.Task.priority` (critical-path-first
+    scheduling), forest tasks the next highest.  The
     trial fan-outs of consecutive splits are chained when the warm start
     (or the pass-the-previous-agent-through fallback of splits without
     training data) makes split ``k`` depend on split ``k - 1``; every other
@@ -1491,14 +1553,26 @@ def build_split_tasks(
                 chain: Tuple[str, ...] = ()
                 if chain_rl and split.index > 0:
                     chain = (f"{key_prefix}rl-{split.index - 1}",)
-                trial_keys: List[str] = []
-                for trial in range(_rl_n_trials(config)):
-                    key = f"{key_prefix}rl-trial{trial}-{split.index}"
-                    trial_keys.append(key)
-                    chained = trial == 0
+                n_first = _rl_n_first_round(config)
+                search_key = f"{key_prefix}rl-search-{split.index}"
+                trial_keys = [
+                    f"{key_prefix}rl-trial{trial}-{split.index}"
+                    for trial in range(_rl_n_trials(config))
+                ]
+                for trial, key in enumerate(trial_keys):
+                    if trial == 0:
+                        deps, priority = chain, _CHAIN_PRIORITY
+                    elif trial < n_first:
+                        deps, priority = (), 0
+                    else:
+                        deps, priority = (search_key,), _CHAIN_PRIORITY
                     tasks.append(task(
-                        key, run_rl_trial, (split, trial, config),
-                        chain if chained else (), _CHAIN_PRIORITY if chained else 0,
+                        key, run_rl_trial, (split, trial, config), deps, priority
+                    ))
+                if len(trial_keys) > n_first:
+                    tasks.append(task(
+                        search_key, run_rl_search, (split, config),
+                        tuple(trial_keys[:n_first]), _CHAIN_PRIORITY,
                     ))
                 tasks.append(task(
                     f"{key_prefix}rl-{split.index}", run_rl_reduce, (split, config),

@@ -6,9 +6,9 @@ and end times, and the number of allocated nodes for every job.  Because the
 production log is proprietary, the package provides a generator of
 statistically similar workloads (heavy-tailed durations, power-of-two-ish
 node counts spanning orders of magnitude, >95 % cluster utilization), a
-simple FCFS scheduler used to place the generated jobs on a cluster, sacct
-text I/O, node-count-weighted job sampling (Section 3.3.3) and job-size
-scaling (Section 5.6).
+simple FCFS scheduler used to place the generated jobs on a cluster,
+node-count-weighted job sampling (Section 3.3.3) and job-size scaling
+(Section 5.6).
 """
 
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator, generate_job_log
@@ -16,7 +16,6 @@ from repro.workload.job import JobLog, JobRecord
 from repro.workload.sampling import JobSequenceSampler, NodeJobTimeline
 from repro.workload.scaling import scale_job_log
 from repro.workload.scheduler import ClusterScheduler, ScheduledJob
-from repro.workload.slurm import format_sacct, parse_sacct
 
 __all__ = [
     "ClusterScheduler",
@@ -27,8 +26,6 @@ __all__ = [
     "ScheduledJob",
     "WorkloadConfig",
     "WorkloadGenerator",
-    "format_sacct",
     "generate_job_log",
-    "parse_sacct",
     "scale_job_log",
 ]

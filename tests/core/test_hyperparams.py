@@ -1,10 +1,14 @@
-"""Tests for the two-round random hyperparameter search."""
+"""Tests for the hyperparameter search space.
+
+The two search rounds themselves are executor tasks, tested (narrowing
+included) in ``tests/evaluation/test_rl_trial_tasks.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.core.dqn import DQNConfig
-from repro.core.hyperparams import HyperparameterSpace, RandomSearchResult, random_search
+from repro.core.hyperparams import HyperparameterSpace
 
 
 class TestHyperparameterSpace:
@@ -38,42 +42,3 @@ class TestHyperparameterSpace:
     def test_narrow_rejects_bad_shrink(self):
         with pytest.raises(ValueError):
             HyperparameterSpace().narrowed_around({"learning_rate": 1e-3, "gamma": 0.9}, shrink=0)
-
-
-class TestRandomSearch:
-    def test_finds_good_learning_rate(self):
-        # Score peaks when the learning rate is close to 1e-3.
-        def evaluate(params):
-            return -abs(np.log10(params["learning_rate"]) - np.log10(1e-3))
-
-        result = random_search(evaluate, n_initial=30, n_refine=10, seed=0)
-        assert result.n_trials == 40
-        assert abs(np.log10(result.best_params["learning_rate"]) + 3) < 0.5
-
-    def test_refinement_never_worsens_best(self):
-        def evaluate(params):
-            return params["gamma"]
-
-        with_refine = random_search(evaluate, n_initial=10, n_refine=10, seed=1)
-        without = random_search(evaluate, n_initial=10, n_refine=0, seed=1)
-        assert with_refine.best_score >= without.best_score
-
-    def test_best_config_applies_overrides(self):
-        result = RandomSearchResult(
-            best_params={"learning_rate": 5e-4, "gamma": 0.9}, best_score=1.0
-        )
-        config = result.best_config()
-        assert config.learning_rate == 5e-4
-        assert config.gamma == 0.9
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            random_search(lambda p: 0.0, n_initial=0)
-
-    def test_deterministic_given_seed(self):
-        def evaluate(params):
-            return params["learning_rate"]
-
-        a = random_search(evaluate, n_initial=5, n_refine=0, seed=7)
-        b = random_search(evaluate, n_initial=5, n_refine=0, seed=7)
-        assert a.best_params == b.best_params

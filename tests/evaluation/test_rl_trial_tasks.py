@@ -1,14 +1,18 @@
 """Tests for the per-trial RL task decomposition.
 
-Three properties carry the feature:
+Four properties carry the feature:
 
-* **Graph shape** — hyperparameter trials fan out with no cross-trial
-  dependencies; only trial 0 rides the warm-start chain (through the
-  select-best reduce task, which keeps the old ``rl-{split}`` key);
-  ``key_prefix`` keeps two sweep points' trial tasks disjoint.
+* **Graph shape** — first-round hyperparameter trials fan out with no
+  cross-trial dependencies; only trial 0 rides the warm-start chain
+  (through the select-best reduce task, which keeps the old ``rl-{split}``
+  key); ``key_prefix`` keeps two sweep points' trial tasks disjoint.  With
+  ``rl_hyperparam_refine=0`` the graph is pinned by hash.
+* **Two search rounds** — second-round trials depend only on the split's
+  ``rl-search`` task and sample the space narrowed around the first
+  round's winner.
 * **Determinism** — the graph is *result-identical* serially and with
   workers: the per-trial settings are pre-drawn from one sequential keyed
-  stream per split, so no trial depends on the schedule.
+  stream per split and round, so no trial depends on the schedule.
 * **Accounting** — ``training_cost_node_hours`` is the sum of the per-trial
   training spans, independent of how the trials were scheduled (the
   regression test for the whole-loop wall-clock span bug).
@@ -17,12 +21,15 @@ Three properties carry the feature:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
 from repro.config import ScenarioConfig
+from repro.core.hyperparams import HyperparameterSpace
 from repro.evaluation.experiment import ExperimentConfig, run_experiment
 from repro.evaluation.pipeline import (
+    _CHAIN_PRIORITY,
     RLTrialResult,
     _rl_n_trials,
     _rl_trial_settings,
@@ -31,6 +38,7 @@ from repro.evaluation.pipeline import (
     build_split_tasks,
     make_splits,
     prepare_data,
+    run_rl_search,
 )
 from repro.utils.timeutils import DAY
 
@@ -44,6 +52,51 @@ TRIAL_CONFIG = ExperimentConfig(
     threshold_grid_size=4,
     charge_training_time=False,
 )
+
+
+#: Configs whose single-round (``rl_hyperparam_refine=0``) graphs are pinned.
+REFINE0_CONFIGS = {
+    "fast": ExperimentConfig.fast(),
+    "default": ExperimentConfig(),
+    "three-trials": ExperimentConfig(rl_hyperparam_trials=3),
+    "no-warm-start": ExperimentConfig(rl_warm_start=False),
+    "no-rl": ExperimentConfig(include_rl=False),
+}
+#: ``_graph_digest`` of each config's graph, without and with a
+#: ``key_prefix``/``point``, recorded before the second search round was a
+#: graph stage: a config without that round keeps its graph unchanged.
+REFINE0_GRAPH_DIGESTS = {
+    ("fast", False): "c28a62f8854f211c",
+    ("fast", True): "5479ca0d0940ca62",
+    ("default", False): "456f4f1d87d756aa",
+    ("default", True): "99575672c2c115ed",
+    ("three-trials", False): "26f2db819674bcf3",
+    ("three-trials", True): "3017e9477540d46a",
+    ("no-warm-start", False): "cfcb58258d5ee0cc",
+    ("no-warm-start", True): "9175042c0777f8b0",
+    ("no-rl", False): "7bc1d31ab48651d5",
+    ("no-rl", True): "707ef8cb14a710b0",
+}
+
+
+def _graph_digest(tasks):
+    """Hash of every task's key, function, args, deps and priority."""
+    rows = [
+        (
+            task.key,
+            task.fn.__qualname__,
+            tuple(arg.__qualname__ if callable(arg) else arg for arg in task.args),
+            task.deps,
+            task.priority,
+        )
+        for task in tasks
+    ]
+    return hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()[:16]
+
+
+def _inside(value, bounds, rel=1e-12):
+    """``value`` lies in ``bounds`` up to float rounding."""
+    return bounds[0] * (1 - rel) <= value <= bounds[1] * (1 + rel)
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +119,14 @@ class TestGraphShape:
         n_trials = _rl_n_trials(TRIAL_CONFIG)
         assert n_trials == 3  # 2 search + 1 refine
         for split in splits:
-            for trial in range(1, n_trials):
-                # Search trials depend on nothing: they are scheduled the
-                # moment a worker is free, whatever the chain is doing.
-                assert by_key[f"rl-trial{trial}-{split.index}"].deps == ()
+            # First-round trials depend on nothing: they are scheduled the
+            # moment a worker is free, whatever the chain is doing.
+            assert by_key[f"rl-trial1-{split.index}"].deps == ()
+            # The second round waits for the first round's winner only, so
+            # it is shipped an index, never the first round's agents.
+            refine = by_key[f"rl-trial2-{split.index}"]
+            assert refine.deps == (f"rl-search-{split.index}",)
+            assert refine.priority == _CHAIN_PRIORITY
 
     def test_reduce_carries_the_warm_start_edge(self, tiny_prepared, tiny_scenario):
         splits = make_splits(tiny_scenario)
@@ -77,10 +134,17 @@ class TestGraphShape:
         by_key = {task.key: task for task in tasks}
         n_trials = _rl_n_trials(TRIAL_CONFIG)
         for split in splits:
+            # The reduce selects over both rounds; the search task over the
+            # first round only.
             reduce_task = by_key[f"rl-{split.index}"]
             assert set(reduce_task.deps) == {
                 f"rl-trial{trial}-{split.index}" for trial in range(n_trials)
             }
+            search = by_key[f"rl-search-{split.index}"]
+            assert set(search.deps) == {
+                f"rl-trial{trial}-{split.index}" for trial in range(2)
+            }
+            assert search.priority == _CHAIN_PRIORITY
             trial0 = by_key[f"rl-trial0-{split.index}"]
             if split.index == 0:
                 assert trial0.deps == ()
@@ -156,6 +220,80 @@ class TestGraphShape:
         assert all(task.deps == () and task.priority == 0 for task in rl_tasks)
 
 
+class TestRefineZeroGraph:
+    @pytest.mark.parametrize("name,in_point", sorted(REFINE0_GRAPH_DIGESTS))
+    def test_graph_matches_the_single_round_recording(
+        self, tiny_prepared, tiny_scenario, name, in_point
+    ):
+        kwargs = {"key_prefix": "p/", "point": "p"} if in_point else {}
+        tasks = build_split_tasks(
+            tiny_prepared, make_splits(tiny_scenario), REFINE0_CONFIGS[name], **kwargs
+        )
+        assert _graph_digest(tasks) == REFINE0_GRAPH_DIGESTS[name, in_point]
+
+
+class TestSecondRound:
+    @pytest.mark.parametrize("winner", [0, 1], ids=["base-winner", "sampled-winner"])
+    def test_trials_sample_the_space_narrowed_around_the_winner(
+        self, monkeypatch, tiny_prepared, tiny_scenario, winner
+    ):
+        import repro.evaluation.pipeline as pipeline_mod
+
+        trained = []
+        monkeypatch.setattr(
+            pipeline_mod, "train_agent",
+            lambda env, agent, n_episodes: trained.append(agent.config),
+        )
+        config = TRIAL_CONFIG.with_overrides(rl_hyperparam_refine=4)
+        split = make_splits(tiny_scenario)[-1]  # most history: every trial trains
+        tasks = {
+            task.key: task
+            for task in build_split_tasks(tiny_prepared, [split], config)
+        }
+        for trial in range(2, 6):
+            task = tasks[f"rl-trial{trial}-{split.index}"]
+            task.fn({f"rl-search-{split.index}": winner}, tiny_prepared, *task.args)
+        assert len(trained) == 4
+
+        # The winner's values are read off its DQNConfig: for trial 0 those
+        # of the base configuration.
+        best = _rl_trial_settings(tiny_scenario, config, split.index)[winner][0]
+        if winner == 0:
+            assert best.learning_rate == config.rl_base_config.learning_rate
+            assert best.gamma == config.rl_base_config.gamma
+        full = HyperparameterSpace()
+        narrowed = full.narrowed_around(
+            {"learning_rate": best.learning_rate, "gamma": best.gamma}
+        )
+        assert _inside(best.learning_rate, narrowed.learning_rate)
+        assert (narrowed.learning_rate[1] / narrowed.learning_rate[0]
+                < full.learning_rate[1] / full.learning_rate[0])
+        for dqn_config in trained:
+            assert _inside(dqn_config.learning_rate, narrowed.learning_rate)
+            assert _inside(1.0 - dqn_config.gamma, narrowed.gamma_complement)
+
+    def test_search_task_returns_the_first_round_winner(self, tiny_scenario):
+        split = make_splits(tiny_scenario)[0]
+
+        def results(scores, trained=True):
+            return {
+                f"rl-trial{trial}": RLTrialResult(
+                    split.index, trial=trial, score=score, state=None,
+                    train_seconds=0.0, trained=trained,
+                )
+                for trial, score in scores
+            }
+
+        # Arrival order does not matter, and a tie goes to the lower index.
+        winner = run_rl_search(
+            results([(2, -1.0), (0, -2.0), (1, -1.0)]), None, split, TRIAL_CONFIG
+        )
+        assert winner == 1
+        # No trial trained: the base candidate stands in.
+        untrained = results([(0, 0.0), (1, 0.0)], trained=False)
+        assert run_rl_search(untrained, None, split, TRIAL_CONFIG) == 0
+
+
 class TestTrialSettings:
     def test_settings_are_stable_and_per_trial_distinct(self, tiny_scenario):
         first = _rl_trial_settings(tiny_scenario, TRIAL_CONFIG, split_index=2)
@@ -196,6 +334,13 @@ class TestDeterminism:
             tiny_scenario, TRIAL_CONFIG.with_overrides(n_workers=2)
         )
         self._assert_identical(parallel, fan_serial)
+
+    def test_two_threads_equal_serial_fan(self, tiny_scenario, fan_serial):
+        threaded = run_experiment(
+            tiny_scenario,
+            TRIAL_CONFIG.with_overrides(n_workers=2, executor_kind="thread"),
+        )
+        self._assert_identical(threaded, fan_serial)
 
 
 class _FakeClock:
@@ -239,41 +384,40 @@ class TestTrainingCostAccounting:
     def test_cost_is_sum_of_trial_spans(self, fake_timed_pipeline, tiny_scenario):
         prepared, clock = fake_timed_pipeline
         split = make_splits(tiny_scenario)[-1]
-        trials = [
-            _train_one_rl_trial(prepared, split, trial, TRIAL_CONFIG, None)
-            for trial in range(_rl_n_trials(TRIAL_CONFIG))
-        ]
-        agent, cost_hours, state = _select_best_rl_trial(TRIAL_CONFIG, trials)
+        first_round = {
+            f"rl-trial{trial}": _train_one_rl_trial(
+                prepared, split, trial, TRIAL_CONFIG, None
+            )
+            for trial in range(2)
+        }
+        winner = run_rl_search(first_round, prepared, split, TRIAL_CONFIG)
+        refine = _train_one_rl_trial(prepared, split, 2, TRIAL_CONFIG, None, winner)
+        agent, cost_hours, state = _select_best_rl_trial(
+            TRIAL_CONFIG, [*first_round.values(), refine]
+        )
         assert agent is not None and state is not None
-        # 3 trials x 1 fake hour each; the 500 s trace builds are excluded.
+        # 2 + 1 trials x 1 fake hour each; the 500 s trace builds are excluded.
         assert cost_hours == pytest.approx(3.0)
         # The reconstructed best agent starts with a zeroed internal clock,
         # so wrapping it cannot double-charge the gradient-update time.
         assert agent.training_cost_node_hours == 0.0
 
-    def test_reduce_sums_spans_from_any_schedule(self):
+    def test_reduce_sums_spans_from_any_schedule(self, monkeypatch):
+        import repro.evaluation.pipeline as pipeline_mod
+
         trials = [
             RLTrialResult(0, trial=t, score=float(-t), state={"hidden_0_w": None},
                           train_seconds=3600.0, trained=True)
             for t in (2, 0, 1)  # arrival order must not matter
         ]
-        # Patch state with something loadable is unnecessary: selection
-        # happens before reconstruction, so intercept via monkeypatching is
-        # avoided by checking the selected trial through the carry state.
-        import repro.evaluation.pipeline as pipeline_mod
-
         chosen = {}
 
         def fake_agent_from_state(config, state):
             chosen["state"] = state
             return object()
 
-        original = pipeline_mod._agent_from_state
-        pipeline_mod._agent_from_state = fake_agent_from_state
-        try:
-            agent, cost_hours, state = _select_best_rl_trial(TRIAL_CONFIG, trials)
-        finally:
-            pipeline_mod._agent_from_state = original
+        monkeypatch.setattr(pipeline_mod, "_agent_from_state", fake_agent_from_state)
+        agent, cost_hours, state = _select_best_rl_trial(TRIAL_CONFIG, trials)
         assert cost_hours == pytest.approx(3.0)
         # Highest score wins (trial 0 scored 0.0, the others negative).
         assert state is chosen["state"]
