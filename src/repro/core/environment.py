@@ -8,13 +8,15 @@ the agent's actions (they come from the historical log); the potential UE
 cost does — it resets whenever a mitigation is performed (if the mitigation
 allows restart) and keeps accumulating otherwise.  If the next event is a UE
 the episode terminates and the reward includes the full UE cost at the UE's
-timestamp.
+timestamp.  So each node's feature rows are normalised once, in one batch,
+and a step only computes its state's UE-cost slot: the transform is
+element-wise, so states are bit-identical to ``normalizer.state_vector``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,13 +34,17 @@ class _EpisodeState:
     node: int
     track: NodeFeatureTrack
     timeline: NodeJobTimeline
-    index: int
-    last_mitigation: Optional[float]
-    n_mitigations: int
-    n_decisions: int
-    total_reward: float
-    mitigation_cost_paid: float
-    ue_cost_paid: float
+    #: Track times and UE flags as lists; normalised rows (None if custom).
+    times: List[float]
+    is_ue: List[bool]
+    states: Optional[np.ndarray]
+    index: int = 0
+    last_mitigation: Optional[float] = None
+    n_mitigations: int = 0
+    n_decisions: int = 0
+    total_reward: float = 0.0
+    mitigation_cost_paid: float = 0.0
+    ue_cost_paid: float = 0.0
 
 
 class MitigationEnv:
@@ -96,6 +102,7 @@ class MitigationEnv:
         self.t_end = float(t_end) if t_end is not None else float(all_times.max()) + 1.0
         self._nodes = np.asarray(sorted(usable.keys()))
         self._episode: Optional[_EpisodeState] = None
+        self._node_cache: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------ #
     @property
@@ -119,41 +126,37 @@ class MitigationEnv:
             node = int(self._rng.choice(self._nodes))
         elif node not in self.tracks:
             raise ValueError(f"node {node} has no events in this environment")
-        track = self.tracks[node]
+        node = int(node)
         timeline = self.job_sampler.sample_timeline(
             self.t_start, self.t_end, rng=self._rng
         )
-        self._episode = _EpisodeState(
-            node=int(node),
-            track=track,
-            timeline=timeline,
-            index=0,
-            last_mitigation=None,
-            n_mitigations=0,
-            n_decisions=0,
-            total_reward=0.0,
-            mitigation_cost_paid=0.0,
-            ue_cost_paid=0.0,
-        )
+        track = self.tracks[node]
+        if node not in self._node_cache:  # normalise the node's rows once
+            states = None
+            if type(self.normalizer) is StateNormalizer:  # known element-wise
+                padded = np.column_stack([track.features, np.zeros(len(track))])
+                states = self.normalizer.transform(padded)
+            self._node_cache[node] = (track.times.tolist(), track.is_ue.tolist(), states)
+        ep = _EpisodeState(node, track, timeline, *self._node_cache[node])
+        self._episode = ep
         # Skip any leading UE events (the agent is never invoked on them);
         # every kept track has a decision point, so one remains.
-        self._skip_ue_events()
-        return self._current_state()
-
-    def _skip_ue_events(self) -> None:
-        ep = self._episode
-        assert ep is not None
-        while ep.index < len(ep.track) and bool(ep.track.is_ue[ep.index]):
+        while ep.is_ue[ep.index]:
             ep.index += 1
+        return self._current_state()
 
     def _current_state(self) -> np.ndarray:
         ep = self._episode
         assert ep is not None
-        t = float(ep.track.times[ep.index])
         ue_cost = ep.timeline.potential_ue_cost(
-            t, ep.last_mitigation, self.restartable
+            ep.times[ep.index], ep.last_mitigation, self.restartable
         )
-        return self.normalizer.state_vector(ep.track.features[ep.index], ue_cost)
+        if ep.states is None:
+            return self.normalizer.state_vector(ep.track.features[ep.index], ue_cost)
+        # The UE-cost slot's transform, as ``StateNormalizer.transform`` does it.
+        state = ep.states[ep.index].copy()
+        state[-1] = np.log1p(np.maximum(ue_cost, 0.0))
+        return state
 
     # ------------------------------------------------------------------ #
     def step(self, action: int) -> Tuple[Optional[np.ndarray], float, bool, dict]:
@@ -169,7 +172,7 @@ class MitigationEnv:
         if action not in (0, 1):
             raise ValueError(f"action must be 0 or 1, got {action!r}")
 
-        t_now = float(ep.track.times[ep.index])
+        t_now = ep.times[ep.index]
         ep.n_decisions += 1
         if action == Action.MITIGATE:
             ep.last_mitigation = t_now
@@ -183,12 +186,12 @@ class MitigationEnv:
         ue_cost = 0.0
         next_state: Optional[np.ndarray] = None
 
-        if ep.index >= len(ep.track):
+        if ep.index >= len(ep.times):
             done = True
-        elif bool(ep.track.is_ue[ep.index]):
+        elif ep.is_ue[ep.index]:
             ue_occurred = True
             done = True
-            t_ue = float(ep.track.times[ep.index])
+            t_ue = ep.times[ep.index]
             ue_cost = ep.timeline.potential_ue_cost(
                 t_ue, ep.last_mitigation, self.restartable
             )

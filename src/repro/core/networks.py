@@ -46,6 +46,13 @@ def huber_grad(errors: np.ndarray, delta: float = 1.0) -> np.ndarray:
     return np.minimum(np.maximum(errors, -delta), delta)
 
 
+def _as_batch(array) -> np.ndarray:
+    """``array`` as a 2-D float64 batch: as it is when it is one, a 1-D one as a row."""
+    if type(array) is not np.ndarray or array.dtype != np.float64:
+        array = np.asarray(array, dtype=float)
+    return array if array.ndim == 2 else array.reshape(1, -1)
+
+
 #: Attributes that are views into a network's flat vectors.
 _VIEWS = "_params _grads weights biases value_w value_b advantage_w advantage_b".split()
 
@@ -73,27 +80,29 @@ class AdamOptimizer:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
-        self._m: Optional[List[np.ndarray]] = None
-        self._v: Optional[List[np.ndarray]] = None
+        #: Per parameter array: the two moments and two scratch arrays.
+        self._slots: Optional[List[Tuple[np.ndarray, ...]]] = None
         self._t = 0
 
     def update(self, params: List[np.ndarray], grads: List[np.ndarray]) -> None:
         """Apply one Adam step in place."""
         if len(params) != len(grads):
             raise ValueError("params and grads must have the same length")
-        if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+        if self._slots is None:
+            self._slots = [tuple(np.zeros_like(p) for _ in range(4)) for p in params]
         self._t += 1
         lr_t = self.learning_rate * (
             math.sqrt(1 - self.beta2**self._t) / (1 - self.beta1**self._t)
         )
-        for p, g, m, v in zip(params, grads, self._m, self._v):
+        # Scratch a, b take the temporaries of ``(1-β1)*g``, ``(g*g)*(1-β2)``,
+        # ``(lr_t*m) / (sqrt(v)+ε)``, in that operation order.
+        for p, g, (m, v, a, b) in zip(params, grads, self._slots):
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            m += np.multiply(g, 1 - self.beta1, out=a)
             v *= self.beta2
-            v += (1 - self.beta2) * (g * g)
-            p -= lr_t * m / (np.sqrt(v) + self.epsilon)
+            v += np.multiply(np.multiply(g, g, out=a), 1 - self.beta2, out=a)
+            denominator = np.add(np.sqrt(v, out=b), self.epsilon, out=b)
+            p -= np.divide(np.multiply(m, lr_t, out=a), denominator, out=a)
 
 
 class DuelingQNetwork:
@@ -222,7 +231,7 @@ class DuelingQNetwork:
     # ------------------------------------------------------------------ #
     def forward(self, states: np.ndarray, cache: bool = False) -> np.ndarray:
         """Q-values for a batch of states, shape ``(batch, n_actions)``."""
-        x = np.atleast_2d(np.asarray(states, dtype=float))
+        x = _as_batch(states)
         if x.shape[1] != self.input_dim:
             raise ValueError(
                 f"expected states of dimension {self.input_dim}, got {x.shape[1]}"
@@ -256,7 +265,7 @@ class DuelingQNetwork:
         if self._cache is None:
             raise RuntimeError("forward(..., cache=True) must be called first")
         cache = self._cache
-        d_q = np.atleast_2d(np.asarray(d_q, dtype=float))
+        d_q = _as_batch(d_q)
         h_last = cache.activations[-1]
         grads = self._grads
         n = 2 * len(self.hidden_sizes)

@@ -7,17 +7,18 @@ difference error — typically the rare terminal UE transitions — are replayed
 far more often than the abundant uneventful ones.
 
 The sum tree keeps its nodes in a flat list of Python floats and answers
-each update and each draw with one scalar root-to-leaf walk; the batch
-methods (``SumTree.update_many`` / ``SumTree.sample_many``) are plain loops
-over those walks.  At the paper's batch size of 32 this beats a
-level-synchronous numpy descent, whose per-level dispatch dominates.
-``PrioritizedReplayBuffer.sample`` draws every stratum's value with one array
-``uniform`` call, which consumes the generator exactly like one scalar call
-per stratum.  The one stream-order hazard — the pre-wrap unfilled-slot
-fallback, which interleaves an extra ``integers`` draw between ``uniform``
-draws — rewinds the generator and replays the draws one stratum at a time
-(``_sample_indices_scalar``).  Priority exponentiation uses Python's ``**``
-per element because NumPy's SIMD ``pow`` is not bitwise-identical to it.
+updates and draws with scalar root-to-leaf walks, one loop per batch
+(``SumTree.update_many`` / ``SumTree.sample_many``); at the paper's batch
+size of 32 this beats a level-synchronous numpy descent.  It accepts only
+priorities ``0 <= p < inf``, so a NaN TD error fails where it enters.
+``PrioritizedReplayBuffer.sample`` draws the strata as ``low + (high - low)
+* rng.random(batch_size)``, numpy's own ``uniform`` arithmetic: bit- and
+stream-identical to one scalar ``uniform`` call per stratum.  The one
+stream-order hazard — the pre-wrap unfilled-slot fallback, which interleaves
+an extra ``integers`` draw between ``uniform`` draws — rewinds the generator
+and replays the draws one stratum at a time (``_sample_indices_scalar``).
+Priority exponentiation uses Python's ``**`` per element because NumPy's
+SIMD ``pow`` is not bitwise-identical to it.
 
 Both buffers store transitions in parallel float64 arrays (states are 1-D
 vectors of one fixed length), so a mini-batch is five fancy-index gathers.
@@ -58,67 +59,75 @@ class SumTree:
         """Sum of all leaf priorities."""
         return self._tree[0]
 
-    def _leaf_index(self, data_index: int) -> int:
-        if not (0 <= data_index < self.capacity):
-            raise IndexError(f"leaf index {data_index} out of range")
-        return data_index + self.capacity - 1
-
     def update(self, data_index: int, priority: float) -> None:
         """Set the priority of leaf ``data_index``."""
-        idx = self._leaf_index(data_index)
-        if priority < 0:
-            raise ValueError("priorities must be non-negative")
-        tree = self._tree
-        priority = float(priority)
-        change = priority - tree[idx]
-        tree[idx] = priority
-        while idx > 0:
-            idx = (idx - 1) // 2
-            tree[idx] += change
+        self._update_leaves((data_index,), (float(priority),))
 
     def update_many(self, data_indices: np.ndarray, priorities: np.ndarray) -> None:
         """Apply :meth:`update` to each ``(index, priority)`` pair in order."""
-        indices = np.asarray(data_indices, dtype=np.int64).ravel()
-        priorities = np.asarray(priorities, dtype=np.float64).ravel()
-        if indices.size != priorities.size:
+        indices = np.asarray(data_indices, dtype=np.int64).ravel().tolist()
+        priorities = np.asarray(priorities, dtype=np.float64).ravel().tolist()
+        if len(indices) != len(priorities):
             raise ValueError("indices and priorities must be equally long")
-        for index, priority in zip(indices.tolist(), priorities.tolist()):
-            self.update(index, priority)
+        self._update_leaves(indices, priorities)
+
+    def _update_leaves(self, indices, priorities) -> None:
+        tree, capacity = self._tree, self.capacity
+        for index, priority in zip(indices, priorities):
+            if not 0 <= index < capacity:
+                raise IndexError(f"leaf index {index} out of range")
+            if not 0.0 <= priority < math.inf:
+                raise ValueError(f"leaf {index}: priority {priority} not in [0, inf)")
+            idx = index + capacity - 1
+            change = priority - tree[idx]
+            tree[idx] = priority
+            while idx > 0:
+                idx = (idx - 1) // 2
+                tree[idx] += change
 
     def get(self, data_index: int) -> float:
         """Priority currently stored at leaf ``data_index``."""
-        return self._tree[self._leaf_index(data_index)]
+        if not (0 <= data_index < self.capacity):
+            raise IndexError(f"leaf index {data_index} out of range")
+        return self._tree[data_index + self.capacity - 1]
 
     def sample(self, value: float) -> Tuple[int, float]:
         """Find the leaf such that the prefix sum of priorities covers ``value``.
 
         Returns ``(data_index, priority)``.
         """
+        indices, priorities = self._find_leaves((float(value),))
+        return indices[0], priorities[0]
+
+    def sample_many(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`sample` each value; returns ``(data_indices, priorities)``."""
+        drawn = self._find_leaves(np.asarray(values, dtype=np.float64).ravel().tolist())
+        return np.array(drawn[0], dtype=np.int64), np.array(drawn[1], dtype=np.float64)
+
+    def _find_leaves(self, values) -> Tuple[List[int], List[float]]:
         tree = self._tree
         total = tree[0]
         if total <= 0:
             raise ValueError("cannot sample from an empty tree")
-        value = min(max(float(value), 0.0), math.nextafter(total, 0.0))
+        top = math.nextafter(total, 0.0)
         n_internal = self.capacity - 1
-        idx = 0
-        while idx < n_internal:
-            left = 2 * idx + 1
-            left_sum = tree[left]
-            if value <= left_sum or tree[left + 1] <= 0.0:
-                idx = left
-            else:
-                value -= left_sum
-                idx = left + 1
-        return idx - n_internal, tree[idx]
-
-    def sample_many(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`sample` each value; returns ``(data_indices, priorities)``."""
-        drawn = [
-            self.sample(value)
-            for value in np.asarray(values, dtype=np.float64).ravel().tolist()
-        ]
-        indices = np.array([index for index, _ in drawn], dtype=np.int64)
-        priorities = np.array([priority for _, priority in drawn], dtype=np.float64)
+        indices, priorities = [], []
+        for value in values:
+            if value < 0.0:  # ``min(max(value, 0.0), top)``, minus two calls
+                value = 0.0
+            elif value > top:
+                value = top
+            idx = 0
+            while idx < n_internal:
+                left = 2 * idx + 1
+                left_sum = tree[left]
+                if value <= left_sum or tree[left + 1] <= 0.0:
+                    idx = left
+                else:
+                    value -= left_sum
+                    idx = left + 1
+            indices.append(idx - n_internal)
+            priorities.append(tree[idx])
         return indices, priorities
 
 
@@ -195,11 +204,11 @@ class _ArrayRing:
 
     def _gather(self, indices: np.ndarray, weights: np.ndarray) -> ReplayBatch:
         indices = np.asarray(indices, dtype=np.int64)
-        return ReplayBatch(
-            states=self._states[indices],
+        return ReplayBatch(  # ``take`` gathers rows faster than ``[indices]``
+            states=self._states.take(indices, axis=0),
             actions=self._actions[indices],
             rewards=self._rewards[indices],
-            next_states=self._next_states[indices],
+            next_states=self._next_states.take(indices, axis=0),
             dones=self._dones[indices],
             weights=np.asarray(weights, dtype=np.float64),
             indices=indices,
@@ -292,18 +301,18 @@ class PrioritizedReplayBuffer(_ArrayRing):
         probabilities = priorities / max(total, 1e-12)
         with np.errstate(divide="ignore"):
             weights = (size * probabilities) ** (-beta)
-        max_weight = float(np.max(weights))
-        if max_weight > 0.0 and np.isfinite(max_weight):
+        max_weight = float(weights.max())
+        if max_weight > 0.0 and math.isfinite(max_weight):
             return weights / max_weight
         return np.ones(len(weights))
 
     def sample(self, batch_size: int) -> ReplayBatch:
         """Sample proportionally to priority, with importance weights.
 
-        One array ``uniform`` call draws every stratum's value (``low +
-        (high - low) * next_double`` element by element — bit- and
-        stream-identical to one scalar call per stratum), then each value
-        walks the sum tree.  Only when a draw lands on a
+        Every stratum's value is ``low + (high - low) * rng.random()``,
+        drawn for the whole batch at once — numpy's ``uniform`` arithmetic,
+        so bit- and stream-identical to one scalar ``uniform`` call per
+        stratum — and then walks the sum tree.  Only when a draw lands on a
         not-yet-filled slot (possible before the buffer wraps for the first
         time) does the generator rewind to its pre-draw state and replay
         the scalar loop, whose fallback interleaves an extra ``integers``
@@ -313,12 +322,15 @@ class PrioritizedReplayBuffer(_ArrayRing):
         if self._size == 0:
             raise ValueError("cannot sample from an empty replay buffer")
         total = self._tree.total
+        if not total < math.inf:
+            raise ValueError(f"cannot sample: the priorities sum to {total}")
         segment = total / batch_size
         checkpoint = self._rng.bit_generator.state
         steps = np.arange(batch_size, dtype=np.float64)
-        values = self._rng.uniform(steps * segment, (steps + 1.0) * segment)
+        low = steps * segment
+        values = low + ((steps + 1.0) * segment - low) * self._rng.random(batch_size)
         indices, priorities = self._tree.sample_many(values)
-        if bool((indices >= self._size).any()):
+        if indices.max() >= self._size:
             self._rng.bit_generator.state = checkpoint
             indices, priorities = self._sample_indices_scalar(batch_size, segment)
         weights = self._normalized_weights(priorities, total, self._size, self.beta)
@@ -365,13 +377,18 @@ class PrioritizedReplayBuffer(_ArrayRing):
         """Refresh priorities with the latest |TD errors|.
 
         The α-exponentiation is Python's ``**`` per element: NumPy's SIMD
-        ``pow`` is not bitwise-identical to it on large arrays.
+        ``pow`` is not bitwise-identical to it on large arrays.  A batch with
+        a NaN or infinite TD error is rejected before any priority changes.
         """
         td_errors = np.abs(np.asarray(td_errors, dtype=float)).ravel()
         if td_errors.size == 0:
             return
         priorities = td_errors + self.epsilon
-        self._max_priority = max(self._max_priority, float(priorities.max()))
+        max_priority = float(priorities.max())
+        if not max_priority < math.inf:
+            bad = int(np.count_nonzero(~np.isfinite(priorities)))
+            raise ValueError(f"{bad} of {priorities.size} TD errors are not finite")
+        self._max_priority = max(self._max_priority, max_priority)
         self._tree.update_many(
             indices, [priority**self.alpha for priority in priorities.tolist()]
         )

@@ -379,6 +379,12 @@ def _run_claim_worker(
                 )
                 if lease is None:
                     continue  # live lease elsewhere; revisit next pass
+                if store.has_result_key(result_key):
+                    # A peer published (and released) since the check above.
+                    manager.release(lease)
+                    done.add(result_key)
+                    outcome.loaded.append(point.label)
+                    continue
                 pump.watch(lease)
                 try:
                     result = compute(point.scenario, config, cache)

@@ -134,28 +134,21 @@ class JobSequenceSampler:
             raise ValueError("cannot sample a timeline: every job has zero duration")
         rng = self._rng if rng is None else as_generator(rng)
 
-        starts = []
-        durations = []
-        nodes = []
-
         # Length-biased first job: longer jobs are more likely to be the one
         # in progress at an arbitrary observation instant.
         first = int(self._length_biased_cdf.searchsorted(rng.random(), side="right"))
         first_duration = float(self._durations[first])
-        phase = float(rng.uniform(0.0, first_duration))
-        t = t_start - phase
-        starts.append(t)
-        durations.append(first_duration)
-        nodes.append(float(self._n_nodes[first]))
+        t = t_start - float(rng.uniform(0.0, first_duration))
+        starts, durations, nodes = [t], [first_duration], [float(self._n_nodes[first])]
         t += first_duration
 
         while t < t_end:
             batch_durations, batch_nodes = self.sample_jobs(16, rng=rng)
-            for duration, n in zip(batch_durations, batch_nodes):
+            for duration, n in zip(batch_durations.tolist(), batch_nodes.tolist()):
                 starts.append(t)
-                durations.append(float(duration))
-                nodes.append(float(n))
-                t += float(duration)
+                durations.append(duration)
+                nodes.append(n)
+                t += duration
                 if t >= t_end:
                     break
 

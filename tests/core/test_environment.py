@@ -129,6 +129,34 @@ class TestStep:
         with pytest.raises(ValueError):
             simple_env.step(5)
 
+    def test_custom_normalizer_builds_every_state(self, constant_job_sampler):
+        # A subclass's transform is not known to be element-wise, so the
+        # environment must not reuse rows it normalised ahead of time.
+        class _CostScaledNormalizer(StateNormalizer):
+            def state_vector(self, features, ue_cost):
+                return super().state_vector(features, 10.0 * ue_cost)
+
+        tracks = {0: _track(0, [HOUR, 2 * HOUR, 3 * HOUR], [False, False, False])}
+        stock, custom = (
+            MitigationEnv(
+                tracks,
+                constant_job_sampler,
+                mitigation_cost=2 / 60.0,
+                t_start=0.0,
+                t_end=4 * HOUR,
+                normalizer=normalizer,
+                seed=1,
+            )
+            for normalizer in (StateNormalizer(), _CostScaledNormalizer())
+        )
+        for env in (stock, custom):
+            env.reset(node=0)
+        state, _, _, _ = custom.step(Action.NO_MITIGATION)
+        ue_cost = custom._episode.timeline.potential_ue_cost(2 * HOUR, None, True)
+        want = custom.normalizer.state_vector(tracks[0].features[1], ue_cost)
+        assert state.tobytes() == want.tobytes()
+        assert not np.array_equal(state, stock.step(Action.NO_MITIGATION)[0])
+
     def test_step_before_reset_raises(self, simple_env):
         env = simple_env
         env._episode = None

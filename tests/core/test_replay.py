@@ -75,6 +75,18 @@ class TestSumTree:
         with pytest.raises(ValueError):
             SumTree(4).update(0, -1.0)
 
+    @pytest.mark.parametrize("priority", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("batched", [False, True], ids=["update", "update_many"])
+    def test_non_finite_or_negative_priority_rejected(self, priority, batched):
+        tree = SumTree(4)
+        tree.update(1, 2.0)
+        with pytest.raises(ValueError, match=rf"^leaf 3: priority {priority} not in"):
+            if batched:
+                tree.update_many(np.array([3]), np.array([priority]))
+            else:
+                tree.update(3, priority)
+        assert tree.total == 2.0 and tree.get(3) == 0.0
+
     def test_non_power_of_two_capacity(self):
         tree = SumTree(5)
         for i in range(5):
@@ -198,6 +210,31 @@ class TestPrioritizedReplayBuffer:
                     state=np.zeros(3), action=0, reward=0.0, next_state=None, done=True
                 )
             )
+
+    @pytest.mark.parametrize("td_error", [float("nan"), float("inf"), -1.0])
+    def test_update_priorities_rejects_non_finite_td_errors(self, td_error):
+        buffer = self._filled(n=8, capacity=8)
+        leaves = [buffer._tree.get(i) for i in range(8)]
+        errors = np.array([0.5, td_error, 2.0, td_error])
+        if np.isfinite(td_error):  # |TD error| is the priority: -1 is fine
+            buffer.update_priorities(np.arange(4), errors)
+            assert buffer._tree.get(1) == (1.0 + buffer.epsilon) ** buffer.alpha
+            return
+        with pytest.raises(ValueError, match=r"^2 of 4 TD errors are not finite$"):
+            buffer.update_priorities(np.arange(4), errors)
+        assert [buffer._tree.get(i) for i in range(8)] == leaves
+        buffer.sample(4)  # the tree is still usable
+
+    def test_scalar_priority_refresh_rejects_a_nan_td_error(self):
+        buffer = self._filled(n=8, capacity=8)
+        with pytest.raises(ValueError, match="^leaf 2: priority nan "):
+            buffer._update_priorities_scalar(np.array([2]), np.array([np.nan]))
+
+    def test_sample_rejects_a_non_finite_total(self):
+        buffer = self._filled(n=8, capacity=8)
+        buffer._tree.update_many(np.arange(8), np.full(8, 1e308))
+        with pytest.raises(ValueError, match="priorities sum to inf"):
+            buffer.sample(4)
 
     def test_new_transitions_get_max_priority(self):
         buffer = PrioritizedReplayBuffer(16, alpha=1.0, seed=3)

@@ -186,6 +186,36 @@ class TestClaimMode:
         assert sorted(outcome.computed) == ["seed=12", "seed=13"]
         assert outcome.reduced
 
+    def test_a_result_published_during_the_claim_is_loaded(self, store, tiny_result):
+        # The race: a point has no result when checked, then a peer saves it
+        # and releases its lease just before this worker's claim succeeds.
+        points = {store.result_key(p.scenario, TINY): p for p in SPEC.points()}
+        make_manager = store.lease_manager
+
+        def lease_manager(**kwargs):
+            manager = make_manager(**kwargs)
+            claim = manager.claim
+
+            def racing_claim(result_key, **claim_kwargs):
+                lease = claim(result_key, **claim_kwargs)
+                assert lease is not None
+                store.save_result(points[result_key].scenario, TINY, tiny_result)
+                return lease
+
+            manager.claim = racing_claim
+            return manager
+
+        store.lease_manager = lease_manager
+        log = []
+        outcome = run_sweep_worker(
+            SPEC, TINY, store, claim=True, worker_id="w1",
+            compute_fn=fake_compute(tiny_result, log),
+        )
+        assert log == [] and outcome.computed == []
+        assert sorted(outcome.loaded) == ["seed=11", "seed=12", "seed=13"]
+        assert store.list_leases() == []  # every claimed lease was released
+        assert outcome.reduced
+
 
 class TestShardMode:
     def test_shards_partition_the_points(self, store, tiny_result):
