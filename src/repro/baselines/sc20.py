@@ -40,9 +40,7 @@ def train_sc20_forest(
         raise ValueError("cannot train SC20-RF on an empty dataset")
     started = time.perf_counter()
     normalizer = StateNormalizer()
-    X = normalizer.transform(
-        np.concatenate([dataset.X, np.zeros((len(dataset), 1))], axis=1)
-    )[:, :-1]
+    X = normalizer.transform_features(dataset.X)
     X_bal, y_bal = random_undersample(X, dataset.y, undersample_ratio, seed=seed)
     forest = RandomForestClassifier(
         n_estimators=n_estimators, max_depth=max_depth, seed=seed
@@ -119,11 +117,7 @@ class SC20RandomForestPolicy(MitigationPolicy):
     def predict_probabilities(self, features: np.ndarray) -> np.ndarray:
         """Batch forest probabilities for a feature matrix."""
         features = np.atleast_2d(np.asarray(features, dtype=float))
-        padded = np.concatenate(
-            [features, np.zeros((features.shape[0], 1))], axis=1
-        )
-        normalised = self._normalizer.transform(padded)[:, :-1]
-        return self.forest.predict_batch(normalised)
+        return self.forest.predict_batch(self._normalizer.transform_features(features))
 
     def reset(self) -> None:
         self._trace_probabilities = None

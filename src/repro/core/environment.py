@@ -134,8 +134,9 @@ class MitigationEnv:
         if node not in self._node_cache:  # normalise the node's rows once
             states = None
             if type(self.normalizer) is StateNormalizer:  # known element-wise
-                padded = np.column_stack([track.features, np.zeros(len(track))])
-                states = self.normalizer.transform(padded)
+                states = np.zeros((len(track), self.normalizer.state_dim))
+                features = states[:, :-1]
+                self.normalizer.transform_features(track.features, out=features)
             self._node_cache[node] = (track.times.tolist(), track.is_ue.tolist(), states)
         ep = _EpisodeState(node, track, timeline, *self._node_cache[node])
         self._episode = ep

@@ -22,7 +22,10 @@ split — the same information the production monitoring daemon would have.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,10 +80,18 @@ def feature_variation(
 
     ``history_times``/``history_values`` record the cumulative feature value
     after each past event; the value at ``now - Δt`` is the value after the
-    last event at or before that instant.
+    last event at or before that instant.  The look-back is a
+    ``bisect_right`` over the sorted history times, which equals numpy's
+    ``searchsorted(side="right")`` on NaN-free times (:class:`ErrorLog`,
+    :class:`~repro.telemetry.records.EventRecord` and
+    :meth:`OnlineFeatureState.absorb_event` reject non-finite times).
     """
-    t_ref = now - delta
-    idx = int(np.asarray(history_times).searchsorted(t_ref, side="right")) - 1
+    idx = bisect_right(history_times, now - delta) - 1
+    return _variation(value_now, history_values, idx)
+
+
+def _variation(value_now: float, history_values: Sequence[float], idx: int) -> float:
+    """Equation 2 given the index of the value at ``now - Δt`` (``-1``: none)."""
     past = history_values[idx] if idx >= 0 else 0.0
     if past == 0.0:
         return 0.0
@@ -372,41 +383,6 @@ def _extract_node_features_loop(
     return NodeFeatureTrack(node=int(node), times=times, features=features, is_ue=is_ue)
 
 
-class _GrowableArray:
-    """Append-only float64 buffer with amortised growth and a zero-copy view.
-
-    The Equation 2 histories grow one entry per merged step for the lifetime
-    of a node; a list would force ``np.searchsorted`` to re-copy it on every
-    lookup, so the online state keeps real arrays.
-    """
-
-    __slots__ = ("_buf", "_n")
-
-    def __init__(self) -> None:
-        self._buf = np.empty(16, dtype=np.float64)
-        self._n = 0
-
-    def __len__(self) -> int:
-        return self._n
-
-    def append(self, value: float) -> None:
-        if self._n == self._buf.shape[0]:
-            grown = np.empty(self._buf.shape[0] * 2, dtype=np.float64)
-            grown[: self._n] = self._buf
-            self._buf = grown
-        self._buf[self._n] = value
-        self._n += 1
-
-    def view(self) -> np.ndarray:
-        return self._buf[: self._n]
-
-    def __deepcopy__(self, memo) -> "_GrowableArray":
-        clone = _GrowableArray.__new__(_GrowableArray)
-        clone._buf = self._buf.copy()
-        clone._n = self._n
-        return clone
-
-
 @dataclass(frozen=True)
 class OnlineStep:
     """One finalised merged decision step emitted by the online extractor.
@@ -430,9 +406,12 @@ class OnlineFeatureState:
     of each merged step the moment the step closes.  This class replays the
     exact operation order of :func:`_extract_node_features_loop` — the same
     left-fold float additions, the same distinct-location sets, the same
-    Equation 2 ``searchsorted`` look-backs — so a stream absorbed event by
-    event produces rows bit-identical to the batch extractor run over any
-    prefix of the same stream (pinned by the prefix-equivalence tests).
+    Equation 2 look-backs — so a stream absorbed event by event produces
+    rows bit-identical to the batch extractor run over any prefix of the
+    same stream (pinned by the prefix-equivalence tests).  The Equation 2
+    histories are plain lists searched with :func:`feature_variation`'s
+    ``bisect_right``; each step bisects once per Δt and reads both the CE
+    and the boot history at that index.
 
     Merge-group life cycle (mirrors :func:`merge_node_events`):
 
@@ -466,9 +445,9 @@ class OnlineFeatureState:
         self._cols: set = set()
         self._dimms: set = set()
 
-        self._hist_times = _GrowableArray()
-        self._hist_ces = _GrowableArray()
-        self._hist_boots = _GrowableArray()
+        self._hist_times: List[float] = []
+        self._hist_ces: List[float] = []
+        self._hist_boots: List[float] = []
 
         self._track_start: Optional[float] = None
         self._last_event_time: Optional[float] = None
@@ -501,14 +480,8 @@ class OnlineFeatureState:
     def absorb(self, record: EventRecord) -> List[OnlineStep]:
         """Absorb one :class:`EventRecord`; return any steps it finalised."""
         return self.absorb_event(
-            record.time,
-            int(record.kind),
-            ce_count=record.ce_count,
-            dimm=record.dimm,
-            rank=record.rank,
-            bank=record.bank,
-            row=record.row,
-            col=record.col,
+            record.time, record.kind, record.ce_count, record.dimm,
+            record.rank, record.bank, record.row, record.col,
         )
 
     def absorb_event(
@@ -524,6 +497,8 @@ class OnlineFeatureState:
     ) -> List[OnlineStep]:
         """Absorb one raw event given as plain fields (the fast path)."""
         t = float(time)
+        if not math.isfinite(t):
+            raise ValueError(f"node {self.node}: event time must be finite, got {t!r}")
         if self._last_event_time is not None and t < self._last_event_time:
             raise ValueError(
                 f"node {self.node}: events must arrive in time order "
@@ -552,23 +527,10 @@ class OnlineFeatureState:
         """Absorb one event batch (this node's slice of ``log``) at a time."""
         if indices is None:
             indices = np.flatnonzero(log.node == self.node)
+        names = ("time", "kind", "ce_count", "dimm", "rank", "bank", "row", "col")
         out: List[OnlineStep] = []
-        time, kind, count = log.time, log.kind, log.ce_count
-        dimm, rank, bank = log.dimm, log.rank, log.bank
-        row, col = log.row, log.col
-        for idx in np.asarray(indices):
-            out.extend(
-                self.absorb_event(
-                    float(time[idx]),
-                    int(kind[idx]),
-                    ce_count=int(count[idx]),
-                    dimm=int(dimm[idx]),
-                    rank=int(rank[idx]),
-                    bank=int(bank[idx]),
-                    row=int(row[idx]),
-                    col=int(col[idx]),
-                )
-            )
+        for fields in zip(*(getattr(log, name)[indices].tolist() for name in names)):
+            out.extend(self.absorb_event(*fields))
         return out
 
     def advance_to(self, stream_time: float) -> List[OnlineStep]:
@@ -623,9 +585,11 @@ class OnlineFeatureState:
 
         ces_total = self._ces_total
         boots_total = self._boots_total
-        hist_times = self._hist_times.view()
-        hist_ces = self._hist_ces.view()
-        hist_boots = self._hist_boots.view()
+        hist_ces = self._hist_ces
+        hist_boots = self._hist_boots
+        # One look-back per Δt, shared by the CE and boot histories.
+        minute_ago = bisect_right(self._hist_times, t - MINUTE) - 1
+        hour_ago = bisect_right(self._hist_times, t - HOUR) - 1
         # Entries in FEATURE_NAMES order.
         vec = np.array(
             [
@@ -639,17 +603,17 @@ class OnlineFeatureState:
                 self._warnings_total,
                 max(time_since_boot, 0.0),
                 boots_total,
-                feature_variation(hist_times, hist_ces, t, ces_total, MINUTE),
-                feature_variation(hist_times, hist_ces, t, ces_total, HOUR),
-                feature_variation(hist_times, hist_boots, t, boots_total, MINUTE),
-                feature_variation(hist_times, hist_boots, t, boots_total, HOUR),
+                _variation(ces_total, hist_ces, minute_ago),
+                _variation(ces_total, hist_ces, hour_ago),
+                _variation(boots_total, hist_boots, minute_ago),
+                _variation(boots_total, hist_boots, hour_ago),
             ],
             dtype=np.float64,
         )
 
         self._hist_times.append(t)
-        self._hist_ces.append(self._ces_total)
-        self._hist_boots.append(self._boots_total)
+        hist_ces.append(ces_total)
+        hist_boots.append(boots_total)
 
         self._group = []
         self._group_has_ue = False
@@ -688,9 +652,14 @@ class StateNormalizer:
         if ratio_clip <= 0:
             raise ValueError("ratio_clip must be > 0")
         self.ratio_clip = float(ratio_clip)
-        self._log_mask = np.ones(N_FEATURES + 1, dtype=bool)
-        for name in self.RATIO_FEATURES:
-            self._log_mask[FEATURE_INDEX[name]] = False
+        # The feature columns as maximal runs of one kind: (columns, is_ratio).
+        self._runs: List[Tuple[slice, bool]] = []
+        start = 0
+        kinds = (name in self.RATIO_FEATURES for name in FEATURE_NAMES)
+        for is_ratio, run in groupby(kinds):
+            stop = start + len(list(run))
+            self._runs.append((slice(start, stop), is_ratio))
+            start = stop
 
     @property
     def state_dim(self) -> int:
@@ -699,20 +668,36 @@ class StateNormalizer:
 
     def state_vector(self, features: np.ndarray, ue_cost: float) -> np.ndarray:
         """Build and normalise the full state vector (features ‖ UE cost)."""
-        features = np.asarray(features, dtype=float)
-        if features.shape[-1] != N_FEATURES:
-            raise ValueError(
-                f"expected {N_FEATURES} telemetry features, got {features.shape[-1]}"
-            )
-        state = np.concatenate([features, [float(ue_cost)]])
+        state = np.concatenate([np.asarray(features, dtype=float), [float(ue_cost)]])
         return self.transform(state)
 
     def transform(self, state: np.ndarray) -> np.ndarray:
         """Normalise a raw state vector (or batch of them)."""
         state = np.asarray(state, dtype=float)
-        out = np.array(state, dtype=float, copy=True)
-        log_part = out[..., self._log_mask]
-        out[..., self._log_mask] = np.log1p(np.maximum(log_part, 0.0))
-        ratio_part = out[..., ~self._log_mask]
-        out[..., ~self._log_mask] = np.clip(ratio_part, 0.0, self.ratio_clip)
+        out = np.empty(state.shape)
+        self.transform_features(state[..., :-1], out=out[..., :-1])
+        np.log1p(np.maximum(state[..., -1], 0.0), out=out[..., -1])
+        return out
+
+    def transform_features(
+        self, features: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """:meth:`transform` of the telemetry features alone (no UE-cost entry).
+
+        Element-wise, so a row normalised here equals the same columns of
+        its normalised state; ``out`` (e.g. the feature columns of a state
+        batch) receives the result when given.
+        """
+        features = np.asarray(features, dtype=float)
+        if features.shape[-1] != N_FEATURES:
+            raise ValueError(
+                f"expected {N_FEATURES} telemetry features, got {features.shape[-1]}"
+            )
+        if out is None:
+            out = np.empty(features.shape)
+        for cols, is_ratio in self._runs:
+            if is_ratio:
+                np.clip(features[..., cols], 0.0, self.ratio_clip, out=out[..., cols])
+            else:
+                np.log1p(np.maximum(features[..., cols], 0.0), out=out[..., cols])
         return out

@@ -199,8 +199,7 @@ class RLPolicy(MitigationPolicy):
             return
         features = np.concatenate([trace.features for trace in traces])
         if type(self.normalizer) is StateNormalizer:
-            padded = np.concatenate([features, np.zeros((len(features), 1))], axis=1)
-            features = self.normalizer.transform(padded)[:, :-1]
+            features = self.normalizer.transform_features(features)
         self._panel = features
 
     def decide_rows(

@@ -164,12 +164,13 @@ class _ArrayRing:
         self._actions: Optional[np.ndarray] = None
         self._rewards: Optional[np.ndarray] = None
         self._dones: Optional[np.ndarray] = None
+        self._state_shape: Optional[Tuple[int, ...]] = None  # set by the first state
 
     def __len__(self) -> int:
         return self._size
 
     def _store(self, slot: int, transition: Transition) -> None:
-        """Copy one transition into row ``slot`` of the storage arrays."""
+        """Copy one transition into row ``slot``; a rejected one writes nothing."""
         state = np.asarray(transition.state, dtype=np.float64)
         next_state = transition.next_state
         if next_state is not None:
@@ -181,17 +182,19 @@ class _ArrayRing:
             self._actions = np.zeros(self.capacity, dtype=np.int64)
             self._rewards = np.zeros(self.capacity)
             self._dones = np.zeros(self.capacity)
-        expected = "1-D" if self._states is None else self._states.shape[1:]
-        for array in (state, next_state):
-            if array is not None and (self._states is None or array.shape != expected):
-                raise ValueError(
-                    f"replay states must have shape {expected}, got {array.shape}"
-                )
+            self._state_shape = state.shape
+        shape = self._state_shape
+        next_shape = shape if next_state is None else next_state.shape
+        if state.shape != shape or next_shape != shape:
+            got = state.shape if state.shape != shape else next_shape
+            raise ValueError(
+                f"replay states must have shape {shape or '1-D'}, got {got}"
+            )
         self._states[slot] = state
         self._next_states[slot] = 0.0 if next_state is None else next_state
-        self._actions[slot] = int(transition.action)
-        self._rewards[slot] = float(transition.reward)
-        self._dones[slot] = float(transition.done)
+        self._actions[slot] = transition.action
+        self._rewards[slot] = transition.reward
+        self._dones[slot] = transition.done
 
     def push_many(self, transitions: Iterable[Transition]) -> None:
         """Bulk insert; identical to calling :meth:`push` repeatedly."""

@@ -359,7 +359,7 @@ class DecisionService:
             batch_costs.append(cost)
 
         if batch_nodes:
-            features = np.stack([step.features for step in batch_steps])
+            features = np.array([step.features for step in batch_steps])
             ue_costs = np.asarray(batch_costs, dtype=float)
             times = np.asarray([step.time for step in batch_steps])
             nodes = np.asarray(batch_nodes, dtype=np.int64)
@@ -373,10 +373,9 @@ class DecisionService:
                     f"{decisions.shape}, expected ({len(batch_nodes)},)"
                 )
             for node, step, cost, mitigate in zip(
-                batch_nodes, batch_steps, batch_costs, decisions
+                batch_nodes, batch_steps, batch_costs, decisions.tolist()
             ):
                 state = self._nodes[node]
-                mitigate = bool(mitigate)
                 state.mask.append(mitigate)
                 if mitigate:
                     state.last_mitigation = step.time

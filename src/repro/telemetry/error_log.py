@@ -96,6 +96,8 @@ class ErrorLog:
                     f"column {name!r} has length {arr.shape[0]}, expected {n}"
                 )
             object.__setattr__(self, name, arr)
+        if n and not np.isfinite(self.time).all():
+            raise ValueError("event times must be finite")
         if n and np.any(np.diff(self.time) < 0):
             order = np.argsort(self.time, kind="stable")
             for name, _ in _COLUMNS:

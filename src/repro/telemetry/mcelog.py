@@ -21,6 +21,7 @@ reorder those events on ingestion.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List, TextIO, Union
 
 from repro.telemetry.error_log import ErrorLog
@@ -76,8 +77,9 @@ def _parse_line(line: str) -> EventRecord:
         values[key] = value
     try:
         time = float(values["time"])
-        if time < 0:
-            raise ValueError(f"negative time {values['time']!r} in line {line!r}")
+        if not 0 <= time < math.inf:
+            problem = "negative" if time < 0 else "non-finite"
+            raise ValueError(f"{problem} time {values['time']!r} in line {line!r}")
         count = int(values.get("count", 1 if kind == EventKind.CE else 0))
         if count < 0:
             raise ValueError(

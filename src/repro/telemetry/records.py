@@ -19,6 +19,7 @@ set (Table 1) is built from:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, Tuple
 
@@ -60,7 +61,8 @@ class EventRecord:
     Attributes
     ----------
     time:
-        Seconds since the beginning of the observed production period.
+        Seconds since the beginning of the observed production period
+        (finite and ``>= 0``).
     node:
         Compute node identifier.
     dimm:
@@ -93,8 +95,8 @@ class EventRecord:
     manufacturer: int = field(default=-1, compare=False)
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:  # also rejects NaN
+            raise ValueError(f"event time must be finite and >= 0, got {self.time}")
         if self.node < 0:
             raise ValueError(f"node id must be >= 0, got {self.node}")
         if self.kind == EventKind.CE and self.ce_count < 1:

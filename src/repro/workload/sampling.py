@@ -9,10 +9,13 @@ likely to be running that job than a single-node job of the same frequency.
 :class:`JobSequenceSampler` draws such node-count-weighted sequences and
 :class:`NodeJobTimeline` answers the two questions the MDP needs at any time
 ``t``: how many nodes does the current job span, and when did it start.
+It is asked once per decision step, so it bisects plain-list copies of the
+arrays, built on the first query and kept out of ``==``, ``repr`` and pickles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -55,6 +58,11 @@ class NodeJobTimeline:
         """End time of each job."""
         return self.starts + self.durations
 
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_lists", None)  # job_at's list copies: rebuilt, never shipped
+        return state
+
     def job_at(self, t: float) -> Tuple[float, float]:
         """Return ``(job_start, job_n_nodes)`` for the job running at ``t``.
 
@@ -62,9 +70,13 @@ class NodeJobTimeline:
         (the sampler always covers the evaluation range, so this is only hit
         by out-of-range queries in user code).
         """
-        idx = int(self.starts.searchsorted(t, side="right")) - 1
-        idx = max(0, min(idx, len(self.starts) - 1))
-        return float(self.starts[idx]), float(self.n_nodes[idx])
+        if "_lists" not in self.__dict__:
+            columns = (self.starts, self.n_nodes)
+            lists = tuple(np.asarray(c, dtype=float).tolist() for c in columns)
+            object.__setattr__(self, "_lists", lists)
+        starts, n_nodes = self._lists
+        idx = max(0, min(bisect_right(starts, t) - 1, len(starts) - 1))
+        return starts[idx], n_nodes[idx]
 
     def potential_ue_cost(
         self, t: float, last_mitigation: Optional[float], restartable: bool

@@ -58,6 +58,12 @@ class TestSC20Policy:
         probability = eager.predict_probability(features)
         assert reluctant.decide(_context(features)) is (probability >= 1.0)
 
+    @pytest.mark.parametrize("width", [N_FEATURES - 1, N_FEATURES + 1])
+    def test_predict_probabilities_rejects_wrong_width(self, trained, width):
+        policy = SC20RandomForestPolicy(trained[0], threshold=0.5)
+        with pytest.raises(ValueError, match="telemetry features"):
+            policy.predict_probabilities(np.zeros((2, width)))
+
     def test_offset_applied(self, trained):
         forest, _, _ = trained
         policy = SC20RandomForestPolicy(forest, threshold=0.5, threshold_offset=0.05)

@@ -205,6 +205,13 @@ class TestStateNormalizer:
         with pytest.raises(ValueError):
             normalizer.state_vector(np.zeros(N_FEATURES - 1), ue_cost=0.0)
 
+    @pytest.mark.parametrize("width", [N_FEATURES - 1, N_FEATURES + 1])
+    def test_transform_features_rejects_wrong_width(self, normalizer, width):
+        with pytest.raises(ValueError, match="telemetry features"):
+            normalizer.transform_features(np.zeros((3, width)))
+        with pytest.raises(ValueError, match="telemetry features"):
+            normalizer.transform(np.zeros((3, width + 1)))
+
     def test_transform_batch(self, normalizer):
         batch = np.abs(np.random.default_rng(0).normal(size=(5, N_FEATURES + 1))) * 100
         out = normalizer.transform(batch)

@@ -127,6 +127,40 @@ def test_edge_log_prefixes_match_batch_extractor():
         _assert_prefix_equivalence(log, node, indices)
 
 
+def test_events_one_window_and_one_hour_apart_match_batch_extractor():
+    """Every look-back lands exactly on an earlier step.
+
+    Each event comes exactly one merge window after the previous one (so it
+    opens a new step) or exactly one hour after an earlier step, so the
+    Equation 2 look-backs ``t - 60 s`` and ``t - 3600 s`` tie with a history
+    entry whose value is non-zero, for the CE and the boot histories alike.
+    """
+    rows = [  # (time, kind, ce_count)
+        (0.0, EventKind.BOOT, 0),
+        (0.0, EventKind.CE, 2),
+        (60.0, EventKind.CE, 1),
+        (120.0, EventKind.BOOT, 0),
+        (180.0, EventKind.CE, 3),
+        (3780.0, EventKind.CE, 1),  # 180 s + 1 h
+        (3840.0, EventKind.BOOT, 0),  # one window later
+        (7440.0, EventKind.CE, 2),  # 3840 s + 1 h
+        (7500.0, EventKind.UE, 0),
+        (7560.0, EventKind.CE, 1),
+        (11160.0, EventKind.CE, 4),  # 7560 s + 1 h
+    ]
+    times, kinds, counts = zip(*rows)
+    log = _log_from_columns(
+        time=np.array(times),
+        kind=np.array(kinds, dtype=np.int8),
+        ce_count=np.array(counts, dtype=np.int64),
+    )
+    for node, indices in log.node_slices().items():
+        _assert_prefix_equivalence(log, node, indices)
+    track = extract_node_features(log, 0)
+    assert len(track) == len(rows) - 1  # only the two events at t = 0 merge
+    assert np.all(track.features[1:, -4:].any(axis=1))
+
+
 def test_generated_log_prefixes_match_batch_extractor(reduced_error_log):
     log = reduced_error_log
     checked = 0
@@ -225,6 +259,15 @@ def test_out_of_order_events_rejected():
     state.absorb_event(100.0, int(EventKind.CE), ce_count=1)
     with pytest.raises(ValueError, match="time order"):
         state.absorb_event(99.0, int(EventKind.CE), ce_count=1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_event_time_rejected(bad):
+    # NaN would slip past the time-order check and every later one.
+    state = OnlineFeatureState(node=0)
+    state.absorb_event(100.0, int(EventKind.CE), ce_count=1)
+    with pytest.raises(ValueError, match="finite"):
+        state.absorb_event(bad, int(EventKind.CE), ce_count=1)
 
 
 def test_invalid_merge_window_rejected():

@@ -59,6 +59,12 @@ class TestRLPolicy:
         expected = agent.act(state, explore=False) == 1
         assert policy.decide(context) == expected
 
+    @pytest.mark.parametrize("width", [N_FEATURES - 1, N_FEATURES + 1])
+    def test_decide_nodes_rejects_wrong_width(self, agent, width):
+        policy = RLPolicy(agent, StateNormalizer())
+        with pytest.raises(ValueError):
+            policy.decide_nodes(np.zeros((2, width)), np.zeros(2))
+
     def test_training_cost_includes_agent_and_extra(self, agent):
         agent.training_wallclock_seconds = 3600.0
         policy = RLPolicy(agent, training_cost_node_hours=2.0)

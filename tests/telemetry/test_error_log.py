@@ -47,6 +47,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ErrorLog(time=[1.0, 2.0], node=[1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, log, bad):
+        columns = {name: getattr(log, name) for name in ErrorLog.__slots__}
+        columns["time"] = columns["time"].copy()
+        columns["time"][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ErrorLog(**columns)
+
     def test_columns_are_read_only(self, log):
         with pytest.raises(AttributeError):
             log.time = np.zeros(3)

@@ -1,5 +1,6 @@
 """Tests for mcelog-style serialisation."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,14 @@ class TestHardening:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="negative time"):
             parse_mcelog("BOOT time=-1.5 node=3")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "NaN", "+inf"])
+    def test_non_finite_time_rejected_with_its_line(self, value):
+        text = f"BOOT time=1.0 node=3\nCE time={value} node=3 dimm=1 count=1\n"
+        with pytest.raises(
+            ValueError, match=rf"^line 2: non-finite time '{re.escape(value)}'"
+        ):
+            parse_mcelog(text)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="negative count"):

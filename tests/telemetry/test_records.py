@@ -45,6 +45,13 @@ class TestEventRecord:
         with pytest.raises(ValueError):
             EventRecord(time=-1.0, node=0, kind=EventKind.BOOT)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, time):
+        # NaN compares false with everything: it would pass a `time < 0`
+        # check and stall every later out-of-order check in the service.
+        with pytest.raises(ValueError, match="finite"):
+            EventRecord(time=time, node=0, kind=EventKind.BOOT)
+
     def test_negative_node_rejected(self):
         with pytest.raises(ValueError):
             EventRecord(time=1.0, node=-1, kind=EventKind.BOOT)

@@ -123,6 +123,13 @@ class TestServe:
         with pytest.raises(SystemExit, match="unknown preset"):
             cli.main(["serve", "--source", "preset:galactic", "--policy", "never"])
 
+    def test_serve_rejects_a_non_finite_event_time(self, tmp_path):
+        """A NaN time would pass every ordering check; the spool line is named."""
+        path = tmp_path / "nan.log"
+        path.write_text(self.EVENTS + "CE time=nan node=3 dimm=1 count=1\n")
+        with pytest.raises(ValueError, match=r"^line 7: non-finite time 'nan'"):
+            cli.main(["serve", "--source", str(path), "--policy", "always"])
+
     def test_serve_rejects_pacing_a_file_source(self, tmp_path):
         with pytest.raises(SystemExit, match="replay-at-speed"):
             cli.main(

@@ -1,5 +1,8 @@
 """Tests for node-level job timeline sampling."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +41,20 @@ class TestNodeJobTimeline:
         timeline = self._timeline()
         start, nodes = timeline.job_at(100 * HOUR)
         assert nodes == 2.0
+
+    def test_job_at_lookup_lists_stay_out_of_pickle_eq_and_repr(self):
+        """Cached traces ship timelines to process workers: the lists
+        ``job_at`` builds must not grow the pickle or change equality."""
+        timeline = self._timeline()
+        twin = dataclasses.replace(timeline)  # shares the arrays
+        size, text = len(pickle.dumps(timeline)), repr(timeline)
+        assert timeline.job_at(3 * HOUR) == (2 * HOUR, 16.0)
+        assert len(pickle.dumps(timeline)) == size
+        assert repr(timeline) == text
+        assert timeline == twin and twin == timeline
+        clone = pickle.loads(pickle.dumps(timeline))
+        assert np.array_equal(clone.starts, timeline.starts)
+        assert clone.job_at(3 * HOUR) == timeline.job_at(3 * HOUR)
 
     def test_potential_ue_cost_from_job_start(self):
         timeline = self._timeline()
