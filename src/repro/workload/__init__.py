@@ -5,8 +5,8 @@ in Section 2.2 of the paper: a Slurm ``sacct`` extract with submission, start
 and end times, and the number of allocated nodes for every job.  Because the
 production log is proprietary, the package provides a generator of
 statistically similar workloads (heavy-tailed durations, power-of-two-ish
-node counts spanning orders of magnitude, >95 % cluster utilization), a
-simple FCFS scheduler used to place the generated jobs on a cluster,
+node counts spanning orders of magnitude, >95 % cluster utilization), the
+FCFS and backfill schedulers that place the generated jobs on a cluster,
 node-count-weighted job sampling (Section 3.3.3) and job-size scaling
 (Section 5.6).
 """

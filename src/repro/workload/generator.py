@@ -163,7 +163,7 @@ class WorkloadGenerator:
         target_node_seconds = cfg.target_utilization * capacity_node_seconds
 
         # Draw jobs in chunks until the requested work fills the target
-        # utilization, then schedule them FCFS.
+        # utilization, then schedule them.
         mean_job_node_seconds = (
             float(np.dot(cfg.node_count_probabilities(), cfg.node_count_values()))
             * cfg.mean_job_duration_seconds
@@ -193,8 +193,7 @@ class WorkloadGenerator:
             scheduler = BackfillScheduler(self.n_cluster_nodes)
         else:
             scheduler = ClusterScheduler(self.n_cluster_nodes)
-        scheduled = scheduler.schedule_all(submits, node_counts, durations)
-        log = ClusterScheduler.to_job_log(scheduled)
+        log = scheduler.schedule_all(submits, node_counts, durations)
         # Keep only jobs that start within the observed period.
         return log.select(log.start < self.duration)
 

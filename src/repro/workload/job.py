@@ -82,6 +82,8 @@ class JobLog:
             for name in self.__slots__:
                 setattr(self, name, getattr(self, name)[order])
         if len(self):
+            if not np.isfinite([self.submit, self.start, self.end, self.n_nodes]).all():
+                raise ValueError("job log contains non-finite timestamps or node counts")
             if np.any(self.end < self.start) or np.any(self.start < self.submit):
                 raise ValueError("job log contains inconsistent timestamps")
             if np.any(self.n_nodes <= 0):

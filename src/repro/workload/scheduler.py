@@ -1,18 +1,28 @@
-"""A minimal FCFS cluster scheduler used to place generated jobs on nodes.
+"""FCFS and EASY-backfill cluster schedulers that place generated jobs on nodes.
 
 The workload generator produces jobs (submission time, requested nodes,
-duration); this scheduler assigns start times and concrete node allocations
-in first-come-first-served order, always picking the nodes that free up
-earliest.  It is intentionally simple — the paper's method only needs the
-resulting joint distribution of (node count, elapsed time) — but it gives the
-generated log realistic queueing behaviour (jobs wait when the machine is
-full) and lets tests check the >95 % utilization property end to end.
+duration); a scheduler assigns start times and node allocations, always
+picking the nodes that free up earliest.  The paper's method only needs the
+resulting joint distribution of (node count, elapsed time), but queueing
+makes the generated log realistic (jobs wait when the machine is full).
+
+The cluster state is the list of nodes sorted by free time, ties broken by
+node index — the order ``np.argsort(free_at, kind="stable")`` gives — with
+the free times in a parallel list.  An ``n``-node job takes the first ``n``
+nodes and starts at ``max(submit, max(<n-th smallest free time>, 0.0))``;
+its nodes go back at the bisected position of its end time, merged by node
+index into any run of equal times.  :meth:`ClusterScheduler.schedule_all`
+checks a batch up front, places it through that one core in the order the
+discipline picks, and returns the :class:`JobLog`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,16 +48,45 @@ class ClusterScheduler:
     def __init__(self, n_nodes: int) -> None:
         check_positive("n_nodes", n_nodes)
         self.n_nodes = int(n_nodes)
-        self._free_at = np.zeros(self.n_nodes, dtype=np.float64)
+        self.reset()
 
     def reset(self) -> None:
         """Forget all previous allocations."""
-        self._free_at[:] = 0.0
+        self._free_times: List[float] = [0.0] * self.n_nodes
+        self._free_nodes: List[int] = list(range(self.n_nodes))
 
-    @property
-    def node_free_times(self) -> np.ndarray:
-        """Copy of the per-node earliest-availability times."""
-        return self._free_at.copy()
+    def _check_width(self, n_nodes: int) -> None:
+        if n_nodes > self.n_nodes:
+            raise ValueError(
+                f"job requests {n_nodes} nodes but the cluster has {self.n_nodes}"
+            )
+        if n_nodes < 1:
+            raise ValueError(f"job must allocate at least one node, got {n_nodes}")
+
+    def earliest_start(self, submit: float, n_nodes: int) -> float:
+        """Start time the job would get if scheduled right now."""
+        self._check_width(n_nodes)
+        return max(submit, max(self._free_times[n_nodes - 1], 0.0))
+
+    def _place(self, jobs: Iterable[int], submits, widths, durations) -> Tuple:
+        """Place ``jobs`` in turn on the earliest-free nodes; return the placed
+        indices, their starts and ends, and the last job's nodes."""
+        times, free_nodes = self._free_times, self._free_nodes
+        placed, starts, ends, nodes = [], [], [], []
+        for i in jobs:
+            n = widths[i]
+            start = max(submits[i], max(times[n - 1], 0.0))
+            end = start + durations[i]
+            nodes = sorted(free_nodes[:n])
+            del times[:n], free_nodes[:n]
+            lo = bisect_left(times, end)
+            hi = bisect_right(times, end, lo)
+            times[lo:hi] = [end] * (hi - lo + n)
+            free_nodes[lo:hi] = sorted(nodes + free_nodes[lo:hi]) if hi > lo else nodes
+            placed.append(i)
+            starts.append(start)
+            ends.append(end)
+        return placed, starts, ends, nodes
 
     def schedule(
         self, submit: float, n_nodes: int, duration: float, job_id: int = 0
@@ -57,54 +96,56 @@ class ClusterScheduler:
         The job starts as soon as ``n_nodes`` nodes are simultaneously free
         after ``submit``; the chosen nodes are those that free up earliest.
         """
-        if n_nodes > self.n_nodes:
-            raise ValueError(
-                f"job requests {n_nodes} nodes but the cluster has {self.n_nodes}"
-            )
+        self._check_width(n_nodes)
+        for field, value in (("submit", submit), ("duration", duration)):
+            if not np.isfinite(value):
+                raise ValueError(f"job {job_id}: {field} must be finite, got {value}")
         check_positive("duration", duration)
-        order = np.argsort(self._free_at, kind="stable")
-        chosen = order[:n_nodes]
-        start = max(float(submit), float(self._free_at[chosen].max(initial=0.0)))
-        end = start + float(duration)
-        self._free_at[chosen] = end
-        record = JobRecord(
-            submit=float(submit),
-            start=start,
-            end=end,
-            n_nodes=float(n_nodes),
-            job_id=int(job_id),
+        _, (start,), (end,), nodes = self._place(
+            [0], [float(submit)], [int(n_nodes)], [float(duration)]
         )
-        return ScheduledJob(record=record, nodes=np.sort(chosen))
+        record = JobRecord(float(submit), start, end, float(n_nodes), int(job_id))
+        return ScheduledJob(record=record, nodes=np.array(nodes, dtype=np.intp))
+
+    def _order(self, by_submit: List[int], submits, widths, durations) -> Iterable[int]:
+        """Batch indices in placement order: FCFS takes them as submitted.
+        Each yielded job is placed before the next is asked for."""
+        return by_submit
 
     def schedule_all(
         self,
         submits: Sequence[float],
         n_nodes: Sequence[int],
         durations: Sequence[float],
-    ) -> List[ScheduledJob]:
-        """Schedule a batch of jobs in submission order."""
-        submits = np.asarray(submits, dtype=float)
-        n_nodes_arr = np.asarray(n_nodes, dtype=int)
-        durations = np.asarray(durations, dtype=float)
-        if not (len(submits) == len(n_nodes_arr) == len(durations)):
+    ) -> JobLog:
+        """Schedule a batch of jobs; ``job_id`` is each job's placement rank."""
+        submits_arr = np.asarray(submits, dtype=float)
+        widths_arr = np.asarray(n_nodes, dtype=int)
+        durations_arr = np.asarray(durations, dtype=float)
+        if not (len(submits_arr) == len(widths_arr) == len(durations_arr)):
             raise ValueError("submits, n_nodes and durations must be equally long")
-        order = np.argsort(submits, kind="stable")
-        scheduled = []
-        for job_id, idx in enumerate(order):
-            scheduled.append(
-                self.schedule(
-                    submit=float(submits[idx]),
-                    n_nodes=int(n_nodes_arr[idx]),
-                    duration=float(durations[idx]),
-                    job_id=job_id,
-                )
-            )
-        return scheduled
-
-    @staticmethod
-    def to_job_log(scheduled: Sequence[ScheduledJob]) -> JobLog:
-        """Collect scheduled jobs into a :class:`JobLog`."""
-        return JobLog.from_records([s.record for s in scheduled])
+        if len(widths_arr):
+            self._check_width(int(widths_arr.max()))
+            self._check_width(int(widths_arr.min()))
+        for field, values in (("submit", submits_arr), ("duration", durations_arr)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"job {bad[0]}: {field} must be finite, got {values[bad[0]]}")
+        bad = np.flatnonzero(durations_arr <= 0)
+        if bad.size:
+            check_positive(f"job {bad[0]}: duration", float(durations_arr[bad[0]]))
+        submits, widths, durations = (a.tolist() for a in (submits_arr, widths_arr, durations_arr))
+        by_submit = np.argsort(submits_arr, kind="stable").tolist()
+        order, starts, ends, _ = self._place(
+            self._order(by_submit, submits, widths, durations), submits, widths, durations
+        )
+        return JobLog(
+            job_id=range(len(order)),
+            submit=submits_arr[order],
+            start=starts,
+            end=ends,
+            n_nodes=widths_arr[order],
+        )
 
 
 class BackfillScheduler(ClusterScheduler):
@@ -124,68 +165,23 @@ class BackfillScheduler(ClusterScheduler):
         check_positive("backfill_depth", backfill_depth)
         self.backfill_depth = int(backfill_depth)
 
-    def earliest_start(self, submit: float, n_nodes: int) -> float:
-        """Start time the job would get if scheduled right now."""
-        if n_nodes > self.n_nodes:
-            raise ValueError(
-                f"job requests {n_nodes} nodes but the cluster has {self.n_nodes}"
-            )
-        order = np.argsort(self._free_at, kind="stable")
-        chosen = order[:n_nodes]
-        return max(float(submit), float(self._free_at[chosen].max(initial=0.0)))
-
-    def schedule_all(
-        self,
-        submits: Sequence[float],
-        n_nodes: Sequence[int],
-        durations: Sequence[float],
-    ) -> List[ScheduledJob]:
-        """Schedule a batch with EASY backfilling."""
-        submits = np.asarray(submits, dtype=float)
-        n_nodes_arr = np.asarray(n_nodes, dtype=int)
-        durations = np.asarray(durations, dtype=float)
-        if not (len(submits) == len(n_nodes_arr) == len(durations)):
-            raise ValueError("submits, n_nodes and durations must be equally long")
-        queue = list(np.argsort(submits, kind="stable"))
-        scheduled: List[ScheduledJob] = []
-        job_id = 0
+    def _order(self, by_submit: List[int], submits, widths, durations) -> Iterator[int]:
+        """Submission order, except that one shorter job may slide in front
+        of a waiting head's reservation before the head is re-evaluated."""
+        queue = deque(by_submit)
+        times = self._free_times  # placements edit it in place
         while queue:
             head = queue[0]
-            reservation = self.earliest_start(
-                float(submits[head]), int(n_nodes_arr[head])
-            )
+            reservation = max(submits[head], max(times[widths[head] - 1], 0.0))
+            pick = 0
             if reservation > submits[head]:
-                # Head must wait: try to slide one shorter job in front of
-                # its reservation, then re-evaluate.
-                backfilled = False
-                for pos in range(1, min(len(queue), 1 + self.backfill_depth)):
-                    cand = queue[pos]
-                    cand_start = self.earliest_start(
-                        float(submits[cand]), int(n_nodes_arr[cand])
-                    )
-                    if cand_start + float(durations[cand]) <= reservation:
-                        scheduled.append(
-                            self.schedule(
-                                submit=float(submits[cand]),
-                                n_nodes=int(n_nodes_arr[cand]),
-                                duration=float(durations[cand]),
-                                job_id=job_id,
-                            )
-                        )
-                        job_id += 1
-                        queue.pop(pos)
-                        backfilled = True
+                # The widths were checked up front, so this inlines
+                # ``earliest_start`` without its check.
+                for pos, cand in enumerate(islice(queue, 1, 1 + self.backfill_depth), 1):
+                    cand_start = max(submits[cand], max(times[widths[cand] - 1], 0.0))
+                    if cand_start + durations[cand] <= reservation:
+                        pick = pos
                         break
-                if backfilled:
-                    continue
-            scheduled.append(
-                self.schedule(
-                    submit=float(submits[head]),
-                    n_nodes=int(n_nodes_arr[head]),
-                    duration=float(durations[head]),
-                    job_id=job_id,
-                )
-            )
-            job_id += 1
-            queue.pop(0)
-        return scheduled
+            job = queue[pick]
+            del queue[pick]
+            yield job

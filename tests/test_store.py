@@ -8,6 +8,7 @@ reloaded result is field-identical to the freshly computed one.
 
 from __future__ import annotations
 
+import io
 import json
 from types import SimpleNamespace
 
@@ -80,6 +81,19 @@ class TestPreparedData:
             assert np.array_equal(track.features, other.features)
             assert np.array_equal(track.is_ue, other.is_ue)
         assert loaded.sampler.job_log == prepared.sampler.job_log
+
+    def test_non_finite_job_column_is_rejected_on_load(self, store):
+        prepared = prepare_data(SCENARIO, TINY)
+        key = store.save_prepared(prepared, TINY)
+        path = f"prepared/{key}/arrays.npz"
+        with np.load(io.BytesIO(store.backend.get(path))) as archive:
+            arrays = dict(archive)
+        arrays["job_end"][0] = np.nan
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        store.backend.put(path, buffer.getvalue())
+        with pytest.raises(ValueError, match="non-finite"):
+            store.load_prepared(SCENARIO, TINY)
 
     def test_miss_returns_none(self, store):
         assert store.load_prepared(SCENARIO, TINY) is None

@@ -50,6 +50,25 @@ class TestJobLog:
         rebuilt = JobLog.from_records(log.to_records())
         assert rebuilt == log
 
+    @pytest.mark.parametrize("column", ["submit", "start", "end", "n_nodes"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_columns(self, column, value):
+        columns = dict(
+            job_id=[0, 1],
+            submit=[0.0, 0.0],
+            start=[0.0, 1.0],
+            end=[HOUR, 2 * HOUR],
+            n_nodes=[1.0, 2.0],
+        )
+        columns[column] = [columns[column][0], value]
+        with pytest.raises(ValueError, match="non-finite"):
+            JobLog(**columns)
+
+    def test_rejects_an_all_nan_job(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            JobLog(job_id=[0], submit=[nan], start=[nan], end=[nan], n_nodes=[nan])
+
     def test_total_node_hours(self):
         log = self._log()
         assert log.total_node_hours() == pytest.approx(2 * 2 + 4 * 1 + 8 * 2)

@@ -16,6 +16,12 @@ def _generate(config: WorkloadConfig, seed: int = 5, days: int = 60):
     ).generate()
 
 
+def start_of(log, submit, width):
+    """Start of the one job in ``log`` with this submit time and width."""
+    (match,) = np.flatnonzero((log.submit == submit) & (log.n_nodes == width))
+    return log.start[match]
+
+
 class TestConfigValidation:
     def test_defaults_are_the_legacy_shape(self):
         config = WorkloadConfig()
@@ -118,15 +124,6 @@ class TestBackfillScheduler:
             submits, n_nodes, durations
         )
 
-        def start_of(scheduled, submit, width):
-            for job in scheduled:
-                if (
-                    job.record.submit == submit
-                    and job.record.n_nodes == width
-                ):
-                    return job.record.start
-            raise AssertionError("job not found")
-
         # FCFS makes C wait behind the machine-wide B.
         assert start_of(fcfs, 1.0, 1) == 150.0
         # Backfill slides C into the gap without delaying B's reservation.
@@ -140,12 +137,8 @@ class TestBackfillScheduler:
             backfill = BackfillScheduler(n_nodes=3).schedule_all(
                 [0.0, 0.0, 1.0], [2, 3, 1], [100.0, 50.0, duration]
             )
-            starts = {
-                (job.record.submit, job.record.n_nodes): job.record.start
-                for job in backfill
-            }
-            assert starts[(1.0, 1.0)] == expected_start
-            assert starts[(0.0, 3.0)] == 100.0  # head reservation held
+            assert start_of(backfill, 1.0, 1) == expected_start
+            assert start_of(backfill, 0.0, 3) == 100.0  # head reservation held
 
     def test_backfill_depth_limits_the_scan(self):
         # With depth 1 only the first queued job may jump; the fitting job
@@ -159,16 +152,8 @@ class TestBackfillScheduler:
         deep = BackfillScheduler(n_nodes=3, backfill_depth=8).schedule_all(
             submits, n_nodes, durations
         )
-        small_start = {
-            (job.record.submit, job.record.n_nodes): job.record.start
-            for job in deep
-        }[(1.0, 1.0)]
-        small_start_shallow = {
-            (job.record.submit, job.record.n_nodes): job.record.start
-            for job in shallow
-        }[(1.0, 1.0)]
-        assert small_start == 1.0
-        assert small_start_shallow > 1.0
+        assert start_of(deep, 1.0, 1) == 1.0
+        assert start_of(shallow, 1.0, 1) > 1.0
 
     def test_backfill_reduces_total_wait_on_a_random_mix(self):
         rng = np.random.default_rng(7)
@@ -182,9 +167,7 @@ class TestBackfillScheduler:
         backfill = BackfillScheduler(n_nodes=8).schedule_all(
             submits, n_nodes, durations
         )
-        wait = lambda scheduled: sum(
-            job.record.start - job.record.submit for job in scheduled
-        )
+        wait = lambda log: sum((log.start - log.submit).tolist())
         assert wait(backfill) <= wait(fcfs)
 
     def test_generator_dispatches_on_the_scheduler_field(self):

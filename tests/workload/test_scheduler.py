@@ -1,10 +1,11 @@
-"""Tests for the FCFS cluster scheduler."""
+"""Tests for the FCFS cluster scheduler and the schedulers' input checks."""
 
 import numpy as np
 import pytest
 
 from repro.utils.timeutils import HOUR
-from repro.workload.scheduler import ClusterScheduler
+from repro.workload.job import JobLog
+from repro.workload.scheduler import BackfillScheduler, ClusterScheduler
 
 
 class TestSchedule:
@@ -29,11 +30,10 @@ class TestSchedule:
 
     def test_allocated_nodes_do_not_overlap_in_time(self):
         scheduler = ClusterScheduler(n_nodes=6)
-        jobs = scheduler.schedule_all(
-            submits=[0.0, 0.0, 0.0, 0.0],
-            n_nodes=[3, 3, 3, 3],
-            durations=[HOUR, HOUR, HOUR, HOUR],
-        )
+        jobs = [
+            scheduler.schedule(submit=0.0, n_nodes=3, duration=HOUR, job_id=job_id)
+            for job_id in range(4)
+        ]
         intervals = {}
         for job in jobs:
             for node in job.nodes:
@@ -67,11 +67,69 @@ class TestSchedule:
         with pytest.raises(ValueError):
             scheduler.schedule_all([0.0], [1, 1], [HOUR])
 
-    def test_to_job_log(self):
+    def test_schedule_all_returns_the_job_log(self):
         scheduler = ClusterScheduler(n_nodes=4)
-        jobs = scheduler.schedule_all(
+        log = scheduler.schedule_all(
             submits=[0.0, 5.0], n_nodes=[2, 2], durations=[HOUR, HOUR]
         )
-        log = ClusterScheduler.to_job_log(jobs)
+        assert isinstance(log, JobLog)
         assert len(log) == 2
         assert log.total_node_hours() == pytest.approx(4.0)
+        np.testing.assert_array_equal(log.job_id, [0, 1])
+
+    def test_earliest_start_reads_the_nth_free_node(self):
+        scheduler = ClusterScheduler(n_nodes=3)
+        scheduler.schedule(submit=0.0, n_nodes=1, duration=100.0)
+        scheduler.schedule(submit=0.0, n_nodes=1, duration=50.0)
+        assert scheduler.earliest_start(10.0, 1) == 10.0
+        assert scheduler.earliest_start(10.0, 2) == 50.0
+        assert scheduler.earliest_start(10.0, 3) == 100.0
+        with pytest.raises(ValueError, match="cluster has 3"):
+            scheduler.earliest_start(0.0, 4)
+        with pytest.raises(ValueError, match="at least one node"):
+            scheduler.earliest_start(0.0, 0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "submit, duration, field",
+        [
+            (float("nan"), HOUR, "submit"),
+            (float("inf"), HOUR, "submit"),
+            (0.0, float("inf"), "duration"),
+            (0.0, float("nan"), "duration"),
+        ],
+    )
+    def test_schedule_rejects_and_leaves_the_cluster_untouched(
+        self, submit, duration, field
+    ):
+        scheduler = ClusterScheduler(n_nodes=4)
+        with pytest.raises(ValueError, match=f"job 9: {field} must be finite"):
+            scheduler.schedule(submit, 2, duration, job_id=9)
+        job = scheduler.schedule(submit=0.0, n_nodes=4, duration=HOUR)
+        assert (job.record.start, job.record.end) == (0.0, HOUR)
+
+    @pytest.mark.parametrize("scheduler_cls", [ClusterScheduler, BackfillScheduler])
+    @pytest.mark.parametrize(
+        "submits, durations, message",
+        [
+            ([0.0, float("nan"), 5.0], [HOUR] * 3, "job 1: submit must be finite"),
+            ([0.0, 1.0, 5.0], [HOUR, HOUR, float("inf")], "job 2: duration must be finite"),
+            ([0.0, 1.0, 5.0], [HOUR, 0.0, HOUR], "job 1: duration must be > 0"),
+        ],
+    )
+    def test_schedule_all_names_the_job_and_field(
+        self, scheduler_cls, submits, durations, message
+    ):
+        scheduler = scheduler_cls(n_nodes=4)
+        with pytest.raises(ValueError, match=message):
+            scheduler.schedule_all(submits, [1, 2, 4], durations)
+        # Nothing was placed: the whole machine is still free at 0.
+        assert scheduler.earliest_start(0.0, 4) == 0.0
+
+    @pytest.mark.parametrize("width, message", [(5, "cluster has 4"), (0, "at least one")])
+    def test_schedule_all_rejects_bad_widths_up_front(self, width, message):
+        scheduler = ClusterScheduler(n_nodes=4)
+        with pytest.raises(ValueError, match=message):
+            scheduler.schedule_all([0.0, 1.0], [2, width], [HOUR, HOUR])
+        assert scheduler.earliest_start(0.0, 4) == 0.0
