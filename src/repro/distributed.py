@@ -65,6 +65,7 @@ from repro.evaluation.pipeline import (
     ExperimentConfig,
     ExperimentResult,
     PreparedDataCache,
+    prepared_data_key,
 )
 from repro.evaluation.sweep import SweepResult, SweepSpec, assign_shard, run_sweep
 from repro.serialization import canonical_json
@@ -222,7 +223,7 @@ def _point_jobs(
         (
             point,
             store.result_key(point.scenario, config),
-            store.prepared_key(point.scenario, config),
+            prepared_data_key(point.scenario, config),
         )
         for point in spec.points()
     ]

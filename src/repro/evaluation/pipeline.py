@@ -46,10 +46,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import re
 import threading
 import time
+import warnings
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -81,6 +82,7 @@ from repro.evaluation.runner import (
     build_traces,
     evaluate_policy,
 )
+from repro.serialization import content_key
 from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.generator import TelemetryGenerator
 from repro.telemetry.reduction import ReductionReport, prepare_log
@@ -456,9 +458,9 @@ class PreparedData:
     reduction_report: ReductionReport
     #: Content key of the data-preparation inputs (see
     #: :func:`prepared_data_key`).  Identical keys guarantee identical
-    #: tracks/sampler, which the per-split trace cache relies on; the empty
-    #: tuple (hand-built instances) opts out of trace caching.
-    data_key: Tuple = ()
+    #: tracks/sampler, which the trace cache, the forest task keys and the
+    #: store rely on.
+    data_key: str
 
 
 @dataclass(frozen=True)
@@ -493,33 +495,66 @@ def _effective_job_scaling(scenario: ScenarioConfig, config: ExperimentConfig) -
     return scenario.job_scaling_factor * config.job_scaling_factor
 
 
-def prepared_data_key(scenario: ScenarioConfig, config: ExperimentConfig) -> Tuple:
+def prepared_data_key(
+    scenario: ScenarioConfig,
+    config: ExperimentConfig,
+    error_log: Optional[ErrorLog] = None,
+    job_log: Optional[JobLog] = None,
+) -> str:
     """Content key of everything :func:`prepare_data` consumes.
 
-    Two (scenario, config) pairs with equal keys produce identical
-    :class:`PreparedData` products (same telemetry, same reduction, same
-    feature tracks, same sampler).  Evaluation-only parameters — mitigation
-    cost, restartability, the CV layout, the prediction window — are
+    Two calls with equal keys produce identical :class:`PreparedData`
+    products (same telemetry, same reduction, same feature tracks, same
+    sampler).  Evaluation-only parameters — mitigation cost,
+    restartability, the CV layout, the prediction window — are
     deliberately excluded: sweeps over them share one prepared dataset.
+    An ingested log adds the SHA-256 of its columns (names, dtypes and
+    bytes), so the same log gives the same key and a log that differs in
+    one event a new one.  This key names the product everywhere: the
+    in-memory caches, the forest task keys and the ``prepared/`` family of
+    :class:`repro.store.ArtifactStore`.
     """
-    return (
-        scenario.seed,
+    payload = {
+        "kind": "prepared_data",
+        "seed": scenario.seed,
+        "topology": scenario.topology.to_dict(),
+        "fault_model": scenario.fault_model.to_dict(),
+        "workload": scenario.workload.to_dict(),
+        "duration_seconds": scenario.duration_seconds,
+        "ue_burst_window_seconds": scenario.evaluation.ue_burst_window_seconds,
+        "merge_window_seconds": scenario.evaluation.merge_window_seconds,
+        "manufacturer": _effective_manufacturer(scenario, config),
+        "job_scaling": _effective_job_scaling(scenario, config),
+    }
+    for field_name, log in (("error_log", error_log), ("job_log", job_log)):
+        if log is not None:
+            digest = hashlib.sha256()
+            for name in log.__slots__:
+                column = np.ascontiguousarray(getattr(log, name))
+                digest.update(f"{name}:{column.dtype.str}:{column.size}:".encode())
+                digest.update(column.data)
+            payload[field_name] = digest.hexdigest()
+    return content_key(payload)
+
+
+def _generate_error_log(scenario: ScenarioConfig) -> ErrorLog:
+    """The scenario's synthetic telemetry."""
+    return TelemetryGenerator(
         scenario.topology,
         scenario.fault_model,
-        scenario.workload,
         scenario.duration_seconds,
-        scenario.evaluation.ue_burst_window_seconds,
-        scenario.evaluation.merge_window_seconds,
-        _effective_manufacturer(scenario, config),
-        _effective_job_scaling(scenario, config),
-    )
+        seed=RngFactory(scenario.seed).child("telemetry"),
+    ).generate()
 
 
-#: Distinguishes products built from externally supplied logs: their content
-#: is not derivable from (scenario, config), so each gets a unique data key
-#: and never shares trace-cache entries with synthetic runs (or with other
-#: external logs of the same scenario).
-_EXTERNAL_DATA_NONCE = itertools.count()
+def _generate_job_log(scenario: ScenarioConfig) -> JobLog:
+    """The scenario's synthetic workload."""
+    return WorkloadGenerator(
+        scenario.workload,
+        n_cluster_nodes=scenario.topology.n_nodes,
+        duration_seconds=scenario.duration_seconds,
+        seed=RngFactory(scenario.seed).stream("workload"),
+    ).generate()
 
 
 def prepare_data(
@@ -527,19 +562,20 @@ def prepare_data(
     config: ExperimentConfig,
     error_log: Optional[ErrorLog] = None,
     job_log: Optional[JobLog] = None,
+    *,
+    data_key: Optional[str] = None,
 ) -> PreparedData:
-    """Generate (or accept) the logs and derive feature tracks and sampler."""
-    evaluation_cfg = scenario.evaluation
-    factory = RngFactory(scenario.seed)
-    external_inputs = error_log is not None or job_log is not None
+    """Generate (or accept) the logs and derive feature tracks and sampler.
 
+    ``data_key`` defaults to :func:`prepared_data_key` of the arguments.
+    :class:`PreparedDataCache` passes the key it looked the product up by,
+    together with the logs its sub-caches generated for a synthetic key.
+    """
+    if data_key is None:
+        data_key = prepared_data_key(scenario, config, error_log, job_log)
+    evaluation_cfg = scenario.evaluation
     if error_log is None:
-        error_log = TelemetryGenerator(
-            scenario.topology,
-            scenario.fault_model,
-            scenario.duration_seconds,
-            seed=factory.child("telemetry"),
-        ).generate()
+        error_log = _generate_error_log(scenario)
     manufacturer = _effective_manufacturer(scenario, config)
     if manufacturer is not None:
         error_log = error_log.filter_manufacturer(manufacturer)
@@ -548,21 +584,15 @@ def prepare_data(
     )
 
     if job_log is None:
-        job_log = WorkloadGenerator(
-            scenario.workload,
-            n_cluster_nodes=scenario.topology.n_nodes,
-            duration_seconds=scenario.duration_seconds,
-            seed=factory.stream("workload"),
-        ).generate()
+        job_log = _generate_job_log(scenario)
     job_scaling = _effective_job_scaling(scenario, config)
     if job_scaling != 1.0:
         job_log = scale_job_log(job_log, job_scaling)
-    sampler = JobSequenceSampler(job_log, seed=factory.stream("sampler"))
+    sampler = JobSequenceSampler(
+        job_log, seed=RngFactory(scenario.seed).stream("sampler")
+    )
 
     tracks = build_feature_tracks(reduced_log, evaluation_cfg.merge_window_seconds)
-    data_key = prepared_data_key(scenario, config)
-    if external_inputs:
-        data_key += (("external", next(_EXTERNAL_DATA_NONCE)),)
     return PreparedData(
         scenario=scenario,
         tracks=tracks,
@@ -591,15 +621,18 @@ class PreparedDataCache:
     ``hits`` / ``misses`` / ``prepare_calls`` count cache behaviour;
     the property tests assert on them.
 
+    Every product is keyed by :func:`prepared_data_key`: ingested logs by
+    their content, so the same log shares one product.
+
     ``spill`` optionally attaches a disk backend — any object with
-    ``load_prepared(scenario, config) -> Optional[PreparedData]`` and
-    ``save_prepared(prepared, config)``, in practice a
+    ``load_prepared(scenario, key) -> Optional[PreparedData]``,
+    ``save_prepared(prepared)`` and ``delete_prepared(key)``, in practice a
     :class:`repro.store.ArtifactStore`.  On a memory miss the spill is
     consulted before :func:`prepare_data` runs, and every freshly built
-    *synthetic* product is written through, so sweeps resume across
-    sessions (externally supplied logs are never spilled: their content is
-    not derivable from the scenario).  ``spill_hits`` / ``spill_saves``
-    count the disk traffic.
+    product is written through, so sweeps resume across sessions.  An entry
+    that fails to load (a corrupt artifact) is warned about, counted in
+    ``spill_rejects``, deleted and rebuilt.  ``spill_hits`` /
+    ``spill_saves`` count the disk traffic.
 
     A forest family keeps SC20 forest fits by their content-keyed task key
     (see :func:`build_split_tasks`), in an LRU of the same ``maxsize``, so
@@ -609,7 +642,7 @@ class PreparedDataCache:
     def __init__(self, maxsize: int = 8, spill=None) -> None:
         self.maxsize = maxsize
         self.spill = spill
-        self._prepared: "OrderedDict[Tuple, Tuple[PreparedData, Tuple]]" = OrderedDict()
+        self._prepared: "OrderedDict[str, PreparedData]" = OrderedDict()
         self._telemetry: "OrderedDict[Tuple, ErrorLog]" = OrderedDict()
         self._job_logs: "OrderedDict[Tuple, JobLog]" = OrderedDict()
         self._forests: "OrderedDict[str, Any]" = OrderedDict()
@@ -618,6 +651,7 @@ class PreparedDataCache:
         self.prepare_calls = 0
         self.spill_hits = 0
         self.spill_saves = 0
+        self.spill_rejects = 0
 
     def __len__(self) -> int:
         return len(self._prepared)
@@ -656,12 +690,7 @@ class PreparedDataCache:
             scenario.duration_seconds,
         )
         if key not in self._telemetry:
-            self._telemetry[key] = TelemetryGenerator(
-                scenario.topology,
-                scenario.fault_model,
-                scenario.duration_seconds,
-                seed=RngFactory(scenario.seed).child("telemetry"),
-            ).generate()
+            self._telemetry[key] = _generate_error_log(scenario)
             self._evict(self._telemetry, self.maxsize)
         else:
             self._telemetry.move_to_end(key)
@@ -675,16 +704,29 @@ class PreparedDataCache:
             scenario.duration_seconds,
         )
         if key not in self._job_logs:
-            self._job_logs[key] = WorkloadGenerator(
-                scenario.workload,
-                n_cluster_nodes=scenario.topology.n_nodes,
-                duration_seconds=scenario.duration_seconds,
-                seed=RngFactory(scenario.seed).stream("workload"),
-            ).generate()
+            self._job_logs[key] = _generate_job_log(scenario)
             self._evict(self._job_logs, self.maxsize)
         else:
             self._job_logs.move_to_end(key)
         return self._job_logs[key]
+
+    def _load_spilled(self, scenario: ScenarioConfig, key: str) -> Optional[PreparedData]:
+        """The spill's product under ``key``, if any; a corrupt entry is dropped."""
+        if self.spill is None:
+            return None
+        try:
+            return self.spill.load_prepared(scenario, key)
+        except (ValueError, KeyError, zipfile.BadZipFile) as error:
+            warnings.warn(
+                f"stored prepared data {key} is unreadable ({error}); "
+                "recomputing it",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            self.spill_rejects += 1
+            # save_prepared keeps an existing entry: delete it to replace it.
+            self.spill.delete_prepared(key)
+            return None
 
     def get(
         self,
@@ -693,56 +735,32 @@ class PreparedDataCache:
         error_log: Optional[ErrorLog] = None,
         job_log: Optional[JobLog] = None,
     ) -> PreparedData:
-        """Return (building at most once) the prepared data for a scenario.
-
-        Externally supplied logs are folded into the key by identity; the
-        cache entry keeps a reference to them so the identity stays valid
-        for the entry's lifetime.
-        """
-        external = (
-            None if error_log is None else id(error_log),
-            None if job_log is None else id(job_log),
-        )
-        key = prepared_data_key(scenario, config) + (external,)
-        entry = self._prepared.get(key)
-        if entry is not None:
+        """Return (building at most once) the prepared data for a scenario."""
+        key = prepared_data_key(scenario, config, error_log, job_log)
+        prepared = self._prepared.get(key)
+        if prepared is not None:
             self.hits += 1
             self._prepared.move_to_end(key)
-            prepared = entry[0]
             if prepared.scenario != scenario:
                 prepared = replace(prepared, scenario=scenario)
             return prepared
         self.misses += 1
-        if self.spill is not None and error_log is None and job_log is None:
-            spilled = self.spill.load_prepared(scenario, config)
-            if spilled is not None:
-                self.spill_hits += 1
-                self._prepared[key] = (spilled, (None, None))
-                self._evict(self._prepared, self.maxsize)
-                return spilled
-        self.prepare_calls += 1
-        if error_log is None:
-            error_log = self._raw_error_log(scenario)
-            pinned_error_log = None
+        prepared = self._load_spilled(scenario, key)
+        if prepared is not None:
+            self.spill_hits += 1
         else:
-            pinned_error_log = error_log
-        if job_log is None:
-            job_log = self._raw_job_log(scenario)
-            pinned_job_log = None
-        else:
-            pinned_job_log = job_log
-        prepared = prepare_data(scenario, config, error_log=error_log, job_log=job_log)
-        if pinned_error_log is None and pinned_job_log is None:
-            # Both logs came from the sub-caches, which regenerate exactly
-            # what prepare_data itself would have: the product is fully
-            # derivable from (scenario, config), so restore the pure content
-            # key that prepare_data replaced with an external-input nonce —
-            # synthetic runs inside and outside the cache then share traces.
-            prepared = replace(prepared, data_key=prepared_data_key(scenario, config))
+            self.prepare_calls += 1
+            if error_log is None:
+                error_log = self._raw_error_log(scenario)
+            if job_log is None:
+                job_log = self._raw_job_log(scenario)
+            prepared = prepare_data(
+                scenario, config, error_log=error_log, job_log=job_log, data_key=key
+            )
             if self.spill is not None:
-                self.spill.save_prepared(prepared, config)
+                self.spill.save_prepared(prepared)
                 self.spill_saves += 1
-        self._prepared[key] = (prepared, (pinned_error_log, pinned_job_log))
+        self._prepared[key] = prepared
         self._evict(self._prepared, self.maxsize)
         return prepared
 
@@ -816,10 +834,6 @@ def _cached_range_traces(
     backends — and on the process backend each worker builds them at most
     once per (split, range).
     """
-    if not prepared.data_key:
-        # Hand-built PreparedData carries no content key; skip caching rather
-        # than risk colliding two unrelated datasets.
-        return build_traces(prepared.tracks, prepared.sampler, *time_range, seed=seed)
     key = (prepared.data_key, split.index, tuple(time_range), seed)
     with _TRACE_CACHE_LOCK:
         traces = _TRACE_CACHE.get(key)
@@ -1435,25 +1449,23 @@ def _forest_task_key(
     prepared: PreparedData,
     split: TimeSeriesSplit,
     config: ExperimentConfig,
-    key_prefix: str,
 ) -> str:
     """Key of the task fitting ``split``'s forest (:func:`fit_split_forest`).
 
-    Content-keyed by the error side of :func:`prepared_data_key` (and the
-    nonce of external logs), the split's history range, the prediction
-    window and the forest settings.  Hand-built products (no data key) get
-    a key scoped to their point instead.
+    Content-keyed by the error side of the synthetic inputs (the whole
+    :func:`prepared_data_key` of a product built from ingested logs), the
+    split's history range, the prediction window and the forest settings.
     """
-    if not prepared.data_key:
-        return f"{key_prefix}forest-{split.index}"
     scenario = prepared.scenario
     evaluation_cfg = scenario.evaluation
+    synthetic = prepared.data_key == prepared_data_key(scenario, config)
     content = (
-        # The error side of prepared_data_key, plus any external-log nonce.
+        # The error side of the synthetic key; ``()`` keeps the keys that
+        # synthetic forests have always had.
         scenario.seed, scenario.topology, scenario.fault_model,
         scenario.duration_seconds, evaluation_cfg.ue_burst_window_seconds,
         evaluation_cfg.merge_window_seconds, _effective_manufacturer(scenario, config),
-        prepared.data_key[len(prepared_data_key(scenario, config)):],
+        () if synthetic else prepared.data_key,
         # The split's history and the forest's own settings.
         split.index, split.train_range[0], split.history_range[1],
         evaluation_cfg.prediction_window_seconds,
@@ -1541,7 +1553,7 @@ def build_split_tasks(
     for split in splits:
         for group in groups:
             if group == "rf":
-                forest_key = _forest_task_key(prepared, split, config, key_prefix)
+                forest_key = _forest_task_key(prepared, split, config)
                 tasks.append(task(
                     forest_key, run_forest_fit, (split, config), (), _FOREST_PRIORITY
                 ))

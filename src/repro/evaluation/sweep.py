@@ -432,9 +432,9 @@ def run_sweep(
     completes — a run killed mid-graph persists spilled prepared data but
     no point results), and a sweep manifest is recorded — so re-running the
     same spec resumes from disk and only executes the missing points.  ``extras["points_loaded"]`` /
-    ``extras["points_computed"]`` report the split.  Externally supplied
-    logs bypass the store entirely (their content is not derivable from the
-    spec, so stored results would silently mismatch).
+    ``extras["points_computed"]`` report the split.  Results over externally
+    supplied logs bypass the store (a result key does not cover the logs'
+    content); a spilling ``cache`` still stores their prepared data.
 
     With the process backend, the whole label -> prepared-data map crosses
     into each worker once (points sharing a product are pickled once —

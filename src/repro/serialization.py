@@ -26,6 +26,7 @@ the golden-vs-store regression tests rely on this.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from typing import Any, Dict, Mapping, Sequence, Type, TypeVar
@@ -35,6 +36,7 @@ __all__ = [
     "SchemaError",
     "canonical_json",
     "canonical_json_bytes",
+    "content_key",
     "simple_from_dict",
     "simple_to_dict",
     "tag",
@@ -141,3 +143,8 @@ def canonical_json_bytes(data: Any) -> bytes:
     (the lease and result families of the distributed sweep rely on this).
     """
     return canonical_json(data).encode("utf-8")
+
+
+def content_key(data: Any) -> str:
+    """Content key of ``data``: SHA-256 of its :func:`canonical_json`, 16 hex digits."""
+    return hashlib.sha256(canonical_json_bytes(data)).hexdigest()[:16]

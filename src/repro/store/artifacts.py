@@ -9,11 +9,14 @@ processes, sessions and machines:
 ``prepared/<key>/``
     One :class:`~repro.evaluation.pipeline.PreparedData` product (the
     Table 1 feature tracks, the scaled job log and the reduction report) as
-    ``meta.json`` + ``arrays.npz``.  Keyed by the same inputs as
-    :func:`~repro.evaluation.pipeline.prepared_data_key`, so everything the
-    in-memory :class:`~repro.evaluation.pipeline.PreparedDataCache` would
-    share, the store shares too — attach a store as the cache's ``spill``
-    backend and sweeps warm-start across sessions.
+    ``meta.json`` + ``arrays.npz``, filed under its ``data_key``
+    (:func:`~repro.evaluation.pipeline.prepared_data_key`, which digests
+    ingested logs by content), so everything the in-memory
+    :class:`~repro.evaluation.pipeline.PreparedDataCache` would share, the
+    store shares too — attach a store as the cache's ``spill`` backend and
+    sweeps warm-start across sessions.  Products of ingested logs are
+    referenced by no stored result (those results bypass the store), so
+    :meth:`ArtifactStore.gc` prunes them once past its grace window.
 ``results/<key>.json``
     One :class:`~repro.evaluation.pipeline.ExperimentResult`, keyed by the
     full (scenario, experiment-config) pair *minus* the scheduling knobs
@@ -41,7 +44,6 @@ in without touching the store logic.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import time
@@ -57,14 +59,12 @@ from repro.evaluation.pipeline import (
     ExperimentConfig,
     ExperimentResult,
     PreparedData,
-    _effective_job_scaling,
-    _effective_manufacturer,
     prepared_data_key,
 )
 from repro.serialization import (
     SchemaError,
-    canonical_json,
     canonical_json_bytes,
+    content_key,
     tag,
     untag,
 )
@@ -104,12 +104,6 @@ class StoreGcReport:
 #: (golden-tested; ``profile`` only adds instrumentation), so they must
 #: share one result slot.
 _SCHEDULE_FIELDS = ("n_workers", "executor_kind", "profile")
-
-
-def _digest(payload: Any) -> str:
-    """Content key: SHA-256 of the canonical JSON of ``payload``."""
-    text = canonical_json(payload)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _redacted_config_dict(config: ExperimentConfig) -> Dict[str, Any]:
@@ -188,28 +182,9 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # Content keys
     # ------------------------------------------------------------------ #
-    def prepared_key(
-        self, scenario: ScenarioConfig, config: ExperimentConfig
-    ) -> str:
-        """Disk twin of :func:`~repro.evaluation.pipeline.prepared_data_key`."""
-        return _digest(
-            {
-                "kind": "prepared_data",
-                "seed": scenario.seed,
-                "topology": scenario.topology.to_dict(),
-                "fault_model": scenario.fault_model.to_dict(),
-                "workload": scenario.workload.to_dict(),
-                "duration_seconds": scenario.duration_seconds,
-                "ue_burst_window_seconds": scenario.evaluation.ue_burst_window_seconds,
-                "merge_window_seconds": scenario.evaluation.merge_window_seconds,
-                "manufacturer": _effective_manufacturer(scenario, config),
-                "job_scaling": _effective_job_scaling(scenario, config),
-            }
-        )
-
     def result_key(self, scenario: ScenarioConfig, config: ExperimentConfig) -> str:
         """Content key of one experiment's result."""
-        return _digest(
+        return content_key(
             {
                 "kind": "experiment_result",
                 "scenario": scenario.to_dict(),
@@ -219,7 +194,7 @@ class ArtifactStore:
 
     def sweep_key(self, spec, config: ExperimentConfig) -> str:
         """Content key of one sweep manifest (``spec`` is a ``SweepSpec``)."""
-        return _digest(
+        return content_key(
             {
                 "kind": "sweep",
                 "spec": spec.to_dict(),
@@ -230,24 +205,18 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # Prepared data
     # ------------------------------------------------------------------ #
-    def has_prepared(
-        self, scenario: ScenarioConfig, config: ExperimentConfig
-    ) -> bool:
-        key = self.prepared_key(scenario, config)
+    def has_prepared(self, key: str) -> bool:
+        """Whether a complete product is stored under ``key``."""
         return self._exists(f"prepared/{key}/meta.json")
 
-    def save_prepared(
-        self, prepared: PreparedData, config: ExperimentConfig
-    ) -> str:
-        """Persist one synthetic :class:`PreparedData` product; returns its key.
+    def save_prepared(self, prepared: PreparedData) -> str:
+        """Persist one :class:`PreparedData` product under its ``data_key``.
 
-        Only products fully derivable from their scenario belong here — the
-        caller (normally the :class:`PreparedDataCache` spill path) must not
-        pass products built from externally supplied logs.
+        Returns the key.  An entry already stored under it is kept as it is.
         """
         scenario = prepared.scenario
-        key = self.prepared_key(scenario, config)
-        if self._exists(f"prepared/{key}/meta.json"):
+        key = prepared.data_key
+        if self.has_prepared(key):
             return key
 
         arrays: Dict[str, np.ndarray] = {}
@@ -280,16 +249,16 @@ class ArtifactStore:
         return key
 
     def load_prepared(
-        self, scenario: ScenarioConfig, config: ExperimentConfig
+        self, scenario: ScenarioConfig, key: str
     ) -> Optional[PreparedData]:
-        """Reload a prepared product, re-bound to the requesting scenario.
+        """Reload the product stored under ``key``, bound to ``scenario``.
 
         Returns ``None`` on a miss.  The product is bound to the *caller's*
         ``scenario`` (evaluation parameters such as the mitigation cost are
         excluded from the content key, exactly as in the in-memory cache)
-        and its ``data_key`` is restored, so trace caching keeps working.
+        and carries ``key`` as its ``data_key``.  A corrupt entry raises
+        (``ValueError``, ``KeyError`` or ``zipfile.BadZipFile``).
         """
-        key = self.prepared_key(scenario, config)
         meta = self._get_json(f"prepared/{key}/meta.json", "prepared_data")
         if meta is None:
             return None
@@ -326,8 +295,13 @@ class ArtifactStore:
             tracks=tracks,
             sampler=sampler,
             reduction_report=reduction_report,
-            data_key=prepared_data_key(scenario, config),
+            data_key=key,
         )
+
+    def delete_prepared(self, key: str) -> None:
+        """Remove the product stored under ``key`` (marker first)."""
+        self.backend.delete(f"prepared/{key}/meta.json")
+        self.backend.delete(f"prepared/{key}/arrays.npz")
 
     # ------------------------------------------------------------------ #
     # Experiment results
@@ -520,14 +494,14 @@ class ArtifactStore:
             spec = SweepSpec.from_dict(manifest["spec"])
             config = ExperimentConfig.from_dict(manifest["config"])
             for point in spec.points():
-                referenced.add(self.prepared_key(point.scenario, config))
+                referenced.add(prepared_data_key(point.scenario, config))
         for key in self.backend.list("results/"):
             payload = self._get_json(key, "stored_result")
             if payload is None:
                 continue
             scenario = ScenarioConfig.from_dict(payload["scenario"])
             config = ExperimentConfig.from_dict(payload["config"])
-            referenced.add(self.prepared_key(scenario, config))
+            referenced.add(prepared_data_key(scenario, config))
         return referenced
 
     def _prepared_entries(self) -> Dict[str, List[str]]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -35,6 +36,10 @@ class JobRecord:
     job_id: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("submit", "start", "end", "n_nodes"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"job {name} must be finite, got {value!r}")
         if self.start < self.submit:
             raise ValueError("job cannot start before it is submitted")
         if self.end < self.start:

@@ -62,9 +62,7 @@ def _save_result(args):
 
 def _save_prepared(root):
     store = ArtifactStore(root)
-    prepared = prepare_data(SCENARIO, TINY)
-    store.save_prepared(prepared, TINY)
-    return store.prepared_key(SCENARIO, TINY)
+    return store.save_prepared(prepare_data(SCENARIO, TINY))
 
 
 class TestPutIfAbsentHammer:
@@ -111,5 +109,5 @@ class TestConcurrentArtifactWrites:
             keys = pool.map(_save_prepared, [str(root)] * 2)
         assert keys[0] == keys[1]
         store = ArtifactStore(root)
-        assert store.load_prepared(SCENARIO, TINY) is not None
+        assert store.load_prepared(SCENARIO, keys[0]) is not None
         assert store.list_prepared() == [keys[0]]

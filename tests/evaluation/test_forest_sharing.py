@@ -21,10 +21,8 @@ from repro.config import ScenarioConfig
 from repro.evaluation.experiment import run_experiment
 from repro.evaluation.pipeline import (
     ExperimentConfig,
-    PreparedData,
     PreparedDataCache,
     build_split_tasks,
-    execute_split_tasks,
     fit_split_forest,
     make_splits,
     prepare_data,
@@ -185,7 +183,7 @@ class TestForestKeys:
 
 
 class TestNeverShared:
-    def test_external_logs_get_their_own_forests(self, scenario, prepared):
+    def test_external_logs_share_forests_by_content(self, scenario, prepared):
         log = TelemetryGenerator(
             scenario.topology,
             scenario.fault_model,
@@ -194,9 +192,14 @@ class TestNeverShared:
         ).generate()
         first = _forest_keys(prepare_data(scenario, TINY, error_log=log), TINY)
         second = _forest_keys(prepare_data(scenario, TINY, error_log=log), TINY)
+        other = _forest_keys(
+            prepare_data(scenario, TINY, error_log=log.filter_manufacturer(2)), TINY
+        )
         synthetic = _forest_keys(prepared, TINY)
+        # The same content as the synthetic log, but never its forests.
         assert not first & synthetic
-        assert not first & second
+        assert first == second
+        assert not first & other
 
     def test_external_log_run_refits_despite_a_warm_cache(self, scenario, fit_calls):
         log = TelemetryGenerator(
@@ -215,30 +218,6 @@ class TestNeverShared:
             synthetic.approaches["SC20-RF"].per_split
             == external.approaches["SC20-RF"].per_split
         )
-
-    def test_hand_built_products_get_point_scoped_uncached_keys(
-        self, scenario, prepared
-    ):
-        hand_built = PreparedData(
-            scenario=scenario,
-            tracks=prepared.tracks,
-            sampler=prepared.sampler,
-            reduction_report=prepared.reduction_report,
-        )
-        synthetic = _forest_keys(prepared, TINY)
-        for prefix in ("", "a/"):
-            keys = _forest_keys(hand_built, TINY, key_prefix=prefix)
-            assert keys and not keys & synthetic
-            assert all(key.startswith(f"{prefix}forest-") for key in keys)
-        assert not _forest_keys(hand_built, TINY, "a/") & _forest_keys(
-            hand_built, TINY, "b/"
-        )
-        cache = PreparedDataCache()
-        tasks = build_split_tasks(hand_built, make_splits(scenario), RF_ONLY)
-        forest_tasks = [task for task in tasks if task.key.startswith("forest-")]
-        outcomes = execute_split_tasks(forest_tasks, RF_ONLY, hand_built, cache=cache)
-        assert set(outcomes) == {task.key for task in forest_tasks}
-        assert cache.cached_forests(outcomes) == {}
 
 
 class TestCacheForestFamily:

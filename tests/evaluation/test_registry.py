@@ -18,6 +18,7 @@ from repro.evaluation.pipeline import (
     _train_one_rl_trial,
     fit_split_forest,
     make_splits,
+    prepared_data_key,
 )
 from repro.evaluation.registry import (
     ApproachSpec,
@@ -188,13 +189,18 @@ def build_config():
 
 class TestBuilderRoundTrip:
     def test_every_registered_approach_builds_a_working_policy(
-        self, scenario, feature_tracks, job_sampler, reduction_report, build_config
+        self, scenario, raw_error_log, feature_tracks, job_sampler,
+        reduction_report, build_config,
     ):
+        # The fixtures are ingested logs to the pipeline: key them as such.
         prepared = PreparedData(
             scenario=scenario,
             tracks=feature_tracks,
             sampler=job_sampler,
             reduction_report=reduction_report,
+            data_key=prepared_data_key(
+                scenario, build_config, raw_error_log, job_sampler.job_log
+            ),
         )
         split = make_splits(scenario)[-1]  # most history: every model trains
         # The models the executor tasks would hand in: the split's forest

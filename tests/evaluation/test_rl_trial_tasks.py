@@ -378,8 +378,10 @@ class TestTrainingCostAccounting:
         monkeypatch.setattr(pipeline_mod, "time", clock)
         monkeypatch.setattr(pipeline_mod, "train_agent", fake_train_agent)
         monkeypatch.setattr(pipeline_mod, "build_traces", fake_build_traces)
-        # Opt out of the trace cache so the fake builder actually runs.
-        return dataclasses.replace(tiny_prepared, data_key=()), clock
+        # Keep no traces, under a key no other test uses, so the fake
+        # builder runs on every call.
+        monkeypatch.setattr(pipeline_mod, "_TRACE_CACHE_MAXSIZE", 0)
+        return dataclasses.replace(tiny_prepared, data_key="fake-timed"), clock
 
     def test_cost_is_sum_of_trial_spans(self, fake_timed_pipeline, tiny_scenario):
         prepared, clock = fake_timed_pipeline

@@ -13,6 +13,8 @@ from repro.evaluation.pipeline import (
     prepared_data_key,
 )
 from repro.evaluation.sweep import SweepSpec, run_sweep
+from repro.telemetry.error_log import ErrorLog
+from repro.workload.job import JobLog
 
 #: Cheapest config that still runs every approach group (including the RL
 #: warm-start chain).  ``charge_training_time=False`` zeroes the only
@@ -203,7 +205,7 @@ class TestRunSweep:
 
         # Start from an empty trace cache: a stale synthetic-run entry must
         # not be able to mask the external log (regression guard for the
-        # external-input nonce in PreparedData.data_key).
+        # log digest in PreparedData.data_key).
         clear_trace_cache()
         synthetic = run_experiment(base_scenario, TINY.with_overrides(include_rl=False))
         # Deliberately seeded differently from prepare_data's own generator.
@@ -292,13 +294,13 @@ class TestPreparedDataCache:
         assert len(cache._telemetry) == 1
         assert len(cache._job_logs) == 1
 
-    def test_external_logs_never_share_trace_cache_entries(self, base_scenario):
+    def test_external_logs_share_trace_cache_entries_by_content(self, base_scenario):
         """A synthetic run must not poison an external-log run's traces.
 
-        ``prepare_data`` gives externally fed products a unique nonce in
-        their ``data_key``; without it, the process-wide trace cache would
-        serve the synthetic run's traces to the external-log run of the
-        same scenario (and vice versa).
+        ``prepared_data_key`` adds the digest of an externally fed log to the
+        ``data_key``; without it, the process-wide trace cache would serve
+        the synthetic run's traces to the external-log run of the same
+        scenario (and vice versa).  The same log gives the same key.
         """
         from repro.evaluation.pipeline import prepare_data
         from repro.telemetry.generator import TelemetryGenerator
@@ -313,7 +315,28 @@ class TestPreparedDataCache:
         fed_once = prepare_data(base_scenario, TINY, error_log=external_log)
         fed_twice = prepare_data(base_scenario, TINY, error_log=external_log)
         assert fed_once.data_key != synthetic.data_key
-        assert fed_once.data_key != fed_twice.data_key
+        assert fed_once.data_key == fed_twice.data_key
+
+    def test_same_ingested_log_is_prepared_once(self, base_scenario, raw_error_log):
+        cache = PreparedDataCache()
+        first = cache.get(base_scenario, TINY, error_log=raw_error_log)
+        copy = ErrorLog(
+            **{name: getattr(raw_error_log, name).copy() for name in ErrorLog.__slots__}
+        )
+        second = cache.get(base_scenario.with_mitigation_cost(10.0), TINY, error_log=copy)
+        assert (cache.prepare_calls, cache.hits) == (1, 1)
+        assert second.tracks is first.tracks
+        assert second.data_key == first.data_key
+
+    def test_one_changed_event_changes_the_key(self, base_scenario, raw_error_log):
+        columns = {name: getattr(raw_error_log, name).copy() for name in ErrorLog.__slots__}
+        columns["ce_count"][len(raw_error_log) // 2] += 1
+        changed = ErrorLog(**columns)
+        key = prepared_data_key(base_scenario, TINY, error_log=raw_error_log)
+        assert prepared_data_key(base_scenario, TINY, error_log=changed) != key
+        assert prepared_data_key(base_scenario, TINY, job_log=JobLog.empty()) != (
+            prepared_data_key(base_scenario, TINY)
+        )
 
     def test_key_ignores_evaluation_parameters(self, base_scenario):
         key_a = prepared_data_key(base_scenario, TINY)

@@ -243,9 +243,7 @@ class TestSweepLifecycle:
 
         store = ArtifactStore(store_dir)
         orphan = ScenarioConfig.small(seed=4242).with_duration(20 * DAY)
-        orphan_key = store.save_prepared(
-            prepare_data(orphan, ExperimentConfig.fast()), ExperimentConfig.fast()
-        )
+        orphan_key = store.save_prepared(prepare_data(orphan, ExperimentConfig.fast()))
         assert cli.main(["gc", "--store", store_dir, "--dry-run", "--grace-minutes", "0"]) == 0
         dry = capsys.readouterr().out
         assert f"would remove: prepared/{orphan_key}" in dry

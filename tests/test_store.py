@@ -68,8 +68,9 @@ class TestMarker:
 class TestPreparedData:
     def test_roundtrip_rebuilds_identical_product(self, store):
         prepared = prepare_data(SCENARIO, TINY)
-        store.save_prepared(prepared, TINY)
-        loaded = store.load_prepared(SCENARIO, TINY)
+        key = store.save_prepared(prepared)
+        assert key == prepared.data_key
+        loaded = store.load_prepared(SCENARIO, key)
         assert loaded is not None
         assert loaded.scenario == SCENARIO
         assert loaded.reduction_report == prepared.reduction_report
@@ -84,7 +85,7 @@ class TestPreparedData:
 
     def test_non_finite_job_column_is_rejected_on_load(self, store):
         prepared = prepare_data(SCENARIO, TINY)
-        key = store.save_prepared(prepared, TINY)
+        key = store.save_prepared(prepared)
         path = f"prepared/{key}/arrays.npz"
         with np.load(io.BytesIO(store.backend.get(path))) as archive:
             arrays = dict(archive)
@@ -93,29 +94,31 @@ class TestPreparedData:
         np.savez(buffer, **arrays)
         store.backend.put(path, buffer.getvalue())
         with pytest.raises(ValueError, match="non-finite"):
-            store.load_prepared(SCENARIO, TINY)
+            store.load_prepared(SCENARIO, key)
 
     def test_miss_returns_none(self, store):
-        assert store.load_prepared(SCENARIO, TINY) is None
-        assert not store.has_prepared(SCENARIO, TINY)
+        key = prepared_data_key(SCENARIO, TINY)
+        assert store.load_prepared(SCENARIO, key) is None
+        assert not store.has_prepared(key)
 
     def test_evaluation_parameters_share_one_entry(self, store):
         """Same key semantics as the in-memory cache: cost/restartable excluded."""
         prepared = prepare_data(SCENARIO, TINY)
-        store.save_prepared(prepared, TINY)
+        store.save_prepared(prepared)
         cheaper = SCENARIO.with_mitigation_cost(10.0).with_restartable(False)
-        assert store.prepared_key(cheaper, TINY) == store.prepared_key(SCENARIO, TINY)
-        loaded = store.load_prepared(cheaper, TINY)
+        key = prepared_data_key(cheaper, TINY)
+        assert key == prepared.data_key
+        loaded = store.load_prepared(cheaper, key)
         assert loaded is not None
         # Re-bound to the requesting scenario, not the saved one.
         assert loaded.scenario == cheaper
         assert loaded.data_key == prepared_data_key(cheaper, TINY)
 
-    def test_data_axes_get_distinct_entries(self, store):
-        base_key = store.prepared_key(SCENARIO, TINY)
-        assert store.prepared_key(SCENARIO.with_seed(99), TINY) != base_key
-        assert store.prepared_key(SCENARIO.with_manufacturer(1), TINY) != base_key
-        assert store.prepared_key(SCENARIO.with_job_scale(2.0), TINY) != base_key
+    def test_data_axes_get_distinct_entries(self):
+        base_key = prepared_data_key(SCENARIO, TINY)
+        assert prepared_data_key(SCENARIO.with_seed(99), TINY) != base_key
+        assert prepared_data_key(SCENARIO.with_manufacturer(1), TINY) != base_key
+        assert prepared_data_key(SCENARIO.with_job_scale(2.0), TINY) != base_key
 
     def test_spill_backend_loads_without_prepare_calls(self, store):
         writer = PreparedDataCache(spill=store)
@@ -133,11 +136,73 @@ class TestPreparedData:
         assert reader.hits == 1
         assert reader.spill_hits == 1
 
-    def test_external_logs_never_spill(self, store, raw_error_log):
+    def test_ingested_logs_spill_and_reload(self, store, raw_error_log):
+        writer = PreparedDataCache(spill=store)
+        written = writer.get(SCENARIO, TINY, error_log=raw_error_log)
+        assert writer.spill_saves == 1
+        assert store.list_prepared() == [written.data_key]
+        assert written.data_key != prepared_data_key(SCENARIO, TINY)
+
+        reader = PreparedDataCache(spill=store)  # fresh session
+        loaded = reader.get(SCENARIO, TINY, error_log=raw_error_log)
+        assert reader.prepare_calls == 0
+        assert reader.spill_hits == 1
+        assert loaded.data_key == written.data_key
+        assert loaded.sampler.job_log == written.sampler.job_log
+        # The synthetic product of the same scenario is a different entry.
+        reader.get(SCENARIO, TINY)
+        assert reader.prepare_calls == 1
+
+
+class TestCorruptSpill:
+    """A spilled product that fails to load is recomputed, not a traceback."""
+
+    def _corrupt_job_column(self, store, key):
+        path = f"prepared/{key}/arrays.npz"
+        with np.load(io.BytesIO(store.backend.get(path))) as archive:
+            arrays = dict(archive)
+        arrays["job_end"][0] = np.nan
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        store.backend.put(path, buffer.getvalue())
+
+    def test_run_over_a_corrupt_entry_matches_a_clean_run(self, store):
+        clean = run_experiment(SCENARIO, TINY)
+        PreparedDataCache(spill=store).get(SCENARIO, TINY)
+        key = prepared_data_key(SCENARIO, TINY)
+        self._corrupt_job_column(store, key)
+
         cache = PreparedDataCache(spill=store)
-        cache.get(SCENARIO, TINY, error_log=raw_error_log)
-        assert cache.spill_saves == 0
-        assert store.list_prepared() == []
+        with pytest.warns(RuntimeWarning, match=f"{key} is unreadable.*non-finite"):
+            recovered = run_experiment(SCENARIO, TINY, cache=cache)
+        assert cache.spill_rejects == 1
+        assert cache.prepare_calls == 1
+        assert cache.spill_saves == 1
+        recovered.wallclock_seconds = clean.wallclock_seconds
+        assert recovered.to_json() == clean.to_json()
+
+        fresh = PreparedDataCache(spill=store)  # the entry was replaced
+        fresh.get(SCENARIO, TINY)
+        assert fresh.prepare_calls == 0
+        assert fresh.spill_hits == 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(("arrays.npz", b"not a zip archive"), id="bad-zip"),
+            pytest.param(("meta.json", b"{"), id="bad-json"),
+        ],
+    )
+    def test_unreadable_artifacts_are_rejects(self, store, damage):
+        PreparedDataCache(spill=store).get(SCENARIO, TINY)
+        key = prepared_data_key(SCENARIO, TINY)
+        name, payload = damage
+        store.backend.put(f"prepared/{key}/{name}", payload)
+        cache = PreparedDataCache(spill=store)
+        with pytest.warns(RuntimeWarning, match=key):
+            cache.get(SCENARIO, TINY)
+        assert (cache.spill_rejects, cache.prepare_calls) == (1, 1)
+        assert store.load_prepared(SCENARIO, key) is not None
 
 
 class TestExperimentResults:
@@ -202,7 +267,7 @@ class TestOlderPayloads:
         config = ExperimentConfig.from_dict(self._old_config_payload())
         assert config == TINY
         assert store.result_key(SCENARIO, config) == self.RESULT_KEY
-        assert store.prepared_key(SCENARIO, config) == self.PREPARED_KEY
+        assert prepared_data_key(SCENARIO, config) == self.PREPARED_KEY
 
     def test_gc_reads_results_stored_with_retired_fields(self, store):
         payload = tag(
@@ -235,22 +300,22 @@ class TestExistenceChecks:
         backend = self._CountingBackend()
         store = ArtifactStore(backend=backend)
         result_key = store.result_key(SCENARIO, TINY)
-        prepared_key = store.prepared_key(SCENARIO, TINY)
+        prepared_key = prepared_data_key(SCENARIO, TINY)
         backend.gets = 0
 
         assert not store.has_result(SCENARIO, TINY)
         assert not store.has_result_key(result_key)
-        assert not store.has_prepared(SCENARIO, TINY)
+        assert not store.has_prepared(prepared_key)
 
         backend.put(f"results/{result_key}.json", b"{}")
         backend.put(f"prepared/{prepared_key}/meta.json", b"{}")
         assert store.has_result(SCENARIO, TINY)
         assert store.has_result_key(result_key)
-        assert store.has_prepared(SCENARIO, TINY)
+        assert store.has_prepared(prepared_key)
         # An already stored product short-circuits before anything is read
         # or written (the stand-in has nothing else to serialize).
-        stand_in = SimpleNamespace(scenario=SCENARIO)
-        assert store.save_prepared(stand_in, TINY) == prepared_key
+        stand_in = SimpleNamespace(scenario=SCENARIO, data_key=prepared_key)
+        assert store.save_prepared(stand_in) == prepared_key
         assert backend.gets == 0
 
 
@@ -307,13 +372,11 @@ class TestGarbageCollection:
     def populated(self, store):
         """A store with one result-referenced and one orphaned product."""
         prepared = prepare_data(SCENARIO, TINY)
-        store.save_prepared(prepared, TINY)
+        store.save_prepared(prepared)
         store.save_result(SCENARIO, TINY, run_experiment(SCENARIO, TINY))
         orphan_scenario = ScenarioConfig.small(seed=4242).with_duration(20 * DAY)
-        orphan_key = store.save_prepared(
-            prepare_data(orphan_scenario, TINY), TINY
-        )
-        return store, store.prepared_key(SCENARIO, TINY), orphan_key
+        orphan_key = store.save_prepared(prepare_data(orphan_scenario, TINY))
+        return store, prepared.data_key, orphan_key
 
     def test_referenced_keys_cover_results_and_sweeps(self, populated):
         store, referenced_key, orphan_key = populated
@@ -338,7 +401,7 @@ class TestGarbageCollection:
         assert report.freed_bytes == dry.freed_bytes
         assert store.list_prepared() == [referenced_key]
         # The referenced product still loads after the pass.
-        assert store.load_prepared(SCENARIO, TINY) is not None
+        assert store.load_prepared(SCENARIO, referenced_key) is not None
         # A second pass is a no-op.
         assert store.gc(grace_seconds=0.0).removed == ()
 

@@ -26,6 +26,20 @@ class TestJobRecord:
         with pytest.raises(ValueError):
             JobRecord(submit=0.0, start=0.0, end=1.0, n_nodes=0)
 
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            ((float("nan"),) * 4, "submit"),
+            ((0.0, 1.0, float("inf"), 2.0), "end"),
+            ((0.0, 0.0, 1.0, float("nan")), "n_nodes"),
+        ],
+    )
+    def test_rejects_non_finite_fields(self, fields, name):
+        # Every comparison with NaN is false, so the ordering checks alone
+        # would let these build.
+        with pytest.raises(ValueError, match=f"job {name} must be finite"):
+            JobRecord(*fields)
+
     def test_fractional_nodes_allowed_for_scaling(self):
         job = JobRecord(submit=0.0, start=0.0, end=HOUR, n_nodes=0.1)
         assert job.node_hours == pytest.approx(0.1)
