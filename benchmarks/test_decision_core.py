@@ -47,9 +47,11 @@ import time
 import numpy as np
 import pytest
 
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:  # pragma: no cover - environment dependent
-    sys.path.insert(0, _SRC)
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src")
+for _path in (_SRC, _ROOT):  # the package, and the tests' scalar oracles
+    if _path not in sys.path:  # pragma: no cover - environment dependent
+        sys.path.insert(0, _path)
 
 from repro.baselines.dataset import build_prediction_dataset
 from repro.baselines.myopic import MyopicRFPolicy
@@ -62,11 +64,7 @@ from repro.baselines.static import (
 from repro.config import ScenarioConfig
 from repro.core.dqn import DDDQNAgent, DQNConfig
 from repro.core.environment import MitigationEnv
-from repro.core.features import (
-    StateNormalizer,
-    _extract_node_features_loop,
-    extract_node_features,
-)
+from repro.core.features import StateNormalizer, extract_node_features
 from repro.core.mdp import Transition
 from repro.core.policies import RLPolicy
 from repro.core.replay import PrioritizedReplayBuffer
@@ -78,6 +76,8 @@ from repro.evaluation.runner import (
     renewal_walk_stats,
     reset_renewal_walk_stats,
 )
+
+from tests.core.feature_reference import extract_node_features_loop
 
 pytestmark = pytest.mark.slow
 
@@ -329,7 +329,7 @@ def _bench_features(record):
         return time.perf_counter() - started, tracks
 
     scalar_seconds, scalar_tracks = min(
-        (run(_extract_node_features_loop) for _ in range(REPS)),
+        (run(extract_node_features_loop) for _ in range(REPS)),
         key=lambda pair: pair[0],
     )
     vector_seconds, vector_tracks = min(

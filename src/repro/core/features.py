@@ -164,7 +164,8 @@ def extract_node_features(
     """Compute the Table 1 feature track for one node (vectorized).
 
     Bit-identical to the per-event reference loop
-    (:func:`_extract_node_features_loop`, pinned by the equivalence tests):
+    (``extract_node_features_loop`` in ``tests/core/feature_reference.py``,
+    pinned by the equivalence tests):
     cumulative counts fold with ``np.add.accumulate`` / ``np.add.at`` (exact
     ordered folds), distinct CE-location counting becomes a stable-sort
     first-occurrence scan, and the Equation 2 look-backs become one
@@ -282,107 +283,6 @@ def extract_node_features(
     return NodeFeatureTrack(node=int(node), times=times, features=features, is_ue=is_ue)
 
 
-def _extract_node_features_loop(
-    log: ErrorLog,
-    node: int,
-    indices: Optional[np.ndarray] = None,
-    merge_window_seconds: float = MINUTE,
-) -> NodeFeatureTrack:
-    """Per-event reference implementation of :func:`extract_node_features`.
-
-    Kept as the behavioural specification of the vectorized path: the
-    equivalence suite and the decision-core benchmark compare the two
-    bit for bit on fuzzed logs.
-    """
-    if indices is None:
-        indices = np.flatnonzero(log.node == node)
-    merged = merge_node_events(log, indices, merge_window_seconds)
-
-    times = np.empty(len(merged))
-    features = np.zeros((len(merged), N_FEATURES))
-    is_ue = np.zeros(len(merged), dtype=bool)
-
-    ces_total = 0.0
-    warnings_total = 0.0
-    boots_total = 0.0
-    last_boot_time: Optional[float] = None
-    ranks: set = set()
-    banks: set = set()
-    rows: set = set()
-    cols: set = set()
-    dimms: set = set()
-
-    # Histories of the cumulative features used by Equation 2.
-    hist_times: List[float] = []
-    hist_ces: List[float] = []
-    hist_boots: List[float] = []
-
-    track_start = float(log.time[indices[0]]) if len(merged) else 0.0
-
-    for i, step in enumerate(merged):
-        ces_in_step = 0.0
-        for idx in step.indices:
-            kind = EventKind(int(log.kind[idx]))
-            if kind == EventKind.CE:
-                count = float(log.ce_count[idx])
-                ces_in_step += count
-                ces_total += count
-                dimm = int(log.dimm[idx])
-                dimms.add(dimm)
-                if log.rank[idx] >= 0:
-                    ranks.add((dimm, int(log.rank[idx])))
-                if log.bank[idx] >= 0:
-                    banks.add((dimm, int(log.rank[idx]), int(log.bank[idx])))
-                if log.row[idx] >= 0:
-                    rows.add((dimm, int(log.rank[idx]), int(log.bank[idx]), int(log.row[idx])))
-                if log.col[idx] >= 0:
-                    cols.add((dimm, int(log.rank[idx]), int(log.bank[idx]), int(log.col[idx])))
-            elif kind == EventKind.UE_WARNING:
-                warnings_total += 1.0
-            elif kind == EventKind.BOOT:
-                boots_total += 1.0
-                last_boot_time = float(log.time[idx])
-
-        t = step.time
-        times[i] = t
-        is_ue[i] = step.is_ue
-
-        if last_boot_time is None:
-            time_since_boot = t - track_start
-        else:
-            time_since_boot = t - last_boot_time
-
-        vec = features[i]
-        vec[FEATURE_INDEX["ces_since_last_event"]] = ces_in_step
-        vec[FEATURE_INDEX["ces_total"]] = ces_total
-        vec[FEATURE_INDEX["ranks_with_ce"]] = len(ranks)
-        vec[FEATURE_INDEX["banks_with_ce"]] = len(banks)
-        vec[FEATURE_INDEX["rows_with_ce"]] = len(rows)
-        vec[FEATURE_INDEX["cols_with_ce"]] = len(cols)
-        vec[FEATURE_INDEX["dimms_with_ce"]] = len(dimms)
-        vec[FEATURE_INDEX["ue_warnings_total"]] = warnings_total
-        vec[FEATURE_INDEX["time_since_boot"]] = max(time_since_boot, 0.0)
-        vec[FEATURE_INDEX["boots_total"]] = boots_total
-        vec[FEATURE_INDEX["ces_total_var_1min"]] = feature_variation(
-            hist_times, hist_ces, t, ces_total, MINUTE
-        )
-        vec[FEATURE_INDEX["ces_total_var_1hour"]] = feature_variation(
-            hist_times, hist_ces, t, ces_total, HOUR
-        )
-        vec[FEATURE_INDEX["boots_var_1min"]] = feature_variation(
-            hist_times, hist_boots, t, boots_total, MINUTE
-        )
-        vec[FEATURE_INDEX["boots_var_1hour"]] = feature_variation(
-            hist_times, hist_boots, t, boots_total, HOUR
-        )
-
-        hist_times.append(t)
-        hist_ces.append(ces_total)
-        hist_boots.append(boots_total)
-
-    return NodeFeatureTrack(node=int(node), times=times, features=features, is_ue=is_ue)
-
-
 @dataclass(frozen=True)
 class OnlineStep:
     """One finalised merged decision step emitted by the online extractor.
@@ -404,7 +304,8 @@ class OnlineFeatureState:
     The offline extractors see a complete log and fold it in one pass; a
     serving daemon sees one event at a time and needs the Table 1 features
     of each merged step the moment the step closes.  This class replays the
-    exact operation order of :func:`_extract_node_features_loop` — the same
+    exact operation order of the per-event reference loop
+    (``tests/core/feature_reference.py``) — the same
     left-fold float additions, the same distinct-location sets, the same
     Equation 2 look-backs — so a stream absorbed event by event produces
     rows bit-identical to the batch extractor run over any prefix of the
@@ -478,7 +379,7 @@ class OnlineFeatureState:
         return self._group_start + self.merge_window_seconds
 
     def absorb(self, record: EventRecord) -> List[OnlineStep]:
-        """Absorb one :class:`EventRecord`; return any steps it finalised."""
+        """Absorb one record (or ``ErrorLog.rows`` row); return the steps it closed."""
         return self.absorb_event(
             record.time, record.kind, record.ce_count, record.dimm,
             record.rank, record.bank, record.row, record.col,
@@ -519,18 +420,6 @@ class OnlineFeatureState:
         if kind in TERMINAL_KINDS:
             self._group_has_ue = True
             out.append(self._finalize())
-        return out
-
-    def absorb_log(
-        self, log: ErrorLog, indices: Optional[np.ndarray] = None
-    ) -> List[OnlineStep]:
-        """Absorb one event batch (this node's slice of ``log``) at a time."""
-        if indices is None:
-            indices = np.flatnonzero(log.node == self.node)
-        names = ("time", "kind", "ce_count", "dimm", "rank", "bank", "row", "col")
-        out: List[OnlineStep] = []
-        for fields in zip(*(getattr(log, name)[indices].tolist() for name in names)):
-            out.extend(self.absorb_event(*fields))
         return out
 
     def advance_to(self, stream_time: float) -> List[OnlineStep]:

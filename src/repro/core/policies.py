@@ -15,8 +15,8 @@ A policy answers that question through three methods:
   :meth:`MitigationPolicy.prepare_traces` (the replay's traces, their
   events concatenated in order); the batched offline replay asks for the
   whole panel once and then for the rows of each renewal-walk round.
-* :meth:`MitigationPolicy.decide_nodes` — one pending step per node; a
-  serving tick.
+* :meth:`MitigationPolicy.decide_nodes` — the pending steps of several
+  nodes; one round of a serving tick.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ class MitigationPolicy(abc.ABC):
     ) -> np.ndarray:
         """One decision per row of concurrent per-node feature states.
 
-        This is the *serving* entry point: a micro-batch tick hands the
-        policy the current feature vector and potential UE cost of several
-        distinct nodes at once — unlike :meth:`decide_rows`, the rows are
-        not events of a prepared panel but one pending step per node.
+        This is the *serving* entry point: each round of a micro-batch tick
+        hands the policy the feature vectors and potential UE costs of the
+        undecided steps of several nodes, in step order per node — unlike
+        :meth:`decide_rows`, the rows are not events of a prepared panel.
         Returns a boolean array aligned with the rows.
 
         The base implementation loops :meth:`decide` with one

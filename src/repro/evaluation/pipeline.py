@@ -461,6 +461,9 @@ class PreparedData:
     #: tracks/sampler, which the trace cache, the forest task keys and the
     #: store rely on.
     data_key: str
+    #: Column digest of an ingested error log (``None`` for synthetic
+    #: telemetry): the error side of the forest task keys.
+    error_digest: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -528,13 +531,20 @@ def prepared_data_key(
     }
     for field_name, log in (("error_log", error_log), ("job_log", job_log)):
         if log is not None:
-            digest = hashlib.sha256()
-            for name in log.__slots__:
-                column = np.ascontiguousarray(getattr(log, name))
-                digest.update(f"{name}:{column.dtype.str}:{column.size}:".encode())
-                digest.update(column.data)
-            payload[field_name] = digest.hexdigest()
+            payload[field_name] = _column_digest(log)
     return content_key(payload)
+
+
+def _column_digest(log) -> Optional[str]:
+    """SHA-256 of a log's columns (names, dtypes and bytes); ``None`` for none."""
+    if log is None:
+        return None
+    digest = hashlib.sha256()
+    for name in log.__slots__:
+        column = np.ascontiguousarray(getattr(log, name))
+        digest.update(f"{name}:{column.dtype.str}:{column.size}:".encode())
+        digest.update(column.data)
+    return digest.hexdigest()
 
 
 def _generate_error_log(scenario: ScenarioConfig) -> ErrorLog:
@@ -564,15 +574,18 @@ def prepare_data(
     job_log: Optional[JobLog] = None,
     *,
     data_key: Optional[str] = None,
+    error_digest: Optional[str] = None,
 ) -> PreparedData:
     """Generate (or accept) the logs and derive feature tracks and sampler.
 
-    ``data_key`` defaults to :func:`prepared_data_key` of the arguments.
-    :class:`PreparedDataCache` passes the key it looked the product up by,
-    together with the logs its sub-caches generated for a synthetic key.
+    ``data_key`` defaults to :func:`prepared_data_key` of the arguments,
+    and ``error_digest`` then to the column digest of an ingested
+    ``error_log``.  :class:`PreparedDataCache` passes both, together with
+    the logs its sub-caches generated for a synthetic key.
     """
     if data_key is None:
         data_key = prepared_data_key(scenario, config, error_log, job_log)
+        error_digest = _column_digest(error_log)
     evaluation_cfg = scenario.evaluation
     if error_log is None:
         error_log = _generate_error_log(scenario)
@@ -599,6 +612,7 @@ def prepare_data(
         sampler=sampler,
         reduction_report=reduction_report,
         data_key=data_key,
+        error_digest=error_digest,
     )
 
 
@@ -750,12 +764,14 @@ class PreparedDataCache:
             self.spill_hits += 1
         else:
             self.prepare_calls += 1
+            error_digest = _column_digest(error_log)
             if error_log is None:
                 error_log = self._raw_error_log(scenario)
             if job_log is None:
                 job_log = self._raw_job_log(scenario)
             prepared = prepare_data(
-                scenario, config, error_log=error_log, job_log=job_log, data_key=key
+                scenario, config, error_log=error_log, job_log=job_log,
+                data_key=key, error_digest=error_digest,
             )
             if self.spill is not None:
                 self.spill.save_prepared(prepared)
@@ -1452,20 +1468,20 @@ def _forest_task_key(
 ) -> str:
     """Key of the task fitting ``split``'s forest (:func:`fit_split_forest`).
 
-    Content-keyed by the error side of the synthetic inputs (the whole
-    :func:`prepared_data_key` of a product built from ingested logs), the
-    split's history range, the prediction window and the forest settings.
+    Content-keyed by the error side of the inputs (the synthetic telemetry's
+    parameters, plus an ingested error log's column digest), the split's
+    history range, the prediction window and the forest settings — never
+    the job log or its scaling, which the forest does not read.
     """
     scenario = prepared.scenario
     evaluation_cfg = scenario.evaluation
-    synthetic = prepared.data_key == prepared_data_key(scenario, config)
     content = (
-        # The error side of the synthetic key; ``()`` keeps the keys that
-        # synthetic forests have always had.
+        # The error side of the key; ``()`` keeps the keys that synthetic
+        # forests have always had.
         scenario.seed, scenario.topology, scenario.fault_model,
         scenario.duration_seconds, evaluation_cfg.ue_burst_window_seconds,
         evaluation_cfg.merge_window_seconds, _effective_manufacturer(scenario, config),
-        () if synthetic else prepared.data_key,
+        () if prepared.error_digest is None else prepared.error_digest,
         # The split's history and the forest's own settings.
         split.index, split.train_range[0], split.history_range[1],
         evaluation_cfg.prediction_window_seconds,

@@ -2,9 +2,9 @@
 
 This package turns the offline evaluation stack into a long-lived daemon: a
 synchronous core ingests an mcelog event stream, maintains one incremental
-:class:`~repro.core.features.OnlineFeatureState` per node, and answers all
-concurrently pending nodes with a single batched
-:meth:`~repro.core.policies.MitigationPolicy.decide_nodes` call per tick.
+:class:`~repro.core.features.OnlineFeatureState` per node, and answers the
+whole pending windows of the ready nodes with one batched
+:meth:`~repro.core.policies.MitigationPolicy.decide_nodes` call per round.
 In-memory logs drive the core directly; async sources (a tailed mcelog
 file, a paced replay) go through :meth:`DecisionService.run`.  Decisions are
 bit-identical to an offline :func:`~repro.evaluation.runner.evaluate_policy`

@@ -8,27 +8,28 @@ events across many nodes at once.  :class:`DecisionService` therefore
    :class:`~repro.core.features.OnlineFeatureState` per node,
 2. finalises merged decision steps the moment the stream clock passes their
    merge window (a deadline heap keys the open groups), and
-3. *micro-batches* the nodes with pending steps: each tick stacks one step
-   per ready node and answers them all with a single
-   :meth:`~repro.core.policies.MitigationPolicy.decide_nodes` call — one
-   forest gather or one DQN GEMM serves the whole batch.
+3. *micro-batches* the nodes with pending steps: each tick takes the whole
+   pending window of up to ``max_batch`` ready nodes and answers it with
+   one :meth:`~repro.core.policies.MitigationPolicy.decide_nodes` call per
+   round — one forest gather or one DQN GEMM serves the whole batch.
 
 A tick fires as soon as ``max_batch`` nodes are ready or ``max_delay``
 wall-clock seconds after the first step of the open batch arrived, whichever
 comes first.  That rule is a synchronous core: :meth:`DecisionService.serve`
-drives it from a plain iterable (an in-memory log) with no event loop, and
-:meth:`DecisionService.run` from an async source (a tailed mcelog file or a
-paced replay, see :mod:`repro.serve.sources`).
+drives it from a plain iterable (an in-memory log, read as plain rows) with
+no event loop, and :meth:`DecisionService.run` from an async source (a
+tailed mcelog file or a paced replay, see :mod:`repro.serve.sources`).
 
 Equivalence with the offline replay is exact, not approximate: the per-node
 step sequence is bit-identical to :func:`~repro.core.features
 .extract_node_features` (pinned by the online feature tests), the potential
 UE cost at each step is computed by the same
 :meth:`~repro.workload.sampling.NodeJobTimeline.potential_ue_cost` scalar
-operations the sequential reference replay uses, at most one step per node
-is decided per tick (so a mitigation's cost reset is visible to the node's
-next step, exactly as in the sequential replay), and the cost totals fold in
-the same order as the evaluation runner's accumulator.  The serve
+operations the sequential reference replay uses, a window resolves by the
+offline renewal walk's confirm-prefix rule (so a mitigation's cost reset is
+visible to the node's next step, exactly as in the sequential replay), and
+the cost totals fold in the same order as the evaluation runner's
+accumulator.  The serve
 equivalence suite pins decisions and totals against
 :func:`~repro.evaluation.runner.replay_decision_masks` and
 :func:`~repro.evaluation.runner.evaluate_policy` for the forest and RL
@@ -47,10 +48,11 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time as time_module
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from numbers import Integral
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -58,6 +60,7 @@ from repro.core.features import OnlineFeatureState, OnlineStep
 from repro.core.policies import MitigationPolicy
 from repro.serve.jobs import JobStateProvider
 from repro.serve.sources import ReplaySource
+from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.records import EventRecord
 from repro.utils.timeutils import MINUTE
 from repro.utils.validation import check_non_negative, check_positive
@@ -71,8 +74,10 @@ class ServeConfig:
     ``max_batch`` and ``max_delay_seconds`` trade throughput for decision
     latency: a tick fires when ``max_batch`` nodes have a pending step or
     ``max_delay_seconds`` after the first pending step arrived, whichever
-    comes first.  They only shape *when* model calls happen — decisions are
-    invariant under any setting (pinned by the batching-invariance test).
+    comes first.  ``max_batch`` bounds the *nodes* of a tick, not its rows:
+    a tick takes every pending step of each node it takes.  The knobs only
+    shape *when* model calls happen — decisions are invariant under any
+    setting (pinned by the batching-invariance test).
     """
 
     mitigation_cost_node_hours: float = 1.0
@@ -126,6 +131,7 @@ class ServeReport:
     exactly as the evaluation runner's accumulator does, so they equal the
     corresponding :class:`~repro.evaluation.costs.CostBreakdown` fields of
     an offline :func:`~repro.evaluation.runner.evaluate_policy` run.
+    ``batch_sizes`` counts each tick's decisions once, however many rounds.
     """
 
     policy_name: str
@@ -145,7 +151,7 @@ class ServeReport:
 
     @property
     def mean_batch_size(self) -> float:
-        """Mean decision-batch size across non-empty ticks."""
+        """Mean decisions per tick, across ticks that made one."""
         if self.batch_sizes.size == 0:
             return 0.0
         return float(np.mean(self.batch_sizes))
@@ -207,7 +213,7 @@ class _NodeState:
 
     def __init__(self, features: OnlineFeatureState, timeline: NodeJobTimeline) -> None:
         self.features = features
-        self.pending: Deque[OnlineStep] = deque()
+        self.pending: List[OnlineStep] = []
         self.timeline = timeline
         self.last_mitigation: Optional[float] = None
         self.mask: List[bool] = []
@@ -215,6 +221,56 @@ class _NodeState:
         #: Deadline of the open merge group already on the service heap
         #: (deadlines only grow, so equality is enough to dedupe pushes).
         self.pushed_deadline: Optional[float] = None
+
+
+class _Window:
+    """A node's pending steps in a tick; ``mask`` is final before ``cursor``."""
+
+    __slots__ = ("node", "state", "steps", "jobs", "mask", "cursor")
+
+    def __init__(self, node: int, state: _NodeState) -> None:
+        self.node, self.state, self.steps = node, state, state.pending
+        self.jobs = [state.timeline.job_at(step.time) for step in self.steps]
+        self.mask = [False] * len(self.steps)
+        self.cursor = 0
+        state.pending = []
+
+    def walk(self, restartable: bool, start: int = 0):
+        """``(index, step, potential UE cost)`` from ``start`` on, under the mask."""
+        cost_at = self.state.timeline.potential_ue_cost
+        last = self.state.last_mitigation
+        for i, (step, job) in enumerate(zip(self.steps, self.jobs)):
+            if i >= start:
+                yield i, step, cost_at(step.time, last, restartable, job)
+            if step.is_ue:
+                last = None
+            elif self.mask[i]:
+                last = step.time
+
+    def accept(self, decisions: List[bool], index: int, feedback: bool) -> int:
+        """Keep the confirmed prefix plus the first divergent answer.
+
+        ``decisions[index:]`` answers the undecided steps; the first answer
+        that differs from the guess only depended on final steps, and the
+        rest become the next guess.  Returns the next window's index.
+        """
+        accepting = True
+        for i in range(self.cursor, len(self.steps)):
+            if not self.steps[i].is_ue:
+                decision = decisions[index]
+                index += 1
+                if accepting:
+                    self.cursor = i + 1
+                    accepting = decision == self.mask[i] or not feedback
+                self.mask[i] = decision
+            elif accepting:
+                self.cursor = i + 1
+        return index
+
+    @property
+    def open(self) -> bool:
+        """Whether a decision step is still undecided."""
+        return any(not step.is_ue for step in self.steps[self.cursor :])
 
 
 class DecisionService:
@@ -238,7 +294,8 @@ class DecisionService:
         self._jobs = jobs
         self._config = config or ServeConfig()
         self._nodes: Dict[int, _NodeState] = {}
-        self._ready: set = set()
+        #: Nodes with pending steps, in the order they became ready.
+        self._ready: Dict[int, None] = {}
         self._deadlines: List = []
         self._clock: Optional[float] = None
         self._n_events = 0
@@ -281,7 +338,7 @@ class DecisionService:
         steps = state.features.absorb(record)
         if steps:
             state.pending.extend(steps)
-            self._ready.add(record.node)
+            self._ready[record.node] = None
         deadline = state.features.open_group_deadline
         if deadline is not None and deadline != state.pushed_deadline:
             heapq.heappush(self._deadlines, (deadline, record.node))
@@ -305,97 +362,81 @@ class DecisionService:
             state.pushed_deadline = None
             if steps:
                 state.pending.extend(steps)
-                self._ready.add(node)
+                self._ready[node] = None
 
     # ------------------------------------------------------------------ #
     # micro-batched ticks                                                #
     # ------------------------------------------------------------------ #
 
-    def _account_ue(self, state: _NodeState, step: OnlineStep) -> None:
-        cost = state.timeline.potential_ue_cost(
-            step.time, state.last_mitigation, self._config.restartable
-        )
-        state.ue_costs.append(cost)
-        state.mask.append(False)
-        # The node reboots after the UE; the next job starts fresh.
-        state.last_mitigation = None
-        self._n_ues += 1
-        self._n_steps += 1
-        if self._config.keep_decisions:
-            self._decisions.append(
-                DecisionRecord(
-                    tick=self._tick_index,
-                    node=step.node,
-                    time=step.time,
-                    ue_cost=cost,
-                    mitigate=False,
-                    is_ue=True,
-                )
-            )
-
     def _tick(self) -> None:
-        """Decide one pending step per ready node, all in one policy call."""
-        started = time_module.perf_counter()
-        batch_nodes: List[int] = []
-        batch_steps: List[OnlineStep] = []
-        batch_costs: List[float] = []
-        for node in sorted(self._ready):
-            state = self._nodes[node]
-            # Terminal (UE) steps never reach the policy: account the UE
-            # cost under the node's current mitigation state and reset it.
-            while state.pending and state.pending[0].is_ue:
-                self._account_ue(state, state.pending.popleft())
-            if not state.pending:
-                self._ready.discard(node)
-                continue
-            if len(batch_nodes) >= self._config.max_batch:
-                break
-            step = state.pending.popleft()
-            cost = state.timeline.potential_ue_cost(
-                step.time, state.last_mitigation, self._config.restartable
-            )
-            batch_nodes.append(node)
-            batch_steps.append(step)
-            batch_costs.append(cost)
+        """Resolve the whole pending window of up to ``max_batch`` ready nodes.
 
-        if batch_nodes:
-            features = np.array([step.features for step in batch_steps])
-            ue_costs = np.asarray(batch_costs, dtype=float)
-            times = np.asarray([step.time for step in batch_steps])
-            nodes = np.asarray(batch_nodes, dtype=np.int64)
+        Each round asks one ``decide_nodes`` call for the undecided steps of
+        every open window, priced under the window's guess (no mitigation,
+        then its last answers); with cost feedback only each window's
+        confirmed prefix and first divergent answer are kept (the offline
+        renewal walk's rule).  UE steps never reach the policy.
+        """
+        started = time_module.perf_counter()
+        config = self._config
+        restartable = config.restartable
+        feedback = self._policy.cost_dependent and restartable
+        nodes = list(islice(self._ready, config.max_batch))
+        for node in nodes:
+            del self._ready[node]
+        windows = [_Window(node, self._nodes[node]) for node in nodes]
+        pending = [window for window in windows if window.open]
+        while pending:
+            steps: List[OnlineStep] = []
+            costs: List[float] = []
+            for window in pending:
+                for _, step, cost in window.walk(restartable, window.cursor):
+                    if not step.is_ue:
+                        steps.append(step)
+                        costs.append(cost)
             result = self._policy.decide_nodes(
-                features, ue_costs, times=times, nodes=nodes
+                np.array([step.features for step in steps]),
+                np.array(costs),
+                times=np.array([step.time for step in steps]),
+                nodes=np.array([step.node for step in steps], dtype=np.int64),
             )
             decisions = np.asarray(result, dtype=bool)
-            if decisions.shape != (len(batch_nodes),):
+            if decisions.shape != (len(steps),):
                 raise ValueError(
                     f"decide_nodes of {self._policy.name!r} returned shape "
-                    f"{decisions.shape}, expected ({len(batch_nodes)},)"
+                    f"{decisions.shape}, expected ({len(steps)},)"
                 )
-            for node, step, cost, mitigate in zip(
-                batch_nodes, batch_steps, batch_costs, decisions.tolist()
-            ):
-                state = self._nodes[node]
-                state.mask.append(mitigate)
-                if mitigate:
-                    state.last_mitigation = step.time
-                    self._n_mitigations += 1
-                self._n_decision_points += 1
-                self._n_steps += 1
-                if self._config.keep_decisions:
+            decisions = decisions.tolist()
+            index = 0
+            for window in pending:
+                index = window.accept(decisions, index, feedback)
+            pending = [window for window in pending if window.open]
+
+        n_decisions = 0
+        for window in windows:
+            state = window.state
+            for i, step, cost in window.walk(restartable):
+                mitigate = window.mask[i]
+                if step.is_ue:
+                    state.ue_costs.append(cost)
+                    state.last_mitigation = None
+                    self._n_ues += 1
+                else:
+                    n_decisions += 1
+                    if mitigate:
+                        state.last_mitigation = step.time
+                        self._n_mitigations += 1
+                if config.keep_decisions:
                     self._decisions.append(
                         DecisionRecord(
-                            tick=self._tick_index,
-                            node=node,
-                            time=step.time,
-                            ue_cost=cost,
-                            mitigate=mitigate,
-                            is_ue=False,
+                            self._tick_index, window.node, step.time, cost, mitigate, step.is_ue
                         )
                     )
-                if not state.pending:
-                    self._ready.discard(node)
-            self._batch_sizes.append(len(batch_nodes))
+            state.mask.extend(window.mask)
+            self._n_steps += len(window.steps)
+        if n_decisions:
+            self._n_decision_points += n_decisions
+            self._batch_sizes.append(n_decisions)
             self._tick_latencies.append(time_module.perf_counter() - started)
             self._tick_index += 1
 
@@ -408,19 +449,21 @@ class DecisionService:
             raise RuntimeError("a DecisionService serves one stream; create a new one")
         self._started = time_module.perf_counter()
 
-    def _offer(self, record: Optional[EventRecord]) -> None:
-        """The tick rule: ingest ``record`` (if any), then fire the due ticks."""
-        if record is not None:
-            self._ingest(record)
-        while len(self._ready) >= self._config.max_batch:
-            self._tick()
-            self._batch_deadline = None
+    def _fire(self) -> bool:
+        """The tick rule: fire a tick if due, open a deadline if steps wait.
+
+        A tick is due at ``max_batch`` ready nodes or the batch deadline.
+        """
         now = time_module.monotonic()
-        if self._batch_deadline is not None and now >= self._batch_deadline:
+        due = len(self._ready) >= self._config.max_batch or (
+            self._batch_deadline is not None and now >= self._batch_deadline
+        )
+        if due:
             self._tick()
             self._batch_deadline = None
         if self._batch_deadline is None and self._ready:
             self._batch_deadline = now + self._config.max_delay_seconds
+        return due
 
     def _finish(self) -> ServeReport:
         """End of stream: force-close every open merge group, drain, report."""
@@ -431,45 +474,61 @@ class DecisionService:
             state.pushed_deadline = None
             if steps:
                 state.pending.extend(steps)
-                self._ready.add(node)
+                self._ready[node] = None
         while self._ready:
             self._tick()
         return self._report(time_module.perf_counter() - self._started)
 
     def serve(self, records: Iterable[EventRecord]) -> ServeReport:
-        """Serve a plain record iterable (e.g. an ``ErrorLog``) to its end."""
+        """Serve a plain record iterable to its end.
+
+        An :class:`~repro.telemetry.error_log.ErrorLog` is served as its
+        plain rows (:meth:`~repro.telemetry.error_log.ErrorLog.rows`).
+        """
         self._begin()
+        if isinstance(records, ErrorLog):
+            records = records.rows()
         for record in records:
-            self._offer(record)
+            self._ingest(record)
+            while self._fire():
+                pass
         return self._finish()
 
     async def run(self, source) -> ServeReport:
         """Consume an async ``source`` to exhaustion and return the report.
 
-        The source is awaited directly, one record at a time.  While a batch
-        is open, a loop timer at its deadline fires the max-delay tick, so an
-        idle source still gets its ready steps decided; an error in that tick
-        cancels the wait and is raised here.  On exit or cancellation the
-        timer is cancelled and the iterator closed.
+        The source is awaited directly, one record at a time.  Due ticks run
+        one per loop callback, which the loop reaches when the source waits:
+        every record the source already has is ingested before each tick, so
+        a record waits for one tick at most.  The callback is due at once
+        when ``max_batch`` nodes are ready, else at the batch deadline, so
+        an idle source still gets its steps decided; a source that keeps
+        records coming past the deadline gets the ticks between records.
+        An error in a tick cancels the wait and is raised here.  On exit or
+        cancellation the callback is cancelled and the iterator closed.
         """
         self._begin()
         loop = asyncio.get_running_loop()
         task = asyncio.current_task()
         records = source.__aiter__()
-        timer: Optional[asyncio.TimerHandle] = None
+        callback: Optional[asyncio.TimerHandle] = None
         failure: List[Exception] = []
 
         def arm() -> None:
-            nonlocal timer
-            if timer is None and self._batch_deadline is not None:
-                delay = self._batch_deadline - time_module.monotonic()
-                timer = loop.call_later(delay, on_deadline)
+            nonlocal callback
+            if callback is not None:
+                callback.cancel()
+            callback = None
+            if self._batch_deadline is not None:
+                due = len(self._ready) >= self._config.max_batch
+                delay = 0.0 if due else self._batch_deadline - time_module.monotonic()
+                callback = loop.call_later(delay, on_due)
 
-        def on_deadline() -> None:
-            nonlocal timer
-            timer = None
+        def on_due() -> None:
+            nonlocal callback
+            callback = None
             try:
-                self._offer(None)
+                self._fire()
             except Exception as exc:
                 failure.append(exc)
                 task.cancel()
@@ -478,7 +537,10 @@ class DecisionService:
 
         try:
             async for record in records:
-                self._offer(record)
+                self._ingest(record)
+                deadline = self._batch_deadline
+                if deadline is None or time_module.monotonic() >= deadline:
+                    self._fire()  # opens a batch, or catches up on its deadline
                 arm()
         except asyncio.CancelledError:
             if not failure:
@@ -487,8 +549,8 @@ class DecisionService:
                 task.uncancel()
             raise failure[0] from None
         finally:
-            if timer is not None:
-                timer.cancel()
+            if callback is not None:
+                callback.cancel()
             if hasattr(records, "aclose"):
                 await records.aclose()
         return self._finish()

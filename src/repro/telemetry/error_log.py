@@ -9,7 +9,8 @@ are vectorised.  Individual events can still be materialised as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -36,6 +37,12 @@ _ITER_CHUNK = 1024
 
 #: EventKind by integer code; a dict lookup is cheaper than ``EventKind(code)``.
 _KIND_BY_CODE = {int(kind): kind for kind in EventKind}
+
+#: One event of :meth:`ErrorLog.rows`: ``EventRecord``'s fields, as a tuple.
+EventRow = namedtuple("EventRow", [name for name, _ in _COLUMNS])
+#: Every valid kind code, and the kind's position in a row.
+_KIND_CODES = np.array(sorted(_KIND_BY_CODE), dtype=np.int8)
+_KIND_FIELD = [name for name, _ in _COLUMNS].index("kind")
 
 #: Kind codes counted as uncorrected errors, for the vectorised mask.
 _TERMINAL_CODES = tuple(sorted(int(kind) for kind in TERMINAL_KINDS))
@@ -154,11 +161,7 @@ class ErrorLog:
         return int(self.time.shape[0])
 
     def __iter__(self) -> Iterator[EventRecord]:
-        columns = [getattr(self, name) for name, _ in _COLUMNS]
-        for lo in range(0, len(self), _ITER_CHUNK):
-            chunk = [column[lo : lo + _ITER_CHUNK].tolist() for column in columns]
-            for row in zip(*chunk):
-                yield _make_record(*row)
+        return (EventRecord(*row) for row in self.rows())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ErrorLog):
@@ -172,6 +175,31 @@ class ErrorLog:
 
     def __hash__(self):  # pragma: no cover - logs are not hashable
         return NotImplemented
+
+    def rows(self) -> Iterator[EventRow]:
+        """The events as :data:`EventRow` tuples, field for field :meth:`record`.
+
+        Each chunk is read with ``tolist()`` and checked once, vectorised,
+        against ``EventRecord``'s rules; a chunk that breaks one is built
+        through ``EventRecord`` row by row, so its first rejected row raises
+        ``EventRecord``'s own message at its turn.
+        """
+        columns = [getattr(self, name) for name, _ in _COLUMNS]
+        for lo in range(0, len(self), _ITER_CHUNK):
+            chunk = [column[lo : lo + _ITER_CHUNK].tolist() for column in columns]
+            time, node, kind, ce_count = (
+                column[lo : lo + _ITER_CHUNK]
+                for column in (self.time, self.node, self.kind, self.ce_count)
+            )
+            if (
+                np.isin(kind, _KIND_CODES) & (time >= 0.0) & (time < np.inf) & (node >= 0)
+                & ((kind != int(EventKind.CE)) | (ce_count >= 1))
+            ).all():
+                chunk[_KIND_FIELD] = [_KIND_BY_CODE[code] for code in chunk[_KIND_FIELD]]
+                yield from map(EventRow._make, zip(*chunk))
+            else:
+                for row in zip(*chunk):
+                    yield EventRow(*astuple(_make_record(*row)))
 
     def record(self, index: int) -> EventRecord:
         """Materialise event ``index`` as an :class:`EventRecord`."""

@@ -79,16 +79,17 @@ class NodeJobTimeline:
         return starts[idx], n_nodes[idx]
 
     def potential_ue_cost(
-        self, t: float, last_mitigation: Optional[float], restartable: bool
+        self, t: float, last_mitigation: Optional[float], restartable: bool, job=None
     ) -> float:
         """Potential UE cost at time ``t`` in node–hours (Equation 3).
 
         ``potential_lost_wallclock_time`` is the time since the start of the
         running job or, when the mitigation allows restart (checkpointing)
         and a mitigation happened after the job started, since that last
-        mitigation.
+        mitigation.  ``job`` is :meth:`job_at` of ``t`` when the caller
+        already holds it.
         """
-        job_start, nodes = self.job_at(t)
+        job_start, nodes = self.job_at(t) if job is None else job
         reference = job_start
         if restartable and last_mitigation is not None:
             reference = max(job_start, last_mitigation)

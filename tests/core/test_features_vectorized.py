@@ -1,8 +1,9 @@
 """Equivalence suite: vectorized feature extraction vs the reference loop.
 
 ``extract_node_features`` was rewritten with cumulative array operations;
-``_extract_node_features_loop`` keeps the original per-event accumulation
-as the behavioural specification.  Both must agree *bit for bit* on fuzzed
+``extract_node_features_loop`` (``feature_reference.py``) keeps the
+original per-event accumulation as the behavioural specification.  Both
+must agree *bit for bit* on fuzzed
 synthetic logs — the feature tracks feed every model downstream, so a
 single differing ulp would eventually surface as a golden-fingerprint
 drift.
@@ -14,20 +15,18 @@ import numpy as np
 import pytest
 
 from repro.config import ScenarioConfig
-from repro.core.features import (
-    N_FEATURES,
-    _extract_node_features_loop,
-    extract_node_features,
-)
+from repro.core.features import N_FEATURES, extract_node_features
 from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.generator import TelemetryGenerator
 from repro.telemetry.records import EventKind
 from repro.telemetry.reduction import prepare_log
 
+from .feature_reference import extract_node_features_loop
+
 
 def _assert_tracks_identical(log, merge_window=60.0):
     for node, indices in log.node_slices().items():
-        loop = _extract_node_features_loop(log, node, indices, merge_window)
+        loop = extract_node_features_loop(log, node, indices, merge_window)
         vectorized = extract_node_features(log, node, indices, merge_window)
         assert np.array_equal(loop.times, vectorized.times), node
         assert np.array_equal(loop.is_ue, vectorized.is_ue), node
@@ -114,6 +113,6 @@ def test_empty_node_yields_empty_track():
         node=np.array([3], dtype=np.int64),
     )
     track = extract_node_features(log, node=99)
-    reference = _extract_node_features_loop(log, node=99)
+    reference = extract_node_features_loop(log, node=99)
     assert len(track) == 0 and len(reference) == 0
     assert track.features.shape == (0, N_FEATURES)

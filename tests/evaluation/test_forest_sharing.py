@@ -57,6 +57,17 @@ def prepared(scenario):
     return prepare_data(scenario, TINY)
 
 
+@pytest.fixture(scope="module")
+def ingested_log(scenario):
+    """The scenario's telemetry, handed in as an ingested log."""
+    return TelemetryGenerator(
+        scenario.topology,
+        scenario.fault_model,
+        scenario.duration_seconds,
+        seed=RngFactory(scenario.seed).child("telemetry"),
+    ).generate()
+
+
 def _forest_keys(prepared_data, config, key_prefix=""):
     tasks = build_split_tasks(
         prepared_data, make_splits(prepared_data.scenario), config, key_prefix
@@ -114,6 +125,17 @@ class TestFitsOncePerKey:
         assert len(fig3) == 4 and len(fig7) == 2
         ran = fig7.extras["executor_stats"].task_seconds
         assert ran and not any(key.startswith("forest-") for key in ran)
+
+    def test_an_ingested_log_sweep_along_job_scales_fits_once_per_split(
+        self, scenario, ingested_log, fit_calls
+    ):
+        spec = SweepSpec(base=scenario, job_scales=(0.25, 4.0))
+        run_sweep(spec, RF_ONLY, cache=PreparedDataCache(), error_log=ingested_log)
+        # The forests read the error log only: both job scales share them.
+        assert len(fit_calls) == 6
+        fit_calls.clear()
+        run_sweep(spec, RF_ONLY, cache=PreparedDataCache())
+        assert len(fit_calls) == 6
 
     def test_run_experiment_with_a_cache_reuses_its_forests(
         self, scenario, fit_calls
@@ -183,13 +205,10 @@ class TestForestKeys:
 
 
 class TestNeverShared:
-    def test_external_logs_share_forests_by_content(self, scenario, prepared):
-        log = TelemetryGenerator(
-            scenario.topology,
-            scenario.fault_model,
-            scenario.duration_seconds,
-            seed=RngFactory(scenario.seed).child("telemetry"),
-        ).generate()
+    def test_external_logs_share_forests_by_content(
+        self, scenario, prepared, ingested_log
+    ):
+        log = ingested_log
         first = _forest_keys(prepare_data(scenario, TINY, error_log=log), TINY)
         second = _forest_keys(prepare_data(scenario, TINY, error_log=log), TINY)
         other = _forest_keys(
@@ -201,17 +220,15 @@ class TestNeverShared:
         assert first == second
         assert not first & other
 
-    def test_external_log_run_refits_despite_a_warm_cache(self, scenario, fit_calls):
-        log = TelemetryGenerator(
-            scenario.topology,
-            scenario.fault_model,
-            scenario.duration_seconds,
-            seed=RngFactory(scenario.seed).child("telemetry"),
-        ).generate()
+    def test_external_log_run_refits_despite_a_warm_cache(
+        self, scenario, ingested_log, fit_calls
+    ):
         cache = PreparedDataCache()
         synthetic = run_experiment(scenario, RF_ONLY, cache=cache)
         fitted = len(fit_calls)
-        external = run_experiment(scenario, RF_ONLY, error_log=log, cache=cache)
+        external = run_experiment(
+            scenario, RF_ONLY, error_log=ingested_log, cache=cache
+        )
         assert len(fit_calls) == 2 * fitted
         # Same content, so the same numbers — but never the same forests.
         assert (

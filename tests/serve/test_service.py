@@ -41,6 +41,7 @@ from repro.serve import (
     TimelineJobProvider,
     serve_log,
 )
+from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.records import EventRecord
 from repro.utils.timeutils import DAY
 
@@ -80,13 +81,13 @@ def _rl_policy(normalizer, seed, mitigate_bias=0.0):
 
 
 def _assert_serve_matches_offline(
-    log, traces, jobs, policy, restartable, config=None
+    log, traces, jobs, policy, restartable, config=None, speed=None
 ):
     """Serve the log and pin decisions + cost totals against the replay."""
     config = config or ServeConfig(
         mitigation_cost_node_hours=MITIGATION_COST, restartable=restartable
     )
-    report = serve_log(log, policy, jobs, config)
+    report = serve_log(log, policy, jobs, config, speed=speed)
 
     masks = replay_decision_masks(traces, policy, restartable=restartable)
     assert set(report.masks) == {trace.node for trace in traces}
@@ -224,6 +225,85 @@ class TestBatchingInvariance:
         for node in unthrottled.masks:
             assert np.array_equal(throttled.masks[node], unthrottled.masks[node])
         assert throttled.ue_cost_node_hours == unthrottled.ue_cost_node_hours
+
+
+def _mid_window_mitigations(report) -> int:
+    """Mitigations a tick decided with more of the node's steps after them."""
+    windows = {}
+    for record in report.decisions:
+        if not record.is_ue:
+            windows.setdefault((record.tick, record.node), []).append(record.mitigate)
+    return sum(sum(window[:-1]) for window in windows.values())
+
+
+class TestStormWindows:
+    """A tick resolves each ready node's whole pending window, exactly."""
+
+    @pytest.mark.parametrize("paced", [False, True], ids=["unthrottled", "paced"])
+    @pytest.mark.parametrize("max_batch", [1, 2, 8, 64])
+    def test_rl_windows_match_offline(
+        self, reduced_error_log, traces, jobs, normalizer, max_batch, paced
+    ):
+        policy = _rl_policy(normalizer, seed=20, mitigate_bias=3.0)
+        config = ServeConfig(
+            mitigation_cost_node_hours=MITIGATION_COST, max_batch=max_batch
+        )
+        span = float(reduced_error_log.time[-1] - reduced_error_log.time[0])
+        report = _assert_serve_matches_offline(
+            reduced_error_log,
+            traces,
+            jobs,
+            policy,
+            True,
+            config,
+            speed=span / 0.2 if paced else None,
+        )
+        if max_batch > 1 and not paced:
+            # The cost feedback really runs inside windows.
+            assert _mid_window_mitigations(report) > 0
+
+    def test_a_node_with_k_pending_steps_is_decided_in_one_tick(self, normalizer):
+        k = 12
+        records = [
+            EventRecord(time=120.0 * i, node=3, dimm=0, ce_count=1) for i in range(k)
+        ]
+        policy = _rl_policy(normalizer, seed=20, mitigate_bias=3.0)
+        service = DecisionService(
+            policy,
+            ConstantJobProvider(n_nodes=8.0),
+            ServeConfig(
+                mitigation_cost_node_hours=MITIGATION_COST, max_delay_seconds=60.0
+            ),
+        )
+        report = service.serve(records)
+        assert report.n_ticks == 1
+        assert report.batch_sizes.tolist() == [k] == [report.n_decision_points]
+        # The same steps one tick per step decide the same.
+        one_by_one = DecisionService(
+            policy,
+            ConstantJobProvider(n_nodes=8.0),
+            ServeConfig(
+                mitigation_cost_node_hours=MITIGATION_COST,
+                max_batch=1,
+                max_delay_seconds=0.0,
+            ),
+        ).serve(records)
+        assert one_by_one.n_ticks == k
+        assert np.array_equal(one_by_one.masks[3], report.masks[3])
+        assert one_by_one.ue_cost_node_hours == report.ue_cost_node_hours
+
+    def test_a_rejected_row_raises_the_record_message(self, reduced_error_log, jobs):
+        columns = {
+            name: getattr(reduced_error_log, name).copy() for name in ErrorLog.__slots__
+        }
+        bad = 1500
+        columns["kind"][bad] = 9
+        log = ErrorLog(**columns)
+        with pytest.raises(ValueError) as expected:
+            log.record(bad)
+        with pytest.raises(ValueError) as raised:
+            serve_log(log, AlwaysMitigatePolicy(), jobs)
+        assert str(raised.value) == str(expected.value)
 
 
 class TestJobProviders:

@@ -203,3 +203,53 @@ class TestIteration:
             log.record(1)
         with pytest.raises(ValueError):
             list(log)
+
+
+class TestRows:
+    """``rows()``: the plain rows an in-memory log is served as."""
+
+    def test_rows_match_record_across_chunks(self):
+        log = _long_log(2 * _ITER_CHUNK + 37)
+        rows = list(log.rows())
+        assert len(rows) == len(log)
+        for i, row in enumerate(rows):
+            record = log.record(i)
+            assert row._fields == tuple(f.name for f in dataclasses.fields(record))
+            assert tuple(row) == dataclasses.astuple(record), i
+            assert [type(value) for value in row] == [
+                type(value) for value in dataclasses.astuple(record)
+            ], i
+
+    def test_empty_log_has_no_rows(self):
+        assert list(ErrorLog.empty().rows()) == []
+
+    @pytest.mark.parametrize(
+        "column, value, index",
+        [
+            ("kind", 9, _ITER_CHUNK + 3),
+            ("time", -1.0, 0),
+            ("node", -1, _ITER_CHUNK + 3),
+            ("ce_count", 0, _ITER_CHUNK + 3),
+        ],
+    )
+    def test_each_rejected_row_raises_the_record_message(self, column, value, index):
+        log = _rejected_row_log(column, value, index)
+        with pytest.raises(ValueError) as expected:
+            log.record(index)
+        served = []
+        with pytest.raises(ValueError) as raised:
+            for row in log.rows():
+                served.append(row)
+        assert str(raised.value) == str(expected.value)
+        # Lazy like iteration: every row before the rejected one is yielded.
+        assert len(served) == index
+
+
+def _rejected_row_log(column: str, value, index: int) -> ErrorLog:
+    """A two-chunk log whose row ``index`` breaks one ``EventRecord`` rule."""
+    base = _long_log(2 * _ITER_CHUNK)
+    columns = {name: getattr(base, name).copy() for name in ErrorLog.__slots__}
+    if column == "ce_count":
+        columns["kind"][index] = int(EventKind.CE)
+    columns[column][index] = value
+    return ErrorLog(**columns)

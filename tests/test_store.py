@@ -149,9 +149,13 @@ class TestPreparedData:
         assert reader.spill_hits == 1
         assert loaded.data_key == written.data_key
         assert loaded.sampler.job_log == written.sampler.job_log
+        # The error log's digest (its forests' key) survives the round trip.
+        assert loaded.error_digest == written.error_digest is not None
         # The synthetic product of the same scenario is a different entry.
-        reader.get(SCENARIO, TINY)
+        synthetic = reader.get(SCENARIO, TINY)
         assert reader.prepare_calls == 1
+        assert synthetic.error_digest is None
+        assert PreparedDataCache(spill=store).get(SCENARIO, TINY).error_digest is None
 
 
 class TestCorruptSpill:
