@@ -422,6 +422,18 @@ class OnlineFeatureState:
             out.append(self._finalize())
         return out
 
+    def absorb_log(
+        self, log: ErrorLog, indices: Optional[np.ndarray] = None
+    ) -> List[OnlineStep]:
+        """Absorb one event batch (this node's slice of ``log``) at a time."""
+        if indices is None:
+            indices = np.flatnonzero(log.node == self.node)
+        names = ("time", "kind", "ce_count", "dimm", "rank", "bank", "row", "col")
+        out: List[OnlineStep] = []
+        for fields in zip(*(getattr(log, name)[indices].tolist() for name in names)):
+            out.extend(self.absorb_event(*fields))
+        return out
+
     def advance_to(self, stream_time: float) -> List[OnlineStep]:
         """Finalise the open group once the stream clock has passed it by.
 

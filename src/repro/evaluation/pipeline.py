@@ -462,7 +462,8 @@ class PreparedData:
     #: store rely on.
     data_key: str
     #: Column digest of an ingested error log (``None`` for synthetic
-    #: telemetry): the error side of the forest task keys.
+    #: telemetry): the error side of the forest task keys.  The store keeps
+    #: none; :class:`PreparedDataCache` sets it from the log it was given.
     error_digest: Optional[str] = None
 
 
@@ -517,6 +518,16 @@ def prepared_data_key(
     in-memory caches, the forest task keys and the ``prepared/`` family of
     :class:`repro.store.ArtifactStore`.
     """
+    return _data_keys(scenario, config, error_log, job_log)[0]
+
+
+def _data_keys(
+    scenario: ScenarioConfig,
+    config: ExperimentConfig,
+    error_log: Optional[ErrorLog],
+    job_log: Optional[JobLog],
+) -> Tuple[str, Optional[str]]:
+    """:func:`prepared_data_key` and ``error_log``'s column digest, one SHA-256 each."""
     payload = {
         "kind": "prepared_data",
         "seed": scenario.seed,
@@ -532,13 +543,11 @@ def prepared_data_key(
     for field_name, log in (("error_log", error_log), ("job_log", job_log)):
         if log is not None:
             payload[field_name] = _column_digest(log)
-    return content_key(payload)
+    return content_key(payload), payload.get("error_log")
 
 
-def _column_digest(log) -> Optional[str]:
-    """SHA-256 of a log's columns (names, dtypes and bytes); ``None`` for none."""
-    if log is None:
-        return None
+def _column_digest(log) -> str:
+    """SHA-256 of a log's columns (names, dtypes and bytes)."""
     digest = hashlib.sha256()
     for name in log.__slots__:
         column = np.ascontiguousarray(getattr(log, name))
@@ -573,19 +582,16 @@ def prepare_data(
     error_log: Optional[ErrorLog] = None,
     job_log: Optional[JobLog] = None,
     *,
-    data_key: Optional[str] = None,
-    error_digest: Optional[str] = None,
+    keys: Optional[Tuple[str, Optional[str]]] = None,
 ) -> PreparedData:
     """Generate (or accept) the logs and derive feature tracks and sampler.
 
-    ``data_key`` defaults to :func:`prepared_data_key` of the arguments,
-    and ``error_digest`` then to the column digest of an ingested
-    ``error_log``.  :class:`PreparedDataCache` passes both, together with
-    the logs its sub-caches generated for a synthetic key.
+    ``keys`` — the product's ``data_key`` and ``error_digest`` — default to
+    those of the arguments.  :class:`PreparedDataCache` passes the keys it
+    looked the product up by, together with the logs its sub-caches
+    generated for a synthetic key.
     """
-    if data_key is None:
-        data_key = prepared_data_key(scenario, config, error_log, job_log)
-        error_digest = _column_digest(error_log)
+    data_key, error_digest = keys or _data_keys(scenario, config, error_log, job_log)
     evaluation_cfg = scenario.evaluation
     if error_log is None:
         error_log = _generate_error_log(scenario)
@@ -750,7 +756,7 @@ class PreparedDataCache:
         job_log: Optional[JobLog] = None,
     ) -> PreparedData:
         """Return (building at most once) the prepared data for a scenario."""
-        key = prepared_data_key(scenario, config, error_log, job_log)
+        key, error_digest = keys = _data_keys(scenario, config, error_log, job_log)
         prepared = self._prepared.get(key)
         if prepared is not None:
             self.hits += 1
@@ -762,16 +768,15 @@ class PreparedDataCache:
         prepared = self._load_spilled(scenario, key)
         if prepared is not None:
             self.spill_hits += 1
+            prepared = replace(prepared, error_digest=error_digest)
         else:
             self.prepare_calls += 1
-            error_digest = _column_digest(error_log)
             if error_log is None:
                 error_log = self._raw_error_log(scenario)
             if job_log is None:
                 job_log = self._raw_job_log(scenario)
             prepared = prepare_data(
-                scenario, config, error_log=error_log, job_log=job_log,
-                data_key=key, error_digest=error_digest,
+                scenario, config, error_log=error_log, job_log=job_log, keys=keys
             )
             if self.spill is not None:
                 self.spill.save_prepared(prepared)

@@ -29,8 +29,7 @@ operations the sequential reference replay uses, a window resolves by the
 offline renewal walk's confirm-prefix rule (so a mitigation's cost reset is
 visible to the node's next step, exactly as in the sequential replay), and
 the cost totals fold in the same order as the evaluation runner's
-accumulator.  The serve
-equivalence suite pins decisions and totals against
+accumulator.  The serve equivalence suite pins decisions and totals against
 :func:`~repro.evaluation.runner.replay_decision_masks` and
 :func:`~repro.evaluation.runner.evaluate_policy` for the forest and RL
 policies alike.
@@ -47,9 +46,10 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 import time as time_module
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from numbers import Integral
 from typing import Dict, Iterable, List, Optional
@@ -110,14 +110,7 @@ class DecisionRecord:
 
     def to_dict(self) -> Dict:
         """JSONL-ready representation (the ``--decision-log`` format)."""
-        return {
-            "tick": self.tick,
-            "node": self.node,
-            "time": self.time,
-            "ue_cost": self.ue_cost,
-            "mitigate": self.mitigate,
-            "is_ue": self.is_ue,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, repr=False)
@@ -248,12 +241,8 @@ class _Window:
                 last = step.time
 
     def accept(self, decisions: List[bool], index: int, feedback: bool) -> int:
-        """Keep the confirmed prefix plus the first divergent answer.
-
-        ``decisions[index:]`` answers the undecided steps; the first answer
-        that differs from the guess only depended on final steps, and the
-        rest become the next guess.  Returns the next window's index.
-        """
+        """Keep the confirmed prefix plus the first divergent answer of
+        ``decisions[index:]`` (the rest is the next guess); return the next index."""
         accepting = True
         for i in range(self.cursor, len(self.steps)):
             if not self.steps[i].is_ue:
@@ -344,6 +333,8 @@ class DecisionService:
             heapq.heappush(self._deadlines, (deadline, record.node))
             state.pushed_deadline = deadline
         self._expire_deadlines()
+        if self._batch_deadline is None and self._ready:
+            self._batch_deadline = time_module.monotonic() + self._config.max_delay_seconds
 
     def _expire_deadlines(self) -> None:
         """Finalise every open group the stream clock has passed.
@@ -449,21 +440,21 @@ class DecisionService:
             raise RuntimeError("a DecisionService serves one stream; create a new one")
         self._started = time_module.perf_counter()
 
-    def _fire(self) -> bool:
-        """The tick rule: fire a tick if due, open a deadline if steps wait.
+    def _due_at(self) -> float:
+        """The tick rule, on the monotonic clock: at once (``-inf``) at
+        ``max_batch`` ready nodes, else at the batch deadline (``inf`` if none)."""
+        if len(self._ready) >= self._config.max_batch:
+            return -math.inf
+        return math.inf if self._batch_deadline is None else self._batch_deadline
 
-        A tick is due at ``max_batch`` ready nodes or the batch deadline.
-        """
+    def _fire(self) -> bool:
+        """Fire one tick if it is due; a new deadline opens if steps still wait."""
         now = time_module.monotonic()
-        due = len(self._ready) >= self._config.max_batch or (
-            self._batch_deadline is not None and now >= self._batch_deadline
-        )
-        if due:
-            self._tick()
-            self._batch_deadline = None
-        if self._batch_deadline is None and self._ready:
-            self._batch_deadline = now + self._config.max_delay_seconds
-        return due
+        if self._due_at() > now:
+            return False
+        self._tick()
+        self._batch_deadline = now + self._config.max_delay_seconds if self._ready else None
+        return True
 
     def _finish(self) -> ServeReport:
         """End of stream: force-close every open merge group, drain, report."""
@@ -480,11 +471,7 @@ class DecisionService:
         return self._report(time_module.perf_counter() - self._started)
 
     def serve(self, records: Iterable[EventRecord]) -> ServeReport:
-        """Serve a plain record iterable to its end.
-
-        An :class:`~repro.telemetry.error_log.ErrorLog` is served as its
-        plain rows (:meth:`~repro.telemetry.error_log.ErrorLog.rows`).
-        """
+        """Serve a plain record iterable, or an ``ErrorLog`` as its rows, to its end."""
         self._begin()
         if isinstance(records, ErrorLog):
             records = records.rows()
@@ -498,14 +485,13 @@ class DecisionService:
         """Consume an async ``source`` to exhaustion and return the report.
 
         The source is awaited directly, one record at a time.  Due ticks run
-        one per loop callback, which the loop reaches when the source waits:
-        every record the source already has is ingested before each tick, so
-        a record waits for one tick at most.  The callback is due at once
-        when ``max_batch`` nodes are ready, else at the batch deadline, so
-        an idle source still gets its steps decided; a source that keeps
-        records coming past the deadline gets the ticks between records.
-        An error in a tick cancels the wait and is raised here.  On exit or
-        cancellation the callback is cancelled and the iterator closed.
+        one per loop callback (:meth:`_due_at`), which the loop reaches when
+        the source waits: every record the source already has is ingested
+        first, and an idle source still gets its steps decided.  A source
+        that never waits gets its ticks between records once the batch
+        deadline passed.  An error in a tick cancels the wait and is raised
+        here.  On exit or cancellation the callback is cancelled and the
+        iterator closed.
         """
         self._begin()
         loop = asyncio.get_running_loop()
@@ -519,9 +505,9 @@ class DecisionService:
             if callback is not None:
                 callback.cancel()
             callback = None
-            if self._batch_deadline is not None:
-                due = len(self._ready) >= self._config.max_batch
-                delay = 0.0 if due else self._batch_deadline - time_module.monotonic()
+            due_at = self._due_at()
+            if due_at < math.inf:
+                delay = max(0.0, due_at - time_module.monotonic())
                 callback = loop.call_later(delay, on_due)
 
         def on_due() -> None:
@@ -539,8 +525,8 @@ class DecisionService:
             async for record in records:
                 self._ingest(record)
                 deadline = self._batch_deadline
-                if deadline is None or time_module.monotonic() >= deadline:
-                    self._fire()  # opens a batch, or catches up on its deadline
+                if deadline is not None and time_module.monotonic() >= deadline:
+                    self._fire()  # a source that never waits: catch up
                 arm()
         except asyncio.CancelledError:
             if not failure:

@@ -242,7 +242,6 @@ class ArtifactStore:
             {
                 "scenario": scenario.to_dict(),
                 "reduction_report": prepared.reduction_report.to_dict(),
-                "error_digest": prepared.error_digest,
             },
         )
         # meta.json is written last: its presence marks the entry complete.
@@ -297,9 +296,6 @@ class ArtifactStore:
             sampler=sampler,
             reduction_report=reduction_report,
             data_key=key,
-            # An entry written before the field existed keys its forests by
-            # its whole data key: never shared, never wrongly shared.
-            error_digest=meta.get("error_digest", key),
         )
 
     def delete_prepared(self, key: str) -> None:

@@ -186,14 +186,13 @@ class ErrorLog:
         """
         columns = [getattr(self, name) for name, _ in _COLUMNS]
         for lo in range(0, len(self), _ITER_CHUNK):
-            chunk = [column[lo : lo + _ITER_CHUNK].tolist() for column in columns]
-            time, node, kind, ce_count = (
-                column[lo : lo + _ITER_CHUNK]
-                for column in (self.time, self.node, self.kind, self.ce_count)
-            )
+            part = slice(lo, lo + _ITER_CHUNK)
+            chunk = [column[part].tolist() for column in columns]
+            time, kind = self.time[part], self.kind[part]
             if (
-                np.isin(kind, _KIND_CODES) & (time >= 0.0) & (time < np.inf) & (node >= 0)
-                & ((kind != int(EventKind.CE)) | (ce_count >= 1))
+                np.isin(kind, _KIND_CODES) & (time >= 0.0) & (time < np.inf)
+                & (self.node[part] >= 0)
+                & ((kind != int(EventKind.CE)) | (self.ce_count[part] >= 1))
             ).all():
                 chunk[_KIND_FIELD] = [_KIND_BY_CODE[code] for code in chunk[_KIND_FIELD]]
                 yield from map(EventRow._make, zip(*chunk))

@@ -174,6 +174,20 @@ def test_generated_log_prefixes_match_batch_extractor(reduced_error_log):
     assert checked == 5
 
 
+def test_absorb_log_batches_equal_per_event_absorb(reduced_error_log):
+    log = reduced_error_log
+    node, indices = max(log.node_slices().items(), key=lambda kv: len(kv[1]))
+    batched = OnlineFeatureState(node)
+    # Split the node's slice into uneven batches: absorbing batch-at-a-time
+    # must behave exactly like event-at-a-time.
+    cuts = [0, 1, 7, len(indices) // 2, len(indices)]
+    steps = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        steps.extend(batched.absorb_log(log, indices[lo:hi]))
+    steps.extend(batched.flush())
+    _assert_steps_match_track(steps, extract_node_features(log, node, indices))
+
+
 def test_advance_to_does_not_change_the_step_sequence(reduced_error_log):
     """Clock-driven finalisation emits the same steps, just earlier.
 

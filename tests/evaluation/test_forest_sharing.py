@@ -29,6 +29,7 @@ from repro.evaluation.pipeline import (
 )
 from repro.evaluation.sweep import SweepSpec, run_sweep
 from repro.serialization import canonical_json
+from repro.store import ArtifactStore
 from repro.telemetry.generator import TelemetryGenerator
 from repro.utils.rng import RngFactory
 from repro.utils.timeutils import DAY
@@ -219,6 +220,21 @@ class TestNeverShared:
         assert not first & synthetic
         assert first == second
         assert not first & other
+
+    def test_spilled_products_keep_their_forest_keys(
+        self, scenario, ingested_log, tmp_path
+    ):
+        # A store entry carries no error digest (nor did one written before
+        # forests were keyed by it); reloaded, it shares the fresh forests.
+        store = ArtifactStore(tmp_path / "runs")
+        for error_log in (None, ingested_log):
+            fresh = PreparedDataCache(spill=store).get(
+                scenario, TINY, error_log=error_log
+            )
+            reader = PreparedDataCache(spill=store)
+            spilled = reader.get(scenario, TINY, error_log=error_log)
+            assert reader.spill_hits == 1
+            assert _forest_keys(spilled, TINY) == _forest_keys(fresh, TINY)
 
     def test_external_log_run_refits_despite_a_warm_cache(
         self, scenario, ingested_log, fit_calls

@@ -486,6 +486,30 @@ class TestDrivers:
         ]
         assert report.n_events == 3 and report.n_decision_points == 3
 
+    def test_a_due_tick_waits_for_the_records_the_source_already_has(self):
+        order = []
+
+        class _Logged(AlwaysMitigatePolicy):
+            def decide_nodes(self, features, ue_costs, times=None, nodes=None):
+                order.append("decide")
+                return super().decide_nodes(features, ue_costs, times=times, nodes=nodes)
+
+        async def bursty_source():
+            # t=120 makes two nodes ready (a tick is due at max_batch=1), but
+            # the source still has two records in hand: they come first.
+            for burst in ((self._ce(0.0), self._ce(0.0, 1), self._ce(120.0),
+                           self._ce(121.0, 2), self._ce(122.0, 2)),
+                          (self._ce(300.0),)):
+                for record in burst:
+                    order.append(record.time)
+                    yield record
+                await asyncio.sleep(0.05)
+
+        service = self._service(_Logged(), max_batch=1, max_delay_seconds=60.0)
+        report = asyncio.run(service.run(bursty_source()))
+        assert order[:7] == [0.0, 0.0, 120.0, 121.0, 122.0, "decide", "decide"]
+        assert report.n_ticks == order.count("decide")
+
     def test_a_failing_max_delay_tick_ends_run_on_an_idle_source(self):
         class _Broken(AlwaysMitigatePolicy):
             def decide_nodes(self, features, ue_costs, times=None, nodes=None):

@@ -149,7 +149,10 @@ class TestPreparedData:
         assert reader.spill_hits == 1
         assert loaded.data_key == written.data_key
         assert loaded.sampler.job_log == written.sampler.job_log
-        # The error log's digest (its forests' key) survives the round trip.
+        # The store keeps no digest (as entries written before forests were
+        # keyed by it): the cache sets it from the log it was given.
+        meta = json.loads(store.backend.get(f"prepared/{written.data_key}/meta.json"))
+        assert "error_digest" not in json.dumps(meta)
         assert loaded.error_digest == written.error_digest is not None
         # The synthetic product of the same scenario is a different entry.
         synthetic = reader.get(SCENARIO, TINY)
