@@ -1,10 +1,18 @@
-"""``python -m repro`` — run, sweep, report, list and gc from the command line.
+"""``python -m repro`` — seven subcommands over the study engine and the store.
 
-Five subcommands over the :class:`~repro.study.Study` facade and the
-:class:`~repro.store.ArtifactStore`:
+One front door: ``run``, ``sweep`` and ``suite`` share one command body.
+``run`` and ``sweep`` build their flags into a one-block suite named after
+the preset (:func:`repro.suite.compile_suite`); ``suite`` reads its blocks
+from YAML.  All three execute through :func:`repro.suite.run_suite` and
+print, per block, its table, the wall-clock and ``prepare_data`` line, the
+executor summary, the store lines and, with ``--profile``, the profile.
+With ``--store`` they load finished points, persist the rest and keep
+prepared data in the store.  A bad flag or value is one ``error:`` line on
+stderr and exit code 2, before any data is prepared.
 
 ``run``
-    One experiment on a preset scenario, axis flags applied::
+    One experiment on a preset scenario, one value per axis flag; prints
+    the per-approach cost table (``--metrics`` adds Table 2)::
 
         python -m repro run --preset small --mitigation-cost 5 \\
             --restartable off --fast --store runs/
@@ -16,12 +24,10 @@ Five subcommands over the :class:`~repro.study.Study` facade and the
         python -m repro sweep --mitigation-cost 2,5,10 --restartable both \\
             --store runs/
 
-    With ``--store``, completed points load from disk and the run reports
-    how many points it actually computed — re-running a finished sweep
-    prints ``points computed: 0``.
-
-    A sweep also scales across processes and machines that share nothing
-    but the store directory (see :mod:`repro.distributed`)::
+    Re-running a finished sweep against its store prints ``points
+    computed: 0``; so does a sweep over the one point a ``run`` stored.
+    Workers that share nothing but the store split a sweep (see
+    :mod:`repro.distributed`)::
 
         python -m repro sweep ... --store runs/ --shard 0/4   # worker 0 of 4
         python -m repro sweep ... --store runs/ --claim       # work stealing
@@ -34,17 +40,18 @@ Five subcommands over the :class:`~repro.study.Study` facade and the
     way the reduced sweep is bit-identical to a single-process run (with
     ``charge_training_time=False``).
 
-``report``
-    Render a stored sweep's points × approaches table without recomputing
-    anything: ``python -m repro report --store runs/``.
+``suite``
+    Every scenario block of a YAML suite file (see :mod:`repro.suite`);
+    ``--validate`` prints the compiled plan and runs nothing, ``--only``
+    picks one block, ``--shard``/``--claim`` work as on ``sweep``.
 
-``list``
-    Inventory of a store: sweeps, experiment results, prepared products.
+``report`` / ``list``
+    Render a stored sweep's points × approaches table without recomputing
+    anything, or list a store's sweeps, results and prepared products.
 
 ``gc``
     Prune ``prepared/`` products no stored sweep or result references
-    (``--dry-run`` reports the freeable bytes without deleting): long-lived
-    stores otherwise keep every spilled product forever.
+    (``--dry-run`` reports the freeable bytes without deleting).
 
 ``serve``
     The online micro-batched decision service (see :mod:`repro.serve`):
@@ -63,89 +70,60 @@ Five subcommands over the :class:`~repro.study.Study` facade and the
     for file sources) and serve the remainder; decisions are bit-identical
     to an offline ``evaluate_policy`` replay of the same events.
 
-``run`` and ``sweep`` additionally accept ``--profile``: each pipeline
-stage runs under cProfile, the raw stats are merged across stages
-(``pstats.Stats.add``) and ONE top-cumulative-time table is printed after
-the report (per-stage tables plus the merged ``"total"`` entry are
-surfaced as ``result.extras["profile"]`` in the API).  The profile covers
-whatever the driver process executes; process-pool task bodies run outside
-it.
-
-Every table is rendered by :mod:`repro.evaluation.report` — the CLI prints
-exactly what the library's ``format_*`` helpers produce.
+``--profile`` (``run``, ``sweep``, ``suite``) runs each pipeline stage under
+cProfile, merges the raw stats across stages (``pstats.Stats.add``) and
+prints ONE top-cumulative-time table after each block's report (the API
+surfaces it as ``result.extras["profile"]``).  It covers the driver
+process only; process-pool task bodies run outside it.  Every table is
+rendered by :mod:`repro.evaluation.report`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.config import ScenarioConfig
 from repro.evaluation.costs import CostBreakdown
-from repro.evaluation.pipeline import ExperimentConfig
-from repro.evaluation.report import format_cost_table, format_metrics_table
-from repro.evaluation.sweep import SweepSpec
+from repro.evaluation.executor import EXECUTOR_KINDS
+from repro.evaluation.pipeline import ExperimentConfig, PreparedDataCache
+from repro.evaluation.report import format_metrics_table
 from repro.store import ArtifactStore
-from repro.study import Study
-from repro.telemetry.records import MANUFACTURER_NAMES
+from repro.suite import PRESETS, Suite, SuiteError, compile_suite, load_suite, run_suite
 from repro.utils.profiling import format_profile
 from repro.utils.timeutils import DAY
 
 __all__ = ["main", "build_parser"]
 
-PRESETS = ("small", "benchmark", "paper")
+
+class UsageError(Exception):
+    """A bad flag or flag value: one ``error:`` line on stderr, exit code 2."""
 
 
 # --------------------------------------------------------------------- #
 # Flag value parsing
 # --------------------------------------------------------------------- #
-def _parse_floats(text: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+def _split_values(text: str) -> List[Any]:
+    """Comma-separated axis values, checked later by the suite compiler.
 
-
-def _parse_ints(text: str) -> List[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _parse_restartable(text: str) -> List[bool]:
-    """``on`` / ``off`` / ``both`` / any comma combination thereof."""
+    Numeric tokens become numbers; words (``on``/``off``, ``all``, a
+    manufacturer letter) pass through as they are; ``both`` is ``on,off``.
+    """
     if text == "both":
-        return [True, False]
-    values: List[bool] = []
+        return ["on", "off"]
+    values: List[Any] = []
     for part in text.split(","):
-        if part == "on":
-            values.append(True)
-        elif part == "off":
-            values.append(False)
+        if part == "":
+            continue
+        for number in (int, float):
+            try:
+                values.append(number(part))
+                break
+            except ValueError:
+                pass
         else:
-            raise argparse.ArgumentTypeError(
-                f"restartable values are 'on', 'off' or 'both', got {part!r}"
-            )
-    return values
-
-
-def _parse_manufacturers(text: str) -> List[Optional[int]]:
-    """``all`` (whole fleet), a manufacturer letter, or an index."""
-    values: List[Optional[int]] = []
-    for part in text.split(","):
-        if part == "all":
-            values.append(None)
-        elif part.upper() in MANUFACTURER_NAMES:
-            values.append(MANUFACTURER_NAMES.index(part.upper()))
-        elif part.isdigit():
-            values.append(int(part))
-        else:
-            raise argparse.ArgumentTypeError(
-                f"manufacturer values are 'all', one of "
-                f"{'/'.join(MANUFACTURER_NAMES)}, or an index; got {part!r}"
-            )
+            values.append(part)
     return values
 
 
@@ -165,20 +143,18 @@ def _parse_shard(text: str):
     return (index, count)
 
 
-def _single(values, flag: str):
-    if values is None:
-        return None
-    if len(values) != 1:
-        raise SystemExit(
-            f"error: `run` takes exactly one value for {flag} "
-            f"(got {len(values)}); use the `sweep` subcommand for grids"
-        )
-    return values[0]
-
-
 # --------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------- #
+#: What the shared ``run``/``sweep``/``suite`` body reads of the flags a
+#: command does not have (each value is the flag's own default).
+_STUDY_DEFAULTS = dict(
+    seeds=None, metrics=False, which="total", validate=False, only=None,
+    shard=None, claim=False, worker_id=None, lease_ttl=None, status=False,
+    reduce=False,
+)
+
+
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--preset",
@@ -209,7 +185,7 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor",
-        choices=("process", "thread", "serial"),
+        choices=EXECUTOR_KINDS,
         default=None,
         help="executor backend",
     )
@@ -235,6 +211,42 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_distributed_flags(parser: argparse.ArgumentParser, description: str):
+    """The ``--shard``/``--claim`` worker flags of ``sweep`` and ``suite``."""
+    group = parser.add_argument_group("distributed execution", description)
+    group.add_argument(
+        "--shard",
+        type=_parse_shard,
+        default=None,
+        metavar="I/N",
+        help="compute only worker I's share of an N-way static partition "
+        "of the points (e.g. --shard 0/4 ... --shard 3/4, one per process)",
+    )
+    group.add_argument(
+        "--claim",
+        action="store_true",
+        help="dynamic work stealing: claim missing points through atomic "
+        "store leases, heartbeat while computing, reclaim dead workers' "
+        "points after their lease TTL; waits until all points are done",
+    )
+    group.add_argument(
+        "--worker-id",
+        default=None,
+        metavar="NAME",
+        help="this worker's identity in leases and status output "
+        "(default: host:pid:nonce)",
+    )
+    group.add_argument(
+        "--lease-ttl",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="heartbeat staleness after which other workers may reclaim "
+        "this worker's leased points (default: 120)",
+    )
+    return group
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -244,67 +256,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment")
     _add_scenario_flags(run)
-    run.add_argument("--mitigation-cost", type=_parse_floats, default=None,
+    run.add_argument("--mitigation-cost", type=_split_values, default=None,
                      metavar="NODE_MINUTES")
-    run.add_argument("--restartable", type=_parse_restartable, default=None,
+    run.add_argument("--restartable", type=_split_values, default=None,
                      metavar="on|off")
-    run.add_argument("--manufacturer", type=_parse_manufacturers, default=None,
+    run.add_argument("--manufacturer", type=_split_values, default=None,
                      metavar="all|A|B|C")
-    run.add_argument("--job-scale", type=_parse_floats, default=None, metavar="FACTOR")
+    run.add_argument("--job-scale", type=_split_values, default=None, metavar="FACTOR")
     _add_experiment_flags(run)
     run.add_argument("--metrics", action="store_true",
                      help="also print the Table 2 classical-ML metrics")
 
     sweep = sub.add_parser("sweep", help="run a grid over the paper's axes")
     _add_scenario_flags(sweep)
-    sweep.add_argument("--mitigation-cost", type=_parse_floats, default=None,
+    sweep.add_argument("--mitigation-cost", type=_split_values, default=None,
                        metavar="2,5,10")
-    sweep.add_argument("--restartable", type=_parse_restartable, default=None,
+    sweep.add_argument("--restartable", type=_split_values, default=None,
                        metavar="on|off|both")
-    sweep.add_argument("--manufacturer", type=_parse_manufacturers, default=None,
+    sweep.add_argument("--manufacturer", type=_split_values, default=None,
                        metavar="all,A,B,C")
-    sweep.add_argument("--job-scale", type=_parse_floats, default=None,
+    sweep.add_argument("--job-scale", type=_split_values, default=None,
                        metavar="0.1,1,10")
-    sweep.add_argument("--seeds", type=_parse_ints, default=None, metavar="1,2,3")
+    sweep.add_argument("--seeds", type=_split_values, default=None, metavar="1,2,3")
     _add_experiment_flags(sweep)
     sweep.add_argument("--which", default="total",
                        choices=CostBreakdown.series_fields(),
                        help="cost series shown in the table (default: total)")
-    distributed = sweep.add_argument_group(
-        "distributed execution",
+    distributed = _add_distributed_flags(
+        sweep,
         "multi-worker sweeps coordinated through a shared --store "
         "(see repro.distributed); --shard/--claim/--status/--reduce are "
         "mutually exclusive and all require --store",
-    )
-    distributed.add_argument(
-        "--shard",
-        type=_parse_shard,
-        default=None,
-        metavar="I/N",
-        help="compute only worker I's share of an N-way static partition "
-        "of the points (e.g. --shard 0/4 ... --shard 3/4, one per process)",
-    )
-    distributed.add_argument(
-        "--claim",
-        action="store_true",
-        help="dynamic work stealing: claim missing points through atomic "
-        "store leases, heartbeat while computing, reclaim dead workers' "
-        "points after their lease TTL; waits until the whole sweep is done",
-    )
-    distributed.add_argument(
-        "--worker-id",
-        default=None,
-        metavar="NAME",
-        help="this worker's identity in leases and status output "
-        "(default: host:pid:nonce)",
-    )
-    distributed.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="heartbeat staleness after which other workers may reclaim "
-        "this worker's leased points (default: 120)",
     )
     distributed.add_argument(
         "--status",
@@ -343,30 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--which", default="total",
                        choices=CostBreakdown.series_fields(),
                        help="cost series shown in the tables (default: total)")
-    suite_distributed = suite.add_argument_group(
-        "distributed execution",
+    _add_distributed_flags(
+        suite,
         "multi-worker suites coordinated through a shared --store, exactly "
-        "as in `sweep`; mcelog-sourced blocks bypass the store and are "
-        "rejected under --shard/--claim",
-    )
-    suite_distributed.add_argument(
-        "--shard", type=_parse_shard, default=None, metavar="I/N",
-        help="compute only worker I's share of an N-way static partition "
-        "of every block's points",
-    )
-    suite_distributed.add_argument(
-        "--claim", action="store_true",
-        help="dynamic work stealing through atomic store leases, one block "
-        "at a time",
-    )
-    suite_distributed.add_argument(
-        "--worker-id", default=None, metavar="NAME",
-        help="this worker's identity in leases (default: host:pid:nonce)",
-    )
-    suite_distributed.add_argument(
-        "--lease-ttl", type=float, default=None, metavar="SECONDS",
-        help="heartbeat staleness after which other workers may reclaim "
-        "this worker's leased points (default: 120)",
+        "as in `sweep`, one block at a time; mcelog-sourced blocks bypass "
+        "the store and are rejected under --shard/--claim",
     )
 
     serve = sub.add_parser(
@@ -482,19 +445,52 @@ def build_parser() -> argparse.ArgumentParser:
         "currently spilling to the store is never raced (default: 60)",
     )
 
+    for command in (run, sweep, suite):
+        command.set_defaults(**_STUDY_DEFAULTS)
     return parser
 
 
 # --------------------------------------------------------------------- #
 # Argument -> object assembly
 # --------------------------------------------------------------------- #
-def _scenario_from_args(args) -> ScenarioConfig:
-    scenario = getattr(ScenarioConfig, args.preset)()
+#: The axis flags of ``run`` and ``sweep``: suite axis, argparse dest, flag.
+_AXIS_FLAGS = (
+    ("mitigation_costs", "mitigation_cost", "--mitigation-cost"),
+    ("restartable", "restartable", "--restartable"),
+    ("manufacturers", "manufacturer", "--manufacturer"),
+    ("job_scales", "job_scale", "--job-scale"),
+    ("seeds", "seeds", "--seeds"),
+)
+
+
+def _suite_from_args(args) -> Suite:
+    """The suite a command runs: SUITE.yaml, or one block built from flags.
+
+    ``run`` and ``sweep`` name their block after the preset, which is the
+    preset scenario's own name, so the compiled sweep and its point
+    results carry the same store keys as the same grid built by hand.
+    """
+    if args.command == "suite":
+        return load_suite(args.suite_file)
+    block = {"preset": args.preset}
     if args.seed is not None:
-        scenario = scenario.with_seed(args.seed)
+        block["seed"] = args.seed
     if args.duration_days is not None:
-        scenario = scenario.with_duration(args.duration_days * DAY)
-    return scenario
+        block["duration_days"] = args.duration_days
+    axes = {}
+    for axis, dest, flag in _AXIS_FLAGS:
+        values = getattr(args, dest)
+        if values is None:
+            continue
+        if args.command == "run" and len(values) != 1:
+            raise UsageError(
+                f"`run` takes exactly one value for {flag} (got "
+                f"{len(values)}); use the `sweep` subcommand for grids"
+            )
+        axes[axis] = values
+    if axes:
+        block["axes"] = axes
+    return compile_suite({"scenarios": {args.preset: block}}, name=args.command)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -510,15 +506,27 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["charge_training_time"] = args.charge_training_time
     if args.profile:
         overrides["profile"] = True
-    return config.with_overrides(**overrides) if overrides else config
+    try:
+        return config.with_overrides(**overrides)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
-def _print_profile(extras) -> None:
-    """Print the stage profile collected by ``--profile`` (if any)."""
-    report = (extras or {}).get("profile")
-    if report:
-        print()
-        print(format_profile(report))
+def _check_distributed_flags(args) -> None:
+    """Reject combinations of the distributed flags before any work."""
+    modes = (("--shard", args.shard is not None), ("--claim", args.claim),
+             ("--status", args.status), ("--reduce", args.reduce))
+    chosen = [flag for flag, on in modes if on]
+    if len(chosen) > 1:
+        raise UsageError(f"{' and '.join(chosen)} are mutually exclusive")
+    if chosen and args.store is None:
+        raise UsageError(
+            f"{chosen[0]} coordinates workers through a shared store; "
+            f"pass --store DIR"
+        )
+    for flag, value in (("--worker-id", args.worker_id), ("--lease-ttl", args.lease_ttl)):
+        if value is not None and not args.claim:
+            raise UsageError(f"{flag} only applies to --claim workers")
 
 
 def _executor_summary(stats) -> Optional[str]:
@@ -539,242 +547,135 @@ def _executor_summary(stats) -> Optional[str]:
     )
 
 
-def _store_from_args(args) -> Optional[ArtifactStore]:
-    return None if args.store is None else ArtifactStore(args.store)
-
-
 # --------------------------------------------------------------------- #
-# Subcommands
+# run / sweep / suite
 # --------------------------------------------------------------------- #
-def _cmd_run(args) -> int:
-    scenario = _scenario_from_args(args)
-    cost = _single(args.mitigation_cost, "--mitigation-cost")
-    if cost is not None:
-        scenario = scenario.with_mitigation_cost(cost)
-    restartable = _single(args.restartable, "--restartable")
-    if restartable is not None:
-        scenario = scenario.with_restartable(restartable)
-    if args.manufacturer is not None:
-        scenario = scenario.with_manufacturer(
-            _single(args.manufacturer, "--manufacturer")
-        )
-    scale = _single(args.job_scale, "--job-scale")
-    if scale is not None:
-        scenario = scenario.with_job_scale(scale)
-
-    study = Study.from_scenario(scenario, store=_store_from_args(args))
-    result = study.run(_config_from_args(args))
-    print(study.report())
-    summary = _executor_summary(result.executor_stats)
-    if summary is not None:
-        print()
-        print(summary)
-    if args.metrics:
-        print()
-        print(study.report(which="metrics"))
-    _print_profile(result.extras)
-    return 0
-
-
-def _print_sweep_status(spec, config, store) -> int:
-    """The ``sweep --status`` body: each point's distributed-sweep state."""
-    from repro.distributed import sweep_status
-
-    statuses = sweep_status(spec, config, store)
-    print(f"store: {store.root} (sweep {store.sweep_key(spec, config)})")
-    for status in statuses:
-        print(f"  {status.describe()}")
-    counts = {"done": 0, "leased": 0, "pending": 0}
-    for status in statuses:
-        counts[status.state] += 1
+def _print_plan(path: str, suite: Suite) -> None:
+    """The ``suite --validate`` report: each compiled block, nothing run."""
     print(
-        f"{counts['done']}/{len(statuses)} done, "
-        f"{counts['leased']} leased, {counts['pending']} pending"
+        f"{path}: OK — suite {suite.name!r}, "
+        f"{len(suite.entries)} block(s), {suite.n_points} point(s)"
     )
-    return 0
+    for entry in suite.entries:
+        tags = []
+        if entry.source is not None:
+            tags.append(f"mcelog:{entry.source}")
+        if entry.experiment_overrides:
+            tags.append(
+                "experiment: "
+                + ", ".join(f"{k}={v}" for k, v in entry.experiment_overrides.items())
+            )
+        suffix = f"  [{'; '.join(tags)}]" if tags else ""
+        print(f"  {entry.name}: {entry.spec.n_points} point(s){suffix}")
 
 
-def _run_distributed_sweep(args, spec, config, store):
-    """The ``sweep --shard/--claim/--reduce`` body; returns the result or None."""
-    from repro.distributed import reduce_sweep, run_sweep_worker, sweep_status
+def _store_line(store: ArtifactStore, entry, config: ExperimentConfig) -> str:
+    return f"store: {store.root} (sweep {store.sweep_key(entry.spec, config)})"
 
-    if args.reduce:
-        result = reduce_sweep(spec, config, store)
+
+def _print_block(args, store, config, entry, result, outcome) -> None:
+    """One block's report; ``outcome`` is the worker's under --shard/--claim."""
+    if args.command == "suite":
+        print(f"== {entry.name} ==")
+    if outcome is not None:
+        print(outcome.summary())
+    if result is None:
+        print(
+            "this worker's share is done; other shards are still pending — "
+            "run the remaining shards to finish"
+        )
+    else:
+        if args.command == "run":
+            label = result.labels[0]
+            print(result.point_table(label))
+            if args.metrics:
+                print()
+                print(format_metrics_table(result[label].confusions()))
+        else:
+            print(result.table(which=args.which))
+        print()
+        if outcome is None:
+            print(
+                f"wallclock: {result.wallclock_seconds:.1f}s, prepare_data "
+                f"calls: {result.prepare_calls} for {len(result)} point(s)"
+            )
+        summary = _executor_summary(result.extras.get("executor_stats"))
+        if summary is not None:
+            print(summary)
+        if store is not None and entry.source is None:
+            print(_store_line(store, entry, entry.config(config)))
+            if outcome is None:
+                print(f"points loaded from store: {len(result.extras['points_loaded'])}")
+                print(f"points computed: {len(result.extras['points_computed'])}")
+        if result.extras.get("profile"):  # --profile
+            print()
+            print(format_profile(result.extras["profile"]))
+    if args.command == "suite":
+        print()
+
+
+def _status_or_reduce(args, suite: Suite, config, store) -> int:
+    """``sweep --status`` / ``--reduce``, per block; nothing is computed."""
+    from repro.distributed import reduce_sweep, sweep_status
+
+    code = 0
+    for entry in suite.entries:
+        entry_config = entry.config(config)
+        if args.status:
+            statuses = sweep_status(entry.spec, entry_config, store)
+            print(_store_line(store, entry, entry_config))
+            for status in statuses:
+                print(f"  {status.describe()}")
+            states = [status.state for status in statuses]
+            print(
+                f"{states.count('done')}/{len(states)} done, "
+                f"{states.count('leased')} leased, {states.count('pending')} pending"
+            )
+            continue
+        result = reduce_sweep(entry.spec, entry_config, store)
         if result is None:
             missing = [
-                s.label for s in sweep_status(spec, config, store) if s.state != "done"
+                status.label
+                for status in sweep_status(entry.spec, entry_config, store)
+                if status.state != "done"
             ]
             print(
                 f"error: cannot reduce, {len(missing)} point(s) still "
                 f"missing: {', '.join(missing)}",
                 file=sys.stderr,
             )
-        return result
-    outcome = run_sweep_worker(
-        spec,
+            code = 2
+            continue
+        print(result.table(which=args.which))
+        print(_store_line(store, entry, entry_config))
+    return code
+
+
+def _cmd_study(args) -> int:
+    """``run``, ``sweep`` and ``suite``: compile, execute, report each block."""
+    suite = _suite_from_args(args)
+    config = _config_from_args(args)
+    if args.validate:
+        _print_plan(args.suite_file, suite)
+        return 0
+    _check_distributed_flags(args)
+    store = None if args.store is None else ArtifactStore(args.store)
+    if args.status or args.reduce:
+        return _status_or_reduce(args, suite, config, store)
+    run_suite(
+        suite,
         config,
-        store,
+        store=store,
+        cache=None if store is None else PreparedDataCache(spill=store),
+        only=args.only,
         shard=args.shard,
         claim=args.claim,
         worker_id=args.worker_id,
         lease_ttl=args.lease_ttl,
+        on_block=lambda entry, result, outcome: _print_block(
+            args, store, config, entry, result, outcome
+        ),
     )
-    print(outcome.summary())
-    return outcome.result
-
-
-def _cmd_sweep(args) -> int:
-    def axis(values):
-        return None if values is None else tuple(values)
-
-    spec = SweepSpec(
-        base=_scenario_from_args(args),
-        mitigation_costs=axis(args.mitigation_cost),
-        restartable=axis(args.restartable),
-        manufacturers=axis(args.manufacturer),
-        job_scales=axis(args.job_scale),
-        seeds=axis(args.seeds),
-    )
-    store = _store_from_args(args)
-    config = _config_from_args(args)
-
-    chosen = [
-        flag
-        for flag, on in (
-            ("--shard", args.shard is not None),
-            ("--claim", args.claim),
-            ("--status", args.status),
-            ("--reduce", args.reduce),
-        )
-        if on
-    ]
-    if len(chosen) > 1:
-        raise SystemExit(
-            f"error: {' and '.join(chosen)} are mutually exclusive"
-        )
-    if chosen and store is None:
-        raise SystemExit(
-            f"error: {chosen[0]} coordinates workers through a shared "
-            f"store; pass --store DIR"
-        )
-    if args.worker_id is not None and not args.claim:
-        raise SystemExit("error: --worker-id only applies to --claim workers")
-    if args.lease_ttl is not None and not args.claim:
-        raise SystemExit("error: --lease-ttl only applies to --claim workers")
-
-    if args.status:
-        return _print_sweep_status(spec, config, store)
-    if chosen:
-        result = _run_distributed_sweep(args, spec, config, store)
-        if result is None:
-            if args.reduce:
-                return 2
-            print(
-                "this worker's share is done; other shards are still "
-                "pending — run --reduce (or the remaining shards) to finish"
-            )
-            return 0
-        print(result.table(which=args.which))
-        print(f"store: {store.root} (sweep {store.sweep_key(spec, config)})")
-        return 0
-
-    study = Study.from_sweep(spec, store=store)
-    result = study.run(config)
-    print(result.table(which=args.which))
-    print()
-    print(f"wallclock: {result.wallclock_seconds:.1f}s, "
-          f"prepare_data calls: {result.prepare_calls} for {len(result)} point(s)")
-    summary = _executor_summary(result.extras.get("executor_stats"))
-    if summary is not None:
-        print(summary)
-    if store is not None:
-        loaded = study.points_loaded
-        print(f"store: {store.root} (sweep {store.sweep_key(spec, study.config)})")
-        print(f"points loaded from store: {len(loaded)}")
-        print(f"points computed: {len(study.points_computed)}")
-    _print_profile(result.extras)
-    return 0
-
-
-def _cmd_suite(args) -> int:
-    from repro.suite import SuiteError, load_suite, run_suite
-
-    try:
-        suite = load_suite(args.suite_file)
-    except SuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.validate:
-        print(
-            f"{args.suite_file}: OK — suite {suite.name!r}, "
-            f"{len(suite.entries)} block(s), {suite.n_points} point(s)"
-        )
-        for entry in suite.entries:
-            tags = []
-            if entry.source is not None:
-                tags.append(f"mcelog:{entry.source}")
-            if entry.experiment_overrides:
-                tags.append(
-                    "experiment: "
-                    + ", ".join(
-                        f"{k}={v}" for k, v in entry.experiment_overrides.items()
-                    )
-                )
-            suffix = f"  [{'; '.join(tags)}]" if tags else ""
-            print(f"  {entry.name}: {entry.spec.n_points} point(s){suffix}")
-        return 0
-
-    store = _store_from_args(args)
-    config = _config_from_args(args)
-    if args.shard is not None and args.claim:
-        raise SystemExit("error: --shard and --claim are mutually exclusive")
-    if (args.shard is not None or args.claim) and store is None:
-        flag = "--shard" if args.shard is not None else "--claim"
-        raise SystemExit(
-            f"error: {flag} coordinates workers through a shared store; "
-            f"pass --store DIR"
-        )
-    if args.worker_id is not None and not args.claim:
-        raise SystemExit("error: --worker-id only applies to --claim workers")
-    if args.lease_ttl is not None and not args.claim:
-        raise SystemExit("error: --lease-ttl only applies to --claim workers")
-
-    try:
-        results = run_suite(
-            suite,
-            config,
-            store=store,
-            only=args.only,
-            shard=args.shard,
-            claim=args.claim,
-            worker_id=args.worker_id,
-            lease_ttl=args.lease_ttl,
-        )
-    except SuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    pending = 0
-    for name, result in results.items():
-        print(f"== {name} ==")
-        if result is None:
-            pending += 1
-            print("this worker's share is done; other shards are still "
-                  "pending — rerun (or run the remaining shards) to finish")
-        else:
-            print(result.table(which=args.which))
-            if store is not None and result.spec is not None:
-                entry = suite.entry(name)
-                entry_config = config.with_overrides(
-                    **entry.experiment_overrides
-                )
-                if entry.source is None:
-                    print(
-                        f"store: {store.root} "
-                        f"(sweep {store.sweep_key(entry.spec, entry_config)})"
-                    )
-        print()
     return 0
 
 
@@ -1025,7 +926,11 @@ def _cmd_report(args) -> int:
     key = _pick_sweep_key(store, args.sweep)
     if key is None:
         return 2
-    result = store.load_sweep_by_key(key)
+    try:
+        result = store.load_sweep_by_key(key)
+    except ValueError as exc:  # an unreadable manifest or a missing point
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if result is None:
         print(f"error: no stored sweep with key {key!r}", file=sys.stderr)
         return 2
@@ -1081,16 +986,24 @@ def _cmd_gc(args) -> int:
     return 0
 
 
+
+
+_COMMANDS = {
+    "run": _cmd_study,
+    "sweep": _cmd_study,
+    "suite": _cmd_study,
+    "serve": _cmd_serve,
+    "report": _cmd_report,
+    "list": _cmd_list,
+    "gc": _cmd_gc,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of ``python -m repro``; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    commands = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "suite": _cmd_suite,
-        "serve": _cmd_serve,
-        "report": _cmd_report,
-        "list": _cmd_list,
-        "gc": _cmd_gc,
-    }
-    return commands[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (UsageError, SuiteError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2

@@ -51,7 +51,10 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["ExecutorStats", "Task", "TaskGraphError", "execute_tasks"]
+__all__ = ["EXECUTOR_KINDS", "ExecutorStats", "Task", "TaskGraphError", "execute_tasks"]
+
+#: The backends ``execute_tasks`` accepts as ``kind``.
+EXECUTOR_KINDS = ("process", "thread", "serial")
 
 
 class TaskGraphError(ValueError):

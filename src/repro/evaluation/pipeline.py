@@ -68,7 +68,7 @@ from repro.core.policies import MitigationPolicy, RLPolicy
 from repro.core.trainer import train_agent
 from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.cross_validation import TimeSeriesNestedCV, TimeSeriesSplit
-from repro.evaluation.executor import ExecutorStats, Task, execute_tasks
+from repro.evaluation.executor import EXECUTOR_KINDS, ExecutorStats, Task, execute_tasks
 from repro.evaluation.metrics import ConfusionCounts
 from repro.evaluation.registry import (
     approach_groups,
@@ -87,6 +87,7 @@ from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.generator import TelemetryGenerator
 from repro.telemetry.reduction import ReductionReport, prepare_log
 from repro.utils.rng import RngFactory
+from repro.utils.validation import check_positive
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.job import JobLog
 from repro.workload.sampling import JobSequenceSampler
@@ -197,6 +198,17 @@ class ExperimentConfig:
     #: never changes results, only adds instrumentation in the driver
     #: process (the process-pool workers run outside the profiler).
     profile: bool = False
+
+    def __post_init__(self) -> None:
+        # Checked when the config is built, so a bad value fails before any
+        # data is prepared rather than inside a training task.
+        check_positive("rl_episodes", self.rl_episodes)
+        check_positive("rf_n_estimators", self.rf_n_estimators)
+        if self.executor_kind not in EXECUTOR_KINDS:
+            raise ValueError(
+                f"executor_kind must be one of {', '.join(EXECUTOR_KINDS)}, "
+                f"got {self.executor_kind!r}"
+            )
 
     @staticmethod
     def fast() -> "ExperimentConfig":

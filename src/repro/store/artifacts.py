@@ -34,7 +34,9 @@ processes, sessions and machines:
 
 All JSON artifacts use the versioned schema of :mod:`repro.serialization`;
 writes go through the backend's atomic ``put`` so a crashed run never
-leaves a half-written artifact behind.  The default
+leaves a half-written artifact behind; a result that is unreadable
+anyway (say, truncated by a partial copy) is warned about, deleted and
+recomputed.  The default
 :class:`~repro.store.backends.LocalFSBackend` keeps the exact directory
 layout this store has always written; any backend honouring the
 :class:`~repro.store.backends.StoreBackend` contract (e.g. an object
@@ -47,6 +49,7 @@ from __future__ import annotations
 import io
 import json
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
@@ -339,10 +342,26 @@ class ArtifactStore:
         return self.load_result_by_key(self.result_key(scenario, config))
 
     def load_result_by_key(self, key: str) -> Optional[ExperimentResult]:
-        payload = self._get_json(f"results/{key}.json", "stored_result")
-        if payload is None:
+        """Reload the result stored under ``key``, or ``None`` on a miss.
+
+        An unreadable entry (a truncated or foreign file) is warned about,
+        deleted and reported as a miss, so the point is recomputed.
+        """
+        path = f"results/{key}.json"
+        try:
+            payload = self._get_json(path, "stored_result")
+            if payload is None:
+                return None
+            return ExperimentResult.from_dict(payload["result"])
+        except (ValueError, KeyError) as error:  # SchemaError is a ValueError
+            warnings.warn(
+                f"stored result {key} is unreadable ({error}); deleting it so "
+                "its point is recomputed",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            self.backend.delete(path)
             return None
-        return ExperimentResult.from_dict(payload["result"])
 
     # ------------------------------------------------------------------ #
     # Sweep manifests
@@ -377,8 +396,8 @@ class ArtifactStore:
         """Rebuild a :class:`~repro.evaluation.sweep.SweepResult` from disk.
 
         Raises :class:`repro.serialization.SchemaError` when a point result
-        referenced by the manifest is missing (a partially computed sweep —
-        resume it through :class:`repro.study.Study` first).
+        referenced by the manifest is missing or unreadable (resume the
+        sweep to recompute it).
         """
         from repro.evaluation.sweep import SweepResult, SweepSpec
 

@@ -8,6 +8,8 @@ scales.  A suite file names each of those grids once, declaratively, and
 built and drives the unchanged :func:`~repro.evaluation.sweep.run_sweep`
 engine — so suite results are bit-identical to direct API calls, stores
 compose, and the distributed ``--shard``/``--claim`` modes keep working.
+:func:`compile_suite` compiles a document already in memory; ``python -m
+repro run`` and ``sweep`` use it to run their flags as a one-block suite.
 
 A minimal suite::
 
@@ -45,7 +47,7 @@ import os
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import EvaluationConfig, ScenarioConfig
 from repro.evaluation.pipeline import ExperimentConfig
@@ -54,12 +56,14 @@ from repro.telemetry.fault_model import FaultModelConfig
 from repro.telemetry.records import MANUFACTURER_NAMES
 from repro.telemetry.topology import FleetSegment
 from repro.utils.timeutils import DAY
+from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.generator import WorkloadConfig
 
 __all__ = [
     "Suite",
     "SuiteEntry",
     "SuiteError",
+    "compile_suite",
     "load_suite",
     "parse_suite",
     "run_suite",
@@ -88,6 +92,13 @@ _AXIS_KEYS = (
     "seeds",
 )
 _SEGMENT_KEYS = ("name", "n_nodes", "manufacturer", "ce_scale", "ue_scale", "policy")
+#: Range rules of numeric fields, checked here rather than after data
+#: preparation, where the pipeline would reject the value.
+_NUMBER_RULES = {
+    "duration_days": check_positive,
+    "mitigation_costs": check_non_negative,
+    "job_scales": check_positive,
+}
 
 
 class SuiteError(ValueError):
@@ -122,6 +133,10 @@ class SuiteEntry:
     experiment_overrides: Dict[str, Any] = field(default_factory=dict)
     #: Absolute path of the block's mcelog trace, or ``None`` (synthetic).
     source: Optional[str] = None
+
+    def config(self, base: ExperimentConfig) -> ExperimentConfig:
+        """``base`` with this block's ``experiment:`` overrides applied."""
+        return base.with_overrides(**self.experiment_overrides)
 
 
 @dataclass(frozen=True)
@@ -189,6 +204,12 @@ def _number(block: str, axis: str, value: Any) -> float:
             f"scenario {block!r}: axis {axis!r} values must be numbers, "
             f"got {value!r}"
         )
+    rule = _NUMBER_RULES.get(axis)
+    if rule is not None:
+        try:
+            rule(axis, float(value))
+        except ValueError as exc:
+            raise SuiteError(f"scenario {block!r}: {exc}") from None
     return float(value)
 
 
@@ -320,10 +341,7 @@ def _compile_block(
         scenario = scenario.with_seed(seed)
     if "duration_days" in merged:
         days = _number(name, "duration_days", merged["duration_days"])
-        try:
-            scenario = scenario.with_duration(days * DAY)
-        except ValueError as exc:
-            raise SuiteError(f"scenario {name!r}: duration_days: {exc}") from None
+        scenario = scenario.with_duration(days * DAY)
 
     for key, cls, apply in (
         ("fault_model", FaultModelConfig, "with_fault_overrides"),
@@ -389,7 +407,7 @@ def _compile_block(
         seeds=axes.get("seeds"),
     )
     try:
-        points = spec.points()
+        spec.points()
     except ValueError as exc:
         raise SuiteError(f"scenario {name!r}: {exc}") from None
     if experiment:
@@ -398,7 +416,6 @@ def _compile_block(
             ExperimentConfig().with_overrides(**experiment)
         except (TypeError, ValueError) as exc:
             raise SuiteError(f"scenario {name!r}: experiment: {exc}") from None
-    del points
     return SuiteEntry(
         name=name, spec=spec, experiment_overrides=experiment, source=source
     )
@@ -416,6 +433,19 @@ def parse_suite(
         raise SuiteError(f"invalid YAML: {reason}") from None
     if document is None:
         raise SuiteError("the suite file is empty")
+    return compile_suite(document, name=name, base_dir=base_dir)
+
+
+def compile_suite(
+    document: Any, name: str = "suite", base_dir: str = "."
+) -> Suite:
+    """Compile a suite document already read into Python objects.
+
+    ``document`` is the mapping a suite file parses to (``suite``,
+    ``defaults``, ``scenarios``); no YAML is involved, so callers that build
+    blocks in code (the ``run`` and ``sweep`` commands) need no PyYAML.
+    ``name`` is the suite's name unless ``suite: {name: ...}`` sets one.
+    """
     document = _require_mapping(document, "the suite document")
     _check_keys(document, _TOP_KEYS, "suite")
 
@@ -490,6 +520,8 @@ def run_suite(
     claim: bool = False,
     worker_id: Optional[str] = None,
     lease_ttl: Optional[float] = None,
+    cache=None,
+    on_block: Optional[Callable[..., None]] = None,
 ) -> Dict[str, Optional[SweepResult]]:
     """Execute every entry of ``suite`` and return ``{name: SweepResult}``.
 
@@ -501,14 +533,21 @@ def run_suite(
     Under ``claim``, an entry whose points are still leased by other
     workers yields ``None`` (reduce later); all other values are complete
     :class:`SweepResult` objects.
+
+    ``cache`` (a :class:`~repro.evaluation.pipeline.PreparedDataCache`)
+    is passed to ``run_sweep`` and ``run_sweep_worker``; ``None`` keeps
+    their defaults.  ``PreparedDataCache(spill=store)`` keeps prepared data
+    in the store too, as the CLI does under ``--store``.
+    ``on_block(entry, result, outcome)`` is called after each block, with
+    the :class:`~repro.distributed.WorkerOutcome` under ``shard``/``claim``
+    (else ``None``); the CLI prints each block from it.
     """
     base_config = config or ExperimentConfig()
     entries = suite.entries if only is None else (suite.entry(only),)
-    if (shard is not None or claim) and store is None:
-        raise SuiteError(
-            "distributed suite execution needs a store; pass store="
-        )
-    if shard is not None or claim:
+    distributed = shard is not None or claim
+    if distributed:
+        if store is None:
+            raise SuiteError("distributed suite execution needs a store; pass store=")
         sourced = [entry.name for entry in entries if entry.source is not None]
         if sourced:
             raise SuiteError(
@@ -520,29 +559,30 @@ def run_suite(
     log_cache: Dict[str, Any] = {}
     results: Dict[str, Optional[SweepResult]] = {}
     for entry in entries:
-        entry_config = (
-            base_config.with_overrides(**entry.experiment_overrides)
-            if entry.experiment_overrides
-            else base_config
-        )
-        if shard is not None or claim:
+        outcome = None
+        if distributed:
             from repro.distributed import run_sweep_worker
 
             outcome = run_sweep_worker(
                 entry.spec,
-                entry_config,
+                entry.config(base_config),
                 store,
                 shard=shard,
                 claim=claim,
                 worker_id=worker_id,
                 lease_ttl=lease_ttl,
+                cache=cache,
             )
-            results[entry.name] = outcome.result
+            result = outcome.result
         else:
-            results[entry.name] = run_sweep(
+            result = run_sweep(
                 entry.spec,
-                entry_config,
+                entry.config(base_config),
+                cache=cache,
                 error_log=_entry_error_log(entry, log_cache),
                 store=store,
             )
+        results[entry.name] = result
+        if on_block is not None:
+            on_block(entry, result, outcome)
     return results

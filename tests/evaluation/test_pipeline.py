@@ -51,6 +51,27 @@ def tiny_prepared(tiny_scenario):
     return prepare_data(tiny_scenario, TINY_CONFIG)
 
 
+class TestConfigValidation:
+    """A bad ExperimentConfig value fails when the config is built."""
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"rl_episodes": -3}, "rl_episodes"),
+            ({"rl_episodes": 0}, "rl_episodes"),
+            ({"rf_n_estimators": 0}, "rf_n_estimators"),
+            ({"executor_kind": "gpu"}, "executor_kind"),
+        ],
+    )
+    def test_bad_values_are_rejected(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig().with_overrides(**overrides)
+
+    def test_serial_fallbacks_stay_accepted(self):
+        # n_workers <= 1 runs serially; zero trials are read as one.
+        ExperimentConfig(n_workers=0, rl_hyperparam_trials=0)
+
+
 class TestStages:
     def test_prepare_data_outputs(self, tiny_prepared, tiny_scenario):
         assert isinstance(tiny_prepared, PreparedData)

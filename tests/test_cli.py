@@ -22,22 +22,37 @@ FAST_FLAGS = [
 
 
 class TestParsing:
-    def test_restartable_values(self):
-        assert cli._parse_restartable("both") == [True, False]
-        assert cli._parse_restartable("on,off") == [True, False]
-        assert cli._parse_restartable("off") == [False]
-        with pytest.raises(Exception, match="restartable"):
-            cli._parse_restartable("maybe")
+    """Axis flag values reach the suite compiler through one comma splitter."""
 
-    def test_manufacturer_values(self):
-        assert cli._parse_manufacturers("all") == [None]
-        assert cli._parse_manufacturers("A,b,2") == [0, 1, 2]
-        with pytest.raises(Exception, match="manufacturer"):
-            cli._parse_manufacturers("Z")
+    def _status_labels(self, tmp_path, capsys, flag, value):
+        store = str(tmp_path / "runs")
+        assert cli.main(["sweep", flag, value, "--status", "--store", store]) == 0
+        out = capsys.readouterr().out
+        return [line.split(":")[0].strip() for line in out.splitlines() if line.startswith("  ")]
 
-    def test_run_rejects_multi_valued_flags(self, tmp_path):
-        with pytest.raises(SystemExit, match="sweep"):
-            cli.main(["run", "--mitigation-cost", "2,5"] + FAST_FLAGS)
+    def _rejected(self, tmp_path, capsys, flag, value):
+        store = str(tmp_path / "unused")
+        assert cli.main(["sweep", flag, value, "--status", "--store", store]) == 2
+        return capsys.readouterr().err
+
+    def test_restartable_values(self, tmp_path, capsys):
+        on_off = ["restart=on", "restart=off"]
+        assert self._status_labels(tmp_path, capsys, "--restartable", "both") == on_off
+        assert self._status_labels(tmp_path, capsys, "--restartable", "on,off") == on_off
+        assert self._status_labels(tmp_path, capsys, "--restartable", "off") == ["restart=off"]
+        assert "restartable" in self._rejected(tmp_path, capsys, "--restartable", "maybe")
+
+    def test_manufacturer_values(self, tmp_path, capsys):
+        assert self._status_labels(tmp_path, capsys, "--manufacturer", "all") == ["mfr=all"]
+        assert self._status_labels(tmp_path, capsys, "--manufacturer", "A,b,2") == [
+            "mfr=A", "mfr=B", "mfr=C",
+        ]
+        assert "manufacturer" in self._rejected(tmp_path, capsys, "--manufacturer", "Z")
+
+    def test_run_rejects_multi_valued_flags(self, capsys):
+        assert cli.main(["run", "--mitigation-cost", "2,5"] + FAST_FLAGS) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "`sweep`" in err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -187,6 +202,76 @@ class TestServe:
         assert "SC20-RF" in capsys.readouterr().out
 
 
+class TestOneFrontDoor:
+    """`run`, `sweep` and `suite` share flag checks, execution and stores."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--duration-days", "-5"],
+            ["run", "--mitigation-cost=-2"],
+            ["run", "--restartable", "maybe"],
+            ["run", "--episodes", "0"],
+            ["sweep", "--duration-days", "-5"],
+            ["sweep", "--seeds", "1,1"],
+            ["sweep", "--mitigation-cost=-2"],
+            ["sweep", "--restartable", "maybe"],
+            ["sweep", "--episodes", "0"],
+            ["sweep", "--claim"],
+            ["sweep", "--shard", "0/2", "--claim", "--store", "runs"],
+            ["sweep", "--worker-id", "w0", "--store", "runs"],
+            ["suite", "small.yaml", "--episodes", "0"],
+            ["suite", "small.yaml", "--claim"],
+            ["suite", "small.yaml", "--shard", "0/2", "--claim", "--store", "runs"],
+            ["suite", "small.yaml", "--worker-id", "w0", "--store", "runs"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_bad_value_is_one_line_before_any_work(
+        self, tmp_path, monkeypatch, capsys, argv
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the suite ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "run_suite", never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "small.yaml").write_text(SMALL_SUITE)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "runs").exists()
+
+    def test_a_run_store_resumes_under_sweep_and_suite(self, tmp_path, capsys):
+        pytest.importorskip("yaml")
+        store = ["--store", str(tmp_path / "runs")]
+        assert cli.main(_command("run", tmp_path) + store) == 0
+        assert "points computed: 1" in capsys.readouterr().out
+        for command in ("run", "sweep", "suite"):
+            assert cli.main(_command(command, tmp_path) + store) == 0
+            out = capsys.readouterr().out
+            assert "points loaded from store: 1" in out, command
+            assert "points computed: 0" in out, command
+
+    def test_a_store_written_by_study_resumes_under_run(self, tmp_path, capsys):
+        """`run --store` used to persist through Study.from_scenario."""
+        from repro.config import ScenarioConfig
+        from repro.evaluation.pipeline import ExperimentConfig
+        from repro.store import ArtifactStore
+        from repro.study import Study
+        from repro.utils.timeutils import DAY
+
+        scenario = ScenarioConfig.small(seed=11).with_duration(45 * DAY)
+        config = ExperimentConfig.fast().with_overrides(
+            rl_episodes=5, executor_kind="serial"
+        )
+        store_dir = tmp_path / "runs"
+        Study.from_scenario(
+            scenario.with_mitigation_cost(5.0), store=ArtifactStore(store_dir)
+        ).run(config)
+        assert cli.main(_command("run", tmp_path) + ["--store", str(store_dir)]) == 0
+        assert "points computed: 0" in capsys.readouterr().out
+
+
 class TestReportErrors:
     def test_report_on_empty_store_fails_cleanly(self, tmp_path, capsys):
         assert cli.main(["report", "--store", str(tmp_path / "runs")]) == 2
@@ -200,6 +285,29 @@ class TestReportErrors:
             == 2
         )
         assert "no stored sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [None, b"{"], ids=["missing", "truncated"])
+    def test_report_over_a_lost_point_fails_cleanly(self, tmp_path, capsys, damage):
+        from types import SimpleNamespace
+
+        from repro.config import ScenarioConfig
+        from repro.evaluation.pipeline import ExperimentConfig
+        from repro.evaluation.sweep import SweepSpec
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "runs")
+        spec = SweepSpec(base=ScenarioConfig.small(), mitigation_costs=(2.0,))
+        config = ExperimentConfig()
+        store.save_sweep(spec, config, SimpleNamespace(points=spec.points()))
+        key = store.result_key(spec.points()[0].scenario, config)
+        if damage is None:
+            assert cli.main(["report", "--store", str(store.root)]) == 2
+        else:
+            store.backend.put(f"results/{key}.json", damage)
+            with pytest.warns(RuntimeWarning, match=f"{key} is unreadable"):
+                assert cli.main(["report", "--store", str(store.root)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"missing result {key}" in err
 
 
 class TestSweepLifecycle:
@@ -259,13 +367,36 @@ class TestSweepLifecycle:
         assert cli.main(["report", "--store", store_dir]) == 0
 
 
+#: A one-block suite with the same point as ``FAST_FLAGS`` plus
+#: ``--mitigation-cost 5``, named after its preset.
+SMALL_SUITE = """
+scenarios:
+  small:
+    preset: small
+    seed: 11
+    duration_days: 45
+    axes: {mitigation_costs: [5]}
+"""
+
+#: FAST_FLAGS without the scenario flags, which `suite` does not take.
+SUITE_FLAGS = ["--fast", "--episodes", "5", "--executor", "serial"]
+
+
+def _command(name, tmp_path):
+    """argv running the FAST_FLAGS point at cost 5 through ``name``."""
+    if name == "suite":
+        path = tmp_path / "small.yaml"
+        path.write_text(SMALL_SUITE)
+        return ["suite", str(path)] + SUITE_FLAGS
+    return [name, "--mitigation-cost", "5"] + FAST_FLAGS
+
+
 class TestProfileFlag:
-    def test_run_with_profile_prints_one_merged_table(self, tmp_path, capsys):
-        args = (
-            ["run", "--mitigation-cost", "5", "--profile"]
-            + FAST_FLAGS
-        )
-        assert cli.main(args) == 0
+    @pytest.mark.parametrize("command", ["run", "sweep", "suite"])
+    def test_profile_prints_one_merged_table(self, tmp_path, capsys, command):
+        if command == "suite":
+            pytest.importorskip("yaml")
+        assert cli.main(_command(command, tmp_path) + ["--profile"]) == 0
         out = capsys.readouterr().out
         # One merged top-N table (pstats.Stats.add across stages), naming
         # the stages it covers — not a table per stage.
@@ -273,6 +404,7 @@ class TestProfileFlag:
         assert "merged across stages" in out
         assert "prepare_data" in out and "execute_tasks" in out
         assert "cumtime" in out
+        assert out.count("critical path") == 1
 
     def test_profile_surfaces_in_result_extras(self):
         from repro.config import ScenarioConfig

@@ -212,6 +212,41 @@ class TestCorruptSpill:
         assert store.load_prepared(SCENARIO, key) is not None
 
 
+class TestCorruptResult:
+    """A stored result that fails to load is recomputed, not a traceback."""
+
+    def test_truncated_point_is_recomputed(self, store):
+        from repro.distributed import results_equivalent
+        from repro.evaluation.sweep import SweepSpec, run_sweep
+
+        spec = SweepSpec(base=SCENARIO, mitigation_costs=(2.0, 10.0))
+        clean = run_sweep(spec, TINY, cache=PreparedDataCache(), store=store)
+        key = store.result_key(spec.points()[1].scenario, TINY)
+        path = store.root / "results" / f"{key}.json"
+        path.write_bytes(path.read_bytes()[:100])
+
+        with pytest.warns(RuntimeWarning, match=f"stored result {key} is unreadable"):
+            rerun = run_sweep(spec, TINY, cache=PreparedDataCache(), store=store)
+        assert rerun.extras["points_computed"] == ["cost=10"]
+        assert rerun.extras["points_loaded"] == ["cost=2"]
+        assert results_equivalent(rerun, clean)
+        assert store.load_result_by_key(key) is not None  # written again
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(b"\xff\xfe", id="not-utf8"),
+            pytest.param(b'{"kind": "sweep_manifest", "schema": 1}', id="wrong-kind"),
+            pytest.param(canonical_json(tag("stored_result", {})).encode(), id="no-result"),
+        ],
+    )
+    def test_unreadable_entries_are_misses(self, store, payload):
+        store.backend.put("results/feedfacefeedface.json", payload)
+        with pytest.warns(RuntimeWarning, match="feedfacefeedface"):
+            assert store.load_result_by_key("feedfacefeedface") is None
+        assert not store.has_result_key("feedfacefeedface")
+
+
 class TestExperimentResults:
     @pytest.fixture(scope="class")
     def fresh_result(self):

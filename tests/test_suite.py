@@ -26,6 +26,7 @@ from repro.evaluation.sweep import SweepSpec, run_sweep
 from repro.suite import (
     Suite,
     SuiteError,
+    compile_suite,
     load_suite,
     parse_suite,
     run_suite,
@@ -91,6 +92,11 @@ class TestSchemaErrors:
         "defaults-with-axes": (
             "defaults: {axes: {seeds: [1]}}\nscenarios: {a: {}}"
         ),
+        "negative-duration": "scenarios: {a: {duration_days: -5}}",
+        "negative-cost": "scenarios: {a: {axes: {mitigation_costs: [-2]}}}",
+        "zero-job-scale": "scenarios: {a: {axes: {job_scales: [0]}}}",
+        "bad-experiment-value": "scenarios: {a: {experiment: {rl_episodes: -3}}}",
+        "bad-executor-kind": "scenarios: {a: {experiment: {executor_kind: gpu}}}",
     }
 
     @pytest.mark.parametrize("label", sorted(BAD_SUITES))
@@ -122,6 +128,12 @@ class TestSchemaErrors:
         path.write_text("scenarios: {a: {preset: huge}}")
         with pytest.raises(SuiteError, match=str(path)):
             load_suite(str(path))
+
+    def test_range_errors_name_the_block_and_field(self):
+        with pytest.raises(SuiteError, match="scenario 'a': mitigation_costs must be >= 0"):
+            parse_suite(self.BAD_SUITES["negative-cost"])
+        with pytest.raises(SuiteError, match="scenario 'a': experiment: rl_episodes"):
+            parse_suite(self.BAD_SUITES["bad-experiment-value"])
 
     def test_missing_file_is_a_suite_error(self, tmp_path):
         with pytest.raises(SuiteError, match="cannot read suite file"):
@@ -268,6 +280,16 @@ class TestCompilation:
         base = suite.entry("kinds").spec.base
         assert ScenarioConfig.from_dict(base.to_dict()) == base
 
+    def test_a_mapping_compiles_without_yaml(self):
+        document = {"scenarios": {"grid": {"seed": 3, "axes": {"restartable": ["on", "off"]}}}}
+        suite = compile_suite(document, name="direct")
+        assert suite.name == "direct"
+        assert suite.entry("grid").spec == SweepSpec(
+            base=replace(ScenarioConfig.small().with_seed(3), name="grid"),
+            restartable=(True, False),
+        )
+        assert suite == parse_suite("scenarios: {grid: {seed: 3, axes: {restartable: [on, off]}}}", name="direct")
+
     def test_unknown_entry_name(self):
         suite = parse_suite(MINIMAL)
         assert isinstance(suite, Suite)
@@ -335,7 +357,7 @@ class TestExecution:
     def test_only_selects_a_single_block(self, monkeypatch):
         calls = []
 
-        def fake_run_sweep(spec, config, error_log=None, store=None):
+        def fake_run_sweep(spec, config, cache=None, error_log=None, store=None):
             calls.append(spec.base.name)
             return None
 
@@ -346,10 +368,32 @@ class TestExecution:
         run_suite(suite, _cheap_config(), only="b")
         assert calls == ["b"]
 
+    def test_cache_and_on_block_reach_every_block(self, monkeypatch):
+        caches, reported = [], []
+
+        def fake_run_sweep(spec, config, cache=None, error_log=None, store=None):
+            caches.append(cache)
+            return spec.base.name
+
+        monkeypatch.setattr("repro.suite.run_sweep", fake_run_sweep)
+        suite = parse_suite("scenarios:\n  a: {preset: small}\n  b: {preset: small}\n")
+        cache = object()
+        results = run_suite(
+            suite,
+            _cheap_config(),
+            cache=cache,
+            on_block=lambda entry, result, outcome: reported.append(
+                (entry.name, result, outcome)
+            ),
+        )
+        assert caches == [cache, cache]
+        assert reported == [("a", "a", None), ("b", "b", None)]
+        assert results == {"a": "a", "b": "b"}
+
     def test_per_block_experiment_overrides_apply(self, monkeypatch):
         seen = {}
 
-        def fake_run_sweep(spec, config, error_log=None, store=None):
+        def fake_run_sweep(spec, config, cache=None, error_log=None, store=None):
             seen[spec.base.name] = config
             return None
 
@@ -382,7 +426,7 @@ class TestExecution:
 
         captured = {}
 
-        def fake_run_sweep(spec, config, error_log=None, store=None):
+        def fake_run_sweep(spec, config, cache=None, error_log=None, store=None):
             captured["log"] = error_log
             return None
 
