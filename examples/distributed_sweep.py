@@ -9,17 +9,15 @@ directory, and coordinate through atomic store leases (claim → heartbeat →
 publish → release; a killed worker's lease expires and any peer reclaims
 its point).
 
-This example runs a three-seed sweep three ways in one process —
+This example runs a three-seed sweep two ways in one process —
 
 1. the plain single-process ``run_sweep`` baseline,
-2. two *claim-mode* workers (dynamic work stealing), launched here as
-   threads to keep the example self-contained; in production each would be
-   a ``python -m repro sweep ... --store DIR --claim`` process on its own
+2. two claim workers (dynamic work stealing), launched here as threads to
+   keep the example self-contained; in production each would be a
+   ``python -m repro sweep ... --store DIR --claim`` process on its own
    machine,
-3. two *shard-mode* workers (``--shard 0/2`` / ``--shard 1/2`` — a static
-   partition, no leases),
 
-and verifies all three produce bit-identical scientific results
+and verifies both produce bit-identical scientific results
 (``charge_training_time=False``; per-point wall-clock, a diagnostic of
 whichever process ran the point, is excluded by ``results_equivalent``).
 
@@ -63,17 +61,14 @@ CONFIG = ExperimentConfig(
 SPEC = SweepSpec(base=ScenarioConfig.small(), seeds=(7, 8, 9))
 
 
-def run_workers(store: ArtifactStore, mode: str) -> list:
-    """Two concurrent workers against one store; returns their outcomes."""
+def run_workers(store: ArtifactStore) -> list:
+    """Two concurrent claim workers against one store; returns their outcomes."""
     outcomes = [None, None]
 
     def work(i: int) -> None:
-        kwargs = (
-            {"claim": True, "worker_id": f"{mode}-w{i}", "lease_ttl": 30.0}
-            if mode == "claim"
-            else {"shard": (i, 2)}
+        outcomes[i] = run_sweep_worker(
+            SPEC, CONFIG, store, worker_id=f"w{i}", lease_ttl=30.0
         )
-        outcomes[i] = run_sweep_worker(SPEC, CONFIG, store, **kwargs)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
     for thread in threads:
@@ -87,21 +82,20 @@ def main() -> None:
     print("single-process baseline ...")
     baseline = run_sweep(SPEC, CONFIG)
 
-    for mode in ("claim", "shard"):
-        with tempfile.TemporaryDirectory() as scratch:
-            store = ArtifactStore(f"{scratch}/runs")
-            print(f"\n{mode}-mode: two workers, one store ...")
-            for outcome in run_workers(store, mode):
-                print(f"  {outcome.summary()}")
-            for status in sweep_status(SPEC, CONFIG, store):
-                print(f"  {status.describe()}")
-            result = reduce_sweep(SPEC, CONFIG, store)
-            assert result is not None, "sweep incomplete"
-            identical = results_equivalent(result, baseline)
-            print(f"  bit-identical to single-process run_sweep: {identical}")
-            assert identical
+    with tempfile.TemporaryDirectory() as scratch:
+        store = ArtifactStore(f"{scratch}/runs")
+        print("\ntwo claim workers, one store ...")
+        for outcome in run_workers(store):
+            print(f"  {outcome.summary()}")
+        for status in sweep_status(SPEC, CONFIG, store):
+            print(f"  {status.describe()}")
+        result = reduce_sweep(SPEC, CONFIG, store)
+        assert result is not None, "sweep incomplete"
+        identical = results_equivalent(result, baseline)
+        print(f"  bit-identical to single-process run_sweep: {identical}")
+        assert identical
 
-    print("\nreduced sweep table (identical for every execution mode):")
+    print("\nreduced sweep table (identical for both executions):")
     print(baseline.table())
 
 

@@ -29,21 +29,19 @@ stderr and exit code 2, before any data is prepared.
     Workers that share nothing but the store split a sweep (see
     :mod:`repro.distributed`)::
 
-        python -m repro sweep ... --store runs/ --shard 0/4   # worker 0 of 4
-        python -m repro sweep ... --store runs/ --claim       # work stealing
-        python -m repro sweep ... --store runs/ --status      # who's doing what
-        python -m repro sweep ... --store runs/ --reduce      # assemble manifest
+        python -m repro sweep ... --store runs/ --claim    # one per worker
+        python -m repro sweep ... --store runs/ --status   # who's doing what
+        python -m repro sweep ... --store runs/ --reduce   # assemble manifest
 
-    ``--shard i/N`` statically partitions the points; ``--claim`` workers
-    race over all missing points through atomic store leases, heartbeat
-    while computing, and reclaim the points of workers that die.  Either
-    way the reduced sweep is bit-identical to a single-process run (with
-    ``charge_training_time=False``).
+    ``--claim`` workers race over all missing points through atomic store
+    leases, heartbeat while computing, and reclaim the points of workers
+    that die.  The reduced sweep is bit-identical to a single-process run
+    (with ``charge_training_time=False``).
 
 ``suite``
     Every scenario block of a YAML suite file (see :mod:`repro.suite`);
     ``--validate`` prints the compiled plan and runs nothing, ``--only``
-    picks one block, ``--shard``/``--claim`` work as on ``sweep``.
+    picks one block, ``--claim`` works as on ``sweep``.
 
 ``report`` / ``list``
     Render a stored sweep's points × approaches table without recomputing
@@ -127,22 +125,6 @@ def _split_values(text: str) -> List[Any]:
     return values
 
 
-def _parse_shard(text: str):
-    """``I/N`` — this process is worker I of an N-way static partition."""
-    try:
-        index_text, count_text = text.split("/", 1)
-        index, count = int(index_text), int(count_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected I/N (e.g. 0/4), got {text!r}"
-        )
-    if count < 1 or not 0 <= index < count:
-        raise argparse.ArgumentTypeError(
-            f"shard index must satisfy 0 <= I < N, got {text!r}"
-        )
-    return (index, count)
-
-
 # --------------------------------------------------------------------- #
 # Parser
 # --------------------------------------------------------------------- #
@@ -150,8 +132,7 @@ def _parse_shard(text: str):
 #: command does not have (each value is the flag's own default).
 _STUDY_DEFAULTS = dict(
     seeds=None, metrics=False, which="total", validate=False, only=None,
-    shard=None, claim=False, worker_id=None, lease_ttl=None, status=False,
-    reduce=False,
+    claim=False, worker_id=None, lease_ttl=None, status=False, reduce=False,
 )
 
 
@@ -212,16 +193,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_distributed_flags(parser: argparse.ArgumentParser, description: str):
-    """The ``--shard``/``--claim`` worker flags of ``sweep`` and ``suite``."""
+    """The ``--claim`` worker flags of ``sweep`` and ``suite``."""
     group = parser.add_argument_group("distributed execution", description)
-    group.add_argument(
-        "--shard",
-        type=_parse_shard,
-        default=None,
-        metavar="I/N",
-        help="compute only worker I's share of an N-way static partition "
-        "of the points (e.g. --shard 0/4 ... --shard 3/4, one per process)",
-    )
     group.add_argument(
         "--claim",
         action="store_true",
@@ -285,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     distributed = _add_distributed_flags(
         sweep,
         "multi-worker sweeps coordinated through a shared --store "
-        "(see repro.distributed); --shard/--claim/--status/--reduce are "
+        "(see repro.distributed); --claim/--status/--reduce are "
         "mutually exclusive and all require --store",
     )
     distributed.add_argument(
@@ -329,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         suite,
         "multi-worker suites coordinated through a shared --store, exactly "
         "as in `sweep`, one block at a time; mcelog-sourced blocks bypass "
-        "the store and are rejected under --shard/--claim",
+        "the store and are rejected under --claim",
     )
 
     serve = sub.add_parser(
@@ -514,8 +487,8 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _check_distributed_flags(args) -> None:
     """Reject combinations of the distributed flags before any work."""
-    modes = (("--shard", args.shard is not None), ("--claim", args.claim),
-             ("--status", args.status), ("--reduce", args.reduce))
+    modes = (("--claim", args.claim), ("--status", args.status),
+             ("--reduce", args.reduce))
     chosen = [flag for flag, on in modes if on]
     if len(chosen) > 1:
         raise UsageError(f"{' and '.join(chosen)} are mutually exclusive")
@@ -574,16 +547,13 @@ def _store_line(store: ArtifactStore, entry, config: ExperimentConfig) -> str:
 
 
 def _print_block(args, store, config, entry, result, outcome) -> None:
-    """One block's report; ``outcome`` is the worker's under --shard/--claim."""
+    """One block's report; ``outcome`` is the worker's under --claim."""
     if args.command == "suite":
         print(f"== {entry.name} ==")
     if outcome is not None:
         print(outcome.summary())
     if result is None:
-        print(
-            "this worker's share is done; other shards are still pending — "
-            "run the remaining shards to finish"
-        )
+        print("the sweep is not reduced yet: see --status, then run --reduce")
     else:
         if args.command == "run":
             label = result.labels[0]
@@ -668,7 +638,6 @@ def _cmd_study(args) -> int:
         store=store,
         cache=None if store is None else PreparedDataCache(spill=store),
         only=args.only,
-        shard=args.shard,
         claim=args.claim,
         worker_id=args.worker_id,
         lease_ttl=args.lease_ttl,
@@ -984,8 +953,6 @@ def _cmd_gc(args) -> int:
             f"prepared products"
         )
     return 0
-
-
 
 
 _COMMANDS = {

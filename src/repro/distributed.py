@@ -1,4 +1,4 @@
-"""Store-coordinated multi-worker sweeps: shard, claim, heartbeat, reduce.
+"""Store-coordinated multi-worker sweeps: claim, heartbeat, reduce.
 
 The paper's evaluation is a grid of scenario points (Figures 3/5/7) and the
 points are embarrassingly parallel — nothing couples them but the final
@@ -10,21 +10,16 @@ filesystem today, an object-store bucket tomorrow), and all coordination
 rides on the store's content keys plus one atomic primitive
 (``put_if_absent``).
 
-Two fan-out modes, one invariant:
-
-static sharding (``shard=(i, n)``)
-    Worker ``i`` computes every ``n``-th point of the canonical point
-    order (:func:`~repro.evaluation.sweep.assign_shard`).  Disjoint by
-    construction — no leases needed — but a dead worker's shard stalls the
-    sweep until rerun.
-work stealing (``claim=True``)
-    Workers race over *all* missing points through the lease protocol of
-    :mod:`repro.store.leases`: atomically claim a point
-    (``put_if_absent`` on its result key's lease), heartbeat while
-    computing, publish the result, release.  A worker killed mid-point
-    leaves a lease whose heartbeat goes stale; after the TTL any worker
-    reclaims it and the point is recomputed.  Load balances itself and
-    survives kills.
+One fan-out mode: workers race over *all* missing points through the
+lease protocol of :mod:`repro.store.leases`.  A worker atomically claims a
+point (``put_if_absent`` on its result key's lease), heartbeats while
+computing, publishes the result and releases the lease.  A worker killed
+mid-point leaves a lease whose heartbeat goes stale; after the TTL any
+worker reclaims it and the point is recomputed.  So the fleet balances its
+own load and survives kills, and any number of workers may join or leave.
+A point counts as done only when its stored result loads: an unreadable
+one is deleted with a warning, then claimed and recomputed like a missing
+one.
 
 The invariant: the reduced :class:`~repro.evaluation.sweep.SweepResult` is
 **bit-identical** to a single-process ``run_sweep`` of the same spec (with
@@ -42,7 +37,7 @@ A typical two-machine session::
     config = ExperimentConfig.fast().with_overrides(charge_training_time=False)
 
     # machine A and machine B, same shared store directory:
-    run_sweep_worker(spec, config, store, claim=True)
+    run_sweep_worker(spec, config, store)
 
     # either machine afterwards (the last worker auto-reduces anyway):
     result = reduce_sweep(spec, config, store)
@@ -54,7 +49,6 @@ on each machine, then ``--status`` / ``--reduce`` anywhere.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from dataclasses import dataclass, field
@@ -67,7 +61,7 @@ from repro.evaluation.pipeline import (
     PreparedDataCache,
     prepared_data_key,
 )
-from repro.evaluation.sweep import SweepResult, SweepSpec, assign_shard, run_sweep
+from repro.evaluation.sweep import SweepResult, SweepSpec
 from repro.serialization import canonical_json
 from repro.store import ArtifactStore, Lease, LeaseLost, LeaseManager
 
@@ -94,14 +88,14 @@ DEFAULT_POLL_SECONDS = 0.5
 class WorkerOutcome:
     """What one :func:`run_sweep_worker` invocation did."""
 
-    #: This worker's identity (lease owner in claim mode).
+    #: This worker's identity (the owner of its leases).
     worker_id: str
     #: Point labels this worker computed and published.
     computed: List[str] = field(default_factory=list)
     #: Point labels whose results the store already held.
     loaded: List[str] = field(default_factory=list)
     #: Point labels still without a result when the worker returned
-    #: (only possible with ``wait=False`` or in shard mode).
+    #: (only possible with ``wait=False``).
     pending: List[str] = field(default_factory=list)
     #: Claim attempts lost to a live lease held by another worker.
     conflicts: int = 0
@@ -229,38 +223,44 @@ def _point_jobs(
     ]
 
 
+def _stored(store: ArtifactStore, result_key: str) -> bool:
+    """Whether the point's result is stored and loads.
+
+    An unreadable entry is warned about and deleted by the load, so the
+    point is claimed and recomputed like a missing one.
+    """
+    return store.load_result_by_key(result_key) is not None
+
+
 def run_sweep_worker(
     spec: SweepSpec,
     config: Optional[ExperimentConfig] = None,
     store: Optional[ArtifactStore] = None,
     *,
-    shard: Optional[Tuple[int, int]] = None,
-    claim: bool = False,
     worker_id: Optional[str] = None,
     lease_ttl: Optional[float] = None,
     heartbeat_interval: Optional[float] = None,
-    wait: Optional[bool] = None,
+    wait: bool = True,
     poll_seconds: float = DEFAULT_POLL_SECONDS,
     cache: Optional[PreparedDataCache] = None,
     reduce: bool = True,
     compute_fn: Optional[Callable[..., ExperimentResult]] = None,
 ) -> WorkerOutcome:
-    """Run one worker of a distributed sweep against a shared store.
+    """Run one claim worker of a distributed sweep against a shared store.
 
-    Exactly one of ``shard=(i, n)`` (static partition, no leases) or
-    ``claim=True`` (dynamic work stealing through the lease protocol) must
-    be chosen.  Completed points are always skipped via the store's resume
-    path; every computed point's result is written through; and whichever
+    The worker loops claim → heartbeat → compute → publish → release over
+    every point without a stored result.  Completed points are skipped;
+    every computed point's result is written through; and whichever
     worker observes the last point land assembles the sweep manifest
     (``reduce=False`` suppresses that, for an explicit reducer step).
 
-    In claim mode the worker heartbeats its active lease every
-    ``heartbeat_interval`` seconds (default: ``lease_ttl / 4``) from a
-    background thread, and — with ``wait`` (the claim-mode default) —
-    keeps polling until *every* point has a result, reclaiming leases
-    whose owners die along the way, so a fleet of claim workers finishes
-    the sweep even when some of them are killed.  ``wait=False`` returns
-    after one pass, leaving still-leased points to their owners.
+    The worker heartbeats its active lease every ``heartbeat_interval``
+    seconds (default: ``lease_ttl / 4``) from a background thread, and —
+    with ``wait`` (the default) — keeps polling until *every* point has a
+    result, reclaiming leases whose owners die along the way, so a fleet
+    of workers finishes the sweep even when some of them are killed.
+    ``wait=False`` returns after one pass, leaving still-leased points to
+    their owners.
 
     ``compute_fn(scenario, config, cache)`` substitutes the per-point
     computation (default: :func:`~repro.evaluation.experiment.run_experiment`)
@@ -273,10 +273,6 @@ def run_sweep_worker(
     """
     if store is None:
         raise ValueError("run_sweep_worker needs a shared ArtifactStore")
-    if (shard is None) == (not claim):
-        raise ValueError(
-            "choose exactly one fan-out mode: shard=(i, n) or claim=True"
-        )
     config = config or ExperimentConfig()
     cache = cache if cache is not None else PreparedDataCache(spill=store)
     compute = compute_fn or (
@@ -285,77 +281,6 @@ def run_sweep_worker(
         )
     )
     started = time.perf_counter()
-
-    if shard is not None:
-        outcome = _run_shard_worker(
-            spec, config, store, shard, cache, worker_id, compute_fn
-        )
-    else:
-        outcome = _run_claim_worker(
-            spec,
-            config,
-            store,
-            compute,
-            cache,
-            worker_id=worker_id,
-            lease_ttl=lease_ttl,
-            heartbeat_interval=heartbeat_interval,
-            wait=True if wait is None else wait,
-            poll_seconds=poll_seconds,
-        )
-
-    if reduce and not outcome.pending:
-        outcome.result = reduce_sweep(spec, config, store)
-        outcome.reduced = outcome.result is not None
-    outcome.wallclock_seconds = time.perf_counter() - started
-    return outcome
-
-
-def _run_shard_worker(
-    spec: SweepSpec,
-    config: ExperimentConfig,
-    store: ArtifactStore,
-    shard: Tuple[int, int],
-    cache: PreparedDataCache,
-    worker_id: Optional[str],
-    compute_fn: Optional[Callable[..., ExperimentResult]],
-) -> WorkerOutcome:
-    """Static mode: delegate to the sweep engine's shard-aware resume path."""
-    outcome = WorkerOutcome(worker_id=worker_id or f"shard-{shard[0]}/{shard[1]}")
-    if compute_fn is None:
-        result = run_sweep(spec, config, cache=cache, store=store, shard=shard)
-        outcome.computed = list(result.extras.get("points_computed", []))
-        outcome.loaded = list(result.extras.get("points_loaded", []))
-        outcome.pending = list(result.extras.get("points_pending", []))
-        return outcome
-    # Test hook: per-point loop instead of the joint task graph.
-    mine = {p.label for p in assign_shard(spec.points(), shard[0], shard[1])}
-    for point, result_key, _prepared in _point_jobs(spec, config, store):
-        if store.has_result_key(result_key):
-            outcome.loaded.append(point.label)
-        elif point.label in mine:
-            result = compute_fn(point.scenario, config, cache)
-            store.save_result(point.scenario, config, result)
-            outcome.computed.append(point.label)
-        else:
-            outcome.pending.append(point.label)
-    return outcome
-
-
-def _run_claim_worker(
-    spec: SweepSpec,
-    config: ExperimentConfig,
-    store: ArtifactStore,
-    compute: Callable[..., ExperimentResult],
-    cache: PreparedDataCache,
-    *,
-    worker_id: Optional[str],
-    lease_ttl: Optional[float],
-    heartbeat_interval: Optional[float],
-    wait: bool,
-    poll_seconds: float,
-) -> WorkerOutcome:
-    """Dynamic mode: the claim → heartbeat → compute → publish loop."""
     manager = store.lease_manager(owner=worker_id, ttl_seconds=lease_ttl)
     interval = (
         heartbeat_interval
@@ -371,7 +296,7 @@ def _run_claim_worker(
             for point, result_key, prepared_key in jobs:
                 if result_key in done:
                     continue
-                if store.has_result_key(result_key):
+                if _stored(store, result_key):
                     done.add(result_key)
                     outcome.loaded.append(point.label)
                     continue
@@ -380,7 +305,7 @@ def _run_claim_worker(
                 )
                 if lease is None:
                     continue  # live lease elsewhere; revisit next pass
-                if store.has_result_key(result_key):
+                if _stored(store, result_key):
                     # A peer published (and released) since the check above.
                     manager.release(lease)
                     done.add(result_key)
@@ -401,7 +326,7 @@ def _run_claim_worker(
             for point, result_key, _prepared in jobs:
                 if result_key in done:
                     continue
-                if store.has_result_key(result_key):
+                if _stored(store, result_key):
                     done.add(result_key)
                     outcome.loaded.append(point.label)
                 else:
@@ -416,6 +341,10 @@ def _run_claim_worker(
     outcome.conflicts = manager.conflicts
     outcome.reclaims = manager.reclaims
     outcome.heartbeats = pump.beats
+    if reduce and not outcome.pending:
+        outcome.result = reduce_sweep(spec, config, store)
+        outcome.reduced = outcome.result is not None
+    outcome.wallclock_seconds = time.perf_counter() - started
     return outcome
 
 
@@ -452,7 +381,6 @@ def reduce_sweep(
         extras={
             "points_loaded": [point.label for point in points],
             "points_computed": [],
-            "points_pending": [],
         },
     )
     store.save_sweep(spec, config, reduced)
@@ -476,7 +404,7 @@ def sweep_status(
     manager = store.lease_manager()
     statuses: List[PointStatus] = []
     for point, result_key, _prepared in _point_jobs(spec, config, store):
-        if store.has_result_key(result_key):
+        if _stored(store, result_key):
             statuses.append(
                 PointStatus(label=point.label, state="done", result_key=result_key)
             )

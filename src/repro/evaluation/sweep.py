@@ -73,7 +73,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
-    "assign_shard",
     "run_sweep",
 ]
 
@@ -384,25 +383,6 @@ class SweepResult:
 # --------------------------------------------------------------------- #
 # Execution
 # --------------------------------------------------------------------- #
-def assign_shard(
-    points: Sequence[SweepPoint], index: int, count: int
-) -> Tuple[SweepPoint, ...]:
-    """The points of static shard ``index`` out of ``count``.
-
-    Deterministic round-robin over the canonical point order, so N workers
-    running ``assign_shard(points, i, N)`` for ``i = 0..N-1`` partition the
-    sweep exactly — no store coordination needed, only the shared point
-    order every worker derives from the same :class:`SweepSpec`.
-    """
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count}")
-    if not 0 <= index < count:
-        raise ValueError(
-            f"shard index must be in [0, {count}), got {index}"
-        )
-    return tuple(point for k, point in enumerate(points) if k % count == index)
-
-
 def run_sweep(
     spec: SweepSpec,
     config: Optional[ExperimentConfig] = None,
@@ -410,7 +390,6 @@ def run_sweep(
     error_log: Optional[ErrorLog] = None,
     job_log: Optional[JobLog] = None,
     store=None,
-    shard: Optional[Tuple[int, int]] = None,
 ) -> SweepResult:
     """Run every point of ``spec`` as one dependency-aware task graph.
 
@@ -431,8 +410,9 @@ def run_sweep(
     every computed point's result is written through (after the task graph
     completes — a run killed mid-graph persists spilled prepared data but
     no point results), and a sweep manifest is recorded — so re-running the
-    same spec resumes from disk and only executes the missing points.  ``extras["points_loaded"]`` /
-    ``extras["points_computed"]`` report the split.  Results over externally
+    same spec resumes from disk and only executes the missing points.
+    ``extras["points_loaded"]`` / ``extras["points_computed"]`` report the
+    split.  Results over externally
     supplied logs bypass the store (a result key does not cover the logs'
     content); a spilling ``cache`` still stores their prepared data.
 
@@ -446,15 +426,6 @@ def run_sweep(
     Per-point ``wallclock_seconds`` is the whole sweep's wall-clock (the
     points ran concurrently; attributing shares would be fiction); points
     loaded from a store keep the wall-clock of the run that computed them.
-
-    ``shard=(i, n)`` restricts *computation* to static shard ``i`` of ``n``
-    (see :func:`assign_shard`) for one worker of a distributed sweep:
-    points outside the shard are loaded when the store already holds them
-    and otherwise left pending (``extras["points_pending"]``; they are
-    absent from the returned result).  Sharding requires a store — the
-    other workers' results have nowhere else to meet — and the sweep
-    manifest is recorded only by the run that observes the last point
-    land, so a complete manifest always names a complete sweep.
     """
     config = config or ExperimentConfig()
     cache = cache if cache is not None else default_prepared_cache()
@@ -465,16 +436,6 @@ def run_sweep(
 
     external_inputs = error_log is not None or job_log is not None
     use_store = store is not None and not external_inputs
-    assigned = {point.label for point in points}
-    if shard is not None:
-        if not use_store:
-            raise ValueError(
-                "run_sweep(shard=...) needs a store: shard workers meet "
-                "only through their shared ArtifactStore"
-            )
-        assigned = {
-            point.label for point in assign_shard(points, shard[0], shard[1])
-        }
     loaded: Dict[str, ExperimentResult] = {}
     if use_store:
         for point in points:
@@ -487,7 +448,7 @@ def run_sweep(
     tasks: List[Task] = []
     with profiler.stage("prepare_data"):
         for point in points:
-            if point.label in loaded or point.label not in assigned:
+            if point.label in loaded:
                 continue
             prepared[point.label] = cache.get(
                 point.scenario, config, error_log=error_log, job_log=job_log
@@ -513,8 +474,6 @@ def run_sweep(
         if point.label in loaded:
             results[point.label] = loaded[point.label]
             continue
-        if point.label not in prepared:
-            continue  # another shard's point, not yet in the store
         prefix = f"{point.label}/"
         point_outcomes = {
             key[len(prefix):]: outcome
@@ -533,20 +492,16 @@ def run_sweep(
             # while assembling later points loses as little as possible.
             store.save_result(point.scenario, config, results[point.label])
 
-    available = tuple(point for point in points if point.label in results)
     result = SweepResult(
         spec=spec,
-        points=available,
+        points=points,
         results=results,
         wallclock_seconds=elapsed,
         prepare_calls=cache.prepare_calls - calls_before,
         cache_hits=cache.hits - hits_before,
         extras={
             "points_loaded": [p.label for p in points if p.label in loaded],
-            "points_computed": [
-                p.label for p in points if p.label in results and p.label not in loaded
-            ],
-            "points_pending": [p.label for p in points if p.label not in results],
+            "points_computed": [p.label for p in points if p.label not in loaded],
             # Run diagnostics (never serialized): task-level timing of the
             # whole sweep graph, including the measured critical path.
             "executor_stats": stats,
@@ -554,6 +509,6 @@ def run_sweep(
     )
     if config.profile:
         result.extras["profile"] = profiler.report()
-    if use_store and len(available) == len(points):
+    if use_store:
         store.save_sweep(spec, config, result)
     return result

@@ -171,16 +171,32 @@ class ArtifactStore:
             return None
         return untag(json.loads(data.decode("utf-8")), kind)
 
+    def _read_json(self, family: str, key: str, kind: str, parse, *, delete=False):
+        """``parse(payload)`` of the entry ``<family>s/<key>.json``, guarded.
+
+        A miss is ``None``.  So is an unreadable entry (a truncated or
+        foreign file), with one ``RuntimeWarning`` naming its key; with
+        ``delete`` the entry is also removed, so its work is redone.
+        """
+        path = f"{family}s/{key}.json"
+        try:
+            payload = self._get_json(path, kind)
+            return None if payload is None else parse(payload)
+        except (ValueError, KeyError) as error:  # SchemaError is a ValueError
+            action = (
+                "deleting it so its point is recomputed" if delete else "skipping it"
+            )
+            warnings.warn(
+                f"stored {family} {key} is unreadable ({error}); {action}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            if delete:
+                self.backend.delete(path)
+            return None
+
     def _put_json(self, key: str, payload: Dict[str, Any]) -> None:
         self.backend.put(key, canonical_json_bytes(payload))
-
-    def _exists(self, key: str) -> bool:
-        """Whether ``key`` holds an artifact, without reading it.
-
-        Artifacts are never empty (the backend writes them atomically), so
-        a positive size is presence.
-        """
-        return self.backend.size(key) > 0
 
     # ------------------------------------------------------------------ #
     # Content keys
@@ -209,8 +225,12 @@ class ArtifactStore:
     # Prepared data
     # ------------------------------------------------------------------ #
     def has_prepared(self, key: str) -> bool:
-        """Whether a complete product is stored under ``key``."""
-        return self._exists(f"prepared/{key}/meta.json")
+        """Whether a complete product is stored under ``key``, unread.
+
+        Artifacts are never empty (the backend writes them atomically), so
+        a positive size of the ``meta.json`` marker is presence.
+        """
+        return self.backend.size(f"prepared/{key}/meta.json") > 0
 
     def save_prepared(self, prepared: PreparedData) -> str:
         """Persist one :class:`PreparedData` product under its ``data_key``.
@@ -309,13 +329,6 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # Experiment results
     # ------------------------------------------------------------------ #
-    def has_result(self, scenario: ScenarioConfig, config: ExperimentConfig) -> bool:
-        return self.has_result_key(self.result_key(scenario, config))
-
-    def has_result_key(self, key: str) -> bool:
-        """Whether a result is stored under the given content key."""
-        return self._exists(f"results/{key}.json")
-
     def save_result(
         self,
         scenario: ScenarioConfig,
@@ -347,21 +360,13 @@ class ArtifactStore:
         An unreadable entry (a truncated or foreign file) is warned about,
         deleted and reported as a miss, so the point is recomputed.
         """
-        path = f"results/{key}.json"
-        try:
-            payload = self._get_json(path, "stored_result")
-            if payload is None:
-                return None
-            return ExperimentResult.from_dict(payload["result"])
-        except (ValueError, KeyError) as error:  # SchemaError is a ValueError
-            warnings.warn(
-                f"stored result {key} is unreadable ({error}); deleting it so "
-                "its point is recomputed",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.backend.delete(path)
-            return None
+        return self._read_json(
+            "result",
+            key,
+            "stored_result",
+            lambda payload: ExperimentResult.from_dict(payload["result"]),
+            delete=True,
+        )
 
     # ------------------------------------------------------------------ #
     # Sweep manifests
@@ -442,45 +447,53 @@ class ArtifactStore:
     # ------------------------------------------------------------------ #
     # Inventory
     # ------------------------------------------------------------------ #
+    def _entries(self, family: str, kind: str, parse):
+        """``(key, parse(payload))`` of every readable ``<family>s/`` entry.
+
+        Unreadable entries are skipped with a warning (see
+        :meth:`_read_json`), never deleted: listing is read-only.
+        """
+        prefix = f"{family}s/"
+        for path in self.backend.list(prefix):
+            key = path[len(prefix):-len(".json")]
+            value = self._read_json(family, key, kind, parse)
+            if value is not None:
+                yield key, value
+
     def list_sweeps(self) -> List[Dict[str, Any]]:
         """Summaries of every stored sweep (key, base scenario, point labels)."""
-        entries: List[Dict[str, Any]] = []
-        for key in self.backend.list("sweeps/"):
-            manifest = self._get_json(key, "sweep_manifest")
-            if manifest is None:
-                continue
-            spec = manifest["spec"]
-            base = untag(spec, "sweep_spec")["base"]
-            entries.append(
-                {
-                    "key": key[len("sweeps/"):-len(".json")],
-                    "base_scenario": untag(base, "scenario_config")["name"],
-                    "labels": list(manifest["points"]),
-                }
-            )
-        return entries
+
+        def summary(manifest):
+            base = untag(manifest["spec"], "sweep_spec")["base"]
+            return {
+                "base_scenario": untag(base, "scenario_config")["name"],
+                "labels": list(manifest["points"]),
+            }
+
+        return [
+            {"key": key, **entry}
+            for key, entry in self._entries("sweep", "sweep_manifest", summary)
+        ]
 
     def list_results(self) -> List[Dict[str, Any]]:
         """Summaries of every stored experiment result."""
-        entries: List[Dict[str, Any]] = []
-        for key in self.backend.list("results/"):
-            payload = self._get_json(key, "stored_result")
-            if payload is None:
-                continue
+
+        def summary(payload):
             scenario = untag(payload["scenario"], "scenario_config")
             result = untag(payload["result"], "experiment_result")
-            entries.append(
-                {
-                    "key": key[len("results/"):-len(".json")],
-                    "scenario": scenario["name"],
-                    "seed": scenario["seed"],
-                    "mitigation_cost_node_minutes": scenario["evaluation"].get(
-                        "mitigation_cost_node_minutes"
-                    ),
-                    "approaches": list(result["approaches"]),
-                }
-            )
-        return entries
+            return {
+                "scenario": scenario["name"],
+                "seed": scenario["seed"],
+                "mitigation_cost_node_minutes": scenario["evaluation"].get(
+                    "mitigation_cost_node_minutes"
+                ),
+                "approaches": list(result["approaches"]),
+            }
+
+        return [
+            {"key": key, **entry}
+            for key, entry in self._entries("result", "stored_result", summary)
+        ]
 
     def list_prepared(self) -> List[str]:
         """Content keys of every stored prepared-data product."""
@@ -505,22 +518,21 @@ class ArtifactStore:
         """
         from repro.evaluation.sweep import SweepSpec
 
-        referenced = set()
-        for key in self.backend.list("sweeps/"):
-            manifest = self._get_json(key, "sweep_manifest")
-            if manifest is None:
-                continue
+        def sweep_keys(manifest):
             spec = SweepSpec.from_dict(manifest["spec"])
             config = ExperimentConfig.from_dict(manifest["config"])
-            for point in spec.points():
-                referenced.add(prepared_data_key(point.scenario, config))
-        for key in self.backend.list("results/"):
-            payload = self._get_json(key, "stored_result")
-            if payload is None:
-                continue
+            return {prepared_data_key(p.scenario, config) for p in spec.points()}
+
+        def result_keys(payload):
             scenario = ScenarioConfig.from_dict(payload["scenario"])
             config = ExperimentConfig.from_dict(payload["config"])
-            referenced.add(prepared_data_key(scenario, config))
+            return {prepared_data_key(scenario, config)}
+
+        referenced = set()
+        for _key, keys in self._entries("sweep", "sweep_manifest", sweep_keys):
+            referenced |= keys
+        for _key, keys in self._entries("result", "stored_result", result_keys):
+            referenced |= keys
         return referenced
 
     def _prepared_entries(self) -> Dict[str, List[str]]:

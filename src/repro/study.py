@@ -122,10 +122,7 @@ class Study:
     # Execution
     # ------------------------------------------------------------------ #
     def run(
-        self,
-        config: Optional[ExperimentConfig] = None,
-        *,
-        shard=None,
+        self, config: Optional[ExperimentConfig] = None
     ) -> Union[ExperimentResult, SweepResult]:
         """Execute the study (incrementally, when a store is attached).
 
@@ -133,26 +130,16 @@ class Study:
         store already holds one; sweep studies load completed points and
         execute only the missing ones (``run_sweep`` handles the
         per-point bookkeeping).  Everything computed is written through to
-        the store.
-
-        ``shard=(i, n)`` runs this process as worker *i* of an *n*-way
-        statically sharded sweep (store required; see
-        :mod:`repro.distributed`): the returned ``SweepResult`` covers only
-        the points already in the store plus this worker's shard, and the
-        sweep manifest is recorded by whichever worker finishes last.
+        the store.  To split a sweep over workers, see
+        :mod:`repro.distributed`.
         """
         config = config or ExperimentConfig()
         self.config = config
         if self.spec is not None:
             self._result = run_sweep(
-                self.spec, config, cache=self.cache, store=self.store, shard=shard
+                self.spec, config, cache=self.cache, store=self.store
             )
         else:
-            if shard is not None:
-                raise ValueError(
-                    "shard=(i, n) only applies to sweep studies; a single "
-                    "scenario has nothing to partition"
-                )
             result = None
             if self.store is not None:
                 result = self.store.load_result(self.scenario, config)

@@ -7,7 +7,7 @@ scales.  A suite file names each of those grids once, declaratively, and
 :class:`~repro.evaluation.sweep.SweepSpec` a hand-written script would have
 built and drives the unchanged :func:`~repro.evaluation.sweep.run_sweep`
 engine — so suite results are bit-identical to direct API calls, stores
-compose, and the distributed ``--shard``/``--claim`` modes keep working.
+compose, and ``--claim`` workers split a suite as they split a sweep.
 :func:`compile_suite` compiles a document already in memory; ``python -m
 repro run`` and ``sweep`` use it to run their flags as a one-block suite.
 
@@ -516,7 +516,6 @@ def run_suite(
     config: Optional[ExperimentConfig] = None,
     store=None,
     only: Optional[str] = None,
-    shard: Optional[Tuple[int, int]] = None,
     claim: bool = False,
     worker_id: Optional[str] = None,
     lease_ttl: Optional[float] = None,
@@ -526,10 +525,10 @@ def run_suite(
     """Execute every entry of ``suite`` and return ``{name: SweepResult}``.
 
     ``config`` is the base :class:`ExperimentConfig`; each entry's
-    ``experiment:`` overrides are applied on top.  ``store``, ``shard`` and
-    ``claim`` compose exactly as in ``python -m repro sweep`` — except for
+    ``experiment:`` overrides are applied on top.  ``store`` and ``claim``
+    compose exactly as in ``python -m repro sweep`` — except for
     mcelog-sourced entries, whose trace content is not derivable from the
-    spec: they always bypass the store, so distributed modes reject them.
+    spec: they always bypass the store, so ``claim`` rejects them.
     Under ``claim``, an entry whose points are still leased by other
     workers yields ``None`` (reduce later); all other values are complete
     :class:`SweepResult` objects.
@@ -539,13 +538,12 @@ def run_suite(
     their defaults.  ``PreparedDataCache(spill=store)`` keeps prepared data
     in the store too, as the CLI does under ``--store``.
     ``on_block(entry, result, outcome)`` is called after each block, with
-    the :class:`~repro.distributed.WorkerOutcome` under ``shard``/``claim``
-    (else ``None``); the CLI prints each block from it.
+    the :class:`~repro.distributed.WorkerOutcome` under ``claim`` (else
+    ``None``); the CLI prints each block from it.
     """
     base_config = config or ExperimentConfig()
     entries = suite.entries if only is None else (suite.entry(only),)
-    distributed = shard is not None or claim
-    if distributed:
+    if claim:
         if store is None:
             raise SuiteError("distributed suite execution needs a store; pass store=")
         sourced = [entry.name for entry in entries if entry.source is not None]
@@ -553,22 +551,20 @@ def run_suite(
             raise SuiteError(
                 "mcelog-sourced blocks bypass the store and cannot be "
                 f"distributed: {', '.join(map(repr, sourced))}; run them "
-                "without --shard/--claim"
+                "without --claim"
             )
 
     log_cache: Dict[str, Any] = {}
     results: Dict[str, Optional[SweepResult]] = {}
     for entry in entries:
         outcome = None
-        if distributed:
+        if claim:
             from repro.distributed import run_sweep_worker
 
             outcome = run_sweep_worker(
                 entry.spec,
                 entry.config(base_config),
                 store,
-                shard=shard,
-                claim=claim,
                 worker_id=worker_id,
                 lease_ttl=lease_ttl,
                 cache=cache,

@@ -71,8 +71,6 @@ def golden_spec():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--store", required=True)
-    parser.add_argument("--mode", choices=("claim", "shard"), default="claim")
-    parser.add_argument("--shard", default=None, metavar="I/N")
     parser.add_argument("--worker-id", default=None)
     parser.add_argument("--lease-ttl", type=float, default=None)
     parser.add_argument("--poll-seconds", type=float, default=0.1)
@@ -106,7 +104,7 @@ def main(argv=None) -> int:
         )
         for point in spec.points():
             key = store.result_key(point.scenario, config)
-            if store.has_result_key(key):
+            if store.load_result_by_key(key) is not None:
                 continue
             lease = manager.claim(key, label=point.label)
             if lease is not None:
@@ -116,16 +114,10 @@ def main(argv=None) -> int:
                 return 0
         return 1  # nothing left to claim: the test setup is wrong
 
-    shard = None
-    if args.shard is not None:
-        index, count = args.shard.split("/")
-        shard = (int(index), int(count))
     outcome = run_sweep_worker(
         spec,
         config,
         store,
-        shard=shard,
-        claim=args.mode == "claim",
         worker_id=args.worker_id,
         lease_ttl=args.lease_ttl,
         poll_seconds=args.poll_seconds,

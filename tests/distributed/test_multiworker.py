@@ -62,7 +62,7 @@ class TestTwoWorkerClaimSweep:
         store_dir = tmp_path / "store"
 
         workers = [
-            _spawn(store_dir, "--mode", "claim", "--worker-id", f"w{i}")
+            _spawn(store_dir, "--worker-id", f"w{i}")
             for i in range(2)
         ]
         outcomes = [_outcome(proc) for proc in workers]
@@ -118,7 +118,6 @@ class TestKilledWorkerReclaim:
         # claim worker must reclaim the point and finish the sweep.
         rescuer = _spawn(
             store_dir,
-            "--mode", "claim",
             "--seeds", "21",
             "--worker-id", "rescuer",
             "--lease-ttl", "1.0",

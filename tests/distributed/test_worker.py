@@ -67,13 +67,7 @@ def fake_compute(tiny_result, log=None):
 class TestArgValidation:
     def test_needs_a_store(self):
         with pytest.raises(ValueError, match="ArtifactStore"):
-            run_sweep_worker(SPEC, TINY, None, claim=True)
-
-    def test_exactly_one_mode(self, store):
-        with pytest.raises(ValueError, match="exactly one"):
-            run_sweep_worker(SPEC, TINY, store)
-        with pytest.raises(ValueError, match="exactly one"):
-            run_sweep_worker(SPEC, TINY, store, shard=(0, 2), claim=True)
+            run_sweep_worker(SPEC, TINY, None)
 
 
 class TestClaimMode:
@@ -82,7 +76,7 @@ class TestClaimMode:
     ):
         log = []
         outcome = run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w1",
+            SPEC, TINY, store, worker_id="w1",
             compute_fn=fake_compute(tiny_result, log),
         )
         assert sorted(outcome.computed) == ["seed=11", "seed=12", "seed=13"]
@@ -94,12 +88,12 @@ class TestClaimMode:
 
     def test_second_worker_loads_everything(self, store, tiny_result):
         run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w1",
+            SPEC, TINY, store, worker_id="w1",
             compute_fn=fake_compute(tiny_result),
         )
         log = []
         outcome = run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w2",
+            SPEC, TINY, store, worker_id="w2",
             compute_fn=fake_compute(tiny_result, log),
         )
         assert outcome.computed == [] and log == []
@@ -117,7 +111,7 @@ class TestClaimMode:
             if not state["fired"]:
                 state["fired"] = True
                 inner = run_sweep_worker(
-                    SPEC, TINY, store, claim=True, worker_id="w2",
+                    SPEC, TINY, store, worker_id="w2",
                     wait=False, compute_fn=fake_compute(tiny_result, log),
                     reduce=False,
                 )
@@ -126,7 +120,7 @@ class TestClaimMode:
             return tiny_result
 
         outcome = run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w1",
+            SPEC, TINY, store, worker_id="w1",
             compute_fn=w1_compute,
         )
         inner = state["inner"]
@@ -140,7 +134,7 @@ class TestClaimMode:
         first_key = store.result_key(SPEC.points()[0].scenario, TINY)
         assert blocker.claim(first_key, label="seed=11") is not None
         outcome = run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w1", wait=False,
+            SPEC, TINY, store, worker_id="w1", wait=False,
             compute_fn=fake_compute(tiny_result),
         )
         assert outcome.pending == ["seed=11"]
@@ -154,7 +148,7 @@ class TestClaimMode:
         assert dead.claim(first_key, label="seed=11") is not None
         time.sleep(0.05)
         outcome = run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w1",
+            SPEC, TINY, store, worker_id="w1",
             compute_fn=fake_compute(tiny_result),
         )
         assert outcome.reclaims == 1
@@ -179,7 +173,7 @@ class TestClaimMode:
             return tiny_result
 
         outcome = run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w1",
+            SPEC, TINY, store, worker_id="w1",
             poll_seconds=0.01, compute_fn=compute,
         )
         assert outcome.loaded == ["seed=11"]
@@ -208,7 +202,7 @@ class TestClaimMode:
         store.lease_manager = lease_manager
         log = []
         outcome = run_sweep_worker(
-            SPEC, TINY, store, claim=True, worker_id="w1",
+            SPEC, TINY, store, worker_id="w1",
             compute_fn=fake_compute(tiny_result, log),
         )
         assert log == [] and outcome.computed == []
@@ -217,31 +211,30 @@ class TestClaimMode:
         assert outcome.reduced
 
 
-class TestShardMode:
-    def test_shards_partition_the_points(self, store, tiny_result):
-        log = []
-        a = run_sweep_worker(
-            SPEC, TINY, store, shard=(0, 2),
-            compute_fn=fake_compute(tiny_result, log),
-        )
-        assert a.computed == ["seed=11", "seed=13"]
-        assert a.pending == ["seed=12"]
-        assert not a.reduced
-        b = run_sweep_worker(
-            SPEC, TINY, store, shard=(1, 2),
-            compute_fn=fake_compute(tiny_result, log),
-        )
-        assert b.computed == ["seed=12"]
-        assert sorted(b.loaded) == ["seed=11", "seed=13"]
-        assert b.reduced and b.result is not None
-        assert sorted(log) == [11, 12, 13]
+class TestUnreadableResult:
+    """A truncated result is not done: it is reported pending and recomputed."""
 
-    def test_real_shard_mode_uses_the_sweep_engine(self, store):
-        # No compute_fn: the static path must delegate to run_sweep's
-        # shard-aware resume path and report its bookkeeping.
-        outcome = run_sweep_worker(SPEC, TINY, store, shard=(0, 3))
-        assert outcome.computed == ["seed=11"]
-        assert sorted(outcome.pending) == ["seed=12", "seed=13"]
+    def test_truncated_point_is_pending_and_recomputed(self, store, tiny_result):
+        spec = SweepSpec(base=BASE, seeds=(11, 12))
+        run_sweep_worker(spec, TINY, store, compute_fn=fake_compute(tiny_result))
+        key = store.result_key(spec.points()[1].scenario, TINY)
+        path = f"results/{key}.json"
+        truncated = store.backend.get(path)[:50]
+
+        store.backend.put(path, truncated)
+        with pytest.warns(RuntimeWarning, match=f"{key} is unreadable"):
+            states = {s.label: s.state for s in sweep_status(spec, TINY, store)}
+        assert states == {"seed=11": "done", "seed=12": "pending"}
+
+        store.backend.put(path, truncated)
+        log = []
+        with pytest.warns(RuntimeWarning, match=f"{key} is unreadable"):
+            outcome = run_sweep_worker(
+                spec, TINY, store, compute_fn=fake_compute(tiny_result, log)
+            )
+        assert log == [12]
+        assert outcome.computed == ["seed=12"] and outcome.loaded == ["seed=11"]
+        assert outcome.reduced and outcome.result.labels == ["seed=11", "seed=12"]
 
 
 class TestReduce:
@@ -252,7 +245,7 @@ class TestReduce:
         self, store, tiny_result
     ):
         run_sweep_worker(
-            SPEC, TINY, store, claim=True, reduce=False,
+            SPEC, TINY, store, reduce=False,
             compute_fn=fake_compute(tiny_result),
         )
         assert store.list_sweeps() == []  # reduce=False suppressed it
@@ -300,7 +293,7 @@ class TestEquivalence:
         self, store, tiny_result
     ):
         run_sweep_worker(
-            SPEC, TINY, store, claim=True, compute_fn=fake_compute(tiny_result)
+            SPEC, TINY, store, compute_fn=fake_compute(tiny_result)
         )
         a = reduce_sweep(SPEC, TINY, store)
 
@@ -322,7 +315,7 @@ class TestEquivalence:
         self, store, tiny_result
     ):
         run_sweep_worker(
-            SPEC, TINY, store, claim=True, compute_fn=fake_compute(tiny_result)
+            SPEC, TINY, store, compute_fn=fake_compute(tiny_result)
         )
         a = reduce_sweep(SPEC, TINY, store)
         assert '"wallclock_seconds": 12345.0' not in sweep_scientific_json(

@@ -42,7 +42,6 @@ def test_two_worker_distributed_sweep_reproduces_the_golden_fingerprint(
             [
                 sys.executable, str(WORKER),
                 "--store", str(store_dir),
-                "--mode", "claim",
                 "--golden",
                 "--worker-id", f"golden-w{i}",
             ],

@@ -218,11 +218,11 @@ class TestOneFrontDoor:
             ["sweep", "--restartable", "maybe"],
             ["sweep", "--episodes", "0"],
             ["sweep", "--claim"],
-            ["sweep", "--shard", "0/2", "--claim", "--store", "runs"],
+            ["sweep", "--claim", "--status", "--store", "runs"],
             ["sweep", "--worker-id", "w0", "--store", "runs"],
             ["suite", "small.yaml", "--episodes", "0"],
             ["suite", "small.yaml", "--claim"],
-            ["suite", "small.yaml", "--shard", "0/2", "--claim", "--store", "runs"],
+            ["suite", "small.yaml", "--lease-ttl", "5", "--store", "runs"],
             ["suite", "small.yaml", "--worker-id", "w0", "--store", "runs"],
         ],
         ids=lambda argv: " ".join(argv),
@@ -365,6 +365,42 @@ class TestSweepLifecycle:
 
         # The sweep still reports from the store after the gc pass.
         assert cli.main(["report", "--store", store_dir]) == 0
+
+
+class TestUnreadableEntries:
+    """`list` and `gc` skip an unreadable result or manifest with a warning."""
+
+    @pytest.mark.parametrize("family", ["results", "sweeps"])
+    def test_list_and_gc_skip_a_truncated_entry(self, tmp_path, capsys, family):
+        import warnings
+        from types import SimpleNamespace
+
+        from repro.config import ScenarioConfig
+        from repro.evaluation.pipeline import ExperimentConfig
+        from repro.evaluation.sweep import SweepSpec
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "runs")
+        spec = SweepSpec(base=ScenarioConfig.small(), mitigation_costs=(2.0,))
+        sweep = store.save_sweep(
+            spec, ExperimentConfig(), SimpleNamespace(points=spec.points())
+        )
+        path = f"{family}/abcd.json"
+        store.backend.put(path, store.backend.get(f"sweeps/{sweep}.json")[:50])
+        root = str(store.root)
+
+        for argv in (["list", "--store", root], ["gc", "--dry-run", "--store", root]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(argv) == 0
+            unreadable = [w for w in caught if "abcd is unreadable" in str(w.message)]
+            assert len(unreadable) == 1, argv
+            assert unreadable[0].category is RuntimeWarning
+            out, err = capsys.readouterr()
+            assert "Traceback" not in out + err
+            if argv[0] == "list":
+                assert "sweeps (1)" in out and sweep in out
+        assert store.backend.size(path) == 50  # neither command deleted it
 
 
 #: A one-block suite with the same point as ``FAST_FLAGS`` plus

@@ -244,7 +244,7 @@ class TestCorruptResult:
         store.backend.put("results/feedfacefeedface.json", payload)
         with pytest.warns(RuntimeWarning, match="feedfacefeedface"):
             assert store.load_result_by_key("feedfacefeedface") is None
-        assert not store.has_result_key("feedfacefeedface")
+        assert store.backend.size("results/feedfacefeedface.json") == 0
 
 
 class TestExperimentResults:
@@ -327,7 +327,7 @@ class TestOlderPayloads:
 
 
 class TestExistenceChecks:
-    """``has_*`` and the ``save_prepared`` guard never read an artifact."""
+    """``has_prepared`` and the ``save_prepared`` guard never read an artifact."""
 
     class _CountingBackend(DictBackend):
         def __init__(self):
@@ -341,18 +341,12 @@ class TestExistenceChecks:
     def test_checks_use_size_not_get(self):
         backend = self._CountingBackend()
         store = ArtifactStore(backend=backend)
-        result_key = store.result_key(SCENARIO, TINY)
         prepared_key = prepared_data_key(SCENARIO, TINY)
         backend.gets = 0
 
-        assert not store.has_result(SCENARIO, TINY)
-        assert not store.has_result_key(result_key)
         assert not store.has_prepared(prepared_key)
 
-        backend.put(f"results/{result_key}.json", b"{}")
         backend.put(f"prepared/{prepared_key}/meta.json", b"{}")
-        assert store.has_result(SCENARIO, TINY)
-        assert store.has_result_key(result_key)
         assert store.has_prepared(prepared_key)
         # An already stored product short-circuits before anything is read
         # or written (the stand-in has nothing else to serialize).

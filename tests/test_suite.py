@@ -347,12 +347,12 @@ class TestExecution:
         )
         store = ArtifactStore(tmp_path / "runs")
         with pytest.raises(SuiteError, match="'real'"):
-            run_suite(suite, _cheap_config(), store=store, shard=(0, 2))
+            run_suite(suite, _cheap_config(), store=store, claim=True)
 
     def test_distributed_flags_require_a_store(self):
         suite = parse_suite(MINIMAL)
         with pytest.raises(SuiteError, match="store"):
-            run_suite(suite, _cheap_config(), shard=(0, 2))
+            run_suite(suite, _cheap_config(), claim=True)
 
     def test_only_selects_a_single_block(self, monkeypatch):
         calls = []
