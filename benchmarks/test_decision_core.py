@@ -1,4 +1,4 @@
-"""Benchmark: the vectorized decision core vs the scalar reference path.
+"""Benchmark: the vectorized decision core vs the scalar reference oracles.
 
 Opt-in (marked ``slow``): run with
 
@@ -17,9 +17,10 @@ before recording any timing:
 ``replay``
     The Section 4.2 approach panel (Never/Always, the SC20-RF family,
     Myopic-RF, a briefly trained RL agent, Oracle) replayed over the test
-    traces with ``evaluate_policy`` under both checkpointing settings
-    (``restartable`` on/off — the Figure 3 axis), scalar
-    (``vectorized=False``) vs the batched decision core.  Timings are
+    traces under both checkpointing settings (``restartable`` on/off — the
+    Figure 3 axis): the per-event reference replay
+    (``tests/evaluation/replay_reference.py``) vs ``evaluate_policy``, the
+    batched decision core.  Timings are
     best-of-``REPRO_BENCH_DECISION_REPS`` with warm caches, matching the
     steady state of the per-split replay loop.
 ``per``
@@ -78,6 +79,7 @@ from repro.evaluation.runner import (
 )
 
 from tests.core.feature_reference import extract_node_features_loop
+from tests.evaluation.replay_reference import evaluate_policy_reference
 
 pytestmark = pytest.mark.slow
 
@@ -186,22 +188,14 @@ def _bench_replay(record):
     for restartable in (True, False):
         for policy in panel:
             scalar_seconds, scalar_result = _best_of(
-                lambda: evaluate_policy(
-                    traces,
-                    policy,
-                    MITIGATION_COST,
-                    restartable=restartable,
-                    vectorized=False,
+                lambda: evaluate_policy_reference(
+                    traces, policy, MITIGATION_COST, restartable=restartable
                 )
             )
             reset_renewal_walk_stats()
             vector_seconds, vector_result = _best_of(
                 lambda: evaluate_policy(
-                    traces,
-                    policy,
-                    MITIGATION_COST,
-                    restartable=restartable,
-                    vectorized=True,
+                    traces, policy, MITIGATION_COST, restartable=restartable
                 )
             )
             stats = renewal_walk_stats()

@@ -12,9 +12,12 @@ like behaviour when they would cost more than 1000 node–hours.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core.policies import MitigationPolicy
 from repro.evaluation.report import format_metrics_table
 from repro.evaluation.runner import build_traces, evaluate_policy
 from repro.core.features import build_feature_tracks
@@ -25,6 +28,35 @@ UE_COST_RANGES = {
     "RL (100 <= UE cost < 1000)": (100.0, 1000.0),
     "RL (UE cost >= 1000 node-h)": (1000.0, 32000.0),
 }
+
+
+class _DrawnCostPolicy(MitigationPolicy):
+    """``policy`` shown a uniformly drawn potential UE cost at every event.
+
+    Each draw is seeded by ``(node, event_index, range_index)``, so a row
+    of the table is the same in every process and run.  Only the decisions
+    change: the confusion counts are read off the resulting mask.
+    """
+
+    def __init__(self, policy, low, high, range_index):
+        self.policy = policy
+        self.name = policy.name
+        self.low = low
+        self.high = high
+        self.range_index = range_index
+
+    def reset(self):
+        self.policy.reset()
+
+    def prepare_trace(self, features):
+        self.policy.prepare_trace(features)
+
+    def decide(self, context):
+        rng = np.random.default_rng(
+            (context.node, context.event_index, self.range_index)
+        )
+        drawn = float(rng.uniform(self.low, self.high))
+        return self.policy.decide(replace(context, ue_cost=drawn))
 
 
 @pytest.mark.benchmark(group="table2")
@@ -62,21 +94,11 @@ def test_table2_ml_metrics(benchmark, headline_experiment, scenario):
             traces = build_traces(
                 tracks, sampler, *last_split.test_range, seed=99
             )
-            for label, (low, high) in UE_COST_RANGES.items():
-                rng = np.random.default_rng(hash(label) % (2**31))
-                costs = {}
-
-                def cost_fn(trace, index, time, default, _rng=rng, _costs=costs, _low=low, _high=high):
-                    key = (trace.node, index)
-                    if key not in _costs:
-                        _costs[key] = float(_rng.uniform(_low, _high))
-                    return _costs[key]
-
+            for index, (label, (low, high)) in enumerate(UE_COST_RANGES.items()):
                 evaluation = evaluate_policy(
                     traces,
-                    result.final_rl_policy,
+                    _DrawnCostPolicy(result.final_rl_policy, low, high, index),
                     scenario.evaluation.mitigation_cost_node_hours,
-                    ue_cost_fn=cost_fn,
                     include_training_cost=False,
                 )
                 metrics[label] = evaluation.confusion

@@ -10,7 +10,7 @@ future); it exists only to quantify the room for improvement (Section 4.2).
 
 A policy answers that question through three methods:
 
-* :meth:`MitigationPolicy.decide` — one event; the scalar reference replay.
+* :meth:`MitigationPolicy.decide` — one event; the replay's fallback loop.
 * :meth:`MitigationPolicy.decide_rows` — any rows of the *panel* fixed by
   :meth:`MitigationPolicy.prepare_traces` (the replay's traces, their
   events concatenated in order); the batched offline replay asks for the
@@ -82,8 +82,8 @@ class MitigationPolicy(abc.ABC):
         entries at non-UE events equal what sequential :meth:`decide` calls
         would have returned under those costs (entries at UE events are
         ignored — the runner never consults the policy there), or ``None``
-        to decline, which sends the evaluation runner down the scalar
-        per-event path for the whole replay.  The base implementation
+        to decline, which makes the evaluation runner resolve the whole
+        replay with sequential :meth:`decide` calls instead.  The base implementation
         declines: policies that only implement :meth:`decide` keep working
         unchanged.
         """
@@ -125,12 +125,12 @@ class MitigationPolicy(abc.ABC):
         return out
 
     def reset(self) -> None:
-        """Called before each trace of the scalar replay (stateless by default)."""
+        """Called before each trace of the ``decide()`` loop (stateless by default)."""
 
     def prepare_trace(self, features: np.ndarray) -> None:
-        """Optional scalar-replay hook: pre-compute per-trace data.
+        """Optional ``decide()``-loop hook: pre-compute per-trace data.
 
-        The scalar reference replay calls this once per node trace, after
+        The runner's ``decide()`` loop calls this once per node trace, after
         :meth:`reset`, with the full ``(n_events, N_FEATURES)`` telemetry
         feature matrix, so that policies backed by batch predictors (the
         random forests) can vectorise their per-event :meth:`decide` work.
@@ -146,7 +146,7 @@ class MitigationPolicy(abc.ABC):
         and once with ``()`` afterwards, which releases whatever the policy
         cached.  Policies compute their per-row inputs here (one forest
         predict, one feature normalisation) and index them with ``rows``.
-        The scalar reference path never calls it.
+        The ``decide()`` loop never calls it.
         """
 
     @property

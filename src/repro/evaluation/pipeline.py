@@ -204,6 +204,8 @@ class ExperimentConfig:
         # data is prepared rather than inside a training task.
         check_positive("rl_episodes", self.rl_episodes)
         check_positive("rf_n_estimators", self.rf_n_estimators)
+        check_positive("rf_max_depth", self.rf_max_depth)
+        check_positive("threshold_grid_size", self.threshold_grid_size)
         if self.executor_kind not in EXECUTOR_KINDS:
             raise ValueError(
                 f"executor_kind must be one of {', '.join(EXECUTOR_KINDS)}, "

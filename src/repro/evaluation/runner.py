@@ -24,18 +24,20 @@ frontier cursor, each round asks one ``decide_rows`` call for the open
 speculative windows of all traces (and runs one segmented cost
 computation), and traces retire from the frontier as they finish — so the
 per-window Python and dispatch overhead is paid once per *round* instead of
-once per window.  Every floating-point operation is applied element-wise in
-the order of the historical scalar loop (totals fold with
-``np.add.accumulate``), so results are bit-identical; the scalar per-event
-path remains as the tested fallback for user-registered policies without
-``decide_rows`` (and for ``ue_cost_fn`` overrides, whose per-event
-callbacks cannot be batched).
+once per window.  A policy that declines ``decide_rows`` anywhere (a
+user-registered policy that only implements ``decide()``) gets its mask
+from one sequential ``decide()`` loop per trace instead, with the same
+mitigation-cost feedback.  Either way the replay resolves one decision
+mask, and one accounting scores it.  Every floating-point operation is
+applied element-wise in the order of the per-event reference replay
+(totals fold with ``np.add.accumulate``), so results are bit-identical to
+it; that replay is the oracle of ``tests/evaluation/replay_reference.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +49,6 @@ from repro.utils.rng import RngFactory
 from repro.utils.timeutils import DAY, HOUR
 from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.sampling import JobSequenceSampler, NodeJobTimeline
-
-#: Signature of an optional override of the potential UE cost used at each
-#: event: ``fn(trace, event_index, time, default_cost) -> cost``.
-UECostFn = Callable[["EvaluationTrace", int, float, float], float]
-
 
 @dataclass(frozen=True)
 class EvaluationTrace:
@@ -180,38 +177,20 @@ def build_traces(
     return traces
 
 
-@dataclass
-class _ReplayAccumulator:
-    """Counters and cost streams collected while replaying traces.
+@dataclass(frozen=True)
+class _ReplayTally:
+    """Counts and UE-cost total of one accounted replay (zero when empty).
 
-    The float totals are folded only at the end: per-event UE costs are
-    collected per trace (in event order) and left-folded with
-    ``np.add.accumulate``, which matches the scalar loop's running
-    ``total += cost`` additions bit for bit; the mitigation total is the
-    same fold of ``mitigation_cost`` repeated once per mitigation.
+    ``ue_cost`` left-folds the per-UE costs in panel order with
+    ``np.add.accumulate``, an exact ordered fold.
     """
 
     n_ues: int = 0
     n_mitigations: int = 0
-    n_no_actions: int = 0
+    n_decision_points: int = 0
     true_positives: int = 0
     n_ues_without_preceding_event: int = 0
-    n_decision_points: int = 0
-    ue_cost_chunks: List[np.ndarray] = field(default_factory=list)
-
-    def ue_cost_total(self) -> float:
-        if not self.ue_cost_chunks:
-            return 0.0
-        costs = np.concatenate(self.ue_cost_chunks)
-        if costs.size == 0:
-            return 0.0
-        return float(np.add.accumulate(costs)[-1])
-
-    def mitigation_cost_total(self, mitigation_cost: float) -> float:
-        if self.n_mitigations == 0:
-            return 0.0
-        repeated = np.full(self.n_mitigations, mitigation_cost)
-        return float(np.add.accumulate(repeated)[-1])
+    ue_cost: float = 0.0
 
 
 def _timeline_job_arrays(
@@ -265,7 +244,7 @@ def _decide_rows(
     """The policy's decisions at panel ``rows``, forced False at UE events.
 
     ``costs`` and ``is_ue`` are aligned with ``rows``.  Returns ``None``
-    when the policy declines, sending the caller down the scalar path.
+    when the policy declines, sending the caller down the ``decide()`` loop.
     """
     result = policy.decide_rows(rows, costs)
     if result is None:
@@ -290,10 +269,10 @@ _WALK_STATS = {"rounds": 0, "windows": 0, "retries": 0}
 #: Window-scheduling knobs of the lockstep walk.  Pure performance tuning:
 #: the resolved mask is the unique fixpoint of the confirm-prefix rule, so
 #: any window size or retry policy yields the same decisions (pinned by the
-#: scalar-vs-vector equivalence suite); only the number of rounds and the
-#: batched rows per round move.  ``_WALK_CHUNK`` is the fresh window width
-#: (doubled on fully consumed windows, reset at the next baseline-regime
-#: mitigation).  Partially consumed windows hand the unconfirmed suffix of
+#: equivalence suite against the per-event reference replay); only the
+#: number of rounds and the batched rows per round move.  ``_WALK_CHUNK``
+#: is the fresh window width (doubled on fully consumed windows, reset at
+#: the next baseline-regime mitigation).  Partially consumed windows hand the unconfirmed suffix of
 #: their observed decisions to the next window as its initial guess (a
 #: "seeded" window) — the informative part of a classical fixpoint retry
 #: without re-deciding the already-final prefix; seeds shorter than the
@@ -316,7 +295,7 @@ def reset_renewal_walk_stats() -> None:
 class _PanelArrays:
     """Panel-concatenated event arrays of one replay.
 
-    Built once per batched replay — the panel whose rows the policy's
+    Built once per replay — the panel whose rows the policy's
     ``decide_rows`` answers — and shared by the lockstep walk and the panel
     accounting; ``bounds[k]:bounds[k+1]`` is trace ``k``'s row range.
     ``candidates`` (the whole-panel decision mask under the no-mitigation
@@ -533,8 +512,8 @@ def _lockstep_walk(
 
     Returns the panel-concatenated resolved mask (sliced per trace by
     ``arrays.bounds``), or ``None`` when the policy declines a round — the
-    caller then replays the panel scalar (batch support is a property of
-    the policy, not of one trace).
+    caller then resolves the panel with the ``decide()`` loop (batch
+    support is a property of the policy, not of one trace).
     """
     trace_bounds = arrays.bounds
     ue_all = arrays.is_ue
@@ -623,7 +602,7 @@ def _lockstep_walk(
         if decisions_c is None:
             # The policy declined the round (its right under the
             # decide_rows contract): abandon the batch resolution and let
-            # the caller replay the panel scalar.
+            # the caller fall back to the decide() loop.
             return None
 
         # First divergence (and thus the consumed prefix) of every window
@@ -665,12 +644,11 @@ def _lockstep_walk(
 def _account_panel(
     arrays: _PanelArrays,
     mask_all: np.ndarray,
-    accumulator: _ReplayAccumulator,
     restartable: bool,
     prediction_window_seconds: float,
     mitigation_overhead_seconds: float,
-) -> None:
-    """Cost/metric accounting of a whole panel of resolved decision masks.
+) -> _ReplayTally:
+    """Cost/metric accounting of a whole panel's resolved decision mask.
 
     Reconstructs, for every event, the last mitigation that survives up to
     it (a mitigation is forgotten at the next UE — the node reboots) from
@@ -679,11 +657,10 @@ def _account_panel(
     forward-filled global mitigation/UE positions at each trace's first
     row reproduces the per-trace "no previous mitigation/UE" states
     exactly (positions from earlier traces are always below it), and the
-    single UE-cost chunk appended at the end is the per-trace chunks
-    concatenated in trace order — so the accumulator's left-folded totals
-    are bit-identical to per-trace accounting (and to the scalar event
-    loop).  Only the classical ML metrics (searchsorted range counts over
-    each trace's own sorted times) stay per trace.
+    per-UE costs come out in trace order — so the left-folded total is
+    bit-identical to the per-event reference replay's.  Only the classical
+    ML metrics (searchsorted range counts over each trace's own sorted
+    times) stay per trace.
     """
     bounds = arrays.bounds
     lengths = np.diff(bounds)
@@ -695,16 +672,14 @@ def _account_panel(
 
     ue_pos_global = np.flatnonzero(ue_all)
     mit_pos_global = np.flatnonzero(mask_all)
-    n_ues_total = int(ue_pos_global.size)
-    n_mit_total = int(mit_pos_global.size)
-    accumulator.n_ues += n_ues_total
-    accumulator.n_mitigations += n_mit_total
-    accumulator.n_decision_points += n_total - n_ues_total
-    accumulator.n_no_actions += (n_total - n_ues_total) - n_mit_total
-    if n_ues_total == 0:
-        return
+    n_ues = int(ue_pos_global.size)
+    n_mitigations = int(mit_pos_global.size)
+    if n_ues == 0:
+        return _ReplayTally(
+            n_mitigations=n_mitigations, n_decision_points=n_total
+        )
 
-    if restartable and n_mit_total:
+    if restartable and n_mitigations:
         positions = np.arange(n_total, dtype=np.int64)
         trace_start_row = np.repeat(bounds[:-1], lengths)
         previous_mit = np.concatenate(
@@ -724,7 +699,7 @@ def _account_panel(
         costs_all = (
             job_nodes_all * np.maximum(0.0, times_all - job_start_all) / HOUR
         )
-    accumulator.ue_cost_chunks.append(costs_all[ue_pos_global])
+    ue_costs = costs_all[ue_pos_global]
 
     # Classical ML metrics: each trace's searchsorted range counts run over
     # its own (sorted) times, so they stay per trace — sliced out of the
@@ -733,6 +708,8 @@ def _account_panel(
     ue_hi = np.searchsorted(ue_pos_global, bounds[1:], side="left")
     mit_lo = np.searchsorted(mit_pos_global, bounds[:-1], side="left")
     mit_hi = np.searchsorted(mit_pos_global, bounds[1:], side="left")
+    true_positives = 0
+    n_unpreceded = 0
     for k in range(bounds.size - 1):
         if ue_hi[k] == ue_lo[k]:
             continue
@@ -750,7 +727,7 @@ def _account_panel(
         low = np.searchsorted(mitigation_times, window_start, side="left")
         high = np.searchsorted(mitigation_times, latest_complete, side="right")
         completed = np.minimum(high, visible) > low
-        accumulator.true_positives += int(np.count_nonzero(completed))
+        true_positives += int(np.count_nonzero(completed))
 
         non_ue_before = np.concatenate(
             [[0], np.add.accumulate((~is_ue).astype(np.int64))]
@@ -760,34 +737,36 @@ def _account_panel(
         upper = np.minimum(first_at_time, ue_positions)
         lower = np.minimum(first_in_window, upper)
         preceding = non_ue_before[upper] - non_ue_before[lower]
-        accumulator.n_ues_without_preceding_event += int(
-            np.count_nonzero(preceding == 0)
-        )
+        n_unpreceded += int(np.count_nonzero(preceding == 0))
+    return _ReplayTally(
+        n_ues=n_ues,
+        n_mitigations=n_mitigations,
+        n_decision_points=n_total - n_ues,
+        true_positives=true_positives,
+        n_ues_without_preceding_event=n_unpreceded,
+        ue_cost=float(np.add.accumulate(ue_costs)[-1]),
+    )
 
 
 def _resolve_panel_masks(
-    traces: Sequence[EvaluationTrace],
-    policy: MitigationPolicy,
-    restartable: bool,
-) -> Optional[Tuple[_PanelArrays, np.ndarray]]:
+    arrays: _PanelArrays, policy: MitigationPolicy, restartable: bool
+) -> Optional[np.ndarray]:
     """Resolve the panel's final decision mask through the batched core.
 
-    This is the whole vectorized decision pipeline minus the accounting:
-    one ``decide_rows`` call over every row of the panel under the
+    One ``decide_rows`` call over every row of the panel under the
     no-mitigation cost baseline — the final mask for cost-independent
     policies and under ``restartable=False``, else the candidate mask the
     lockstep renewal walk starts from.  Callers must have called
-    ``policy.prepare_traces(traces)`` on the non-empty ``traces``
-    beforehand (and are responsible for releasing the panel afterwards).
+    ``policy.prepare_traces`` on the panel's traces beforehand (and are
+    responsible for releasing the panel afterwards).
 
-    Returns ``(arrays, resolved)`` where ``resolved`` is the
-    panel-concatenated final mask (``arrays.bounds`` slices it per trace),
-    or ``None`` when the policy declines anywhere — batch support is a
-    property of the policy, not of one trace, so the caller falls back to
-    the scalar path wholesale.  Every per-event cost is computed with the
-    same element-wise operations as ``NodeJobTimeline.potential_ue_cost``.
+    Returns the panel-concatenated final mask (``arrays.bounds`` slices it
+    per trace), or ``None`` when the policy declines anywhere — batch
+    support is a property of the policy, not of one trace, so the caller
+    falls back to the ``decide()`` loop wholesale.  Every per-event cost is
+    computed with the same element-wise operations as
+    ``NodeJobTimeline.potential_ue_cost``.
     """
-    arrays = _panel_arrays(traces)
     base_costs = (
         arrays.job_nodes * np.maximum(0.0, arrays.times - arrays.job_start) / HOUR
     )
@@ -796,133 +775,81 @@ def _resolve_panel_masks(
     if arrays.candidates is None:
         return None
     if policy.cost_dependent and restartable:
-        resolved = _lockstep_walk(arrays, policy)
-        if resolved is None:
-            return None
-    else:
-        resolved = arrays.candidates
-    return arrays, resolved
+        return _lockstep_walk(arrays, policy)
+    return arrays.candidates
+
+
+def _decide_trace(
+    trace: EvaluationTrace, policy: MitigationPolicy, restartable: bool
+) -> np.ndarray:
+    """One trace's decision mask from sequential ``decide()`` calls.
+
+    The fallback for policies that decline ``decide_rows``: each event sees
+    the potential UE cost under the trace's own running last mitigation
+    (forgotten at every UE, where the node reboots).
+    """
+    policy.reset()
+    policy.prepare_trace(trace.features)
+    mask = np.zeros(len(trace), dtype=bool)
+    last_mitigation: Optional[float] = None
+    for i in range(len(trace)):
+        t = float(trace.times[i])
+        if trace.is_ue[i]:
+            last_mitigation = None
+            continue
+        cost = trace.timeline.potential_ue_cost(t, last_mitigation, restartable)
+        context = DecisionContext(
+            time=t,
+            node=trace.node,
+            features=trace.features[i],
+            ue_cost=cost,
+            is_last_event_before_ue=bool(trace.is_last_before_ue[i]),
+            event_index=i,
+        )
+        if policy.decide(context):
+            mask[i] = True
+            last_mitigation = t
+    return mask
+
+
+def _replay_mask(
+    traces: Sequence[EvaluationTrace], policy: MitigationPolicy, restartable: bool
+) -> Tuple[_PanelArrays, np.ndarray]:
+    """The (non-empty) panel and the one decision mask a replay resolves.
+
+    The batched core answers when the policy supports it; a decline
+    anywhere sends the whole replay through :func:`_decide_trace`.
+    """
+    arrays = _panel_arrays(traces)
+    policy.prepare_traces(traces)
+    mask = _resolve_panel_masks(arrays, policy, restartable)
+    # Release the policy's panel so a policy kept alive in the results
+    # does not pin this replay's trace data.
+    policy.prepare_traces(())
+    if mask is None:
+        mask = np.concatenate(
+            [_decide_trace(trace, policy, restartable) for trace in traces]
+        )
+    return arrays, mask
 
 
 def replay_decision_masks(
     traces: Sequence[EvaluationTrace],
     policy: MitigationPolicy,
     restartable: bool = True,
-    vectorized: bool = True,
 ) -> List[np.ndarray]:
     """Per-trace decision masks of a replay — what ``evaluate_policy`` accounts.
 
     Returns one boolean array per trace (aligned with ``traces``), True where
     the policy triggers a mitigation; entries at UE events are always False.
     This is the *offline reference* the online serving equivalence is tested
-    against: the masks come from the same candidate/lockstep machinery as
-    ``evaluate_policy`` (or, with ``vectorized=False`` or when the policy
-    declines batching, from the same sequential ``decide()`` replay with
-    mitigation-cost feedback), so they are bit-identical to the decisions an
-    evaluation of the same panel charges.
+    against: ``evaluate_policy`` scores exactly these masks (batched, or
+    from the ``decide()`` loop when the policy declines batching).
     """
     if not traces:
         return []
-    if vectorized:
-        policy.prepare_traces(traces)
-        resolution = _resolve_panel_masks(traces, policy, restartable)
-        policy.prepare_traces(())
-        if resolution is not None:
-            arrays, resolved = resolution
-            return np.split(resolved, arrays.bounds[1:-1])
-    masks: List[np.ndarray] = []
-    for trace in traces:
-        policy.reset()
-        policy.prepare_trace(trace.features)
-        mask = np.zeros(len(trace), dtype=bool)
-        last_mitigation: Optional[float] = None
-        for i in range(len(trace)):
-            t = float(trace.times[i])
-            if trace.is_ue[i]:
-                last_mitigation = None
-                continue
-            cost = trace.timeline.potential_ue_cost(t, last_mitigation, restartable)
-            context = DecisionContext(
-                time=t,
-                node=trace.node,
-                features=trace.features[i],
-                ue_cost=cost,
-                is_last_event_before_ue=bool(trace.is_last_before_ue[i]),
-                event_index=i,
-            )
-            if policy.decide(context):
-                mask[i] = True
-                last_mitigation = t
-        masks.append(mask)
-    return masks
-
-
-def _replay_scalar(
-    trace: EvaluationTrace,
-    policy: MitigationPolicy,
-    accumulator: _ReplayAccumulator,
-    restartable: bool,
-    prediction_window_seconds: float,
-    mitigation_overhead_seconds: float,
-    ue_cost_fn: Optional[UECostFn],
-) -> None:
-    """Reference per-event replay of one trace (the decide() fallback path)."""
-    last_mitigation: Optional[float] = None
-    mitigation_times: List[float] = []
-    ue_costs: List[float] = []
-
-    for i in range(len(trace)):
-        t = float(trace.times[i])
-        default_cost = trace.timeline.potential_ue_cost(
-            t, last_mitigation, restartable
-        )
-        if ue_cost_fn is not None:
-            cost_now = float(ue_cost_fn(trace, i, t, default_cost))
-        else:
-            cost_now = default_cost
-
-        if trace.is_ue[i]:
-            accumulator.n_ues += 1
-            ue_costs.append(cost_now)
-            # Classical ML metrics bookkeeping (Section 4.4).
-            window_start = t - prediction_window_seconds
-            completed = [
-                m
-                for m in mitigation_times
-                if window_start <= m <= t - mitigation_overhead_seconds
-            ]
-            has_preceding_event = bool(
-                np.any(
-                    (~trace.is_ue[:i])
-                    & (trace.times[:i] >= window_start)
-                    & (trace.times[:i] < t)
-                )
-            )
-            if completed:
-                accumulator.true_positives += 1
-            if not has_preceding_event:
-                accumulator.n_ues_without_preceding_event += 1
-            # The node is rebooted after the UE; the next job starts fresh.
-            last_mitigation = None
-            continue
-
-        accumulator.n_decision_points += 1
-        context = DecisionContext(
-            time=t,
-            node=trace.node,
-            features=trace.features[i],
-            ue_cost=cost_now,
-            is_last_event_before_ue=bool(trace.is_last_before_ue[i]),
-            event_index=i,
-        )
-        if policy.decide(context):
-            accumulator.n_mitigations += 1
-            mitigation_times.append(t)
-            last_mitigation = t
-        else:
-            accumulator.n_no_actions += 1
-
-    accumulator.ue_cost_chunks.append(np.asarray(ue_costs, dtype=np.float64))
+    arrays, mask = _replay_mask(traces, policy, restartable)
+    return np.split(mask, arrays.bounds[1:-1])
 
 
 def evaluate_policy(
@@ -933,10 +860,11 @@ def evaluate_policy(
     prediction_window_seconds: float = DAY,
     mitigation_overhead_seconds: Optional[float] = None,
     include_training_cost: bool = True,
-    ue_cost_fn: Optional[UECostFn] = None,
-    vectorized: bool = True,
 ) -> PolicyEvaluation:
     """Replay ``policy`` over ``traces`` and account costs and metrics.
+
+    The replay resolves one decision mask over the traces (see
+    :func:`replay_decision_masks`) and scores it with one segmented scan.
 
     Parameters
     ----------
@@ -957,17 +885,6 @@ def evaluate_policy(
         time on a single node.
     include_training_cost:
         Whether to charge ``policy.training_cost_node_hours`` to the total.
-    ue_cost_fn:
-        Optional override of the potential UE cost seen at each event (used
-        by the Table 2 UE-cost-range analysis); receives the trace, event
-        index, event time and the default timeline-derived cost.  Forces the
-        scalar path: an arbitrary per-event callback cannot be batched.
-    vectorized:
-        Use the batched decision core for policies implementing
-        ``decide_rows`` (the default).  ``False`` forces the per-event
-        reference path for every policy — results are identical either way
-        (the equivalence suite pins this); the flag exists for A/B
-        measurement and debugging.
     """
     check_non_negative("mitigation_cost", mitigation_cost)
     check_positive("prediction_window_seconds", prediction_window_seconds)
@@ -975,76 +892,48 @@ def evaluate_policy(
         mitigation_overhead_seconds = mitigation_cost * 3600.0
     check_non_negative("mitigation_overhead_seconds", mitigation_overhead_seconds)
 
-    accumulator = _ReplayAccumulator()
-    # Batched replay asks the policy for the whole panel's rows at the
-    # no-mitigation baseline costs, resolves the cost-feedback renewal walk
-    # over the panel in lockstep where needed, and accounts the resolved
-    # mask.  A decline anywhere — batch support is a property of the
-    # policy, not of one trace — falls back wholesale: the whole replay
-    # re-runs through the scalar reference path, so the per-trace hook
-    # sequence and the order of the cost folds stay exactly those of
-    # ``vectorized=False``.
-    resolution = None
-    if vectorized and ue_cost_fn is None and traces:
-        policy.prepare_traces(traces)
-        resolution = _resolve_panel_masks(traces, policy, restartable)
-        # Release the policy's panel so a policy kept alive in the results
-        # does not pin this replay's trace data.
-        policy.prepare_traces(())
-    if resolution is not None:
-        arrays, resolved = resolution
-        _account_panel(
+    tally = _ReplayTally()
+    if traces:
+        arrays, mask = _replay_mask(traces, policy, restartable)
+        tally = _account_panel(
             arrays,
-            resolved,
-            accumulator,
+            mask,
             restartable,
             prediction_window_seconds,
             mitigation_overhead_seconds,
         )
-    else:
-        for trace in traces:
-            policy.reset()
-            policy.prepare_trace(trace.features)
-            _replay_scalar(
-                trace,
-                policy,
-                accumulator,
-                restartable,
-                prediction_window_seconds,
-                mitigation_overhead_seconds,
-                ue_cost_fn,
-            )
 
-    n_ues = accumulator.n_ues
-    n_mitigations = accumulator.n_mitigations
-    true_positives = accumulator.true_positives
-    false_negatives = n_ues - true_positives
-    false_positives = n_mitigations - true_positives
+    n_mitigations = tally.n_mitigations
+    true_positives = tally.true_positives
+    false_negatives = tally.n_ues - true_positives
     non_mitigations = (
-        accumulator.n_no_actions + accumulator.n_ues_without_preceding_event
+        tally.n_decision_points - n_mitigations + tally.n_ues_without_preceding_event
     )
-    true_negatives = max(0, non_mitigations - false_negatives)
+    mitigation_total = 0.0
+    if n_mitigations:
+        repeated = np.full(n_mitigations, mitigation_cost)
+        mitigation_total = float(np.add.accumulate(repeated)[-1])
 
     training_cost = policy.training_cost_node_hours if include_training_cost else 0.0
     costs = CostBreakdown(
-        ue_cost=accumulator.ue_cost_total(),
-        mitigation_cost=accumulator.mitigation_cost_total(mitigation_cost),
+        ue_cost=tally.ue_cost,
+        mitigation_cost=mitigation_total,
         training_cost=training_cost,
-        n_ues=n_ues,
+        n_ues=tally.n_ues,
         n_mitigations=n_mitigations,
     )
     confusion = ConfusionCounts(
         true_positives=true_positives,
         false_negatives=false_negatives,
-        false_positives=false_positives,
-        true_negatives=true_negatives,
+        false_positives=n_mitigations - true_positives,
+        true_negatives=max(0, non_mitigations - false_negatives),
     )
     return PolicyEvaluation(
         policy_name=policy.name,
         costs=costs,
         confusion=confusion,
         n_traces=len(traces),
-        n_decision_points=accumulator.n_decision_points,
+        n_decision_points=tally.n_decision_points,
     )
 
 

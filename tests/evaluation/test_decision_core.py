@@ -1,15 +1,16 @@
-"""Equivalence suite: the vectorized decision core vs the scalar replay.
+"""Equivalence suite: the replay runner vs the per-event reference oracle.
 
-``evaluate_policy(vectorized=True)`` — batched ``decide_rows`` decisions
-over the replay panel plus the segmented-scan cost accounting (and, for
-cost-dependent policies under restartable jobs, the speculative renewal
-walk) — must produce *identical* ``PolicyEvaluation`` objects to the
-per-event reference path for every built-in policy, over generated traces,
-all restartable/cost combinations.  The vectorized run of a built-in fails
+``evaluate_policy`` — batched ``decide_rows`` decisions over the replay
+panel (and, for cost-dependent policies under restartable jobs, the
+speculative renewal walk), scored by the segmented-scan accounting — must
+produce *identical* ``PolicyEvaluation`` objects to the per-event replay of
+``replay_reference.py`` for every built-in policy, over generated traces,
+all restartable/cost combinations.  The runner's replay of a built-in fails
 if it calls ``decide``, so a ``decide_rows`` that wrongly declined (and
-sent the replay down the scalar fallback) cannot pass.  Policies without
-``decide_rows`` (user-registered customs) must silently take the scalar
-path and still work, including through the approach registry.
+sent the replay down the ``decide()`` loop) cannot pass.  Policies without
+``decide_rows`` (user-registered customs) must silently take the
+``decide()`` loop, be scored by the same accounting and still match the
+oracle, including through the approach registry.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from repro.evaluation.pipeline import ExperimentConfig
 from repro.evaluation.registry import ApproachSpec, register_approach, unregister_approach
 from repro.evaluation.runner import build_traces, evaluate_policy
 from repro.telemetry.topology import FleetSegment
-from repro.utils.timeutils import DAY
+from repro.utils.timeutils import DAY, HOUR
+
+from .replay_reference import assert_matches_reference, evaluate_policy_reference
 
 
 @pytest.fixture(scope="module")
@@ -94,23 +97,18 @@ def _decide_forbidden(policy):
 def _assert_paths_identical(
     traces, policy, mitigation_cost, restartable, batched=True, **kwargs
 ):
-    """Scalar and vectorized replays agree; ``batched`` forbids ``decide``
-    during the vectorized one (the policy must answer through
-    ``decide_rows``)."""
-    scalar = evaluate_policy(
-        traces, policy, mitigation_cost, restartable=restartable,
-        vectorized=False, **kwargs,
+    """The runner's replay matches the per-event oracle bit for bit;
+    ``batched`` forbids ``decide`` during the runner's replay (the policy
+    must answer through ``decide_rows``)."""
+    reference = evaluate_policy_reference(
+        traces, policy, mitigation_cost, restartable=restartable, **kwargs
     )
     with _decide_forbidden(policy) if batched else nullcontext():
-        vectorized = evaluate_policy(
-            traces, policy, mitigation_cost, restartable=restartable,
-            vectorized=True, **kwargs,
+        evaluation = evaluate_policy(
+            traces, policy, mitigation_cost, restartable=restartable, **kwargs
         )
-    assert scalar.costs == vectorized.costs, policy.name
-    assert scalar.confusion == vectorized.confusion, policy.name
-    assert scalar.n_decision_points == vectorized.n_decision_points
-    assert scalar.n_traces == vectorized.n_traces
-    return scalar
+    assert_matches_reference(reference, evaluation)
+    return reference
 
 
 class TestScalarVectorEquivalence:
@@ -160,20 +158,6 @@ class TestScalarVectorEquivalence:
         policy = _rl_policy(_CostScaledNormalizer(), seed=29, mitigate_bias=1.0)
         result = _assert_paths_identical(traces, policy, 2 / 60.0, restartable)
         assert 0 < result.costs.n_mitigations < result.n_decision_points
-
-    def test_ue_cost_fn_forces_the_scalar_path(self, traces):
-        """A per-event cost override cannot be batched; both flags agree."""
-        def double_cost(trace, index, time, default):
-            return 2.0 * default
-
-        _assert_paths_identical(
-            traces,
-            AlwaysMitigatePolicy(),
-            2 / 60.0,
-            True,
-            batched=False,
-            ue_cost_fn=double_cost,
-        )
 
     @pytest.mark.parametrize("restartable", [True, False])
     def test_fleet_mix(self, scenario, traces, sc20_policy, restartable):
@@ -233,7 +217,7 @@ class _ThresholdOnCostPolicy(MitigationPolicy):
 class TestScalarFallback:
     @pytest.mark.parametrize("restartable", [True, False])
     def test_decide_only_policy_evaluates_identically(self, traces, restartable):
-        """vectorized=True silently falls back and changes nothing."""
+        """The ``decide()`` loop's mask, scored by the panel accounting."""
         for policy in (
             _ThresholdOnCostPolicy(5.0),
             CallablePolicy(lambda ctx: ctx.event_index % 3 == 0, name="every-3rd"),
@@ -241,6 +225,28 @@ class TestScalarFallback:
             _assert_paths_identical(
                 traces, policy, 2 / 60.0, restartable, batched=False
             )
+
+    @pytest.mark.parametrize("restartable", [True, False])
+    def test_decide_only_cost_rule_matches_the_oracle(self, traces, restartable):
+        """A ``decide()``-only rule on ``ctx.ue_cost``: under restartable
+        jobs its own mitigations lower the costs it reads, and a long
+        overhead leaves mitigations incomplete at the UE they precede —
+        costs, UE totals and confusion counts must still match the oracle
+        bit for bit, under a short and a long overhead."""
+        policy = CallablePolicy(lambda ctx: ctx.ue_cost > 20.0, name="cost>20")
+        short, long = (
+            _assert_paths_identical(
+                traces,
+                policy,
+                2 / 60.0,
+                restartable,
+                batched=False,
+                mitigation_overhead_seconds=overhead,
+            )
+            for overhead in (120.0, 6 * HOUR)
+        )
+        assert 0 < short.costs.n_mitigations < short.n_decision_points
+        assert 0 < long.confusion.true_positives < short.confusion.true_positives
 
     def test_decide_rows_declines_on_base_class(self):
         policy = _ThresholdOnCostPolicy(1.0)
@@ -251,8 +257,9 @@ class TestScalarFallback:
         self, traces, restartable
     ):
         """A cost-dependent policy that declines all but whole-panel row
-        requests must abort the renewal walk mid-panel and re-replay scalar
-        — not have its ``None`` coerced into all-False decisions."""
+        requests must abort the renewal walk mid-panel and fall back to the
+        ``decide()`` loop — not have its ``None`` coerced into all-False
+        decisions."""
 
         class _FullTraceOnly(MitigationPolicy):
             name = "full-trace-only"
@@ -275,8 +282,7 @@ class TestScalarFallback:
 
     def test_registry_registered_custom_policy_runs_through_experiment(self):
         """A registered approach without decide_rows completes an
-        experiment via the scalar fallback and matches a directly computed
-        scalar evaluation."""
+        experiment via the ``decide()`` loop."""
         spec = register_approach(
             ApproachSpec(
                 name="Cost-threshold",

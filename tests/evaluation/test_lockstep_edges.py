@@ -4,10 +4,10 @@ The walk resolves every cost-feedback trace of the panel in rounds of one
 ``decide_rows`` call each; these tests pin the panel shapes that stress
 its frontier bookkeeping — empty traces, single-event traces, wildly mixed
 lengths, guesses that diverge every round — plus the decline contract: a
-policy without window support falls back to the scalar path for *that
-policy's* replay while batch-capable policies keep the lockstep path.
-Every case asserts the vectorized replay is identical to the scalar
-reference.
+policy without window support falls back to the ``decide()`` loop for
+*that policy's* replay while batch-capable policies keep the lockstep path.
+Every case asserts the runner's replay is identical, bit for bit, to the
+per-event oracle of ``replay_reference.py``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from repro.evaluation.runner import (
     reset_renewal_walk_stats,
 )
 from repro.utils.rng import RngFactory
+
+from .replay_reference import assert_matches_reference, evaluate_policy_reference
 
 MITIGATION_COST = 2 / 60.0
 
@@ -72,7 +74,7 @@ class _InverseCostPolicy(MitigationPolicy):
 
 
 class _NoBatchCostPolicy(MitigationPolicy):
-    """Cost-feedback policy without decide_rows: scalar fallback only."""
+    """Cost-feedback policy without decide_rows: ``decide()`` loop only."""
 
     name = "no-batch"
     cost_dependent = True
@@ -117,16 +119,14 @@ def _mixed_panel(job_sampler):
 
 
 def _assert_identical(traces, policy, restartable=True):
-    scalar = evaluate_policy(
-        traces, policy, MITIGATION_COST, restartable=restartable, vectorized=False
+    reference = evaluate_policy_reference(
+        traces, policy, MITIGATION_COST, restartable=restartable
     )
-    vector = evaluate_policy(
-        traces, policy, MITIGATION_COST, restartable=restartable, vectorized=True
+    evaluation = evaluate_policy(
+        traces, policy, MITIGATION_COST, restartable=restartable
     )
-    assert scalar.costs == vector.costs, policy.name
-    assert scalar.confusion == vector.confusion, policy.name
-    assert scalar.n_decision_points == vector.n_decision_points
-    return vector
+    assert_matches_reference(reference, evaluation)
+    return evaluation
 
 
 class TestLockstepEdgeCases:
@@ -182,13 +182,13 @@ class TestDeclinePerPolicy:
         self, job_sampler
     ):
         """Batch support is per policy: a decline sends only that policy's
-        replay down the scalar path; the next batch-capable policy still
-        takes the lockstep walk."""
+        replay down the ``decide()`` loop; the next batch-capable policy
+        still takes the lockstep walk."""
         traces = _mixed_panel(job_sampler)
 
         reset_renewal_walk_stats()
         _assert_identical(traces, _NoBatchCostPolicy(1.0))
-        assert renewal_walk_stats()["rounds"] == 0  # scalar fallback: no walk
+        assert renewal_walk_stats()["rounds"] == 0  # decide() loop: no walk
 
         reset_renewal_walk_stats()
         _assert_identical(traces, _CostThresholdBatchPolicy(1.0))
@@ -197,7 +197,7 @@ class TestDeclinePerPolicy:
     def test_mid_walk_decline_aborts_to_scalar(self, job_sampler):
         """A policy that answers the whole panel but declines the walk's
         partial row sets makes the walk abort mid-panel; the wholesale
-        fallback must reproduce the scalar results exactly."""
+        ``decide()`` fallback must reproduce the oracle exactly."""
 
         class _WholePanelOnly(_CostThresholdBatchPolicy):
             name = "whole-panel-only"

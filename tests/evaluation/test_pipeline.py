@@ -60,6 +60,10 @@ class TestConfigValidation:
             ({"rl_episodes": -3}, "rl_episodes"),
             ({"rl_episodes": 0}, "rl_episodes"),
             ({"rf_n_estimators": 0}, "rf_n_estimators"),
+            ({"rf_max_depth": 0}, "rf_max_depth"),
+            ({"rf_max_depth": -1}, "rf_max_depth"),
+            ({"threshold_grid_size": 0}, "threshold_grid_size"),
+            ({"threshold_grid_size": -1}, "threshold_grid_size"),
             ({"executor_kind": "gpu"}, "executor_kind"),
         ],
     )

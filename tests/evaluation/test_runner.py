@@ -137,15 +137,6 @@ class TestEvaluatePolicy:
         assert with_cost.costs.training_cost == 5.0
         assert without.costs.training_cost == 0.0
 
-    def test_ue_cost_fn_override(self, traces):
-        result = evaluate_policy(
-            traces,
-            NeverMitigatePolicy(),
-            mitigation_cost=0.033,
-            ue_cost_fn=lambda trace, i, t, default: 7.0,
-        )
-        assert result.costs.ue_cost == pytest.approx(7.0)
-
     def test_mitigation_must_complete_before_ue(self, traces):
         # A policy that mitigates only on the very last event before the UE
         # with an overhead longer than the gap gets no credit (FN), although

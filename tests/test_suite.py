@@ -96,6 +96,10 @@ class TestSchemaErrors:
         "negative-cost": "scenarios: {a: {axes: {mitigation_costs: [-2]}}}",
         "zero-job-scale": "scenarios: {a: {axes: {job_scales: [0]}}}",
         "bad-experiment-value": "scenarios: {a: {experiment: {rl_episodes: -3}}}",
+        "zero-threshold-grid": (
+            "scenarios: {a: {experiment: {threshold_grid_size: 0}}}"
+        ),
+        "zero-rf-depth": "scenarios: {a: {experiment: {rf_max_depth: 0}}}",
         "bad-executor-kind": "scenarios: {a: {experiment: {executor_kind: gpu}}}",
     }
 
@@ -158,6 +162,18 @@ class TestValidateCli:
         assert err.startswith("error:")
         assert "\n" not in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("threshold_grid_size", 0), ("threshold_grid_size", -1), ("rf_max_depth", 0)],
+    )
+    def test_bad_experiment_value_exits_nonzero(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.yaml"
+        path.write_text(f"scenarios: {{a: {{experiment: {{{field}: {value}}}}}}}")
+        assert main(["suite", str(path), "--validate"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and field in err
+        assert "\n" not in err
 
     def test_example_suite_validates(self, capsys):
         from pathlib import Path
