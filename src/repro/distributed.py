@@ -263,9 +263,11 @@ def run_sweep_worker(
     their owners.
 
     ``compute_fn(scenario, config, cache)`` substitutes the per-point
-    computation (default: :func:`~repro.evaluation.experiment.run_experiment`)
-    — a test hook for exercising the coordination protocol without
-    training anything.
+    computation — a test hook for exercising the coordination protocol
+    without training anything.  The default,
+    :func:`~repro.evaluation.experiment.run_experiment`, is the one-point
+    :func:`~repro.evaluation.sweep.run_sweep` of the claimed point, so a
+    claimed point runs the same execution body as every other entry point.
 
     Returns a :class:`WorkerOutcome`; the claim metrics in it are what the
     exactly-once tests assert (summed over workers: ``computed`` counts

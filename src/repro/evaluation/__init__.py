@@ -5,8 +5,9 @@ scenario engine that reproduces the paper's figures and tables.
 The engine is layered: a pluggable approach :mod:`registry
 <repro.evaluation.registry>`, a staged :mod:`pipeline
 <repro.evaluation.pipeline>` of pure functions, and a parallel
-:mod:`executor <repro.evaluation.executor>` — composed by the thin
-:mod:`experiment <repro.evaluation.experiment>` driver.
+:mod:`executor <repro.evaluation.executor>` — composed by the :mod:`sweep
+<repro.evaluation.sweep>` engine, of which the :mod:`experiment
+<repro.evaluation.experiment>` driver is the one-point view.
 
 This package re-exports the *public* evaluation surface: configs, result
 types, the ``run_experiment`` / ``run_sweep`` entry points, the approach

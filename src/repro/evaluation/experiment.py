@@ -1,6 +1,8 @@
 """End-to-end experiment driver reproducing the paper's evaluation.
 
-The driver is a thin orchestrator over three explicit layers:
+An experiment is the one-point sweep of its scenario: :func:`run_experiment`
+is a view over :func:`repro.evaluation.sweep.run_sweep`, the only body that
+turns scenarios into results.  That body composes three explicit layers:
 
 :mod:`repro.evaluation.registry`
     A pluggable registry of the approaches under evaluation (Section 4.2).
@@ -17,9 +19,9 @@ The driver is a thin orchestrator over three explicit layers:
     split's models are trained), and ``aggregate`` (the
     :class:`ExperimentResult` behind Figures 3, 4, 5, 7 and Table 2).
 :mod:`repro.evaluation.executor`
-    A dependency-aware task runner.  :func:`run_experiment` schedules the
-    task graph of :func:`~repro.evaluation.pipeline.build_split_tasks` and
-    runs it on a process pool when ``ExperimentConfig.n_workers > 1``.
+    A dependency-aware task runner.  The sweep schedules the task graph of
+    :func:`~repro.evaluation.pipeline.build_split_tasks` and runs it on a
+    process pool when ``ExperimentConfig.n_workers > 1``.
     Every task seeds its own random streams from keyed
     :class:`~repro.utils.rng.RngFactory` streams, so parallel and serial
     schedules produce identical results (set
@@ -33,25 +35,18 @@ re-exported :class:`ExperimentConfig`, :class:`ExperimentResult` and
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Tuple
 
 from repro.config import ScenarioConfig
-from repro.evaluation.executor import ExecutorStats
 from repro.evaluation.pipeline import (
     ApproachResult,
     ExperimentConfig,
     ExperimentResult,
     PreparedDataCache,
-    aggregate,
-    build_split_tasks,
-    execute_split_tasks,
-    make_splits,
-    prepare_data,
 )
 from repro.evaluation.registry import approach_order
+from repro.evaluation.sweep import SweepSpec, run_sweep
 from repro.telemetry.error_log import ErrorLog
-from repro.utils.profiling import StageProfiler
 from repro.workload.job import JobLog
 
 __all__ = [
@@ -85,38 +80,19 @@ def run_experiment(
 
     ``cache`` optionally serves the prepared data from a
     :class:`~repro.evaluation.pipeline.PreparedDataCache` (with whatever
-    sharing and disk-spill behaviour that cache is configured for) instead
-    of always rebuilding it, and reuses the SC20 forests it holds for this
-    telemetry (fitting only the missing ones, which it then keeps); results
-    are identical either way.
-    """
-    config = config or ExperimentConfig()
-    started = time.perf_counter()
-    profiler = StageProfiler(enabled=config.profile)
+    sharing and disk-spill behaviour that cache is configured for) and
+    reuses the SC20 forests it holds for this telemetry (fitting only the
+    missing ones, which it then keeps).  Without one, the run uses a fresh
+    cache of its own and leaves no process-wide state behind; results are
+    identical either way.
 
-    with profiler.stage("prepare_data"):
-        if cache is not None:
-            prepared = cache.get(
-                scenario, config, error_log=error_log, job_log=job_log
-            )
-        else:
-            prepared = prepare_data(
-                scenario, config, error_log=error_log, job_log=job_log
-            )
-        splits = make_splits(scenario)
-    with profiler.stage("execute_tasks"):
-        tasks = build_split_tasks(prepared, splits, config)
-        stats = ExecutorStats()
-        outcomes = execute_split_tasks(tasks, config, prepared, stats, cache)
-    with profiler.stage("aggregate"):
-        result = aggregate(
-            prepared,
-            splits,
-            outcomes,
-            config,
-            wallclock_seconds=time.perf_counter() - started,
-        )
-    result.executor_stats = stats
-    if config.profile:
-        result.extras["profile"] = profiler.report()
-    return result
+    The run is the one-point :func:`~repro.evaluation.sweep.run_sweep` of
+    ``scenario`` (see :meth:`~repro.evaluation.sweep.SweepResult.only_point`).
+    """
+    return run_sweep(
+        SweepSpec(base=scenario),
+        config,
+        cache=cache if cache is not None else PreparedDataCache(),
+        error_log=error_log,
+        job_log=job_log,
+    ).only_point()

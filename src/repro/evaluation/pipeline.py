@@ -1,6 +1,7 @@
-"""Staged experiment pipeline: pure stages composed by the driver.
+"""Staged experiment pipeline: pure stages composed by the sweep engine.
 
-The ``run_experiment`` driver runs three stages around one executor graph:
+:func:`repro.evaluation.sweep.run_sweep` (of which ``run_experiment`` is the
+one-point view) runs three stages around one executor graph:
 
 ``prepare_data``
     Telemetry generation (or ingestion), retirement-bias / UE-burst
@@ -206,6 +207,14 @@ class ExperimentConfig:
         check_positive("rf_n_estimators", self.rf_n_estimators)
         check_positive("rf_max_depth", self.rf_max_depth)
         check_positive("threshold_grid_size", self.threshold_grid_size)
+        # The Q-network needs at least one hidden layer, each of width >= 1.
+        if not self.rl_hidden_sizes or not all(
+            size >= 1 for size in self.rl_hidden_sizes
+        ):
+            raise ValueError(
+                "rl_hidden_sizes must list one or more layer widths >= 1, "
+                f"got {self.rl_hidden_sizes!r}"
+            )
         if self.executor_kind not in EXECUTOR_KINDS:
             raise ValueError(
                 f"executor_kind must be one of {', '.join(EXECUTOR_KINDS)}, "

@@ -23,16 +23,18 @@ any subset of these axes; :func:`run_sweep` schedules *all* resulting
 (point × split × approach-group) tasks as one dependency-aware graph on the
 :mod:`executor <repro.evaluation.executor>` — an 18-task RL chain of one
 point can overlap with the forest training of another — instead of N
-sequential ``run_experiment`` calls.
+sequential experiments.  It is the one execution body:
+:func:`~repro.evaluation.experiment.run_experiment` and
+:class:`~repro.study.Study` run a one-point sweep of their scenario.
 
 Crucially, points that share data-preparation inputs (same fault model and
 seed, differing only in evaluation parameters such as the mitigation cost)
 reuse **one** :class:`~repro.evaluation.pipeline.PreparedData` product via
 the content-keyed :class:`~repro.evaluation.pipeline.PreparedDataCache`, and
-points on a data axis still share the raw telemetry/workload logs.  Results
-are identical to independent ``run_experiment`` calls because every task
-seeds its own keyed random streams — the sweep only removes redundant work,
-never reorders randomness.
+points on a data axis still share the raw telemetry/workload logs.  Each
+point's result is identical to the one-point sweep of its scenario because
+every task seeds its own keyed random streams — a larger sweep only removes
+redundant work, never reorders randomness.
 
 >>> spec = SweepSpec(
 ...     base=ScenarioConfig.small(),
@@ -245,8 +247,8 @@ class SweepResult:
 
     spec: SweepSpec
     points: Tuple[SweepPoint, ...]
-    #: Point label -> the point's :class:`ExperimentResult`, exactly as an
-    #: independent ``run_experiment`` call would have produced it.
+    #: Point label -> the point's :class:`ExperimentResult`, exactly as the
+    #: point's own ``run_experiment`` call would have produced it.
     results: Dict[str, ExperimentResult]
     wallclock_seconds: float
     #: How many :func:`prepare_data` products were actually built (vs. the
@@ -321,6 +323,16 @@ class SweepResult:
         """One point's full cost breakdown (a Figure 3/5 bar group)."""
         return format_cost_table(self[label].total_costs(), title=label)
 
+    def only_point(self) -> ExperimentResult:
+        """A one-point sweep's result, with the sweep's ``executor_stats``
+        and (when profiled) ``extras["profile"]`` copied onto it."""
+        (label,) = self.labels
+        result = self.results[label]
+        result.executor_stats = self.extras["executor_stats"]
+        if "profile" in self.extras:
+            result.extras["profile"] = self.extras["profile"]
+        return result
+
     # ------------------------------------------------------------------ #
     # Serialization
     # ------------------------------------------------------------------ #
@@ -393,17 +405,21 @@ def run_sweep(
 ) -> SweepResult:
     """Run every point of ``spec`` as one dependency-aware task graph.
 
-    Equivalent to — and tested against — one ``run_experiment`` call per
-    point, but (a) all points' (split × approach-group) tasks are scheduled
-    together on the executor, so ``config.n_workers`` parallelism spans the
-    whole sweep rather than one experiment at a time, and (b) points sharing
-    data-preparation inputs reuse one prepared dataset through ``cache``
-    (the process-wide default when ``None``), and (c) points sharing a
-    telemetry share one SC20 forest fit per split — a fit ``cache`` already
-    holds from an earlier sweep is not repeated.
+    The one body that turns scenarios into results: ``run_experiment`` is
+    the one-point sweep of its scenario, so the two agree by construction.
+    Each point of a larger sweep equals its own ``run_experiment`` (tested
+    point by point), but (a) all points' (split × approach-group) tasks are
+    scheduled together, so ``config.n_workers`` parallelism spans the whole
+    sweep, (b) points sharing data-preparation inputs reuse one prepared
+    dataset through ``cache`` (the process-wide default when ``None``), and
+    (c) points sharing a telemetry share one SC20 forest fit per split — a
+    fit ``cache`` already holds from an earlier sweep is not repeated.
 
     ``error_log`` / ``job_log`` optionally substitute externally supplied
-    logs for the synthetic generators, exactly as in ``run_experiment``.
+    logs for the synthetic generators of every point.
+
+    With ``config.profile``, ``extras["profile"]`` holds the
+    ``prepare_data`` / ``execute_tasks`` / ``aggregate`` stage tables.
 
     ``store`` optionally attaches a :class:`repro.store.ArtifactStore`:
     points whose result is already on disk are loaded instead of executed,
@@ -470,27 +486,28 @@ def run_sweep(
     elapsed = time.perf_counter() - started
 
     results: Dict[str, ExperimentResult] = {}
-    for point in points:
-        if point.label in loaded:
-            results[point.label] = loaded[point.label]
-            continue
-        prefix = f"{point.label}/"
-        point_outcomes = {
-            key[len(prefix):]: outcome
-            for key, outcome in outcomes.items()
-            if key.startswith(prefix)
-        }
-        results[point.label] = aggregate(
-            prepared[point.label],
-            splits_by_label[point.label],
-            point_outcomes,
-            config,
-            wallclock_seconds=elapsed,
-        )
-        if use_store:
-            # Persist each point as soon as it is aggregated, so a failure
-            # while assembling later points loses as little as possible.
-            store.save_result(point.scenario, config, results[point.label])
+    with profiler.stage("aggregate"):
+        for point in points:
+            if point.label in loaded:
+                results[point.label] = loaded[point.label]
+                continue
+            prefix = f"{point.label}/"
+            point_outcomes = {
+                key[len(prefix):]: outcome
+                for key, outcome in outcomes.items()
+                if key.startswith(prefix)
+            }
+            results[point.label] = aggregate(
+                prepared[point.label],
+                splits_by_label[point.label],
+                point_outcomes,
+                config,
+                wallclock_seconds=elapsed,
+            )
+            if use_store:
+                # Persist each point as soon as it is aggregated, so a failure
+                # while assembling later points loses as little as possible.
+                store.save_result(point.scenario, config, results[point.label])
 
     result = SweepResult(
         spec=spec,

@@ -4,9 +4,10 @@ A :class:`Study` owns the full lifecycle of one investigation: what to run
 (a single :class:`~repro.config.ScenarioConfig` or a
 :class:`~repro.evaluation.sweep.SweepSpec` over the paper's axes), where its
 artifacts live (an optional :class:`~repro.store.ArtifactStore`), and how to
-get at the outcome (``.result`` / ``.report()``).  Internally it drives the
-existing engines — :func:`~repro.evaluation.experiment.run_experiment` and
-:func:`~repro.evaluation.sweep.run_sweep` — unchanged, so a Study produces
+get at the outcome (``.result`` / ``.report()``).  Internally every study
+is a :func:`~repro.evaluation.sweep.run_sweep` call — a single-scenario
+study is the one-point sweep of its scenario, exactly as
+:func:`~repro.evaluation.experiment.run_experiment` is — so a Study produces
 bit-for-bit the results of the low-level calls (the golden harness pins
 this).
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.config import ScenarioConfig
-from repro.evaluation.experiment import run_experiment
 from repro.evaluation.pipeline import (
     ExperimentConfig,
     ExperimentResult,
@@ -126,28 +126,17 @@ class Study:
     ) -> Union[ExperimentResult, SweepResult]:
         """Execute the study (incrementally, when a store is attached).
 
-        Single-scenario studies return the stored result outright when the
-        store already holds one; sweep studies load completed points and
-        execute only the missing ones (``run_sweep`` handles the
-        per-point bookkeeping).  Everything computed is written through to
-        the store.  To split a sweep over workers, see
-        :mod:`repro.distributed`.
+        Both kinds run through ``run_sweep`` (a single scenario as its
+        one-point sweep), which loads completed points from the store and
+        executes only the missing ones.  Everything computed is written
+        through to the store, with the sweep manifest.  To split a sweep
+        over workers, see :mod:`repro.distributed`.
         """
         config = config or ExperimentConfig()
         self.config = config
-        if self.spec is not None:
-            self._result = run_sweep(
-                self.spec, config, cache=self.cache, store=self.store
-            )
-        else:
-            result = None
-            if self.store is not None:
-                result = self.store.load_result(self.scenario, config)
-            if result is None:
-                result = run_experiment(self.scenario, config, cache=self.cache)
-                if self.store is not None:
-                    self.store.save_result(self.scenario, config, result)
-            self._result = result
+        spec = self.spec if self.spec is not None else SweepSpec(base=self.scenario)
+        sweep = run_sweep(spec, config, cache=self.cache, store=self.store)
+        self._result = sweep if self.spec is not None else sweep.only_point()
         return self._result
 
     def resume(

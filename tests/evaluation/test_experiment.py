@@ -10,8 +10,12 @@ from repro.evaluation.experiment import (
     ExperimentConfig,
     run_experiment,
 )
+from repro.evaluation.pipeline import PreparedDataCache, default_prepared_cache
 from repro.evaluation.runner import PolicyEvaluation
 from repro.evaluation.metrics import ConfusionCounts
+from repro.evaluation.sweep import SweepSpec, run_sweep
+from repro.serialization import canonical_json
+from repro.utils.timeutils import DAY
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +147,48 @@ class TestRunExperiment:
         never_base = base.total_costs()["Never-mitigate"].ue_cost
         never_scaled = scaled.total_costs()["Never-mitigate"].ue_cost
         assert never_scaled == pytest.approx(3.0 * never_base, rel=0.01)
+
+
+class TestOnePointSweepView:
+    """``run_experiment`` is the one-point ``run_sweep`` of its scenario."""
+
+    SCENARIO = ScenarioConfig.small(seed=7).with_duration(45 * DAY)
+    CONFIG = ExperimentConfig(
+        rl_episodes=3,
+        rl_hyperparam_trials=1,
+        rl_hidden_sizes=(8,),
+        rf_n_estimators=3,
+        rf_max_depth=4,
+        threshold_grid_size=3,
+        include_myopic=False,
+        charge_training_time=False,
+    )
+
+    @staticmethod
+    def _scientific(result):
+        payload = result.to_dict()
+        payload["wallclock_seconds"] = 0.0
+        return canonical_json(payload)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"executor_kind": "serial"}, {"n_workers": 2}],
+        ids=["serial", "n_workers=2"],
+    )
+    def test_matches_the_point_of_a_one_point_sweep(self, overrides):
+        config = self.CONFIG.with_overrides(**overrides)
+        result = run_experiment(self.SCENARIO, config, cache=PreparedDataCache())
+        sweep = run_sweep(
+            SweepSpec(base=self.SCENARIO), config, cache=PreparedDataCache()
+        )
+        (label,) = sweep.labels
+        assert self._scientific(result) == self._scientific(sweep[label])
+        assert result.executor_stats.task_seconds
+
+    def test_without_a_cache_leaves_the_default_cache_alone(self):
+        default = default_prepared_cache()
+        calls, hits = default.prepare_calls, default.hits
+        run_experiment(
+            self.SCENARIO, self.CONFIG.with_overrides(executor_kind="serial")
+        )
+        assert (default.prepare_calls, default.hits) == (calls, hits)

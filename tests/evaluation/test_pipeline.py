@@ -65,6 +65,10 @@ class TestConfigValidation:
             ({"threshold_grid_size": 0}, "threshold_grid_size"),
             ({"threshold_grid_size": -1}, "threshold_grid_size"),
             ({"executor_kind": "gpu"}, "executor_kind"),
+            ({"rl_hidden_sizes": (0,)}, "rl_hidden_sizes"),
+            ({"rl_hidden_sizes": (8, -1)}, "rl_hidden_sizes"),
+            ({"rl_hidden_sizes": (0.5,)}, "rl_hidden_sizes"),
+            ({"rl_hidden_sizes": ()}, "rl_hidden_sizes"),
         ],
     )
     def test_bad_values_are_rejected(self, overrides, field):

@@ -446,6 +446,7 @@ class TestProfileFlag:
         from repro.config import ScenarioConfig
         from repro.evaluation.experiment import run_experiment
         from repro.evaluation.pipeline import ExperimentConfig
+        from repro.evaluation.sweep import SweepSpec, run_sweep
         from repro.utils.timeutils import DAY
 
         scenario = ScenarioConfig.small(seed=11).with_duration(30 * DAY)
@@ -462,6 +463,11 @@ class TestProfileFlag:
         assert set(report) == {
             "prepare_data", "execute_tasks", "aggregate", "total",
         }
+        # A sweep reports the same stages: every entry point runs one body.
+        sweep = run_sweep(
+            SweepSpec(base=scenario, mitigation_costs=(2.0, 10.0)), config
+        )
+        assert set(sweep.extras["profile"]) == set(report)
         for rows in report.values():
             assert rows and {"function", "ncalls", "tottime", "cumtime"} <= set(
                 rows[0]

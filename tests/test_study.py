@@ -11,9 +11,13 @@ from __future__ import annotations
 import pytest
 
 from repro.config import ScenarioConfig
-from repro.evaluation import experiment, pipeline
-from repro.evaluation.pipeline import ExperimentConfig, clear_trace_cache
-from repro.evaluation.sweep import SweepResult, SweepSpec
+from repro.evaluation import pipeline
+from repro.evaluation.pipeline import (
+    ExperimentConfig,
+    PreparedDataCache,
+    clear_trace_cache,
+)
+from repro.evaluation.sweep import SweepResult, SweepSpec, run_sweep
 from repro.store import ArtifactStore
 from repro.study import Study
 from repro.utils.timeutils import DAY
@@ -50,10 +54,10 @@ def stage_counters(monkeypatch):
 
         return wrapper
 
-    counting_prepare = counting("prepare_data", pipeline.prepare_data)
-    monkeypatch.setattr(pipeline, "prepare_data", counting_prepare)
-    # run_experiment binds prepare_data into its own namespace at import.
-    monkeypatch.setattr(experiment, "prepare_data", counting_prepare)
+    # PreparedDataCache.get, the one caller, reads it from the module.
+    monkeypatch.setattr(
+        pipeline, "prepare_data", counting("prepare_data", pipeline.prepare_data)
+    )
     # build_split_tasks reads the task bodies from the module when it runs.
     for name in TASK_BODIES:
         monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
@@ -108,6 +112,22 @@ class TestScenarioStudies:
         reloaded = second.resume(TINY)
         assert stage_counters == computed_calls  # nothing recomputed
         assert reloaded.to_json() == first.result.to_json()
+
+    def test_store_filled_by_a_one_point_sweep_resumes_for_free(
+        self, tmp_path, stage_counters
+    ):
+        store = ArtifactStore(tmp_path / "runs")
+        swept = run_sweep(
+            SweepSpec(base=SCENARIO), TINY, cache=PreparedDataCache(), store=store
+        )
+        assert stage_counters["prepare_data"] == 1
+
+        clear_trace_cache()
+        stage_counters.update(dict.fromkeys(stage_counters, 0))
+        study = Study.from_scenario(SCENARIO, store=ArtifactStore(tmp_path / "runs"))
+        reloaded = study.resume(TINY)
+        assert stage_counters == dict.fromkeys(stage_counters, 0)
+        assert reloaded.to_json() == swept[SCENARIO.name].to_json()
 
 
     def test_prepared_data_spills_across_configs(self, tmp_path, stage_counters):

@@ -101,6 +101,9 @@ class TestSchemaErrors:
         ),
         "zero-rf-depth": "scenarios: {a: {experiment: {rf_max_depth: 0}}}",
         "bad-executor-kind": "scenarios: {a: {experiment: {executor_kind: gpu}}}",
+        "zero-hidden-layer": (
+            "scenarios: {a: {experiment: {rl_hidden_sizes: [0]}}}"
+        ),
     }
 
     @pytest.mark.parametrize("label", sorted(BAD_SUITES))
