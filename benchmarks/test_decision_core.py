@@ -75,7 +75,6 @@ from repro.evaluation.runner import (
     build_traces,
     evaluate_policy,
     renewal_walk_stats,
-    reset_renewal_walk_stats,
 )
 
 from tests.core.feature_reference import extract_node_features_loop
@@ -192,13 +191,14 @@ def _bench_replay(record):
                     traces, policy, MITIGATION_COST, restartable=restartable
                 )
             )
-            reset_renewal_walk_stats()
+            before = renewal_walk_stats()
             vector_seconds, vector_result = _best_of(
                 lambda: evaluate_policy(
                     traces, policy, MITIGATION_COST, restartable=restartable
                 )
             )
-            stats = renewal_walk_stats()
+            after = renewal_walk_stats()
+            stats = {name: after[name] - before[name] for name in after}
             identical = identical and _identical(scalar_result, vector_result)
             total_scalar += scalar_seconds
             total_vector += vector_seconds

@@ -89,6 +89,7 @@ def test_rl_trial_fanout_vs_serial():
     scenario = ScenarioConfig.small(seed=29)
     cache = PreparedDataCache()
     clear_trace_cache()
+    traces_before = trace_cache_stats()
 
     # Untimed warm-up: fills the prepared-data cache (and the in-process
     # trace cache) so every *timed* run below pays the same prepared-data
@@ -115,7 +116,10 @@ def test_rl_trial_fanout_vs_serial():
     assert results_identical
 
     fan_stats = results["fan"].executor_stats
-    traces = trace_cache_stats()
+    traces = {
+        name: count - traces_before[name]
+        for name, count in trace_cache_stats().items()
+    }
     record = {
         "benchmark": "rl_parallel",
         "cpu_count": os.cpu_count(),

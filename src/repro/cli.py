@@ -68,12 +68,12 @@ stderr and exit code 2, before any data is prepared.
     for file sources) and serve the remainder; decisions are bit-identical
     to an offline ``evaluate_policy`` replay of the same events.
 
-``--profile`` (``run``, ``sweep``, ``suite``) runs each pipeline stage under
-cProfile, merges the raw stats across stages (``pstats.Stats.add``) and
-prints ONE top-cumulative-time table after each block's report (the API
-surfaces it as ``result.extras["profile"]``).  It covers the driver
-process only; process-pool task bodies run outside it.  Every table is
-rendered by :mod:`repro.evaluation.report`.
+``--profile`` (``run``, ``sweep``, ``suite``) prints one table after each
+block's report: the seconds of each pipeline stage and of each task body
+(``run_rl_trial``, ...) per worker pid, and the counters of every process
+that ran a task.  Every run collects them (``result.extras["profile"]``);
+the flag only prints them.  Every table is rendered by
+:mod:`repro.evaluation.report`.
 """
 
 from __future__ import annotations
@@ -86,10 +86,9 @@ from repro.config import ScenarioConfig
 from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.executor import EXECUTOR_KINDS
 from repro.evaluation.pipeline import ExperimentConfig, PreparedDataCache
-from repro.evaluation.report import format_metrics_table
+from repro.evaluation.report import format_metrics_table, format_profile
 from repro.store import ArtifactStore
 from repro.suite import PRESETS, Suite, SuiteError, compile_suite, load_suite, run_suite
-from repro.utils.profiling import format_profile
 from repro.utils.timeutils import DAY
 
 __all__ = ["main", "build_parser"]
@@ -187,8 +186,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="run each pipeline stage under cProfile and print one merged "
-        "top-cumulative-time table after the report",
+        help="print the seconds of each pipeline stage and of each task "
+        "body per worker pid, and the run's counters, after the report",
     )
 
 
@@ -477,8 +476,6 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["executor_kind"] = args.executor
     if args.charge_training_time is not None:
         overrides["charge_training_time"] = args.charge_training_time
-    if args.profile:
-        overrides["profile"] = True
     try:
         return config.with_overrides(**overrides)
     except ValueError as exc:
@@ -577,7 +574,7 @@ def _print_block(args, store, config, entry, result, outcome) -> None:
             if outcome is None:
                 print(f"points loaded from store: {len(result.extras['points_loaded'])}")
                 print(f"points computed: {len(result.extras['points_computed'])}")
-        if result.extras.get("profile"):  # --profile
+        if args.profile and "profile" in result.extras:  # not under --claim
             print()
             print(format_profile(result.extras["profile"]))
     if args.command == "suite":

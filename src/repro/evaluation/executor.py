@@ -16,9 +16,14 @@ theoretical minimum:
   high priority, so the chain — the longest dependency path of every
   experiment — never waits behind independent fan-out work.
 * **Task-level timing** — pass an :class:`ExecutorStats` to
-  :func:`execute_tasks` to record every task's in-task execution seconds
-  and the measured critical path (the heaviest dependency chain), the
-  lower bound on the graph's wall-clock at infinite parallelism.
+  :func:`execute_tasks` to record every task's in-task execution seconds,
+  the pid that ran it, and the measured critical path (the heaviest
+  dependency chain), the lower bound on the graph's wall-clock at
+  infinite parallelism.
+
+Every task also returns what it counted in the :mod:`repro.obs` registry
+of the process that ran it; the driver merges the deltas of pool workers,
+so its registry covers the whole run on every backend.
 
 The executor is deliberately generic (tasks are plain callables), so other
 subsystems can reuse it for their own fan-out.
@@ -38,6 +43,7 @@ Backends
 
 from __future__ import annotations
 
+import os
 import time
 import warnings
 from concurrent.futures import (
@@ -50,6 +56,8 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro import obs
 
 __all__ = ["EXECUTOR_KINDS", "ExecutorStats", "Task", "TaskGraphError", "execute_tasks"]
 
@@ -110,6 +118,8 @@ class ExecutorStats:
 
     #: Task key -> in-task execution seconds.
     task_seconds: Dict[str, float] = field(default_factory=dict)
+    #: Task key -> pid of the process that ran it.
+    task_pids: Dict[str, int] = field(default_factory=dict)
     #: End-to-end wall-clock of the whole run (scheduling included).
     wallclock_seconds: float = 0.0
     #: Total execution seconds of the heaviest dependency chain.
@@ -201,62 +211,65 @@ def _set_worker_shared(value: Any) -> None:
     _WORKER_SHARED = value
 
 
-def _invoke(
-    fn: Callable[..., Any],
-    dep_results: Dict[str, Any],
-    args: Tuple,
-    shared: Any = _NO_SHARED,
-) -> Any:
-    """Module-level trampoline so the process backend can pickle the call."""
-    if shared is _NO_SHARED:
-        shared = _WORKER_SHARED
-    if shared is _NO_SHARED:
-        return fn(dep_results, *args)
-    return fn(dep_results, shared, *args)
-
-
 def _invoke_timed(
     fn: Callable[..., Any],
     dep_results: Dict[str, Any],
     args: Tuple,
     shared: Any = _NO_SHARED,
-) -> Tuple[float, Any]:
-    """:func:`_invoke` returning ``(execution seconds, result)``.
+) -> Tuple[float, int, obs.Snapshot, Any]:
+    """Module-level trampoline so the process backend can pickle the call.
 
-    The clock runs around the task body only — with the process backend it
-    runs *inside* the worker, so queueing and pickle transfer are excluded
-    and the recorded duration is schedule-independent.
+    Returns ``(seconds, pid, registry delta, result)``: the clock runs
+    around the task body only — *inside* the worker with the process
+    backend, so queueing and pickle transfer are excluded — and the
+    :mod:`repro.obs` delta is what the task counted in its process.
     """
+    if shared is _NO_SHARED:
+        shared = _WORKER_SHARED
+    shared_args = () if shared is _NO_SHARED else (shared,)
+    before = obs.snapshot()
     started = time.perf_counter()
-    result = _invoke(fn, dep_results, args, shared)
-    return time.perf_counter() - started, result
+    result = fn(dep_results, *shared_args, *args)
+    seconds = time.perf_counter() - started
+    return seconds, os.getpid(), obs.delta(before), result
+
+
+def _record(stats: ExecutorStats, key: str, timed: Tuple) -> Any:
+    """Book one :func:`_invoke_timed` outcome and return the task's result.
+
+    Only another process's delta is merged: a task run in this process
+    (serial or thread backend) counted into this registry already.
+    """
+    seconds, pid, counted, result = timed
+    if pid != os.getpid():
+        obs.merge(counted)
+    stats.task_seconds[key] = seconds
+    stats.task_pids[key] = pid
+    return result
 
 
 def _run_serial(
     tasks: Sequence[Task],
-    shared: Any = _NO_SHARED,
-    stats: Optional[ExecutorStats] = None,
-    done: Optional[Dict[str, Any]] = None,
+    shared: Any,
+    stats: ExecutorStats,
+    done: Dict[str, Any],
 ) -> Dict[str, Any]:
-    results = dict(done or {})
+    results = dict(done)
     for task in _topological_order(tasks):
         dep_results = {dep: results[dep] for dep in task.deps}
-        if stats is None:
-            results[task.key] = _invoke(task.fn, dep_results, task.args, shared)
-        else:
-            seconds, result = _invoke_timed(task.fn, dep_results, task.args, shared)
-            stats.task_seconds[task.key] = seconds
-            results[task.key] = result
+        results[task.key] = _record(
+            stats, task.key, _invoke_timed(task.fn, dep_results, task.args, shared)
+        )
     return results
 
 
 def _run_pooled(
     tasks: Sequence[Task],
     pool: Executor,
-    shared: Any = _NO_SHARED,
-    stats: Optional[ExecutorStats] = None,
-    max_in_flight: Optional[int] = None,
-    done: Optional[Dict[str, Any]] = None,
+    shared: Any,
+    stats: ExecutorStats,
+    max_in_flight: int,
+    done: Dict[str, Any],
 ) -> Dict[str, Any]:
     """Schedule on ``pool``; pass ``shared`` only for same-process pools
     (process pools receive it through the worker initializer instead).
@@ -268,8 +281,7 @@ def _run_pooled(
     Keeping submissions at the worker count means every freed slot re-runs
     the priority selection over everything ready *now*.
     """
-    trampoline = _invoke if stats is None else _invoke_timed
-    results = dict(done or {})
+    results = dict(done)
     pending: List[Task] = _topological_order(tasks)
     in_flight: Dict[Any, str] = {}
     try:
@@ -279,22 +291,17 @@ def _run_pooled(
             ready = _by_priority(
                 [t for t in pending if all(d in results for d in t.deps)]
             )
-            if max_in_flight is not None:
-                ready = ready[: max(0, max_in_flight - len(in_flight))]
+            ready = ready[: max(0, max_in_flight - len(in_flight))]
             for task in ready:
                 dep_results = {dep: results[dep] for dep in task.deps}
+                # Never ship the sentinel across a pickle boundary: its
+                # identity would not survive, so the worker falls back to its
+                # own (initializer-set or absent) global.
+                extra = () if shared is _NO_SHARED else (shared,)
                 try:
-                    if shared is _NO_SHARED:
-                        # Never ship the sentinel across a pickle boundary:
-                        # its identity would not survive, so the worker falls
-                        # back to its own (initializer-set or absent) global.
-                        future = pool.submit(
-                            trampoline, task.fn, dep_results, task.args
-                        )
-                    else:
-                        future = pool.submit(
-                            trampoline, task.fn, dep_results, task.args, shared
-                        )
+                    future = pool.submit(
+                        _invoke_timed, task.fn, dep_results, task.args, *extra
+                    )
                 except (OSError, PermissionError, NotImplementedError) as exc:
                     # submit() is where workers are actually spawned.
                     raise _PoolSpawnError(str(exc)) from exc
@@ -304,12 +311,7 @@ def _run_pooled(
             finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
             for future in finished:
                 key = in_flight.pop(future)
-                if stats is None:
-                    results[key] = future.result()
-                else:
-                    seconds, result = future.result()
-                    stats.task_seconds[key] = seconds
-                    results[key] = result
+                results[key] = _record(stats, key, future.result())
     finally:
         for future in in_flight:
             future.cancel()
@@ -341,9 +343,8 @@ def execute_tasks(
         inputs such as the experiment's prepared dataset.
     stats:
         Optional :class:`ExecutorStats` filled in place with per-task
-        execution seconds, the run's wall-clock, and the measured critical
-        path.  Timing adds one clock read per task — negligible against the
-        training workloads this executor schedules.
+        execution seconds and pids, the run's wall-clock, and the measured
+        critical path.
     done:
         Results of tasks finished earlier (e.g. served from a cache), keyed
         like tasks: ``tasks`` may depend on them, and they are returned
@@ -351,17 +352,16 @@ def execute_tasks(
     """
     tasks = list(tasks)
     done = dict(done or {})
+    stats = stats if stats is not None else ExecutorStats()
     _validate(tasks, done)
     if not tasks:
-        if stats is not None:
-            stats._finalize(tasks, 0.0)
+        stats._finalize(tasks, 0.0)
         return done
     started = time.perf_counter()
     try:
         return _dispatch(tasks, done, n_workers, kind, shared, stats)
     finally:
-        if stats is not None:
-            stats._finalize(tasks, time.perf_counter() - started)
+        stats._finalize(tasks, time.perf_counter() - started)
 
 
 def _dispatch(
@@ -370,7 +370,7 @@ def _dispatch(
     n_workers: int,
     kind: str,
     shared: Any,
-    stats: Optional[ExecutorStats],
+    stats: ExecutorStats,
 ) -> Dict[str, Any]:
     if n_workers <= 1 or kind == "serial":
         return _run_serial(tasks, shared, stats, done)
@@ -396,9 +396,7 @@ def _dispatch(
         return _run_serial(tasks, shared, stats, done)
     try:
         with pool:
-            return _run_pooled(
-                tasks, pool, stats=stats, max_in_flight=n_workers, done=done
-            )
+            return _run_pooled(tasks, pool, _NO_SHARED, stats, n_workers, done)
     except (BrokenProcessPool, _PoolSpawnError) as exc:
         # Worker spawn refused at submit time, or the platform killed the
         # workers mid-run (sandbox limits, OOM of a forked child — but also

@@ -58,6 +58,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.baselines.dataset import build_prediction_dataset
 from repro.baselines.sc20 import SC20RandomForestPolicy, train_sc20_forest
 from repro.config import ScenarioConfig
@@ -88,7 +89,7 @@ from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.generator import TelemetryGenerator
 from repro.telemetry.reduction import ReductionReport, prepare_log
 from repro.utils.rng import RngFactory
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.job import JobLog
 from repro.workload.sampling import JobSequenceSampler
@@ -117,6 +118,7 @@ __all__ = [
     "run_rl_search",
     "run_rl_trial",
     "run_split_group",
+    "task_seconds_by_body",
     "trace_cache_stats",
 ]
 
@@ -126,7 +128,7 @@ __all__ = [
 # --------------------------------------------------------------------- #
 #: Removed ``ExperimentConfig`` fields that payloads written by older
 #: versions still carry; ``from_dict`` drops them.
-_RETIRED_CONFIG_FIELDS = ("rl_trial_tasks", "compiled")
+_RETIRED_CONFIG_FIELDS = ("rl_trial_tasks", "compiled", "profile")
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,6 @@ class ExperimentConfig:
     #: A forest fit shared by several sweep points or suite blocks (see
     #: :func:`build_split_tasks`) charges its one measured time to each.
     charge_training_time: bool = True
-    #: Run each pipeline stage under cProfile and surface the top cumulative
-    #: functions in ``ExperimentResult.extras["profile"]`` (CLI:
-    #: ``--profile``).  A diagnostic knob like the scheduling fields: it
-    #: never changes results, only adds instrumentation in the driver
-    #: process (the process-pool workers run outside the profiler).
-    profile: bool = False
 
     def __post_init__(self) -> None:
         # Checked when the config is built, so a bad value fails before any
@@ -207,6 +203,11 @@ class ExperimentConfig:
         check_positive("rf_n_estimators", self.rf_n_estimators)
         check_positive("rf_max_depth", self.rf_max_depth)
         check_positive("threshold_grid_size", self.threshold_grid_size)
+        # Zero keeps its meaning (serial execution, one first-round trial,
+        # no second round); a negative count is a typo, not a schedule.
+        check_non_negative("n_workers", self.n_workers)
+        check_non_negative("rl_hyperparam_trials", self.rl_hyperparam_trials)
+        check_non_negative("rl_hyperparam_refine", self.rl_hyperparam_refine)
         # The Q-network needs at least one hidden layer, each of width >= 1.
         if not self.rl_hidden_sizes or not all(
             size >= 1 for size in self.rl_hidden_sizes
@@ -356,9 +357,9 @@ class ExperimentResult:
     #: the Figure 6 artifacts it is not serialized and comes back ``None``
     #: from :meth:`from_dict` / a store load.
     executor_stats: Optional["ExecutorStats"] = None
-    #: Run diagnostics keyed by name (e.g. ``"profile"`` when
-    #: ``ExperimentConfig.profile`` is set).  Like ``executor_stats``, never
-    #: serialized: a store round-trip comes back with an empty mapping.
+    #: Run diagnostics keyed by name (e.g. ``"profile"``, see ``run_sweep``).
+    #: Like ``executor_stats``, never serialized: a store round-trip comes
+    #: back with an empty mapping.
     extras: Dict[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ #
@@ -842,25 +843,21 @@ def make_splits(scenario: ScenarioConfig) -> List[TimeSeriesSplit]:
 #: (frozen dataclasses over read-only arrays), which makes sharing safe.
 _TRACE_CACHE: "OrderedDict[Tuple, List[EvaluationTrace]]" = OrderedDict()
 _TRACE_CACHE_MAXSIZE = 64
-_TRACE_CACHE_STATS = {"hits": 0, "misses": 0}
-#: Guards cache + counters against the thread executor backend (lookup,
+#: Guards the cache against the thread executor backend (lookup,
 #: LRU reordering and eviction race otherwise: a concurrent evict between
 #: get() and move_to_end() raises KeyError and kills the task).
 _TRACE_CACHE_LOCK = threading.Lock()
 
 
 def trace_cache_stats() -> Dict[str, int]:
-    """Copy of the process-wide trace-cache hit/miss counters."""
-    with _TRACE_CACHE_LOCK:
-        return dict(_TRACE_CACHE_STATS)
+    """The trace cache's hit/miss :mod:`repro.obs` counters."""
+    return obs.counters("trace_cache", ("hits", "misses"))
 
 
 def clear_trace_cache() -> None:
-    """Drop all cached traces and reset the counters (test isolation)."""
+    """Drop all cached traces (test isolation)."""
     with _TRACE_CACHE_LOCK:
         _TRACE_CACHE.clear()
-        _TRACE_CACHE_STATS["hits"] = 0
-        _TRACE_CACHE_STATS["misses"] = 0
 
 
 def _cached_range_traces(
@@ -882,10 +879,11 @@ def _cached_range_traces(
     with _TRACE_CACHE_LOCK:
         traces = _TRACE_CACHE.get(key)
         if traces is not None:
-            _TRACE_CACHE_STATS["hits"] += 1
             _TRACE_CACHE.move_to_end(key)
-            return traces
-        _TRACE_CACHE_STATS["misses"] += 1
+    if traces is not None:
+        obs.count("trace_cache.hits")
+        return traces
+    obs.count("trace_cache.misses")
     # Build outside the lock (expensive); concurrent builders of the same
     # key produce identical traces, so the last insert winning is harmless.
     traces = build_traces(prepared.tracks, prepared.sampler, *time_range, seed=seed)
@@ -1136,7 +1134,7 @@ def _rl_n_first_round(config: ExperimentConfig) -> int:
 
 def _rl_n_trials(config: ExperimentConfig) -> int:
     """Number of hyperparameter trials per split (both search rounds)."""
-    return _rl_n_first_round(config) + max(0, config.rl_hyperparam_refine)
+    return _rl_n_first_round(config) + config.rl_hyperparam_refine
 
 
 def _rl_trial_settings(
@@ -1670,6 +1668,25 @@ def execute_split_tasks(
     if cache is not None:
         cache.keep_forests(outcomes)
     return outcomes
+
+
+def task_seconds_by_body(
+    tasks: Sequence[Task], stats: ExecutorStats
+) -> Dict[str, Dict[int, Tuple[int, float]]]:
+    """``{body: {pid: (calls, seconds)}}`` of the tasks ``stats`` timed:
+    ``body`` names the pipeline function a task ran (``run_rl_trial``, ...),
+    ``pid`` the process that ran it."""
+    bodies = {
+        task.key: (task.args[0] if task.fn is _point_task else task.fn).__name__
+        for task in tasks
+    }
+    table: Dict[str, Dict[int, Tuple[int, float]]] = {}
+    for key, seconds in stats.task_seconds.items():
+        per_pid = table.setdefault(bodies[key], {})
+        pid = stats.task_pids[key]
+        calls, total = per_pid.get(pid, (0, 0.0))
+        per_pid[pid] = (calls + 1, total + seconds)
+    return table
 
 
 # --------------------------------------------------------------------- #

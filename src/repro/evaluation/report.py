@@ -151,3 +151,22 @@ def format_behavior_grid(grid, title: str = "RL mitigation fraction (Figure 6)")
             cells.append("     ..." if value != value else f"{value:>8.2f}")
         lines.append(f"{lo:.1f}-{hi:.1f}      " + " ".join(cells))
     return "\n".join(lines)
+
+
+def format_profile(profile: Mapping, title: str = "Profile") -> str:
+    """Render a run's ``extras["profile"]`` (see :func:`run_sweep`): its
+    spans (the pipeline stages), the seconds of each task body per worker
+    pid, heaviest body first, and a line of counters."""
+    header = f"{'span / task body':<28} {'pid':>8} {'calls':>7} {'seconds':>10}"
+    rows = [(name, "-", timing) for name, timing in profile["spans"].items()]
+    for name, per_pid in sorted(
+        profile["tasks"].items(), key=lambda item: -sum(s for _, s in item[1].values())
+    ):
+        rows.extend((name, pid, timing) for pid, timing in sorted(per_pid.items()))
+    lines = [title, header, "-" * len(header)] + [
+        f"{name:<28} {pid:>8} {calls:>7} {seconds:>10.3f}"
+        for name, pid, (calls, seconds) in rows
+    ]
+    counts = sorted(profile["counts"].items())
+    lines.append("counters: " + ", ".join(f"{name}={n}" for name, n in counts))
+    return "\n".join(lines)

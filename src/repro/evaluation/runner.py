@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro.core.features import NodeFeatureTrack
 from repro.core.policies import DecisionContext, MitigationPolicy
 from repro.evaluation.costs import CostBreakdown
@@ -258,14 +259,6 @@ def _decide_rows(
     return decisions & ~is_ue
 
 
-#: Cumulative statistics of the lockstep renewal walk (reset via
-#: :func:`reset_renewal_walk_stats`): ``rounds`` counts the walk's
-#: ``decide_rows`` calls, ``windows`` the speculative windows submitted
-#: across all rounds, ``retries`` the seeded continuation windows among them
-#: (windows whose initial guess is the unconfirmed decision suffix of the
-#: previous window — the lockstep analog of a fixpoint retry).
-_WALK_STATS = {"rounds": 0, "windows": 0, "retries": 0}
-
 #: Window-scheduling knobs of the lockstep walk.  Pure performance tuning:
 #: the resolved mask is the unique fixpoint of the confirm-prefix rule, so
 #: any window size or retry policy yields the same decisions (pinned by the
@@ -281,14 +274,10 @@ _WALK_CHUNK = 48
 
 
 def renewal_walk_stats() -> Dict[str, int]:
-    """Snapshot of the lockstep renewal-walk counters (see ``_WALK_STATS``)."""
-    return dict(_WALK_STATS)
-
-
-def reset_renewal_walk_stats() -> None:
-    """Zero the lockstep renewal-walk counters (benchmark bookkeeping)."""
-    for key in _WALK_STATS:
-        _WALK_STATS[key] = 0
+    """The lockstep renewal walk's :mod:`repro.obs` counters: ``rounds``
+    counts its ``decide_rows`` calls, ``windows`` the windows submitted in
+    them, ``retries`` the seeded continuation windows among those."""
+    return obs.counters("renewal_walk", ("rounds", "windows", "retries"))
 
 
 @dataclass
@@ -446,7 +435,7 @@ class _Frontier:
                     guess = leftover
                 self.stop = stop
                 self.guess = guess
-                _WALK_STATS["retries"] += 1
+                obs.count("renewal_walk.retries")
                 return True
             # Fresh window.  Initial guess: the precomputed baseline-cost
             # candidate decisions (already False at UEs) — the policy's own
@@ -545,8 +534,8 @@ def _lockstep_walk(
         positions_all = np.arange(panel_f.shape[1], dtype=np.int64)
 
     while pending:
-        _WALK_STATS["rounds"] += 1
-        _WALK_STATS["windows"] += len(pending)
+        obs.count("renewal_walk.rounds")
+        obs.count("renewal_walk.windows", len(pending))
         n_windows = len(pending)
         starts = np.empty(n_windows, dtype=np.int64)
         stops = np.empty(n_windows, dtype=np.int64)

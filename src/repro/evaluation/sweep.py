@@ -51,6 +51,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import obs
 from repro.config import ScenarioConfig
 from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.executor import ExecutorStats, Task
@@ -64,10 +65,10 @@ from repro.evaluation.pipeline import (
     default_prepared_cache,
     execute_split_tasks,
     make_splits,
+    task_seconds_by_body,
 )
 from repro.evaluation.report import format_cost_table, format_sweep_table
 from repro.telemetry.error_log import ErrorLog
-from repro.utils.profiling import StageProfiler
 from repro.telemetry.records import MANUFACTURER_NAMES
 from repro.workload.job import JobLog
 
@@ -325,12 +326,11 @@ class SweepResult:
 
     def only_point(self) -> ExperimentResult:
         """A one-point sweep's result, with the sweep's ``executor_stats``
-        and (when profiled) ``extras["profile"]`` copied onto it."""
+        and ``extras["profile"]`` copied onto it."""
         (label,) = self.labels
         result = self.results[label]
         result.executor_stats = self.extras["executor_stats"]
-        if "profile" in self.extras:
-            result.extras["profile"] = self.extras["profile"]
+        result.extras["profile"] = self.extras["profile"]
         return result
 
     # ------------------------------------------------------------------ #
@@ -418,8 +418,10 @@ def run_sweep(
     ``error_log`` / ``job_log`` optionally substitute externally supplied
     logs for the synthetic generators of every point.
 
-    With ``config.profile``, ``extras["profile"]`` holds the
-    ``prepare_data`` / ``execute_tasks`` / ``aggregate`` stage tables.
+    ``extras["profile"]`` is the run's :mod:`repro.obs` delta — the
+    ``spans`` of the ``prepare_data`` / ``execute_tasks`` / ``aggregate``
+    stages and the ``counts`` of every process that ran a task — plus
+    ``tasks``, the seconds of each task body per worker pid.
 
     ``store`` optionally attaches a :class:`repro.store.ArtifactStore`:
     points whose result is already on disk are loaded instead of executed,
@@ -447,7 +449,7 @@ def run_sweep(
     cache = cache if cache is not None else default_prepared_cache()
     points = spec.points()
     started = time.perf_counter()
-    profiler = StageProfiler(enabled=config.profile)
+    before = obs.snapshot()
     hits_before, calls_before = cache.hits, cache.prepare_calls
 
     external_inputs = error_log is not None or job_log is not None
@@ -462,7 +464,7 @@ def run_sweep(
     prepared: Dict[str, PreparedData] = {}
     splits_by_label: Dict[str, list] = {}
     tasks: List[Task] = []
-    with profiler.stage("prepare_data"):
+    with obs.span("prepare_data"):
         for point in points:
             if point.label in loaded:
                 continue
@@ -481,12 +483,12 @@ def run_sweep(
             )
 
     stats = ExecutorStats()
-    with profiler.stage("execute_tasks"):
+    with obs.span("execute_tasks"):
         outcomes = execute_split_tasks(tasks, config, prepared, stats, cache)
     elapsed = time.perf_counter() - started
 
     results: Dict[str, ExperimentResult] = {}
-    with profiler.stage("aggregate"):
+    with obs.span("aggregate"):
         for point in points:
             if point.label in loaded:
                 results[point.label] = loaded[point.label]
@@ -522,10 +524,11 @@ def run_sweep(
             # Run diagnostics (never serialized): task-level timing of the
             # whole sweep graph, including the measured critical path.
             "executor_stats": stats,
+            "profile": dict(
+                obs.delta(before), tasks=task_seconds_by_body(tasks, stats)
+            ),
         },
     )
-    if config.profile:
-        result.extras["profile"] = profiler.report()
     if use_store:
         store.save_sweep(spec, config, result)
     return result

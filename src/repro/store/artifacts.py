@@ -102,11 +102,10 @@ class StoreGcReport:
     #: heartbeating, and their prepared products are pinned.
     active_leases: Tuple[str, ...] = ()
 
-#: Experiment-config fields that select a *schedule* or a diagnostic, not a
-#: result: two runs differing only here produce identical numbers
-#: (golden-tested; ``profile`` only adds instrumentation), so they must
-#: share one result slot.
-_SCHEDULE_FIELDS = ("n_workers", "executor_kind", "profile")
+#: Experiment-config fields that select a *schedule*, not a result: two
+#: runs differing only here produce identical numbers (golden-tested), so
+#: they must share one result slot.
+_SCHEDULE_FIELDS = ("n_workers", "executor_kind")
 
 
 def _redacted_config_dict(config: ExperimentConfig) -> Dict[str, Any]:

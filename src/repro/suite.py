@@ -392,7 +392,13 @@ def _compile_block(
         )
         for tuple_key in ("rl_hidden_sizes", "sc20_threshold_offsets"):
             if tuple_key in experiment:
-                experiment[tuple_key] = tuple(experiment[tuple_key])
+                value = experiment[tuple_key]
+                if not isinstance(value, (list, tuple)):
+                    raise SuiteError(
+                        f"scenario {name!r}: experiment: {tuple_key} must be "
+                        f"a list, got {value!r}"
+                    )
+                experiment[tuple_key] = tuple(value)
 
     source = None
     if "source" in merged:

@@ -209,7 +209,7 @@ class TestPriority:
                  deps=("seed",), priority=10),
         ]
         with ThreadPoolExecutor(max_workers=1) as pool:
-            _run_pooled(tasks, pool, shared=shared, max_in_flight=1)
+            _run_pooled(tasks, pool, shared, ExecutorStats(), 1, {})
         assert shared["order"] == ["seed", "chain", "fan0", "fan1"]
 
 

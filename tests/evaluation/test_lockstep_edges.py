@@ -21,13 +21,18 @@ from repro.evaluation.runner import (
     build_traces,
     evaluate_policy,
     renewal_walk_stats,
-    reset_renewal_walk_stats,
 )
 from repro.utils.rng import RngFactory
 
 from .replay_reference import assert_matches_reference, evaluate_policy_reference
 
 MITIGATION_COST = 2 / 60.0
+
+
+def _walk_delta(before):
+    """The renewal-walk counters since the ``renewal_walk_stats()`` ``before``."""
+    after = renewal_walk_stats()
+    return {name: after[name] - before[name] for name in after}
 
 
 class _CostThresholdBatchPolicy(MitigationPolicy):
@@ -159,10 +164,10 @@ class TestLockstepEdgeCases:
         reference decision for decision.
         """
         traces = _mixed_panel(job_sampler)
-        reset_renewal_walk_stats()
+        before = renewal_walk_stats()
         for threshold in (0.2, 2.0):
             _assert_identical(traces, _InverseCostPolicy(threshold))
-        stats = renewal_walk_stats()
+        stats = _walk_delta(before)
         assert stats["rounds"] > 0 and stats["windows"] >= stats["rounds"]
 
     def test_real_traces_against_threshold_policies(
@@ -186,13 +191,13 @@ class TestDeclinePerPolicy:
         still takes the lockstep walk."""
         traces = _mixed_panel(job_sampler)
 
-        reset_renewal_walk_stats()
+        before = renewal_walk_stats()
         _assert_identical(traces, _NoBatchCostPolicy(1.0))
-        assert renewal_walk_stats()["rounds"] == 0  # decide() loop: no walk
+        assert _walk_delta(before)["rounds"] == 0  # decide() loop: no walk
 
-        reset_renewal_walk_stats()
+        before = renewal_walk_stats()
         _assert_identical(traces, _CostThresholdBatchPolicy(1.0))
-        assert renewal_walk_stats()["rounds"] > 0  # lockstep walk ran
+        assert _walk_delta(before)["rounds"] > 0  # lockstep walk ran
 
     def test_mid_walk_decline_aborts_to_scalar(self, job_sampler):
         """A policy that answers the whole panel but declines the walk's
@@ -211,9 +216,9 @@ class TestDeclinePerPolicy:
                 return super().decide_rows(rows, ue_costs)
 
         traces = _mixed_panel(job_sampler)
-        reset_renewal_walk_stats()
+        before = renewal_walk_stats()
         _assert_identical(traces, _WholePanelOnly(1.0))
-        stats = renewal_walk_stats()
+        stats = _walk_delta(before)
         # The walk started (the whole-panel candidates were answered) and
         # opened a round, whose row request was declined.
         assert stats["rounds"] == 1

@@ -69,6 +69,9 @@ class TestConfigValidation:
             ({"rl_hidden_sizes": (8, -1)}, "rl_hidden_sizes"),
             ({"rl_hidden_sizes": (0.5,)}, "rl_hidden_sizes"),
             ({"rl_hidden_sizes": ()}, "rl_hidden_sizes"),
+            ({"n_workers": -2}, "n_workers"),
+            ({"rl_hyperparam_trials": -3}, "rl_hyperparam_trials"),
+            ({"rl_hyperparam_refine": -1}, "rl_hyperparam_refine"),
         ],
     )
     def test_bad_values_are_rejected(self, overrides, field):
@@ -77,7 +80,7 @@ class TestConfigValidation:
 
     def test_serial_fallbacks_stay_accepted(self):
         # n_workers <= 1 runs serially; zero trials are read as one.
-        ExperimentConfig(n_workers=0, rl_hyperparam_trials=0)
+        ExperimentConfig(n_workers=0, rl_hyperparam_trials=0, rl_hyperparam_refine=0)
 
 
 class TestStages:

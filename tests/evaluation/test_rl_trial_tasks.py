@@ -79,13 +79,32 @@ REFINE0_GRAPH_DIGESTS = {
 }
 
 
+class _AsRecorded:
+    """A config rendered as the digests above saw it: with the diagnostic
+    ``profile=False`` field, the last one, since retired from the config."""
+
+    def __init__(self, config):
+        self.text = repr(config)[:-1] + ", profile=False)"
+
+    def __repr__(self):
+        return self.text
+
+
+def _digest_arg(arg):
+    if callable(arg):
+        return arg.__qualname__
+    if isinstance(arg, ExperimentConfig):
+        return _AsRecorded(arg)
+    return arg
+
+
 def _graph_digest(tasks):
     """Hash of every task's key, function, args, deps and priority."""
     rows = [
         (
             task.key,
             task.fn.__qualname__,
-            tuple(arg.__qualname__ if callable(arg) else arg for arg in task.args),
+            tuple(_digest_arg(arg) for arg in task.args),
             task.deps,
             task.priority,
         )

@@ -212,6 +212,7 @@ class TestOneFrontDoor:
             ["run", "--mitigation-cost=-2"],
             ["run", "--restartable", "maybe"],
             ["run", "--episodes", "0"],
+            ["run", "--workers", "-2"],
             ["sweep", "--duration-days", "-5"],
             ["sweep", "--seeds", "1,1"],
             ["sweep", "--mitigation-cost=-2"],
@@ -429,20 +430,23 @@ def _command(name, tmp_path):
 
 class TestProfileFlag:
     @pytest.mark.parametrize("command", ["run", "sweep", "suite"])
-    def test_profile_prints_one_merged_table(self, tmp_path, capsys, command):
+    def test_profile_prints_one_table(self, tmp_path, capsys, command):
         if command == "suite":
             pytest.importorskip("yaml")
         assert cli.main(_command(command, tmp_path) + ["--profile"]) == 0
         out = capsys.readouterr().out
-        # One merged top-N table (pstats.Stats.add across stages), naming
-        # the stages it covers — not a table per stage.
-        assert out.count("top functions by cumulative time") == 1
-        assert "merged across stages" in out
-        assert "prepare_data" in out and "execute_tasks" in out
-        assert "cumtime" in out
+        # One table: the stages, then each task body per worker pid.
+        assert out.count("span / task body") == 1
+        for name in ("prepare_data", "execute_tasks", "aggregate", "run_rl_trial"):
+            assert name in out
+        assert "counters: " in out
         assert out.count("critical path") == 1
 
-    def test_profile_surfaces_in_result_extras(self):
+    def test_no_profile_flag_prints_no_table(self, tmp_path, capsys):
+        assert cli.main(_command("run", tmp_path)) == 0
+        assert "span / task body" not in capsys.readouterr().out
+
+    def test_every_run_carries_its_profile(self):
         from repro.config import ScenarioConfig
         from repro.evaluation.experiment import run_experiment
         from repro.evaluation.pipeline import ExperimentConfig
@@ -456,49 +460,13 @@ class TestProfileFlag:
             include_myopic=False,
             charge_training_time=False,
             executor_kind="serial",
-            profile=True,
         )
         result = run_experiment(scenario, config)
-        report = result.extras["profile"]
-        assert set(report) == {
-            "prepare_data", "execute_tasks", "aggregate", "total",
-        }
+        profile = result.extras["profile"]
+        assert list(profile["spans"]) == ["prepare_data", "execute_tasks", "aggregate"]
+        assert set(profile["tasks"]) == {"run_split_group"}
         # A sweep reports the same stages: every entry point runs one body.
         sweep = run_sweep(
             SweepSpec(base=scenario, mitigation_costs=(2.0, 10.0)), config
         )
-        assert set(sweep.extras["profile"]) == set(report)
-        for rows in report.values():
-            assert rows and {"function", "ncalls", "tottime", "cumtime"} <= set(
-                rows[0]
-            )
-        # The merged entry folds the raw stats: a function's combined call
-        # count is at least its count in any single stage's table.
-        per_stage_max = {}
-        for stage in ("prepare_data", "execute_tasks", "aggregate"):
-            for row in report[stage]:
-                per_stage_max[row["function"]] = max(
-                    per_stage_max.get(row["function"], 0), row["ncalls"]
-                )
-        merged_calls = {row["function"]: row["ncalls"] for row in report["total"]}
-        shared = set(merged_calls) & set(per_stage_max)
-        assert shared
-        for function in shared:
-            assert merged_calls[function] >= per_stage_max[function]
-
-    def test_profile_off_leaves_extras_empty(self):
-        from repro.config import ScenarioConfig
-        from repro.evaluation.experiment import run_experiment
-        from repro.evaluation.pipeline import ExperimentConfig
-        from repro.utils.timeutils import DAY
-
-        scenario = ScenarioConfig.small(seed=11).with_duration(30 * DAY)
-        config = ExperimentConfig(
-            include_rf=False,
-            include_rl=False,
-            include_myopic=False,
-            charge_training_time=False,
-            executor_kind="serial",
-        )
-        result = run_experiment(scenario, config)
-        assert "profile" not in result.extras
+        assert list(sweep.extras["profile"]["spans"]) == list(profile["spans"])

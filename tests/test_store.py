@@ -295,7 +295,8 @@ class TestExperimentResults:
 
 class TestOlderPayloads:
     #: Content keys of (SCENARIO, TINY), recorded before the retired
-    #: ``rl_trial_tasks`` / ``compiled`` config fields were removed.
+    #: ``rl_trial_tasks`` / ``compiled`` / ``profile`` config fields were
+    #: removed.
     RESULT_KEY = "afe30b0897a0f235"
     PREPARED_KEY = "c04a414ab07b5ebc"
 
@@ -303,6 +304,7 @@ class TestOlderPayloads:
         payload = TINY.to_dict()
         payload["rl_trial_tasks"] = False
         payload["compiled"] = True
+        payload["profile"] = True
         return payload
 
     def test_retired_config_fields_load_with_unchanged_keys(self, store):

@@ -104,6 +104,12 @@ class TestSchemaErrors:
         "zero-hidden-layer": (
             "scenarios: {a: {experiment: {rl_hidden_sizes: [0]}}}"
         ),
+        "scalar-hidden-sizes": (
+            "scenarios: {a: {experiment: {rl_hidden_sizes: 5}}}"
+        ),
+        "scalar-threshold-offsets": (
+            "scenarios: {a: {experiment: {sc20_threshold_offsets: 0.1}}}"
+        ),
     }
 
     @pytest.mark.parametrize("label", sorted(BAD_SUITES))
