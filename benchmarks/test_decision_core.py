@@ -24,8 +24,9 @@ before recording any timing:
     best-of-``REPRO_BENCH_DECISION_REPS`` with warm caches, matching the
     steady state of the per-split replay loop.
 ``per``
-    Prioritized-replay sample + priority-update rounds: the historical
-    per-draw sum-tree walks vs the vectorized batch path.
+    Prioritized-replay sample + priority-update rounds: the per-draw
+    sum-tree walks of ``tests/core/replay_reference.py`` vs the vectorized
+    batch path.
 ``features``
     Table 1 feature-track extraction over the benchmark error log: the
     reference per-event loop vs the cumulative-array implementation.
@@ -78,6 +79,7 @@ from repro.evaluation.runner import (
 )
 
 from tests.core.feature_reference import extract_node_features_loop
+from tests.core.replay_reference import sample_reference, update_priorities_reference
 from tests.evaluation.replay_reference import evaluate_policy_reference
 
 pytestmark = pytest.mark.slow
@@ -121,7 +123,7 @@ def _build_panel(prepared, duration):
         t_start=0.0,
         t_end=split_point,
     )
-    forest, _ = train_sc20_forest(dataset, n_estimators=25, max_depth=10, seed=3)
+    forest = train_sc20_forest(dataset, n_estimators=25, max_depth=10, seed=3)
     sc20 = SC20RandomForestPolicy(forest, threshold=0.8)
 
     normalizer = StateNormalizer()
@@ -264,9 +266,9 @@ def _bench_per(record):
         started = time.perf_counter()
         for _ in range(rounds):
             if scalar:
-                batch = buffer._sample_scalar(batch_size)
-                buffer._update_priorities_scalar(
-                    batch.indices, error_rng.normal(size=batch_size) * 10
+                batch = sample_reference(buffer, batch_size)
+                update_priorities_reference(
+                    buffer, batch.indices, error_rng.normal(size=batch_size) * 10
                 )
             else:
                 batch = buffer.sample(batch_size)

@@ -126,7 +126,7 @@ def _setup():
         t_start=0.0,
         t_end=0.25 * scenario.duration_seconds,
     )
-    forest_model, _ = train_sc20_forest(dataset, n_estimators=16, max_depth=8, seed=3)
+    forest_model = train_sc20_forest(dataset, n_estimators=16, max_depth=8, seed=3)
     forest = SC20RandomForestPolicy(forest_model, threshold=0.4)
     normalizer = StateNormalizer()
     agent = DDDQNAgent(

@@ -17,19 +17,19 @@ This example runs a three-seed sweep two ways in one process —
    ``python -m repro sweep ... --store DIR --claim`` process on its own
    machine,
 
-and verifies both produce bit-identical scientific results
-(``charge_training_time=False``; per-point wall-clock, a diagnostic of
-whichever process ran the point, is excluded by ``results_equivalent``).
+and verifies both produce bit-identical scientific results (per-point
+wall-clock, a diagnostic of whichever process ran the point, is excluded
+by ``results_equivalent``).
 
 The same flow from the command line, one worker per machine on a shared
 filesystem::
 
     machine-a$ python -m repro sweep --seeds 7,8,9 --fast \
-                   --no-charge-training-time --store /shared/runs --claim
+                   --store /shared/runs --claim
     machine-b$ python -m repro sweep --seeds 7,8,9 --fast \
-                   --no-charge-training-time --store /shared/runs --claim
+                   --store /shared/runs --claim
     anywhere$  python -m repro sweep --seeds 7,8,9 --fast \
-                   --no-charge-training-time --store /shared/runs --status
+                   --store /shared/runs --status
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from repro.distributed import (
 from repro.evaluation import ExperimentConfig, SweepSpec, run_sweep
 from repro.store import ArtifactStore
 
-# Small enough for a laptop minute; deterministic so "bit-identical" is a
-# meaningful claim (the default charges measured training wall-clock).
+# Small enough for a laptop minute.
 CONFIG = ExperimentConfig(
     rl_episodes=10,
     rl_hyperparam_trials=1,
@@ -56,7 +55,6 @@ CONFIG = ExperimentConfig(
     rf_n_estimators=5,
     rf_max_depth=5,
     threshold_grid_size=5,
-    charge_training_time=False,
 )
 SPEC = SweepSpec(base=ScenarioConfig.small(), seeds=(7, 8, 9))
 

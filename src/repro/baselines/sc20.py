@@ -9,8 +9,7 @@ from optimal, to show its sensitivity to this user-defined parameter.
 
 from __future__ import annotations
 
-import time
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -28,26 +27,21 @@ def train_sc20_forest(
     max_depth: int = 10,
     undersample_ratio: float = 1.0,
     seed=0,
-) -> Tuple[RandomForestClassifier, float]:
+) -> RandomForestClassifier:
     """Train the SC20 random forest with random under-sampling.
 
     Features are normalised with the same deterministic transform the RL
-    agent uses, so both consume comparable inputs.  Returns the fitted forest
-    and the wall-clock training time in seconds (charged to the policy by the
-    cost–benefit analysis).
+    agent uses, so both consume comparable inputs.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train SC20-RF on an empty dataset")
-    started = time.perf_counter()
     normalizer = StateNormalizer()
     X = normalizer.transform_features(dataset.X)
     X_bal, y_bal = random_undersample(X, dataset.y, undersample_ratio, seed=seed)
     forest = RandomForestClassifier(
         n_estimators=n_estimators, max_depth=max_depth, seed=seed
     )
-    forest.fit(X_bal, y_bal)
-    elapsed = time.perf_counter() - started
-    return forest, elapsed
+    return forest.fit(X_bal, y_bal)
 
 
 class SC20RandomForestPolicy(MitigationPolicy):

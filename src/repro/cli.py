@@ -35,8 +35,7 @@ stderr and exit code 2, before any data is prepared.
 
     ``--claim`` workers race over all missing points through atomic store
     leases, heartbeat while computing, and reclaim the points of workers
-    that die.  The reduced sweep is bit-identical to a single-process run
-    (with ``charge_training_time=False``).
+    that die.  The reduced sweep is bit-identical to a single-process run.
 
 ``suite``
     Every scenario block of a YAML suite file (see :mod:`repro.suite`);
@@ -71,8 +70,9 @@ stderr and exit code 2, before any data is prepared.
 ``--profile`` (``run``, ``sweep``, ``suite``) prints one table after each
 block's report: the seconds of each pipeline stage and of each task body
 (``run_rl_trial``, ...) per worker pid, and the counters of every process
-that ran a task.  Every run collects them (``result.extras["profile"]``);
-the flag only prints them.  Every table is rendered by
+that ran a task; a ``--claim`` worker prints those of the points it
+computed.  Every run collects them (``result.extras["profile"]``); the
+flag only prints them.  Every table is rendered by
 :mod:`repro.evaluation.report`.
 """
 
@@ -173,9 +173,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
         "--charge-training-time",
         action=argparse.BooleanOptionalAction,
         default=None,
-        help="charge measured wall-clock training time to the mitigation "
-        "costs (default: on; --no-charge-training-time makes results fully "
-        "deterministic — required for bit-identical distributed sweeps)",
+        help="charge the modelled training cost of the learned policies "
+        "(default: on)",
     )
     parser.add_argument(
         "--store",
@@ -574,9 +573,11 @@ def _print_block(args, store, config, entry, result, outcome) -> None:
             if outcome is None:
                 print(f"points loaded from store: {len(result.extras['points_loaded'])}")
                 print(f"points computed: {len(result.extras['points_computed'])}")
-        if args.profile and "profile" in result.extras:  # not under --claim
-            print()
-            print(format_profile(result.extras["profile"]))
+    # Under --claim, the profile of the points this worker computed.
+    profile = result.extras.get("profile") if outcome is None else outcome.profile
+    if args.profile and profile is not None:
+        print()
+        print(format_profile(profile))
     if args.command == "suite":
         print()
 
@@ -685,7 +686,7 @@ def _serve_policy(
             raise SystemExit(
                 "error: the training slice yields no prediction samples"
             )
-        forest, _ = train_sc20_forest(dataset, n_estimators=16, max_depth=8, seed=seed)
+        forest = train_sc20_forest(dataset, n_estimators=16, max_depth=8, seed=seed)
         sc20 = SC20RandomForestPolicy(forest, threshold=threshold)
         if kind == "sc20":
             return sc20

@@ -10,7 +10,6 @@ with the events-to-UEs class imbalance.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
@@ -157,7 +156,6 @@ class DDDQNAgent:
         self._rng = as_generator(cfg.seed + 2, "agent")
         self.env_steps = 0
         self.train_steps = 0
-        self.training_wallclock_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     # Acting
@@ -206,7 +204,6 @@ class DDDQNAgent:
     def train_step(self) -> TrainStepStats:
         """One prioritized double-DQN gradient update."""
         cfg = self.config
-        started = time.perf_counter()
         batch = self.replay.sample(cfg.batch_size)
         td_errors, selected = self._update_from_batch(batch)
         self.replay.update_priorities(batch.indices, td_errors)
@@ -214,7 +211,6 @@ class DDDQNAgent:
         self.replay.anneal(min(1.0, self.train_steps / cfg.per_beta_steps))
         if self.train_steps % cfg.target_sync_frequency == 0:
             self.target.copy_from(self.online)
-        self.training_wallclock_seconds += time.perf_counter() - started
         return TrainStepStats(td_errors, batch.weights, selected, cfg.huber_delta)
 
     def _update_from_batch(self, batch: ReplayBatch):
@@ -298,13 +294,3 @@ class DDDQNAgent:
         agent = cls(state_dim, config)
         agent.load_state_dict(state)
         return agent
-
-    @property
-    def training_cost_node_hours(self) -> float:
-        """Wall-clock training time expressed in node–hours.
-
-        The cost–benefit analysis (Section 4.3) charges the model its own
-        training and validation time; a single node runs the training, so
-        node–hours equal wall-clock hours.
-        """
-        return self.training_wallclock_seconds / 3600.0

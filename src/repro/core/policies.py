@@ -278,7 +278,7 @@ class RLPolicy(MitigationPolicy):
 
     @property
     def training_cost_node_hours(self) -> float:
-        return self._training_cost + self.agent.training_cost_node_hours
+        return self._training_cost
 
 
 class CallablePolicy(MitigationPolicy):

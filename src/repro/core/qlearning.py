@@ -62,7 +62,6 @@ class TabularQAgent:
         self._rng = as_generator(self.config.seed, "tabular")
         self.env_steps = 0
         self.train_steps = 0
-        self.training_wallclock_seconds = 0.0
 
     # ------------------------------------------------------------------ #
     def _discretise(self, state: np.ndarray) -> Tuple[int, ...]:
@@ -121,8 +120,3 @@ class TabularQAgent:
             target - values[transition.action]
         )
         self.train_steps += 1
-
-    @property
-    def training_cost_node_hours(self) -> float:
-        """Tabular updates are effectively free; charge nothing."""
-        return 0.0

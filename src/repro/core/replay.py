@@ -342,7 +342,8 @@ class PrioritizedReplayBuffer(_ArrayRing):
     def _sample_indices_scalar(
         self, batch_size: int, segment: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference scalar stratified draw (also the pre-wrap fallback path)."""
+        """Scalar stratified draw: the pre-wrap fallback path (and the draw
+        of the scalar reference in ``tests/core/replay_reference.py``)."""
         indices = np.empty(batch_size, dtype=np.int64)
         priorities = np.empty(batch_size, dtype=np.float64)
         for i in range(batch_size):
@@ -356,22 +357,6 @@ class PrioritizedReplayBuffer(_ArrayRing):
             indices[i] = idx
             priorities[i] = priority
         return indices, priorities
-
-    def _sample_scalar(self, batch_size: int) -> ReplayBatch:
-        """Reference implementation of :meth:`sample` (per-draw tree walks).
-
-        Kept for the equivalence tests and the decision-core benchmark;
-        produces bit-identical batches and consumes the RNG stream exactly
-        like :meth:`sample`.
-        """
-        check_positive("batch_size", batch_size)
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty replay buffer")
-        total = self._tree.total
-        segment = total / batch_size
-        indices, priorities = self._sample_indices_scalar(batch_size, segment)
-        weights = self._normalized_weights(priorities, total, self._size, self.beta)
-        return self._gather(indices, weights)
 
     # ------------------------------------------------------------------ #
     # Priority maintenance
@@ -395,16 +380,6 @@ class PrioritizedReplayBuffer(_ArrayRing):
         self._tree.update_many(
             indices, [priority**self.alpha for priority in priorities.tolist()]
         )
-
-    def _update_priorities_scalar(
-        self, indices: np.ndarray, td_errors: np.ndarray
-    ) -> None:
-        """Reference per-element priority refresh (equivalence tests/bench)."""
-        td_errors = np.abs(np.asarray(td_errors, dtype=float))
-        for idx, err in zip(np.asarray(indices, dtype=int), td_errors):
-            priority = float(err) + self.epsilon
-            self._max_priority = max(self._max_priority, priority)
-            self._tree.update(int(idx), priority**self.alpha)
 
     def anneal(self, fraction: float) -> None:
         """Anneal the importance-sampling exponent β from β₀ to 1."""

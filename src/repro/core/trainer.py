@@ -10,7 +10,6 @@ a scaled-down schedule.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -29,7 +28,6 @@ class TrainingResult:
     episode_rewards: List[float] = field(default_factory=list)
     episode_mitigations: List[int] = field(default_factory=list)
     episode_ue_hits: List[bool] = field(default_factory=list)
-    wallclock_seconds: float = 0.0
     env_steps: int = 0
 
     @property
@@ -49,11 +47,6 @@ class TrainingResult:
             return 0.0
         n = max(1, int(len(self.episode_rewards) * fraction))
         return float(np.mean(self.episode_rewards[-n:]))
-
-    @property
-    def training_cost_node_hours(self) -> float:
-        """Wall-clock training time in node–hours (single training node)."""
-        return self.wallclock_seconds / 3600.0
 
 
 def train_agent(
@@ -80,7 +73,6 @@ def train_agent(
     """
     check_positive("n_episodes", n_episodes)
     result = TrainingResult()
-    started = time.perf_counter()
 
     for episode in range(int(n_episodes)):
         state = env.reset()
@@ -112,6 +104,4 @@ def train_agent(
         result.episode_ue_hits.append(summary.ue_occurred)
         if callback is not None:
             callback(episode, episode_reward)
-
-    result.wallclock_seconds = time.perf_counter() - started
     return result

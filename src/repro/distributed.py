@@ -22,19 +22,19 @@ one is deleted with a warning, then claimed and recomputed like a missing
 one.
 
 The invariant: the reduced :class:`~repro.evaluation.sweep.SweepResult` is
-**bit-identical** to a single-process ``run_sweep`` of the same spec (with
-``charge_training_time=False``, the one intentionally non-deterministic
-knob) — every point's numbers come from the same keyed RNG streams no
-matter which worker computes it, and each point lands exactly once in the
-final result because results live at content keys: even a duplicated
-computation (a presumed-dead worker finishing late) writes the identical
-bytes to the identical slot.  :func:`results_equivalent` checks the
-guarantee, comparing everything but the per-point wall-clock diagnostic.
+**bit-identical** to a single-process ``run_sweep`` of the same spec —
+every point's numbers, the modelled training cost included, come from the
+same keyed RNG streams and work counts no matter which worker computes it,
+and each point lands exactly once in the final result because results live
+at content keys: even a duplicated computation (a presumed-dead worker
+finishing late) writes the identical bytes to the identical slot.
+:func:`results_equivalent` checks the guarantee, comparing everything but
+the per-point wall-clock diagnostic.
 
 A typical two-machine session::
 
     spec = SweepSpec(base=ScenarioConfig.small(), seeds=range(50), ...)
-    config = ExperimentConfig.fast().with_overrides(charge_training_time=False)
+    config = ExperimentConfig.fast()
 
     # machine A and machine B, same shared store directory:
     run_sweep_worker(spec, config, store)
@@ -109,6 +109,9 @@ class WorkerOutcome:
     #: The reduced sweep, when ``reduced`` (and reducing was requested).
     result: Optional[SweepResult] = None
     wallclock_seconds: float = 0.0
+    #: The summed ``extras["profile"]`` of the points this worker computed
+    #: (see :func:`~repro.evaluation.sweep.run_sweep`); ``None`` if none.
+    profile: Optional[Dict[str, Any]] = None
 
     def summary(self) -> str:
         """One status line per worker, for logs and the CLI."""
@@ -232,6 +235,22 @@ def _stored(store: ArtifactStore, result_key: str) -> bool:
     return store.load_result_by_key(result_key) is not None
 
 
+def _add_profile(total: Optional[Dict], profile: Dict) -> Dict:
+    """``total`` plus one point's profile: counts, spans and task tables."""
+    total = total or {"counts": {}, "spans": {}, "tasks": {}}
+    for name, n in profile["counts"].items():
+        total["counts"][name] = total["counts"].get(name, 0) + n
+    tables = [(total["spans"], profile["spans"])] + [
+        (total["tasks"].setdefault(body, {}), per_pid)
+        for body, per_pid in profile["tasks"].items()
+    ]
+    for into, timings in tables:
+        for name, (calls, seconds) in timings.items():
+            old_calls, old_seconds = into.get(name, (0, 0.0))
+            into[name] = (old_calls + calls, old_seconds + seconds)
+    return total
+
+
 def run_sweep_worker(
     spec: SweepSpec,
     config: Optional[ExperimentConfig] = None,
@@ -322,6 +341,10 @@ def run_sweep_worker(
                     manager.release(lease)
                 done.add(result_key)
                 outcome.computed.append(point.label)
+                if "profile" in result.extras:
+                    outcome.profile = _add_profile(
+                        outcome.profile, result.extras["profile"]
+                    )
             # Leased-elsewhere points whose results landed since our pass
             # count as loaded right here; only truly unfinished ones block.
             blocked: List[str] = []
@@ -441,8 +464,8 @@ def sweep_scientific_json(result: SweepResult) -> str:
     Identical to :meth:`SweepResult.to_json` except that each point's
     ``wallclock_seconds`` — a diagnostic of whichever process happened to
     compute the point, never an input to any number — is zeroed, so two
-    runs of the same deterministic sweep (single-process and N-worker,
-    ``charge_training_time=False``) compare byte-for-byte equal.
+    runs of the same sweep (single-process and N-worker) compare
+    byte-for-byte equal.
     """
     payload = result.to_dict()
     for point_payload in payload["results"].values():

@@ -4,12 +4,48 @@ Every result of the paper is expressed as the total number of lost node–
 hours: the cost of the uncorrected errors that were not (or could not be)
 avoided, plus the cost of every mitigation action performed, plus — for the
 learned policies — the cost of training and validating the model.
+
+The paper charges each model the training time it measured on its
+cluster.  Here :func:`training_charge_node_hours` models that time from
+work counts, so the charge is a pure function of the config and the data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from typing import Tuple
+
+from repro.utils.timeutils import HOUR
+
+#: Per-unit seconds of the training-cost model, fitted on one core of an
+#: Intel Xeon (OpenBLAS) from RL training at the ``fast()`` and ``paper()``
+#: widths (a step is linear in the Q-network's parameter count) and from
+#: forest fits of 15 to 100 trees.  An environment step is the training
+#: loop's work outside the gradient update (act, step, replay push).
+TRAIN_STEP_SECONDS = 2.23e-4
+TRAIN_STEP_SECONDS_PER_PARAMETER = 1.75e-8
+ENV_STEP_SECONDS = 3.1e-5
+ENV_STEP_SECONDS_PER_PARAMETER = 2.7e-10
+FOREST_NODE_SECONDS = 8.0e-5
+#: Names the model above; a stored result charged by another is recomputed.
+TRAINING_COST_MODEL = "work-counts-1"
+
+
+def training_charge_node_hours(
+    *,
+    train_steps: int = 0,
+    env_steps: int = 0,
+    n_parameters: int = 0,
+    forest_nodes: int = 0,
+) -> float:
+    """Modelled node–hours of ``train_steps`` gradient updates and
+    ``env_steps`` environment steps of an RL agent with ``n_parameters``
+    Q-network parameters, plus ``forest_nodes`` fitted forest nodes (one
+    node trains, so node–hours are hours)."""
+    train_step = TRAIN_STEP_SECONDS + TRAIN_STEP_SECONDS_PER_PARAMETER * n_parameters
+    env_step = ENV_STEP_SECONDS + ENV_STEP_SECONDS_PER_PARAMETER * n_parameters
+    seconds = train_steps * train_step + env_steps * env_step
+    return (seconds + forest_nodes * FOREST_NODE_SECONDS) / HOUR
 
 
 @dataclass(frozen=True)
@@ -91,13 +127,3 @@ class CostBreakdown:
         from repro.serialization import simple_from_dict
 
         return simple_from_dict(cls, data, "cost_breakdown")
-
-    def with_training_cost(self, training_cost: float) -> "CostBreakdown":
-        """Copy with the training cost replaced."""
-        return CostBreakdown(
-            ue_cost=self.ue_cost,
-            mitigation_cost=self.mitigation_cost,
-            training_cost=float(training_cost),
-            n_ues=self.n_ues,
-            n_mitigations=self.n_mitigations,
-        )

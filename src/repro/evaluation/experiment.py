@@ -24,9 +24,7 @@ turns scenarios into results.  That body composes three explicit layers:
     process pool when ``ExperimentConfig.n_workers > 1``.
     Every task seeds its own random streams from keyed
     :class:`~repro.utils.rng.RngFactory` streams, so parallel and serial
-    schedules produce identical results (set
-    ``charge_training_time=False`` to also zero out the wall-clock
-    training-cost accounting, the only non-deterministic quantity).
+    schedules produce bitwise-identical results.
 
 :func:`run_experiment` keeps the historical public signature; the
 re-exported :class:`ExperimentConfig`, :class:`ExperimentResult` and
@@ -73,10 +71,8 @@ def run_experiment(
     """Run the full nested-cross-validation evaluation for one scenario.
 
     Set ``config.n_workers > 1`` to train and evaluate independent
-    (split × approach group) tasks concurrently; with
-    ``config.charge_training_time=False`` results are bitwise-identical to
-    a serial run (the default charges measured wall-clock training time to
-    the mitigation costs, which varies run to run).
+    (split × approach group) tasks concurrently; results are
+    bitwise-identical to a serial run.
 
     ``cache`` optionally serves the prepared data from a
     :class:`~repro.evaluation.pipeline.PreparedDataCache` (with whatever

@@ -31,9 +31,10 @@ narrowed search round waits only for the first round's winner.  All
 randomness is drawn from keyed :class:`~repro.utils.rng.RngFactory` streams
 (per-trial settings are pre-drawn from one sequential stream per split and
 search round), which makes every task self-seeding: serial and parallel
-schedules produce identical results (wall-clock training-cost accounting
-aside — disable ``ExperimentConfig.charge_training_time`` for
-bitwise-identical runs).
+schedules produce bitwise-identical results.  The training cost charged to
+the learned policies is modelled from work counts
+(:func:`~repro.evaluation.costs.training_charge_node_hours`), so it is
+identical on every schedule too.
 
 Two content-keyed caches remove redundant work across experiments:
 :class:`PreparedDataCache` shares one :class:`PreparedData` product between
@@ -49,7 +50,6 @@ import dataclasses
 import hashlib
 import re
 import threading
-import time
 import warnings
 import zipfile
 from collections import OrderedDict
@@ -60,6 +60,7 @@ import numpy as np
 
 from repro import obs
 from repro.baselines.dataset import build_prediction_dataset
+from repro.baselines.random_forest import RandomForestClassifier
 from repro.baselines.sc20 import SC20RandomForestPolicy, train_sc20_forest
 from repro.config import ScenarioConfig
 from repro.core.dqn import DDDQNAgent, DQNConfig
@@ -68,7 +69,7 @@ from repro.core.features import NodeFeatureTrack, StateNormalizer, build_feature
 from repro.core.hyperparams import HyperparameterSpace
 from repro.core.policies import MitigationPolicy, RLPolicy
 from repro.core.trainer import train_agent
-from repro.evaluation.costs import CostBreakdown
+from repro.evaluation.costs import CostBreakdown, training_charge_node_hours
 from repro.evaluation.cross_validation import TimeSeriesNestedCV, TimeSeriesSplit
 from repro.evaluation.executor import EXECUTOR_KINDS, ExecutorStats, Task, execute_tasks
 from repro.evaluation.metrics import ConfusionCounts
@@ -188,12 +189,10 @@ class ExperimentConfig:
     n_workers: int = 1
     #: Executor backend: "process", "thread" or "serial".
     executor_kind: str = "process"
-    #: Charge wall-clock training/validation time to the learned policies
-    #: (Section 4.3).  Wall-clock is inherently non-deterministic; disable to
-    #: make two runs of the same experiment bitwise identical (the
-    #: determinism tests and the parallel-vs-serial comparison rely on this).
+    #: Charge the modelled training cost to the learned policies (Section
+    #: 4.3; :func:`~repro.evaluation.costs.training_charge_node_hours`).
     #: A forest fit shared by several sweep points or suite blocks (see
-    #: :func:`build_split_tasks`) charges its one measured time to each.
+    #: :func:`build_split_tasks`) charges its cost to each.
     charge_training_time: bool = True
 
     def __post_init__(self) -> None:
@@ -929,7 +928,7 @@ class SplitContext:
         prepared: PreparedData,
         split: TimeSeriesSplit,
         config: ExperimentConfig,
-        forest: Optional[Tuple[Any, float]] = None,
+        forest: Optional[RandomForestClassifier] = None,
         rl: Optional[RLPolicy] = None,
         rl_state: Optional[dict] = None,
     ) -> None:
@@ -1003,9 +1002,11 @@ class SplitContext:
         mitigation cost, so it runs here, per point, once per context.
         """
         if self._sc20 is None and self._forest is not None:
-            forest, rf_seconds = self._forest
             base_policy = SC20RandomForestPolicy(
-                forest, training_cost_node_hours=rf_seconds / 3600.0
+                self._forest,
+                training_cost_node_hours=training_charge_node_hours(
+                    forest_nodes=sum(tree.n_nodes for tree in self._forest.trees_)
+                ),
             )
             optimal = _select_optimal_threshold(
                 base_policy,
@@ -1059,8 +1060,8 @@ def _select_optimal_threshold(
 
 def fit_split_forest(
     prepared: PreparedData, split: TimeSeriesSplit, config: ExperimentConfig
-) -> Optional[Tuple[Any, float]]:
-    """Fit one split's SC20 forest: ``(forest, fit seconds)``, or ``None``.
+) -> Optional[RandomForestClassifier]:
+    """Fit one split's SC20 forest, or ``None``.
 
     Reads only the feature tracks inside the split's history, the prediction
     window and the forest settings (``None`` when the history holds no
@@ -1113,17 +1114,17 @@ class RLTrialResult:
     select-best reduce task: the trial's validation score, the trained
     policy parameters (a :meth:`~repro.core.dqn.DDDQNAgent.state_dict` —
     plain numpy arrays, cheap to pickle across the process backend) and the
-    trial's own wall-clock training span.  ``trained`` is ``False`` when the
-    split had no training data; trial 0 then passes the previous split's
-    state through ``state`` unchanged (the warm-start carry of splits
-    without history).
+    trial's modelled training cost in node–hours.  ``trained`` is
+    ``False`` when the split had no training data; trial 0 then passes the
+    previous split's state through ``state`` unchanged (the warm-start
+    carry of splits without history).
     """
 
     split_index: int
     trial: int
     score: float
     state: Optional[dict]
-    train_seconds: float
+    training_cost: float
     trained: bool
 
 
@@ -1244,10 +1245,8 @@ def _train_one_rl_trial(
     Self-seeding (all randomness comes from keyed streams of the scenario
     root plus the pre-drawn trial settings), so the executor may run trials
     in any order on any worker without changing a single number.  The
-    recorded ``train_seconds`` span covers exactly this trial's training and
-    scoring — summing the spans gives schedule-independent
-    ``training_cost_node_hours`` accounting however the trials were laid
-    out across workers.  The trials of a split share their scoring traces
+    trial's ``training_cost`` is modelled from its own gradient updates and
+    environment steps.  The trials of a split share their scoring traces
     through the process-wide trace cache.
     """
     scenario = prepared.scenario
@@ -1261,7 +1260,7 @@ def _train_one_rl_trial(
             # Trial 0 carries the warm-start state through splits without
             # training data; the reduce passes it on unchanged.
             state=previous_state if trial == 0 else None,
-            train_seconds=0.0,
+            training_cost=0.0,
             trained=False,
         )
     scoring_traces = _rl_scoring_traces(prepared, split)
@@ -1269,7 +1268,6 @@ def _train_one_rl_trial(
     dqn_config, env_seed = settings[trial]
     normalizer = StateNormalizer()
 
-    started = time.perf_counter()
     agent = DDDQNAgent(normalizer.state_dim, dqn_config)
     if config.rl_warm_start and previous_state is not None and trial == 0:
         # The paper starts each split from a mix of previously trained
@@ -1294,13 +1292,16 @@ def _train_one_rl_trial(
         evaluation_cfg.restartable,
         evaluation_cfg.prediction_window_seconds,
     )
-    train_seconds = time.perf_counter() - started
     return RLTrialResult(
         split_index=split.index,
         trial=trial,
         score=score,
         state=agent.state_dict(),
-        train_seconds=train_seconds,
+        training_cost=training_charge_node_hours(
+            train_steps=agent.train_steps,
+            env_steps=agent.env_steps,
+            n_parameters=agent.online.params.size,
+        ),
         trained=True,
     )
 
@@ -1327,13 +1328,10 @@ def _select_best_rl_trial(
     """Fold a split's trial results into (best agent, cost node-hours, state).
 
     The best trial is :func:`_best_rl_trial`'s.  The charged training cost
-    is the **sum of the per-trial spans** — schedule-independent accounting
-    that neither counts executor queueing time (parallel trials) nor
-    double-counts the agent's internal gradient-update clock (the
-    reconstructed best agent starts with a zeroed counter).
+    is the sum of every trial's cost, in trial order.
     """
     ordered = sorted(trial_results, key=lambda result: result.trial)
-    total_seconds = sum(result.train_seconds for result in ordered)
+    training_cost = sum(result.training_cost for result in ordered)
     best = _best_rl_trial(ordered)
     if best is None:
         # No trial trained (no history in the train range): pass the
@@ -1342,7 +1340,7 @@ def _select_best_rl_trial(
         if carry is None:
             return None, 0.0, None
         return _agent_from_state(config, carry), 0.0, carry
-    return _agent_from_state(config, best.state), total_seconds / 3600.0, best.state
+    return _agent_from_state(config, best.state), training_cost, best.state
 
 
 # --------------------------------------------------------------------- #
@@ -1401,7 +1399,7 @@ def run_forest_fit(
     prepared: PreparedData,
     split: TimeSeriesSplit,
     config: ExperimentConfig,
-) -> Optional[Tuple[Any, float]]:
+) -> Optional[RandomForestClassifier]:
     """Fit one split's shared SC20 forest (executor task)."""
     return fit_split_forest(prepared, split, config)
 

@@ -22,7 +22,9 @@ processes, sessions and machines:
     full (scenario, experiment-config) pair *minus* the scheduling knobs
     (``n_workers``, ``executor_kind``) — the golden harness proves the
     schedule never changes the numbers, so serial and parallel runs of one
-    experiment share a result slot.
+    experiment share a result slot.  A charged result records its
+    training-cost model; one charged by another model (or by wall-clock,
+    as older releases did) is recomputed.
 ``sweeps/<key>.json``
     One sweep manifest mapping each point label of a
     :class:`~repro.evaluation.sweep.SweepSpec` to its result key, so
@@ -58,6 +60,7 @@ import numpy as np
 
 from repro.config import ScenarioConfig
 from repro.core.features import NodeFeatureTrack
+from repro.evaluation.costs import TRAINING_COST_MODEL
 from repro.evaluation.pipeline import (
     ExperimentConfig,
     ExperimentResult,
@@ -114,6 +117,14 @@ def _redacted_config_dict(config: ExperimentConfig) -> Dict[str, Any]:
     for name in _SCHEDULE_FIELDS:
         payload.pop(name, None)
     return payload
+
+
+def _parse_stored_result(payload: Dict[str, Any]) -> ExperimentResult:
+    model = payload.get("training_cost_model")
+    if payload["config"]["charge_training_time"] and model != TRAINING_COST_MODEL:
+        charged_by = model or "wall-clock"
+        raise SchemaError(f"charged by {charged_by}, not {TRAINING_COST_MODEL}")
+    return ExperimentResult.from_dict(payload["result"])
 
 
 class ArtifactStore:
@@ -336,15 +347,14 @@ class ArtifactStore:
     ) -> str:
         """Persist one experiment result with its full provenance; returns its key."""
         key = self.result_key(scenario, config)
-        payload = tag(
-            "stored_result",
-            {
-                "scenario": scenario.to_dict(),
-                "config": config.to_dict(),
-                "result": result.to_dict(),
-            },
-        )
-        self._put_json(f"results/{key}.json", payload)
+        payload = {
+            "scenario": scenario.to_dict(),
+            "config": config.to_dict(),
+            "result": result.to_dict(),
+        }
+        if config.charge_training_time:
+            payload["training_cost_model"] = TRAINING_COST_MODEL
+        self._put_json(f"results/{key}.json", tag("stored_result", payload))
         return key
 
     def load_result(
@@ -356,15 +366,12 @@ class ArtifactStore:
     def load_result_by_key(self, key: str) -> Optional[ExperimentResult]:
         """Reload the result stored under ``key``, or ``None`` on a miss.
 
-        An unreadable entry (a truncated or foreign file) is warned about,
-        deleted and reported as a miss, so the point is recomputed.
+        An unreadable entry (a truncated or foreign file), or one whose
+        training cost another cost model charged, is warned about, deleted
+        and reported as a miss, so the point is recomputed.
         """
         return self._read_json(
-            "result",
-            key,
-            "stored_result",
-            lambda payload: ExperimentResult.from_dict(payload["result"]),
-            delete=True,
+            "result", key, "stored_result", _parse_stored_result, delete=True
         )
 
     # ------------------------------------------------------------------ #

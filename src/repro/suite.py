@@ -43,6 +43,7 @@ it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
@@ -204,6 +205,8 @@ def _number(block: str, axis: str, value: Any) -> float:
             f"scenario {block!r}: axis {axis!r} values must be numbers, "
             f"got {value!r}"
         )
+    if not math.isfinite(value):
+        raise SuiteError(f"scenario {block!r}: {axis} must be finite, got {value!r}")
     rule = _NUMBER_RULES.get(axis)
     if rule is not None:
         try:
@@ -211,6 +214,12 @@ def _number(block: str, axis: str, value: Any) -> float:
         except ValueError as exc:
             raise SuiteError(f"scenario {block!r}: {exc}") from None
     return float(value)
+
+
+def _seed(block: str, rule: str, value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SuiteError(f"scenario {block!r}: {rule}, got {value!r}")
+    return value
 
 
 def _axis_values(block: str, axis: str, values: Any) -> Tuple[Any, ...]:
@@ -224,12 +233,8 @@ def _axis_values(block: str, axis: str, values: Any) -> Tuple[Any, ...]:
         if axis in ("mitigation_costs", "job_scales"):
             out.append(_number(block, axis, value))
         elif axis == "seeds":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SuiteError(
-                    f"scenario {block!r}: axis 'seeds' values must be "
-                    f"integers, got {value!r}"
-                )
-            out.append(int(value))
+            rule = "axis 'seeds' values must be non-negative integers"
+            out.append(_seed(block, rule, value))
         elif axis == "restartable":
             if isinstance(value, bool):
                 out.append(value)
@@ -333,12 +338,8 @@ def _compile_block(
     scenario: ScenarioConfig = getattr(ScenarioConfig, preset)()
 
     if "seed" in merged:
-        seed = merged["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise SuiteError(
-                f"scenario {name!r}: seed must be an integer, got {seed!r}"
-            )
-        scenario = scenario.with_seed(seed)
+        rule = "seed must be a non-negative integer"
+        scenario = scenario.with_seed(_seed(name, rule, merged["seed"]))
     if "duration_days" in merged:
         days = _number(name, "duration_days", merged["duration_days"])
         scenario = scenario.with_duration(days * DAY)

@@ -70,7 +70,7 @@ class TestMyopicDecisionRule:
 class TestMyopicWithRealForest:
     def test_runs_on_generated_data(self, feature_tracks):
         dataset = build_prediction_dataset(feature_tracks)
-        forest, _ = train_sc20_forest(dataset, n_estimators=5, seed=0)
+        forest = train_sc20_forest(dataset, n_estimators=5, seed=0)
         sc20 = SC20RandomForestPolicy(forest, threshold=0.5)
         policy = MyopicRFPolicy(sc20, mitigation_cost_node_hours=2 / 60)
         features = dataset.X[:20]

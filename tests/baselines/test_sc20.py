@@ -12,8 +12,8 @@ from repro.core.policies import DecisionContext
 @pytest.fixture(scope="module")
 def trained(feature_tracks):
     dataset = build_prediction_dataset(feature_tracks)
-    forest, seconds = train_sc20_forest(dataset, n_estimators=10, max_depth=8, seed=0)
-    return forest, seconds, dataset
+    forest = train_sc20_forest(dataset, n_estimators=10, max_depth=8, seed=0)
+    return forest, dataset
 
 
 def _context(features, ue_cost=10.0, index=-1):
@@ -23,10 +23,10 @@ def _context(features, ue_cost=10.0, index=-1):
 
 
 class TestTrainSC20Forest:
-    def test_returns_fitted_forest_and_time(self, trained):
-        forest, seconds, _ = trained
+    def test_returns_a_fitted_forest(self, trained):
+        forest, _ = trained
         assert forest.is_fitted
-        assert seconds > 0
+        assert len(forest.trees_) == forest.n_estimators
 
     def test_rejects_empty_dataset(self):
         from repro.baselines.dataset import PredictionDataset
@@ -39,7 +39,7 @@ class TestTrainSC20Forest:
             train_sc20_forest(empty)
 
     def test_forest_separates_positive_samples(self, trained):
-        forest, _, dataset = trained
+        forest, dataset = trained
         policy = SC20RandomForestPolicy(forest)
         probabilities = policy.predict_probabilities(dataset.X)
         if dataset.n_positives > 0:
@@ -50,7 +50,7 @@ class TestTrainSC20Forest:
 
 class TestSC20Policy:
     def test_threshold_controls_decision(self, trained):
-        forest, _, dataset = trained
+        forest, dataset = trained
         features = dataset.X[int(np.argmax(dataset.y))]
         eager = SC20RandomForestPolicy(forest, threshold=0.0)
         reluctant = SC20RandomForestPolicy(forest, threshold=1.0)
@@ -65,17 +65,17 @@ class TestSC20Policy:
             policy.predict_probabilities(np.zeros((2, width)))
 
     def test_offset_applied(self, trained):
-        forest, _, _ = trained
+        forest, _ = trained
         policy = SC20RandomForestPolicy(forest, threshold=0.5, threshold_offset=0.05)
         assert policy.effective_threshold == pytest.approx(0.55)
 
     def test_offset_clipped_to_unit_interval(self, trained):
-        forest, _, _ = trained
+        forest, _ = trained
         policy = SC20RandomForestPolicy(forest, threshold=0.99, threshold_offset=0.05)
         assert policy.effective_threshold == 1.0
 
     def test_with_threshold_copy(self, trained):
-        forest, _, _ = trained
+        forest, _ = trained
         base = SC20RandomForestPolicy(forest, training_cost_node_hours=1.5)
         derived = base.with_threshold(0.3, offset=0.02, name="SC20-RF-2%")
         assert derived.threshold == 0.3
@@ -84,7 +84,7 @@ class TestSC20Policy:
         assert derived.forest is base.forest
 
     def test_trace_cache_used(self, trained):
-        forest, _, dataset = trained
+        forest, dataset = trained
         policy = SC20RandomForestPolicy(forest, threshold=0.5)
         features = dataset.X[:10]
         policy.prepare_trace(features)
@@ -95,13 +95,13 @@ class TestSC20Policy:
         assert policy._trace_probabilities is None
 
     def test_invalid_threshold_rejected(self, trained):
-        forest, _, _ = trained
+        forest, _ = trained
         with pytest.raises(ValueError):
             SC20RandomForestPolicy(forest, threshold=1.5)
 
     @pytest.mark.parametrize("offset", [float("nan"), float("inf")])
     def test_non_finite_offset_rejected(self, trained, offset):
-        forest, _, _ = trained
+        forest, _ = trained
         with pytest.raises(ValueError, match="threshold_offset must be finite"):
             SC20RandomForestPolicy(forest, threshold_offset=offset)
         with pytest.raises(ValueError, match="threshold_offset must be finite"):

@@ -112,10 +112,10 @@ class TestAgentBasics:
             assert np.array_equal(agent.q_values(state), restored.q_values(state))
         # Hidden layout is inferred from the checkpoint, not the config.
         assert tuple(restored.config.hidden_sizes) == (16, 8)
-        # Cheap reconstruction: no full-size empty replay buffer, and a
-        # zeroed training clock (nothing trained on this instance).
+        # Cheap reconstruction: no full-size empty replay buffer, and no
+        # work counted (nothing trained on this instance).
         assert restored.config.buffer_capacity == 1
-        assert restored.training_cost_node_hours == 0.0
+        assert restored.env_steps == restored.train_steps == 0
 
     def test_from_state_dict_rejects_mismatched_state_dim(self):
         agent = DDDQNAgent(4, _config())
@@ -189,11 +189,12 @@ class TestLearning:
         assert q[1] > q[0]
         assert agent.act(state, explore=False) == 1
 
-    def test_training_cost_accumulates(self, rng):
+    def test_work_counts_accumulate(self, rng):
         agent = DDDQNAgent(4, _config(train_frequency=1))
         for _ in range(30):
             agent.observe(_transition(rng))
-        assert agent.training_cost_node_hours > 0.0
+        assert agent.env_steps == 30
+        assert agent.train_steps > 0
 
     def test_double_disabled_still_trains(self, rng):
         agent = DDDQNAgent(4, _config(double=False, dueling=False, train_frequency=1))

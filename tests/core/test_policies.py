@@ -65,10 +65,10 @@ class TestRLPolicy:
         with pytest.raises(ValueError):
             policy.decide_nodes(np.zeros((2, width)), np.zeros(2))
 
-    def test_training_cost_includes_agent_and_extra(self, agent):
-        agent.training_wallclock_seconds = 3600.0
+    def test_training_cost_is_the_charge_it_was_given(self, agent):
+        assert RLPolicy(agent).training_cost_node_hours == 0.0
         policy = RLPolicy(agent, training_cost_node_hours=2.0)
-        assert policy.training_cost_node_hours == pytest.approx(3.0)
+        assert policy.training_cost_node_hours == 2.0
 
     def test_name_default(self, agent):
         assert RLPolicy(agent).name == "RL"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.features import FEATURE_INDEX, N_FEATURES, StateNormalizer
 from repro.core.mdp import Transition
+from repro.core.policies import RLPolicy
 from repro.core.qlearning import TabularQAgent, TabularQConfig
 
 
@@ -82,5 +83,6 @@ class TestTabularQAgent:
         agent.q_values(_state(ue_cost=1e5))
         assert agent.n_visited_states >= 2
 
-    def test_training_cost_is_free(self):
-        assert TabularQAgent(N_FEATURES + 1).training_cost_node_hours == 0.0
+    def test_a_policy_over_it_charges_nothing(self):
+        policy = RLPolicy(TabularQAgent(N_FEATURES + 1))
+        assert policy.training_cost_node_hours == 0.0

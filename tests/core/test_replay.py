@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.mdp import Transition
 from repro.core.replay import PrioritizedReplayBuffer, SumTree, UniformReplayBuffer
 
+from .replay_reference import update_priorities_reference
+
 
 def _transition(value=0.0, done=False, action=0):
     state = np.full(4, value)
@@ -228,7 +230,7 @@ class TestPrioritizedReplayBuffer:
     def test_scalar_priority_refresh_rejects_a_nan_td_error(self):
         buffer = self._filled(n=8, capacity=8)
         with pytest.raises(ValueError, match="^leaf 2: priority nan "):
-            buffer._update_priorities_scalar(np.array([2]), np.array([np.nan]))
+            update_priorities_reference(buffer, np.array([2]), np.array([np.nan]))
 
     def test_sample_rejects_a_non_finite_total(self):
         buffer = self._filled(n=8, capacity=8)

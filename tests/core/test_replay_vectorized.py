@@ -18,6 +18,8 @@ import pytest
 from repro.core.mdp import Transition
 from repro.core.replay import PrioritizedReplayBuffer, SumTree
 
+from .replay_reference import sample_reference, update_priorities_reference
+
 
 def _make_transitions(rng, count, state_dim=4):
     return [
@@ -93,12 +95,12 @@ class TestPrioritizedReplayVectorized:
 
         extra = iter(transitions[300:])
         for round_index in range(200):
-            reference = scalar._sample_scalar(32)
+            reference = sample_reference(scalar, 32)
             batch = batched.sample(32)
             assert np.array_equal(reference.indices, batch.indices)
             assert np.array_equal(reference.weights, batch.weights)
             errors = rng.normal(size=32) * 10
-            scalar._update_priorities_scalar(reference.indices, errors)
+            update_priorities_reference(scalar, reference.indices, errors)
             batched.update_priorities(batch.indices, errors)
             assert np.array_equal(scalar._tree._tree, batched._tree._tree)
             assert scalar._max_priority == batched._max_priority
@@ -119,7 +121,7 @@ class TestPrioritizedReplayVectorized:
         for _ in range(20):
             indices = rng.integers(0, 256, size=128)
             errors = rng.normal(size=128) * rng.choice([1e-4, 1.0, 1e3], 128)
-            scalar._update_priorities_scalar(indices, errors)
+            update_priorities_reference(scalar, indices, errors)
             batched.update_priorities(indices, errors)
             assert np.array_equal(scalar._tree._tree, batched._tree._tree)
             assert scalar._max_priority == batched._max_priority
@@ -156,7 +158,7 @@ class TestPrioritizedReplayVectorized:
             for transition in transitions:
                 buffer.push(transition)
             buffer._tree.update(2, 5.0)
-        reference = scalar._sample_scalar(16)
+        reference = sample_reference(scalar, 16)
         batch = batched.sample(16)
         assert np.array_equal(reference.indices, batch.indices)
         assert np.array_equal(reference.weights, batch.weights)
@@ -164,7 +166,7 @@ class TestPrioritizedReplayVectorized:
         assert (batch.indices < 2).all()
         # And the RNG streams stayed in lockstep for the next call too.
         assert np.array_equal(
-            scalar._sample_scalar(8).indices, batched.sample(8).indices
+            sample_reference(scalar, 8).indices, batched.sample(8).indices
         )
 
     def test_zero_priority_weights_degrade_to_uniform(self):
@@ -215,12 +217,12 @@ class TestPerDrawPool:
         return scalar, pooled
 
     def _assert_round(self, scalar, pooled, batch_size, rng):
-        reference = scalar._sample_scalar(batch_size)
+        reference = sample_reference(scalar, batch_size)
         batch = pooled.sample(batch_size)
         assert np.array_equal(reference.indices, batch.indices), batch_size
         assert np.array_equal(reference.weights, batch.weights), batch_size
         errors = rng.normal(size=batch_size) * 5
-        scalar._update_priorities_scalar(reference.indices, errors)
+        update_priorities_reference(scalar, reference.indices, errors)
         pooled.update_priorities(batch.indices, errors)
         assert np.array_equal(scalar._tree._tree, pooled._tree._tree)
 
@@ -250,7 +252,7 @@ class TestPerDrawPool:
         self._assert_round(scalar, pooled, 4, rng)  # advances the stream
         for buffer in (scalar, pooled):
             buffer._tree.update(5, 50.0)  # unfilled slot dominates the mass
-        reference = scalar._sample_scalar(16)
+        reference = sample_reference(scalar, 16)
         batch = pooled.sample(16)
         assert np.array_equal(reference.indices, batch.indices)
         assert np.array_equal(reference.weights, batch.weights)

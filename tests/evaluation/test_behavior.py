@@ -13,7 +13,7 @@ from repro.evaluation.behavior import behavior_grid
 @pytest.fixture(scope="module")
 def sc20_policy(feature_tracks):
     dataset = build_prediction_dataset(feature_tracks)
-    forest, _ = train_sc20_forest(dataset, n_estimators=5, max_depth=6, seed=0)
+    forest = train_sc20_forest(dataset, n_estimators=5, max_depth=6, seed=0)
     return SC20RandomForestPolicy(forest, threshold=0.5)
 
 

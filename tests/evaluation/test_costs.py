@@ -34,11 +34,6 @@ class TestCostBreakdown:
     def test_saving_vs_zero_reference(self):
         assert CostBreakdown().saving_vs(CostBreakdown()) == 0.0
 
-    def test_with_training_cost(self):
-        costs = CostBreakdown(ue_cost=5.0).with_training_cost(2.0)
-        assert costs.training_cost == 2.0
-        assert costs.ue_cost == 5.0
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             CostBreakdown(ue_cost=-1.0)

@@ -60,7 +60,7 @@ def sc20_policy(feature_tracks):
     dataset = build_prediction_dataset(
         feature_tracks, prediction_window_seconds=DAY, t_start=0.0, t_end=50 * DAY
     )
-    forest, _ = train_sc20_forest(dataset, n_estimators=8, max_depth=6, seed=5)
+    forest = train_sc20_forest(dataset, n_estimators=8, max_depth=6, seed=5)
     return SC20RandomForestPolicy(forest, threshold=0.4)
 
 

@@ -3,9 +3,8 @@
 The determinism test is the load-bearing one: the parallel executor must
 produce an :class:`ExperimentResult` identical to the serial run, which holds
 because every (split × approach-group) task seeds its own random streams
-from stable string keys.  Wall-clock training-cost accounting is the only
-non-deterministic quantity, so these tests disable it
-(``charge_training_time=False``).
+from stable string keys.  (The golden harness covers the same identity
+with the modelled training charge on.)
 """
 
 import numpy as np

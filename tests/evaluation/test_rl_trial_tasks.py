@@ -14,19 +14,18 @@ Four properties carry the feature:
   workers: the per-trial settings are pre-drawn from one sequential keyed
   stream per split and round, so no trial depends on the schedule.
 * **Accounting** — ``training_cost_node_hours`` is the sum of the per-trial
-  training spans, independent of how the trials were scheduled (the
-  regression test for the whole-loop wall-clock span bug).
+  modelled charges, independent of how the trials were scheduled.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
 
 from repro.config import ScenarioConfig
 from repro.core.hyperparams import HyperparameterSpace
+from repro.evaluation.costs import training_charge_node_hours
 from repro.evaluation.experiment import ExperimentConfig, run_experiment
 from repro.evaluation.pipeline import (
     _CHAIN_PRIORITY,
@@ -298,7 +297,7 @@ class TestSecondRound:
             return {
                 f"rl-trial{trial}": RLTrialResult(
                     split.index, trial=trial, score=score, state=None,
-                    train_seconds=0.0, trained=trained,
+                    training_cost=0.0, trained=trained,
                 )
                 for trial, score in scores
             }
@@ -362,73 +361,54 @@ class TestDeterminism:
         self._assert_identical(threaded, fan_serial)
 
 
-class _FakeClock:
-    """Deterministic stand-in for ``time.perf_counter``."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def perf_counter(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
 class TestTrainingCostAccounting:
-    """Regression: the RL training cost must be the *sum of per-trial
-    spans*, not one wall-clock span around the whole search — the old span
-    charged scoring-trace construction to the agent and, under parallel
-    trials, would have depended on the schedule."""
+    """The RL training cost is the modelled charge of each trial's own
+    gradient updates and environment steps, summed over the split's trials
+    in trial order, so no schedule can change it."""
 
     @pytest.fixture()
-    def fake_timed_pipeline(self, monkeypatch, tiny_prepared):
+    def fixed_work(self, monkeypatch):
         import repro.evaluation.pipeline as pipeline_mod
 
-        clock = _FakeClock()
-
         def fake_train_agent(env, agent, n_episodes):
-            clock.advance(3600.0)  # exactly one node-hour per trial
+            agent.env_steps, agent.train_steps = 1000, 400
 
-        def fake_build_traces(tracks, sampler, t_start, t_end, seed=None):
-            clock.advance(500.0)  # trace building must never be charged
-            return []
-
-        monkeypatch.setattr(pipeline_mod, "time", clock)
         monkeypatch.setattr(pipeline_mod, "train_agent", fake_train_agent)
-        monkeypatch.setattr(pipeline_mod, "build_traces", fake_build_traces)
-        # Keep no traces, under a key no other test uses, so the fake
-        # builder runs on every call.
-        monkeypatch.setattr(pipeline_mod, "_TRACE_CACHE_MAXSIZE", 0)
-        return dataclasses.replace(tiny_prepared, data_key="fake-timed"), clock
 
-    def test_cost_is_sum_of_trial_spans(self, fake_timed_pipeline, tiny_scenario):
-        prepared, clock = fake_timed_pipeline
+    def test_cost_is_the_sum_of_modelled_trial_charges(
+        self, fixed_work, tiny_prepared, tiny_scenario
+    ):
         split = make_splits(tiny_scenario)[-1]
         first_round = {
             f"rl-trial{trial}": _train_one_rl_trial(
-                prepared, split, trial, TRIAL_CONFIG, None
+                tiny_prepared, split, trial, TRIAL_CONFIG, None
             )
             for trial in range(2)
         }
-        winner = run_rl_search(first_round, prepared, split, TRIAL_CONFIG)
-        refine = _train_one_rl_trial(prepared, split, 2, TRIAL_CONFIG, None, winner)
+        winner = run_rl_search(first_round, tiny_prepared, split, TRIAL_CONFIG)
+        refine = _train_one_rl_trial(
+            tiny_prepared, split, 2, TRIAL_CONFIG, None, winner
+        )
         agent, cost_hours, state = _select_best_rl_trial(
             TRIAL_CONFIG, [*first_round.values(), refine]
         )
         assert agent is not None and state is not None
-        # 2 + 1 trials x 1 fake hour each; the 500 s trace builds are excluded.
-        assert cost_hours == pytest.approx(3.0)
-        # The reconstructed best agent starts with a zeroed internal clock,
-        # so wrapping it cannot double-charge the gradient-update time.
-        assert agent.training_cost_node_hours == 0.0
+        per_trial = training_charge_node_hours(
+            train_steps=400, env_steps=1000, n_parameters=agent.online.params.size
+        )
+        assert per_trial > 0.0
+        assert all(
+            result.training_cost == per_trial
+            for result in [*first_round.values(), refine]
+        )
+        assert cost_hours == per_trial + per_trial + per_trial
 
-    def test_reduce_sums_spans_from_any_schedule(self, monkeypatch):
+    def test_reduce_sums_trial_costs_from_any_schedule(self, monkeypatch):
         import repro.evaluation.pipeline as pipeline_mod
 
         trials = [
             RLTrialResult(0, trial=t, score=float(-t), state={"hidden_0_w": None},
-                          train_seconds=3600.0, trained=True)
+                          training_cost=1.0, trained=True)
             for t in (2, 0, 1)  # arrival order must not matter
         ]
         chosen = {}
@@ -439,7 +419,7 @@ class TestTrainingCostAccounting:
 
         monkeypatch.setattr(pipeline_mod, "_agent_from_state", fake_agent_from_state)
         agent, cost_hours, state = _select_best_rl_trial(TRIAL_CONFIG, trials)
-        assert cost_hours == pytest.approx(3.0)
+        assert cost_hours == 3.0
         # Highest score wins (trial 0 scored 0.0, the others negative).
         assert state is chosen["state"]
         assert trials[1].trial == 0 and state is trials[1].state

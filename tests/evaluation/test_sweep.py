@@ -17,8 +17,7 @@ from repro.telemetry.error_log import ErrorLog
 from repro.workload.job import JobLog
 
 #: Cheapest config that still runs every approach group (including the RL
-#: warm-start chain).  ``charge_training_time=False`` zeroes the only
-#: non-deterministic quantity, so sweep and independent runs compare exactly.
+#: warm-start chain).
 TINY = ExperimentConfig(
     rl_episodes=3,
     rl_hyperparam_trials=1,

@@ -7,16 +7,17 @@ are verified to leave the *numbers* untouched.  The same fingerprint must be
 reproduced serially and with ``n_workers=2``: the schedule may never change
 the results.
 
-Determinism requires ``charge_training_time=False`` (wall-clock training
-cost is the one intentionally non-deterministic quantity — see
-``ExperimentConfig``); everything else draws from keyed RNG streams.
+Every number draws from keyed RNG streams, and the training cost charged
+to the learned policies is modelled from work counts, so the fingerprint
+holds with the charge off (``golden_small.json``) and on
+(``golden_small_charged.json``, whose training costs are recorded exactly).
 
 To re-record after an *intentional* result change::
 
     python -m pytest tests/golden --update-golden
 
-and commit the refreshed ``golden_small.json`` together with the change
-that motivated it.
+and commit the refreshed golden files together with the change that
+motivated it.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ from repro.config import ScenarioConfig
 from repro.evaluation.experiment import ExperimentConfig, run_experiment
 
 GOLDEN_FILE = Path(__file__).with_name("golden_small.json")
+CHARGED_GOLDEN_FILE = Path(__file__).with_name("golden_small_charged.json")
 
 #: Costs are node–hours; three decimals is far below any real behavioural
 #: change yet immune to last-ulp float noise in accumulation order.
 ROUND_DIGITS = 3
 
 
-def golden_config(n_workers: int = 1) -> ExperimentConfig:
+def golden_config(n_workers: int = 1, charge: bool = False) -> ExperimentConfig:
     """Small-but-complete schedule: every approach group, six splits."""
     return ExperimentConfig(
         rl_episodes=15,
@@ -46,12 +48,14 @@ def golden_config(n_workers: int = 1) -> ExperimentConfig:
         rf_n_estimators=5,
         rf_max_depth=5,
         threshold_grid_size=6,
-        charge_training_time=False,
+        charge_training_time=charge,
         n_workers=n_workers,
     )
 
 
-def fingerprint(result) -> Dict[str, Dict[str, float]]:
+def fingerprint(
+    result, exact_training_cost: bool = False
+) -> Dict[str, Dict[str, float]]:
     """Per-approach rounded cost fingerprint of an ``ExperimentResult``."""
     recorded: Dict[str, Dict[str, float]] = {}
     for name in result.approach_names:
@@ -60,7 +64,11 @@ def fingerprint(result) -> Dict[str, Dict[str, float]]:
             "total": round(costs.total, ROUND_DIGITS),
             "ue_cost": round(costs.ue_cost, ROUND_DIGITS),
             "mitigation_cost": round(costs.mitigation_cost, ROUND_DIGITS),
-            "training_cost": round(costs.training_cost, ROUND_DIGITS),
+            "training_cost": (
+                costs.training_cost
+                if exact_training_cost
+                else round(costs.training_cost, ROUND_DIGITS)
+            ),
             "n_ues": int(costs.n_ues),
             "n_mitigations": int(costs.n_mitigations),
         }
@@ -87,38 +95,53 @@ def golden_diff(
     return lines
 
 
-def _load_recorded() -> Dict[str, Dict[str, float]]:
-    if not GOLDEN_FILE.exists():
+def _load_recorded(path: Path = GOLDEN_FILE) -> Dict[str, Dict[str, float]]:
+    if not path.exists():
         pytest.fail(
-            f"golden file {GOLDEN_FILE} is missing; record it with "
+            f"golden file {path} is missing; record it with "
             "`python -m pytest tests/golden --update-golden` and commit it"
         )
-    return json.loads(GOLDEN_FILE.read_text())
+    return json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "workers-2"])
-def test_golden_small(n_workers, request):
-    """``ScenarioConfig.small()`` reproduces the recorded fingerprints."""
-    result = run_experiment(ScenarioConfig.small(), golden_config(n_workers))
-    actual = fingerprint(result)
-
+def _check_golden(path: Path, actual, n_workers: int, request) -> None:
     if request.config.getoption("--update-golden"):
-        if not GOLDEN_FILE.exists() or n_workers == 1:
-            GOLDEN_FILE.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
+        if not path.exists() or n_workers == 1:
+            path.write_text(json.dumps(actual, indent=2, sort_keys=True) + "\n")
         # Fall through: even while recording, every parametrization must
         # agree with what is on disk (catches serial-vs-parallel drift at
         # record time instead of at the next comparison).
 
-    recorded = _load_recorded()
+    recorded = _load_recorded(path)
     differences = golden_diff(recorded, actual)
     assert not differences, (
         f"golden fingerprint mismatch ({len(differences)} differences, "
         f"n_workers={n_workers}).\n"
         "If this change is intentional, re-record with "
         "`python -m pytest tests/golden --update-golden` and commit "
-        "golden_small.json; otherwise a refactor changed the numbers:\n  "
+        f"{path.name}; otherwise a refactor changed the numbers:\n  "
         + "\n  ".join(differences)
     )
+
+
+@pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "workers-2"])
+def test_golden_small(n_workers, request):
+    """``ScenarioConfig.small()`` reproduces the recorded fingerprints."""
+    result = run_experiment(ScenarioConfig.small(), golden_config(n_workers))
+    _check_golden(GOLDEN_FILE, fingerprint(result), n_workers, request)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2], ids=["serial", "workers-2"])
+def test_golden_small_charged(n_workers, request):
+    """With the training charge on, the same run reproduces its recorded
+    fingerprint on either schedule, training costs to the last bit."""
+    config = golden_config(n_workers, charge=True)
+    actual = fingerprint(
+        run_experiment(ScenarioConfig.small(), config), exact_training_cost=True
+    )
+    for name in ("SC20-RF", "SC20-RF-2%", "SC20-RF-5%", "Myopic-RF", "RL"):
+        assert actual[name]["training_cost"] > 0.0, name
+    _check_golden(CHARGED_GOLDEN_FILE, actual, n_workers, request)
 
 
 def test_golden_small_with_store_attached(tmp_path, request):

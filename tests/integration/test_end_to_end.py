@@ -76,7 +76,7 @@ class TestForestPipeline:
     def test_sc20_beats_never_with_good_threshold(self, split, feature_tracks):
         train_tracks, test_traces, t_split = split
         dataset = build_prediction_dataset(feature_tracks, t_end=t_split)
-        forest, _ = train_sc20_forest(dataset, n_estimators=15, max_depth=8, seed=0)
+        forest = train_sc20_forest(dataset, n_estimators=15, max_depth=8, seed=0)
         best_total = np.inf
         for threshold in np.linspace(0, 1, 11):
             policy = SC20RandomForestPolicy(forest, threshold=float(threshold))
@@ -88,7 +88,7 @@ class TestForestPipeline:
     def test_myopic_policy_runs(self, split, feature_tracks):
         train_tracks, test_traces, t_split = split
         dataset = build_prediction_dataset(feature_tracks, t_end=t_split)
-        forest, _ = train_sc20_forest(dataset, n_estimators=10, seed=1)
+        forest = train_sc20_forest(dataset, n_estimators=10, seed=1)
         sc20 = SC20RandomForestPolicy(forest, threshold=0.5)
         myopic = MyopicRFPolicy(sc20, mitigation_cost_node_hours=2 / 60)
         result = evaluate_policy(test_traces, myopic, 2 / 60)

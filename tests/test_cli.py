@@ -213,11 +213,15 @@ class TestOneFrontDoor:
             ["run", "--restartable", "maybe"],
             ["run", "--episodes", "0"],
             ["run", "--workers", "-2"],
+            ["run", "--fast", "--mitigation-cost", "inf"],
+            ["run", "--fast", "--duration-days", "inf"],
+            ["run", "--fast", "--seed", "-1"],
             ["sweep", "--duration-days", "-5"],
             ["sweep", "--seeds", "1,1"],
             ["sweep", "--mitigation-cost=-2"],
             ["sweep", "--restartable", "maybe"],
             ["sweep", "--episodes", "0"],
+            ["sweep", "--fast", "--job-scale", "inf"],
             ["sweep", "--claim"],
             ["sweep", "--claim", "--status", "--store", "runs"],
             ["sweep", "--worker-id", "w0", "--store", "runs"],
@@ -441,6 +445,14 @@ class TestProfileFlag:
             assert name in out
         assert "counters: " in out
         assert out.count("critical path") == 1
+
+    def test_claim_worker_prints_the_profile_of_its_points(self, tmp_path, capsys):
+        argv = _command("sweep", tmp_path) + ["--store", str(tmp_path / "runs")]
+        assert cli.main(argv + ["--claim", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "1 computed" in out
+        assert out.count("span / task body") == 1
+        assert "run_rl_trial" in out
 
     def test_no_profile_flag_prints_no_table(self, tmp_path, capsys):
         assert cli.main(_command("run", tmp_path)) == 0

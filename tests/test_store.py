@@ -293,6 +293,48 @@ class TestExperimentResults:
         assert store.load_result(SCENARIO, TINY) is None
 
 
+class TestChargedResults:
+    """A result charged its training cost loads only under the cost model
+    that charged it; an uncharged result loads whatever release wrote it."""
+
+    CHARGED = TINY.with_overrides(charge_training_time=True)
+
+    @pytest.fixture(scope="class")
+    def charged_result(self):
+        return run_experiment(SCENARIO, self.CHARGED)
+
+    @staticmethod
+    def _payload(config, result) -> bytes:
+        """The bytes releases that charged wall-clock time stored."""
+        return canonical_json(
+            tag(
+                "stored_result",
+                {
+                    "scenario": SCENARIO.to_dict(),
+                    "config": config.to_dict(),
+                    "result": result.to_dict(),
+                },
+            )
+        ).encode()
+
+    def test_a_wall_clock_charge_is_recomputed(self, store, charged_result):
+        key = store.result_key(SCENARIO, self.CHARGED)
+        store.backend.put(
+            f"results/{key}.json", self._payload(self.CHARGED, charged_result)
+        )
+        with pytest.warns(RuntimeWarning, match="charged by wall-clock"):
+            assert store.load_result(SCENARIO, self.CHARGED) is None
+        store.save_result(SCENARIO, self.CHARGED, charged_result)
+        reloaded = store.load_result(SCENARIO, self.CHARGED)
+        assert reloaded.to_json() == charged_result.to_json()
+
+    def test_uncharged_results_keep_their_bytes(self, store, charged_result):
+        key = store.save_result(SCENARIO, TINY, charged_result)
+        older = self._payload(TINY, charged_result)
+        assert store.backend.get(f"results/{key}.json") == older
+        assert store.load_result(SCENARIO, TINY) is not None
+
+
 class TestOlderPayloads:
     #: Content keys of (SCENARIO, TINY), recorded before the retired
     #: ``rl_trial_tasks`` / ``compiled`` / ``profile`` config fields were

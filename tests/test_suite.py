@@ -95,6 +95,11 @@ class TestSchemaErrors:
         "negative-duration": "scenarios: {a: {duration_days: -5}}",
         "negative-cost": "scenarios: {a: {axes: {mitigation_costs: [-2]}}}",
         "zero-job-scale": "scenarios: {a: {axes: {job_scales: [0]}}}",
+        "infinite-duration": "scenarios: {a: {duration_days: .inf}}",
+        "infinite-cost": "scenarios: {a: {axes: {mitigation_costs: [.inf]}}}",
+        "infinite-job-scale": "scenarios: {a: {axes: {job_scales: [.inf]}}}",
+        "negative-seed": "scenarios: {a: {seed: -1}}",
+        "negative-seed-axis": "scenarios: {a: {axes: {seeds: [-1]}}}",
         "bad-experiment-value": "scenarios: {a: {experiment: {rl_episodes: -3}}}",
         "zero-threshold-grid": (
             "scenarios: {a: {experiment: {threshold_grid_size: 0}}}"
