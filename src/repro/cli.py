@@ -87,7 +87,7 @@ from repro.evaluation.costs import CostBreakdown
 from repro.evaluation.executor import EXECUTOR_KINDS
 from repro.evaluation.pipeline import ExperimentConfig, PreparedDataCache
 from repro.evaluation.report import format_metrics_table, format_profile
-from repro.store import ArtifactStore
+from repro.store import ArtifactStore, LeaseManager
 from repro.suite import PRESETS, Suite, SuiteError, compile_suite, load_suite, run_suite
 from repro.utils.timeutils import DAY
 
@@ -464,6 +464,15 @@ def _suite_from_args(args) -> Suite:
     return compile_suite({"scenarios": {args.preset: block}}, name=args.command)
 
 
+def _usage(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, with its one-line ``ValueError`` (naming
+    the flag or field) as a :class:`UsageError`."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _config_from_args(args) -> ExperimentConfig:
     config = ExperimentConfig.fast() if args.fast else ExperimentConfig()
     overrides = {}
@@ -475,10 +484,7 @@ def _config_from_args(args) -> ExperimentConfig:
         overrides["executor_kind"] = args.executor
     if args.charge_training_time is not None:
         overrides["charge_training_time"] = args.charge_training_time
-    try:
-        return config.with_overrides(**overrides)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _usage(config.with_overrides, **overrides)
 
 
 def _check_distributed_flags(args) -> None:
@@ -496,6 +502,8 @@ def _check_distributed_flags(args) -> None:
     for flag, value in (("--worker-id", args.worker_id), ("--lease-ttl", args.lease_ttl)):
         if value is not None and not args.claim:
             raise UsageError(f"{flag} only applies to --claim workers")
+    if args.lease_ttl is not None:
+        _usage(LeaseManager.TTL_RULE, "--lease-ttl", args.lease_ttl)
 
 
 def _executor_summary(stats) -> Optional[str]:
@@ -738,10 +746,9 @@ def _cmd_serve(args) -> int:
     # Every flag is checked before any data is generated or any policy is
     # trained, so a typo costs nothing and ends in one line, no traceback.
     restartable = args.restartable == "on"
-    if not 0.0 <= args.train_fraction < 1.0:
-        raise SystemExit("error: --train-fraction must be in [0, 1)")
-    speed, cost = args.replay_at_speed, args.mitigation_cost
+    speed, cost, share = args.replay_at_speed, args.mitigation_cost, args.train_fraction
     for flag, value, ok, rule in (
+        ("--train-fraction", share, 0 <= share < 1, "in [0, 1)"),
         ("--max-batch", args.max_batch, args.max_batch >= 1, ">= 1"),
         ("--max-delay-ms", args.max_delay_ms, args.max_delay_ms >= 0, ">= 0"),
         ("--merge-window-seconds", args.merge_window_seconds,
@@ -749,6 +756,9 @@ def _cmd_serve(args) -> int:
         ("--job-nodes", args.job_nodes, args.job_nodes > 0, "> 0"),
         ("--replay-at-speed", speed, speed is None or speed > 0, "> 0"),
         ("--mitigation-cost", cost, cost is None or cost >= 0, ">= 0"),
+        ("--seed", args.seed, args.seed is None or args.seed >= 0, ">= 0"),
+        ("--threshold", args.threshold, 0 <= args.threshold <= 1, "in [0, 1]"),
+        ("--rl-episodes", args.rl_episodes, args.rl_episodes >= 1, ">= 1"),
     ):
         if not ok:
             raise SystemExit(f"error: {flag} must be {rule}, got {value!r}")
@@ -929,6 +939,7 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_gc(args) -> int:
+    _usage(ArtifactStore.GC_GRACE_RULE, "--grace-minutes", args.grace_minutes)
     store = ArtifactStore(args.store)
     report = store.gc(
         dry_run=args.dry_run, grace_seconds=args.grace_minutes * 60.0

@@ -32,6 +32,9 @@ from typing import Optional
 from repro.telemetry.fault_model import FaultModelConfig
 from repro.telemetry.topology import ClusterTopology
 from repro.utils.timeutils import DAY, HOUR, MINUTE
+from repro.utils.validation import (
+    boolean, check_fields, fraction, non_negative, positive, text
+)
 from repro.workload.generator import WorkloadConfig
 
 
@@ -40,21 +43,24 @@ class EvaluationConfig:
     """Parameters of the evaluation methodology (Section 4)."""
 
     #: Cost of one mitigation action, in node–minutes (paper uses 2, 5, 10).
-    mitigation_cost_node_minutes: float = 2.0
+    mitigation_cost_node_minutes: float = non_negative(2.0)
     #: Whether the job can restart from the mitigation point (checkpointing).
-    restartable: bool = True
+    restartable: bool = boolean(True)
     #: Number of equal parts of the error log (Figure 2).
-    cv_parts: int = 6
+    cv_parts: int = positive(6, int)
     #: Fraction of the pre-test data used for training (rest is validation).
-    cv_train_fraction: float = 0.75
+    cv_train_fraction: float = fraction(0.75)
     #: Length of the bootstrap train+validation window of the first split.
-    cv_bootstrap_seconds: float = 14 * DAY
+    cv_bootstrap_seconds: float = positive(14 * DAY)
     #: Prediction window used only by the classical ML metrics (Section 4.4).
-    prediction_window_seconds: float = 1 * DAY
+    prediction_window_seconds: float = positive(1 * DAY)
     #: Minimum wallclock time between state transitions (Section 3.2.3).
-    merge_window_seconds: float = 1 * MINUTE
+    merge_window_seconds: float = positive(1 * MINUTE)
     #: Week-long quarantine applied after each UE (Section 2.1.3).
-    ue_burst_window_seconds: float = 7 * DAY
+    ue_burst_window_seconds: float = positive(7 * DAY)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
     @property
     def mitigation_cost_node_hours(self) -> float:
@@ -75,24 +81,51 @@ class EvaluationConfig:
         return simple_from_dict(cls, data, "evaluation_config")
 
 
+#: The :class:`ScenarioConfig` fields holding a nested config, and its class.
+_NESTED = {
+    "topology": ClusterTopology,
+    "fault_model": FaultModelConfig,
+    "workload": WorkloadConfig,
+    "evaluation": EvaluationConfig,
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of a reproducible experiment scenario."""
 
-    name: str
-    seed: int
+    name: str = text()
+    seed: int = non_negative(kind=int)
     topology: ClusterTopology
     fault_model: FaultModelConfig
     workload: WorkloadConfig
     evaluation: EvaluationConfig = field(default_factory=EvaluationConfig)
     #: Duration of the simulated production period, seconds.
-    duration_seconds: float = 180 * DAY
+    duration_seconds: float = positive(180 * DAY)
     #: Restrict the telemetry to one DRAM manufacturer (Section 5.3 / the
     #: Figure 5 per-manufacturer subsystems); ``None`` keeps the whole fleet.
-    manufacturer: Optional[int] = None
+    manufacturer: Optional[int] = non_negative(None, int)
     #: Job-size scaling factor applied to the generated workload (Section
     #: 5.6 / Figure 7); 1.0 reproduces the base system.
-    job_scaling_factor: float = 1.0
+    job_scaling_factor: float = positive(1.0)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        n_manufacturers = self.topology.n_manufacturers
+        if self.manufacturer is not None and self.manufacturer >= n_manufacturers:
+            raise ValueError(
+                f"manufacturer must be < {n_manufacturers} (the topology's "
+                f"manufacturer count), got {self.manufacturer!r}"
+            )
+        # The generator cycles or truncates the weights to the topology's
+        # manufacturers and divides by their mean.
+        for name in ("manufacturer_ce_weights", "manufacturer_ue_weights"):
+            weights = getattr(self.fault_model, name)
+            if sum(weights[i % len(weights)] for i in range(n_manufacturers)) <= 0:
+                raise ValueError(
+                    f"{name} must weigh one of the topology's "
+                    f"{n_manufacturers} manufacturers above 0, got {weights!r}"
+                )
 
     # ------------------------------------------------------------------ #
     # Presets
@@ -180,40 +213,21 @@ class ScenarioConfig:
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
         """Versioned JSON-ready representation (see :mod:`repro.serialization`)."""
-        from repro.serialization import tag
+        from repro.serialization import simple_to_dict
 
-        return tag(
-            "scenario_config",
-            {
-                "name": self.name,
-                "seed": self.seed,
-                "topology": self.topology.to_dict(),
-                "fault_model": self.fault_model.to_dict(),
-                "workload": self.workload.to_dict(),
-                "evaluation": self.evaluation.to_dict(),
-                "duration_seconds": self.duration_seconds,
-                "manufacturer": self.manufacturer,
-                "job_scaling_factor": self.job_scaling_factor,
-            },
-        )
+        payload = simple_to_dict(self, "scenario_config")
+        for name in _NESTED:
+            payload[name] = getattr(self, name).to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
         """Inverse of :meth:`to_dict`."""
-        from repro.serialization import untag
+        from repro.serialization import simple_from_dict, untag
 
         payload = untag(data, "scenario_config")
-        return cls(
-            name=payload["name"],
-            seed=payload["seed"],
-            topology=ClusterTopology.from_dict(payload["topology"]),
-            fault_model=FaultModelConfig.from_dict(payload["fault_model"]),
-            workload=WorkloadConfig.from_dict(payload["workload"]),
-            evaluation=EvaluationConfig.from_dict(payload["evaluation"]),
-            duration_seconds=payload["duration_seconds"],
-            manufacturer=payload["manufacturer"],
-            job_scaling_factor=payload["job_scaling_factor"],
-        )
+        nested = {name: kind.from_dict(payload[name]) for name, kind in _NESTED.items()}
+        return simple_from_dict(cls, {**data, **nested}, "scenario_config")
 
     # ------------------------------------------------------------------ #
     # Derived modifications
@@ -251,19 +265,6 @@ class ScenarioConfig:
     def with_job_scale(self, factor: float) -> "ScenarioConfig":
         """Return a copy with the workload scaled by ``factor`` (Figure 7 sweep)."""
         return replace(self, job_scaling_factor=factor)
-
-    def with_fault_overrides(self, **fields) -> "ScenarioConfig":
-        """Return a copy with selected fault-model fields replaced.
-
-        Used by the declarative suite layer to express e.g. correlated
-        burst-failure modes without rebuilding the whole configuration.
-        """
-        return replace(self, fault_model=replace(self.fault_model, **fields))
-
-    def with_workload_overrides(self, **fields) -> "ScenarioConfig":
-        """Return a copy with selected workload fields replaced (job-mix
-        stress shapes: diurnal submissions, backfill scheduling, ...)."""
-        return replace(self, workload=replace(self.workload, **fields))
 
     def with_topology(self, topology: ClusterTopology) -> "ScenarioConfig":
         """Return a copy on a different cluster topology (fleet segments)."""

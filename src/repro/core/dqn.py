@@ -19,7 +19,9 @@ from repro.core.mdp import N_ACTIONS, Transition
 from repro.core.networks import AdamOptimizer, DuelingQNetwork, huber_grad, huber_loss
 from repro.core.replay import PrioritizedReplayBuffer, ReplayBatch, UniformReplayBuffer
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import (
+    boolean, check_fields, check_positive, fraction, non_negative, positive, sequence_of
+)
 
 
 @dataclass(frozen=True)
@@ -31,56 +33,45 @@ class DQNConfig:
     synchronisation frequencies, and the replay batch size / PER exponents.
     """
 
-    hidden_sizes: Sequence[int] = (256, 256, 128, 64)
-    learning_rate: float = 1e-3
-    gamma: float = 0.97
-    batch_size: int = 32
-    buffer_capacity: int = 50_000
+    hidden_sizes: Sequence[int] = sequence_of((256, 256, 128, 64), positive(kind=int))
+    learning_rate: float = positive(1e-3)
+    gamma: float = fraction(0.97)
+    batch_size: int = positive(32, int)
+    buffer_capacity: int = positive(50_000, int)
     #: Environment steps between gradient updates.
-    train_frequency: int = 2
+    train_frequency: int = positive(2, int)
     #: Gradient updates between hard target-network synchronisations.
-    target_sync_frequency: int = 100
+    target_sync_frequency: int = positive(100, int)
     #: Steps of ε-greedy annealing from ``epsilon_start`` to ``epsilon_end``.
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.02
-    epsilon_decay_steps: int = 20_000
+    epsilon_start: float = fraction(1.0)
+    epsilon_end: float = fraction(0.02)
+    epsilon_decay_steps: int = positive(20_000, int)
     #: Minimum stored transitions before learning starts.
-    warmup_transitions: int = 256
+    warmup_transitions: int = non_negative(256, int)
     #: Prioritized experience replay parameters.  A fairly aggressive α is
     #: needed because the terminal UE transitions are extremely rare compared
     #: with uneventful telemetry (Section 3.3.4).
-    prioritized: bool = True
-    per_alpha: float = 0.7
-    per_beta0: float = 0.5
-    per_epsilon: float = 1e-3
+    prioritized: bool = boolean(True)
+    per_alpha: float = non_negative(0.7)
+    per_beta0: float = fraction(0.5)
+    per_epsilon: float = positive(1e-3)
     #: Anneal β to 1 over this many gradient updates.
-    per_beta_steps: int = 20_000
+    per_beta_steps: int = positive(20_000, int)
     #: Double and dueling switches (ablations).
-    double: bool = True
-    dueling: bool = True
+    double: bool = boolean(True)
+    dueling: bool = boolean(True)
     #: Rewards are divided by this factor before entering the network.
-    reward_scale: float = 1.0
+    reward_scale: float = positive(1.0)
     #: Huber transition point.  Uncorrected-error penalties are orders of
     #: magnitude larger than mitigation penalties; a small δ would clip their
     #: gradients so aggressively that the agent systematically under-estimates
     #: the risk of doing nothing, so the loss is kept close to quadratic over
     #: the realistic cost range.
-    huber_delta: float = 50.0
-    seed: int = 0
+    huber_delta: float = positive(50.0)
+    seed: int = non_negative(0, int)
 
     def __post_init__(self) -> None:
-        check_positive("learning_rate", self.learning_rate)
-        check_fraction("gamma", self.gamma)
-        check_positive("batch_size", self.batch_size)
-        check_positive("buffer_capacity", self.buffer_capacity)
-        check_positive("train_frequency", self.train_frequency)
-        check_positive("target_sync_frequency", self.target_sync_frequency)
-        check_fraction("epsilon_start", self.epsilon_start)
-        check_fraction("epsilon_end", self.epsilon_end)
-        check_positive("epsilon_decay_steps", self.epsilon_decay_steps)
-        check_positive("per_beta_steps", self.per_beta_steps)
-        check_positive("reward_scale", self.reward_scale)
-        check_positive("huber_delta", self.huber_delta)
+        check_fields(self)
         if self.epsilon_end > self.epsilon_start:
             raise ValueError("epsilon_end must not exceed epsilon_start")
 
@@ -99,7 +90,7 @@ class DQNConfig:
         """Inverse of :meth:`to_dict`."""
         from repro.serialization import simple_from_dict
 
-        return simple_from_dict(cls, data, "dqn_config", tuple_fields=("hidden_sizes",))
+        return simple_from_dict(cls, data, "dqn_config")
 
 
 @dataclass

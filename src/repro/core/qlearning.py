@@ -17,30 +17,29 @@ import numpy as np
 from repro.core.features import FEATURE_INDEX, N_FEATURES
 from repro.core.mdp import N_ACTIONS
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import (
+    check_fields, check_positive, fraction, non_negative, number, positive, sequence_of
+)
 
 
 @dataclass(frozen=True)
 class TabularQConfig:
     """Hyperparameters of the tabular agent."""
 
-    learning_rate: float = 0.1
-    gamma: float = 0.97
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_steps: int = 20_000
+    learning_rate: float = positive(0.1)
+    gamma: float = fraction(0.97)
+    epsilon_start: float = fraction(1.0)
+    epsilon_end: float = fraction(0.05)
+    epsilon_decay_steps: int = positive(20_000, int)
     #: Bin edges (log10 node–hours) of the potential-UE-cost feature.
-    ue_cost_bins: Tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0)
+    ue_cost_bins: Tuple[float, ...] = sequence_of((0.0, 1.0, 2.0, 3.0, 4.0), number())
     #: Bin edges (log10 count) of the cumulative CE count.
-    ce_bins: Tuple[float, ...] = (0.0, 1.0, 2.0, 3.0)
-    reward_scale: float = 100.0
-    seed: int = 0
+    ce_bins: Tuple[float, ...] = sequence_of((0.0, 1.0, 2.0, 3.0), number())
+    reward_scale: float = positive(100.0)
+    seed: int = non_negative(0, int)
 
     def __post_init__(self) -> None:
-        check_positive("learning_rate", self.learning_rate)
-        check_fraction("gamma", self.gamma)
-        check_positive("epsilon_decay_steps", self.epsilon_decay_steps)
-        check_positive("reward_scale", self.reward_scale)
+        check_fields(self)
 
 
 class TabularQAgent:

@@ -10,11 +10,11 @@ almost all of the production log is covered by the evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import List, Tuple
 
 from repro.utils.timeutils import DAY
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import Rule, check_fields, number, sequence_of
 
 
 @dataclass(frozen=True)
@@ -25,11 +25,12 @@ class TimeSeriesSplit:
     """
 
     index: int
-    train_range: Tuple[float, float]
-    validation_range: Tuple[float, float]
-    test_range: Tuple[float, float]
+    train_range: Tuple[float, float] = sequence_of(MISSING, number())
+    validation_range: Tuple[float, float] = sequence_of(MISSING, number())
+    test_range: Tuple[float, float] = sequence_of(MISSING, number())
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name, (start, end) in (
             ("train_range", self.train_range),
             ("validation_range", self.validation_range),
@@ -56,12 +57,7 @@ class TimeSeriesSplit:
         """Inverse of :meth:`to_dict`."""
         from repro.serialization import simple_from_dict
 
-        return simple_from_dict(
-            cls,
-            data,
-            "time_series_split",
-            tuple_fields=("train_range", "validation_range", "test_range"),
-        )
+        return simple_from_dict(cls, data, "time_series_split")
 
 
 class TimeSeriesNestedCV:
@@ -73,11 +69,9 @@ class TimeSeriesNestedCV:
         train_fraction: float = 0.75,
         bootstrap_seconds: float = 14 * DAY,
     ) -> None:
-        check_positive("n_parts", n_parts)
-        check_fraction("train_fraction", train_fraction)
-        check_positive("bootstrap_seconds", bootstrap_seconds)
-        if n_parts < 1:
-            raise ValueError("n_parts must be at least 1")
+        Rule(int, low=1)("n_parts", n_parts)
+        Rule(float, low=0, high=1)("train_fraction", train_fraction)
+        Rule(float, low=0, strict=True)("bootstrap_seconds", bootstrap_seconds)
         self.n_parts = int(n_parts)
         self.train_fraction = float(train_fraction)
         self.bootstrap_seconds = float(bootstrap_seconds)

@@ -46,7 +46,6 @@ replay the same immutable test traces instead of rebuilding them per task.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import re
 import threading
@@ -90,7 +89,9 @@ from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.generator import TelemetryGenerator
 from repro.telemetry.reduction import ReductionReport, prepare_log
 from repro.utils.rng import RngFactory
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import (
+    boolean, check_fields, non_negative, number, one_of, positive, sequence_of
+)
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.job import JobLog
 from repro.workload.sampling import JobSequenceSampler
@@ -143,15 +144,17 @@ class ExperimentConfig:
     """
 
     #: Episodes per hyperparameter trial of the RL agent.
-    rl_episodes: int = 400
+    rl_episodes: int = positive(400, int)
     #: Number of random-search trials in the first round (the first trial
-    #: always uses the base configuration unchanged).
-    rl_hyperparam_trials: int = 2
+    #: always uses the base configuration unchanged).  0 runs one trial,
+    #: the base configuration alone, as 1 does: a split always needs an
+    #: agent (see ``_rl_n_first_round``).
+    rl_hyperparam_trials: int = non_negative(2, int)
     #: Number of trials in the second round, narrowed around the first
     #: round's winner.
-    rl_hyperparam_refine: int = 0
+    rl_hyperparam_refine: int = non_negative(0, int)
     #: Hidden layout of the Q-network (paper: 256, 256, 128, 64).
-    rl_hidden_sizes: Sequence[int] = (64, 48)
+    rl_hidden_sizes: Sequence[int] = sequence_of((64, 48), positive(kind=int))
     #: Base DQN configuration; hyperparameter search overrides some fields.
     rl_base_config: DQNConfig = field(
         default_factory=lambda: DQNConfig(
@@ -161,65 +164,44 @@ class ExperimentConfig:
     #: Reuse the best agent of the previous split as a warm-started candidate.
     #: Warm starting chains the RL tasks of consecutive splits, limiting how
     #: much of the RL work the parallel executor can overlap.
-    rl_warm_start: bool = True
+    rl_warm_start: bool = boolean(True)
     #: Random forest size of the SC20 baseline.
-    rf_n_estimators: int = 25
-    rf_max_depth: int = 10
+    rf_n_estimators: int = positive(25, int)
+    rf_max_depth: int = positive(10, int)
     #: Number of candidate thresholds evaluated to find the optimal one.
-    threshold_grid_size: int = 21
+    threshold_grid_size: int = positive(21, int)
     #: Threshold perturbations of the realistic SC20 variants.
-    sc20_threshold_offsets: Tuple[float, ...] = (0.02, 0.05)
+    sc20_threshold_offsets: Tuple[float, ...] = sequence_of(
+        (0.02, 0.05), number(), empty=True
+    )
     #: Approach toggles (consumed by the registry's ``enabled`` predicates).
-    include_static: bool = True
-    include_oracle: bool = True
-    include_rf: bool = True
-    include_myopic: bool = True
-    include_rl: bool = True
+    include_static: bool = boolean(True)
+    include_oracle: bool = boolean(True)
+    include_rf: bool = boolean(True)
+    include_myopic: bool = boolean(True)
+    include_rl: bool = boolean(True)
     #: Evaluate the Fleet-mix composite policy, which routes every decision
     #: to a per-segment sub-policy according to the topology's fleet
     #: segments.  Off by default: it only makes sense for heterogeneous
     #: fleets, and keeping it out of the default approach set leaves all
     #: existing results untouched.
-    include_fleet_mix: bool = False
+    include_fleet_mix: bool = boolean(False)
     #: Job-size scaling factor (Section 5.6); 1.0 reproduces the base system.
-    job_scaling_factor: float = 1.0
+    job_scaling_factor: float = positive(1.0)
     #: Restrict the error log to one DRAM manufacturer (Section 5.3).
-    manufacturer: Optional[int] = None
+    manufacturer: Optional[int] = non_negative(None, int)
     #: Maximum concurrent (split × approach-group) tasks; 1 runs serially.
-    n_workers: int = 1
+    n_workers: int = non_negative(1, int)
     #: Executor backend: "process", "thread" or "serial".
-    executor_kind: str = "process"
+    executor_kind: str = one_of("process", EXECUTOR_KINDS)
     #: Charge the modelled training cost to the learned policies (Section
     #: 4.3; :func:`~repro.evaluation.costs.training_charge_node_hours`).
     #: A forest fit shared by several sweep points or suite blocks (see
     #: :func:`build_split_tasks`) charges its cost to each.
-    charge_training_time: bool = True
+    charge_training_time: bool = boolean(True)
 
     def __post_init__(self) -> None:
-        # Checked when the config is built, so a bad value fails before any
-        # data is prepared rather than inside a training task.
-        check_positive("rl_episodes", self.rl_episodes)
-        check_positive("rf_n_estimators", self.rf_n_estimators)
-        check_positive("rf_max_depth", self.rf_max_depth)
-        check_positive("threshold_grid_size", self.threshold_grid_size)
-        # Zero keeps its meaning (serial execution, one first-round trial,
-        # no second round); a negative count is a typo, not a schedule.
-        check_non_negative("n_workers", self.n_workers)
-        check_non_negative("rl_hyperparam_trials", self.rl_hyperparam_trials)
-        check_non_negative("rl_hyperparam_refine", self.rl_hyperparam_refine)
-        # The Q-network needs at least one hidden layer, each of width >= 1.
-        if not self.rl_hidden_sizes or not all(
-            size >= 1 for size in self.rl_hidden_sizes
-        ):
-            raise ValueError(
-                "rl_hidden_sizes must list one or more layer widths >= 1, "
-                f"got {self.rl_hidden_sizes!r}"
-            )
-        if self.executor_kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor_kind must be one of {', '.join(EXECUTOR_KINDS)}, "
-                f"got {self.executor_kind!r}"
-            )
+        check_fields(self)
 
     @staticmethod
     def fast() -> "ExperimentConfig":
@@ -250,17 +232,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> Dict:
         """Versioned JSON-ready representation (see :mod:`repro.serialization`)."""
-        from repro.serialization import tag
+        from repro.serialization import simple_to_dict
 
-        payload = {
-            f.name: getattr(self, f.name)
-            for f in dataclasses.fields(self)
-            if f.name != "rl_base_config"
-        }
-        payload["rl_hidden_sizes"] = list(self.rl_hidden_sizes)
-        payload["sc20_threshold_offsets"] = list(self.sc20_threshold_offsets)
+        payload = simple_to_dict(self, "experiment_config")
         payload["rl_base_config"] = self.rl_base_config.to_dict()
-        return tag("experiment_config", payload)
+        return payload
 
     @classmethod
     def from_dict(cls, data: Dict) -> "ExperimentConfig":
@@ -270,8 +246,6 @@ class ExperimentConfig:
         payload = dict(untag(data, "experiment_config"))
         for name in _RETIRED_CONFIG_FIELDS:
             payload.pop(name, None)
-        payload["rl_hidden_sizes"] = tuple(payload["rl_hidden_sizes"])
-        payload["sc20_threshold_offsets"] = tuple(payload["sc20_threshold_offsets"])
         payload["rl_base_config"] = DQNConfig.from_dict(payload["rl_base_config"])
         return cls(**payload)
 
@@ -1169,7 +1143,7 @@ def _rl_trial_settings(
             rng = factory.stream(f"refine-{split_index}")
         params = {} if trial == 0 else space.sample(rng)
         dqn_config = config.rl_base_config.with_overrides(
-            hidden_sizes=tuple(config.rl_hidden_sizes),
+            hidden_sizes=config.rl_hidden_sizes,
             seed=int(rng.integers(1 << 30)),
             **params,
         )
@@ -1224,9 +1198,7 @@ def _agent_from_state(config: ExperimentConfig, state: dict) -> DDDQNAgent:
     return DDDQNAgent.from_state_dict(
         StateNormalizer().state_dim,
         state,
-        config.rl_base_config.with_overrides(
-            hidden_sizes=tuple(config.rl_hidden_sizes)
-        ),
+        config.rl_base_config.with_overrides(hidden_sizes=config.rl_hidden_sizes),
     )
 
 

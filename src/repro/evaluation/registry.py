@@ -204,7 +204,7 @@ def _sc20_variant_builder(offset: float) -> PolicyBuilder:
 
 def _sc20_variant_enabled(offset: float):
     def _enabled(config: "ExperimentConfig") -> bool:
-        return config.include_rf and offset in tuple(config.sc20_threshold_offsets)
+        return config.include_rf and offset in config.sc20_threshold_offsets
 
     return _enabled
 
@@ -248,7 +248,7 @@ def ensure_sc20_variants(config: "ExperimentConfig") -> None:
     Whether the variants actually *run* (``include_rf``, the configured
     offsets) is a separate question answered by ``spec.enabled``.
     """
-    for offset in tuple(config.sc20_threshold_offsets):
+    for offset in config.sc20_threshold_offsets:
         name = SC20RandomForestPolicy.variant_name(offset)
         if name not in _REGISTRY:
             register_sc20_variant(offset)

@@ -15,9 +15,10 @@ a plain-JSON dictionary carrying two envelope fields:
     confusing ``TypeError`` deep inside a constructor.
 
 The generic helpers here cover flat dataclasses whose fields are JSON
-scalars or (possibly nested) tuples of them; classes with non-trivial fields
-(nested dataclasses, numpy arrays) implement their own ``to_dict`` /
-``from_dict`` on top of :func:`tag` / :func:`untag`.
+scalars or tuples of them (a tuple field's rule turns the JSON list back
+into a tuple); classes with non-trivial fields (nested dataclasses, numpy
+arrays) implement their own ``to_dict`` / ``from_dict`` on top of them or
+of :func:`tag` / :func:`untag`.
 
 Floats round-trip exactly: ``json`` emits ``repr``-style shortest
 representations, which Python parses back to the identical IEEE-754 value —
@@ -29,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Mapping, Sequence, Type, TypeVar
+from typing import Any, Dict, Mapping, Type, TypeVar
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -90,13 +91,6 @@ def _jsonify(value: Any) -> Any:
     return value
 
 
-def _tuplify(value: Any) -> Any:
-    """Inverse of :func:`_jsonify` for fields declared as tuples."""
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
 def simple_to_dict(obj: Any, kind: str) -> Dict[str, Any]:
     """Serialize a flat dataclass (JSON scalars and tuples only)."""
     if not is_dataclass(obj):
@@ -105,17 +99,12 @@ def simple_to_dict(obj: Any, kind: str) -> Dict[str, Any]:
     return tag(kind, payload)
 
 
-def simple_from_dict(
-    cls: Type[T],
-    data: Mapping[str, Any],
-    kind: str,
-    tuple_fields: Sequence[str] = (),
-) -> T:
+def simple_from_dict(cls: Type[T], data: Mapping[str, Any], kind: str) -> T:
     """Rebuild a flat dataclass serialized by :func:`simple_to_dict`.
 
-    ``tuple_fields`` names the fields whose JSON lists must come back as
-    tuples (frozen dataclasses hash their tuple fields).  Unknown payload
-    keys are rejected so typos and stale fields surface immediately.
+    JSON lists come back as tuples through the class's own field rules (see
+    :mod:`repro.utils.validation`).  Unknown payload keys are rejected so
+    typos and stale fields surface immediately.
     """
     payload = untag(data, kind)
     known = {f.name for f in fields(cls)}
@@ -124,11 +113,7 @@ def simple_from_dict(
         raise SchemaError(
             f"{kind!r} payload has unknown fields {sorted(unknown)!r}"
         )
-    kwargs = {
-        name: _tuplify(value) if name in tuple_fields else value
-        for name, value in payload.items()
-    }
-    return cls(**kwargs)
+    return cls(**payload)
 
 
 def canonical_json(data: Any) -> str:

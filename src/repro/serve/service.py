@@ -51,7 +51,6 @@ import time as time_module
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import islice
-from numbers import Integral
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -63,7 +62,7 @@ from repro.serve.sources import ReplaySource
 from repro.telemetry.error_log import ErrorLog
 from repro.telemetry.records import EventRecord
 from repro.utils.timeutils import MINUTE
-from repro.utils.validation import check_non_negative, check_positive
+from repro.utils.validation import boolean, check_fields, non_negative, positive
 from repro.workload.sampling import NodeJobTimeline
 
 
@@ -80,21 +79,15 @@ class ServeConfig:
     setting (pinned by the batching-invariance test).
     """
 
-    mitigation_cost_node_hours: float = 1.0
-    restartable: bool = True
-    max_batch: int = 64
-    max_delay_seconds: float = 0.05
-    merge_window_seconds: float = MINUTE
-    keep_decisions: bool = True
+    mitigation_cost_node_hours: float = non_negative(1.0)
+    restartable: bool = boolean(True)
+    max_batch: int = positive(64, int)
+    max_delay_seconds: float = non_negative(0.05)
+    merge_window_seconds: float = positive(MINUTE)
+    keep_decisions: bool = boolean(True)
 
     def __post_init__(self) -> None:
-        check_non_negative("mitigation_cost_node_hours", self.mitigation_cost_node_hours)
-        if not isinstance(self.max_batch, Integral) or self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be an integer >= 1, got {self.max_batch!r}"
-            )
-        check_non_negative("max_delay_seconds", self.max_delay_seconds)
-        check_positive("merge_window_seconds", self.merge_window_seconds)
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,7 @@ from repro.store.backends import LocalFSBackend, StoreBackend
 from repro.store.leases import Lease, LeaseManager
 from repro.telemetry.reduction import ReductionReport
 from repro.utils.rng import RngFactory
+from repro.utils.validation import Rule
 from repro.workload.job import JobLog
 from repro.workload.sampling import JobSequenceSampler
 
@@ -142,6 +143,9 @@ class ArtifactStore:
     """
 
     MARKER = "store.json"
+    #: :meth:`gc`'s grace window is a finite number >= 0: a negative or NaN
+    #: window protects no in-flight spill.
+    GC_GRACE_RULE = Rule(float, low=0)
 
     def __init__(self, root=None, *, backend: Optional[StoreBackend] = None) -> None:
         if (root is None) == (backend is None):
@@ -570,6 +574,7 @@ class ArtifactStore:
         deleted; the report still lists what would go and how many bytes it
         would free.
         """
+        self.GC_GRACE_RULE("grace_seconds", grace_seconds)
         referenced = self.referenced_prepared_keys()
         active_leases: List[str] = []
         expired_leases: List[str] = []

@@ -35,6 +35,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.serialization import canonical_json_bytes, tag, untag
 from repro.store.backends import StoreBackend
+from repro.utils.validation import Rule
 
 __all__ = [
     "DEFAULT_LEASE_TTL",
@@ -125,17 +126,19 @@ class LeaseManager:
     (:attr:`claims`, :attr:`conflicts`, :attr:`reclaims`).
     """
 
+    #: A TTL is a finite number > 0: a NaN TTL would never expire, so a
+    #: dead worker's points would never be reclaimed.
+    TTL_RULE = Rule(float, low=0, strict=True)
+
     def __init__(
         self,
         backend: StoreBackend,
         owner: Optional[str] = None,
         ttl_seconds: float = DEFAULT_LEASE_TTL,
     ) -> None:
-        if ttl_seconds <= 0:
-            raise ValueError(f"lease ttl must be positive, got {ttl_seconds!r}")
         self.backend = backend
         self.owner = owner or default_worker_id()
-        self.ttl_seconds = float(ttl_seconds)
+        self.ttl_seconds = float(self.TTL_RULE("lease ttl", ttl_seconds))
         #: Successful claims (fresh and reclaimed).
         self.claims = 0
         #: Claim attempts lost to a live lease held by another worker.

@@ -35,15 +35,17 @@ Beyond the classic axes, blocks reach the scenario kinds the ROADMAP names:
     Job-mix stress shapes (any
     :class:`~repro.workload.generator.WorkloadConfig` field).
 
-Schema errors are reported as :class:`SuiteError` — a single line naming
-the offending block and field, never a traceback.  PyYAML is the only
-dependency and is imported lazily so the rest of the package works without
-it.
+The suite only parses.  Whether a value is in range is decided by
+constructing the configs it lands in, whose fields declare their rules
+(:mod:`repro.utils.validation`), so ``--validate`` refuses exactly what
+construction refuses.  Every error is a :class:`SuiteError` — a single
+line naming the offending block and field, never a traceback.  PyYAML is
+the only dependency and is imported lazily so the rest of the package
+works without it.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
@@ -57,7 +59,6 @@ from repro.telemetry.fault_model import FaultModelConfig
 from repro.telemetry.records import MANUFACTURER_NAMES
 from repro.telemetry.topology import FleetSegment
 from repro.utils.timeutils import DAY
-from repro.utils.validation import check_non_negative, check_positive
 from repro.workload.generator import WorkloadConfig
 
 __all__ = [
@@ -93,13 +94,6 @@ _AXIS_KEYS = (
     "seeds",
 )
 _SEGMENT_KEYS = ("name", "n_nodes", "manufacturer", "ce_scale", "ue_scale", "policy")
-#: Range rules of numeric fields, checked here rather than after data
-#: preparation, where the pipeline would reject the value.
-_NUMBER_RULES = {
-    "duration_days": check_positive,
-    "mitigation_costs": check_non_negative,
-    "job_scales": check_positive,
-}
 
 
 class SuiteError(ValueError):
@@ -199,27 +193,28 @@ def _config_overrides(
     return dict(mapping)
 
 
+def _construct(block: str, what: str, build: Callable[..., Any], *args, **kwargs):
+    """``build(*args, **kwargs)``; what construction refuses becomes a
+    one-line :class:`SuiteError` naming the block."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SuiteError(f"scenario {block!r}: {what}{exc}") from None
+
+
+def _replace_part(scenario: ScenarioConfig, key: str, /, **changes) -> ScenarioConfig:
+    """``scenario`` with its nested config ``key`` rebuilt with ``changes``."""
+    return replace(scenario, **{key: replace(getattr(scenario, key), **changes)})
+
+
 def _number(block: str, axis: str, value: Any) -> float:
+    # A float either way, so a cost written ``2`` or ``2.0`` gives one key.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SuiteError(
             f"scenario {block!r}: axis {axis!r} values must be numbers, "
             f"got {value!r}"
         )
-    if not math.isfinite(value):
-        raise SuiteError(f"scenario {block!r}: {axis} must be finite, got {value!r}")
-    rule = _NUMBER_RULES.get(axis)
-    if rule is not None:
-        try:
-            rule(axis, float(value))
-        except ValueError as exc:
-            raise SuiteError(f"scenario {block!r}: {exc}") from None
     return float(value)
-
-
-def _seed(block: str, rule: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SuiteError(f"scenario {block!r}: {rule}, got {value!r}")
-    return value
 
 
 def _axis_values(block: str, axis: str, values: Any) -> Tuple[Any, ...]:
@@ -233,8 +228,7 @@ def _axis_values(block: str, axis: str, values: Any) -> Tuple[Any, ...]:
         if axis in ("mitigation_costs", "job_scales"):
             out.append(_number(block, axis, value))
         elif axis == "seeds":
-            rule = "axis 'seeds' values must be non-negative integers"
-            out.append(_seed(block, rule, value))
+            out.append(value)
         elif axis == "restartable":
             if isinstance(value, bool):
                 out.append(value)
@@ -273,18 +267,7 @@ def _compile_segments(block: str, raw: Any) -> Tuple[FleetSegment, ...]:
     for i, item in enumerate(raw):
         item = _require_mapping(item, f"scenario {block!r}: segments[{i}]")
         _check_keys(item, _SEGMENT_KEYS, f"scenario {block!r}: segments[{i}]")
-        for required in ("name", "n_nodes", "manufacturer"):
-            if required not in item:
-                raise SuiteError(
-                    f"scenario {block!r}: segments[{i}] needs a "
-                    f"{required!r} entry"
-                )
-        try:
-            segments.append(FleetSegment(**item))
-        except (TypeError, ValueError) as exc:
-            raise SuiteError(
-                f"scenario {block!r}: segments[{i}]: {exc}"
-            ) from None
+        segments.append(_construct(block, f"segments[{i}]: ", FleetSegment, **item))
     return tuple(segments)
 
 
@@ -338,42 +321,29 @@ def _compile_block(
     scenario: ScenarioConfig = getattr(ScenarioConfig, preset)()
 
     if "seed" in merged:
-        rule = "seed must be a non-negative integer"
-        scenario = scenario.with_seed(_seed(name, rule, merged["seed"]))
+        scenario = _construct(name, "", scenario.with_seed, merged["seed"])
     if "duration_days" in merged:
         days = _number(name, "duration_days", merged["duration_days"])
-        scenario = scenario.with_duration(days * DAY)
+        scenario = _construct(
+            name, "duration_days: ", scenario.with_duration, days * DAY
+        )
 
-    for key, cls, apply in (
-        ("fault_model", FaultModelConfig, "with_fault_overrides"),
-        ("workload", WorkloadConfig, "with_workload_overrides"),
+    for key, cls in (
+        ("fault_model", FaultModelConfig),
+        ("workload", WorkloadConfig),
+        ("evaluation", EvaluationConfig),
     ):
         if key in merged:
             overrides = _config_overrides(name, key, merged[key], cls)
-            try:
-                scenario = getattr(scenario, apply)(**overrides)
-            except (TypeError, ValueError) as exc:
-                raise SuiteError(f"scenario {name!r}: {key}: {exc}") from None
-
-    if "evaluation" in merged:
-        overrides = _config_overrides(
-            name, "evaluation", merged["evaluation"], EvaluationConfig
-        )
-        try:
-            scenario = replace(
-                scenario, evaluation=replace(scenario.evaluation, **overrides)
+            scenario = _construct(
+                name, f"{key}: ", _replace_part, scenario, key, **overrides
             )
-        except (TypeError, ValueError) as exc:
-            raise SuiteError(f"scenario {name!r}: evaluation: {exc}") from None
 
     if "segments" in merged:
         segments = _compile_segments(name, merged["segments"])
-        try:
-            scenario = scenario.with_topology(
-                replace(scenario.topology, segments=segments)
-            )
-        except ValueError as exc:
-            raise SuiteError(f"scenario {name!r}: segments: {exc}") from None
+        scenario = _construct(
+            name, "segments: ", _replace_part, scenario, "topology", segments=segments
+        )
 
     axes: Dict[str, Tuple[Any, ...]] = {}
     if "axes" in merged:
@@ -391,38 +361,24 @@ def _compile_block(
             ExperimentConfig,
             forbidden=("rl_base_config",),
         )
-        for tuple_key in ("rl_hidden_sizes", "sc20_threshold_offsets"):
-            if tuple_key in experiment:
-                value = experiment[tuple_key]
-                if not isinstance(value, (list, tuple)):
-                    raise SuiteError(
-                        f"scenario {name!r}: experiment: {tuple_key} must be "
-                        f"a list, got {value!r}"
-                    )
-                experiment[tuple_key] = tuple(value)
 
     source = None
     if "source" in merged:
         source = _compile_source(name, merged["source"], base_dir)
 
-    spec = SweepSpec(
-        base=replace(scenario, name=name),
-        mitigation_costs=axes.get("mitigation_costs"),
-        restartable=axes.get("restartable"),
-        manufacturers=axes.get("manufacturers"),
-        job_scales=axes.get("job_scales"),
-        seeds=axes.get("seeds"),
+    base = _construct(name, "", replace, scenario, name=name)
+    # Each axis alone first, so a value construction refuses names its axis.
+    for axis, values in axes.items():
+        one_axis = SweepSpec(base=base, **{axis: values})
+        _construct(name, f"axis {axis!r}: ", one_axis.points)
+    spec = SweepSpec(base=base, **{axis: axes.get(axis) for axis in _AXIS_KEYS})
+    _construct(name, "", spec.points)
+    # Surface bad values (not just bad names) at compile time, and keep the
+    # values as construction stored them (a list as a tuple).
+    built = _construct(
+        name, "experiment: ", ExperimentConfig().with_overrides, **experiment
     )
-    try:
-        spec.points()
-    except ValueError as exc:
-        raise SuiteError(f"scenario {name!r}: {exc}") from None
-    if experiment:
-        # Surface bad values (not just bad names) at compile time.
-        try:
-            ExperimentConfig().with_overrides(**experiment)
-        except (TypeError, ValueError) as exc:
-            raise SuiteError(f"scenario {name!r}: experiment: {exc}") from None
+    experiment = {key: getattr(built, key) for key in experiment}
     return SuiteEntry(
         name=name, spec=spec, experiment_overrides=experiment, source=source
     )

@@ -23,11 +23,13 @@ as load-bearing for mitigation-policy design (Sections 2.1 and 3.3.4):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from repro.utils.timeutils import DAY, HOUR, MINUTE
-from repro.utils.validation import check_fraction, check_non_negative, check_positive
+from repro.utils.validation import (
+    check_fields, check_positive, fraction, non_negative, positive, sequence_of
+)
 
 
 class FaultType(enum.IntEnum):
@@ -46,89 +48,69 @@ class FaultModelConfig:
 
     # -- corrected-error producing faults ------------------------------- #
     #: Fraction of DIMMs that develop a CE-producing fault during the period.
-    faulty_dimm_fraction: float = 0.10
+    faulty_dimm_fraction: float = fraction(0.10)
     #: Mean number of CE bursts emitted by a faulty DIMM.
-    mean_bursts_per_faulty_dimm: float = 9.0
+    mean_bursts_per_faulty_dimm: float = positive(9.0)
     #: Mean number of CE log records per burst.
-    mean_records_per_burst: float = 18.0
+    mean_records_per_burst: float = positive(18.0)
     #: Mean spread of a burst in seconds (records are exponentially spaced).
-    burst_spread_seconds: float = 45 * MINUTE
+    burst_spread_seconds: float = positive(45 * MINUTE)
     #: Mean total corrected errors carried by one faulty DIMM (heavy-tailed).
-    mean_ces_per_faulty_dimm: float = 600.0
+    mean_ces_per_faulty_dimm: float = positive(600.0)
     #: Log-normal sigma of the per-DIMM total CE count.
-    ce_count_sigma: float = 1.6
+    ce_count_sigma: float = non_negative(1.6)
     #: Mean active lifetime of a fault, seconds.
-    mean_fault_lifetime_seconds: float = 90 * DAY
+    mean_fault_lifetime_seconds: float = positive(90 * DAY)
     #: Probability that a CE is found by the patrol scrubber.
-    scrubber_fraction: float = 0.35
+    scrubber_fraction: float = fraction(0.35)
     #: Relative CE incidence per manufacturer (A, B, C); normalised internally.
-    manufacturer_ce_weights: Tuple[float, ...] = (1.4, 0.7, 1.0)
+    manufacturer_ce_weights: Tuple[float, ...] = sequence_of(
+        (1.4, 0.7, 1.0), non_negative()
+    )
 
     # -- uncorrected errors --------------------------------------------- #
     #: Expected number of distinct UE bursts (i.e. "first" UEs, §2.1.3).
-    n_ue_bursts: int = 24
+    n_ue_bursts: int = non_negative(24, int)
     #: Mean number of *additional* UEs within the week-long burst.
-    ue_burst_repeat_mean: float = 4.0
+    ue_burst_repeat_mean: float = non_negative(4.0)
     #: Fraction of UE bursts that strike DIMMs with no prior CE history.
-    silent_ue_fraction: float = 0.35
+    silent_ue_fraction: float = fraction(0.35)
     #: Fraction of UE bursts that are critical over-temperature shutdowns.
-    overtemp_fraction: float = 0.08
+    overtemp_fraction: float = fraction(0.08)
     #: Relative UE incidence per manufacturer (A, B, C); normalised internally.
-    manufacturer_ue_weights: Tuple[float, ...] = (1.2, 0.9, 1.0)
+    manufacturer_ue_weights: Tuple[float, ...] = sequence_of(
+        (1.2, 0.9, 1.0), non_negative()
+    )
     #: Week-long quarantine applied to a node after a UE (§2.1.3).
-    quarantine_seconds: float = 7 * DAY
+    quarantine_seconds: float = positive(7 * DAY)
 
     # -- correlated multi-node burst failures --------------------------- #
     #: Number of correlated failure incidents striking *several adjacent
     #: nodes* at once (rack-level power/cooling events).  ``0`` — the
     #: default — disables the mode entirely and leaves every RNG stream of
     #: the generator untouched, so existing scenarios are bit-identical.
-    correlated_bursts: int = 0
+    correlated_bursts: int = non_negative(0, int)
     #: Number of consecutive nodes struck by each correlated incident.
-    correlated_burst_width: int = 4
+    correlated_burst_width: int = positive(4, int)
     #: Temporal span within which the incident's first UEs land, seconds.
-    correlated_burst_span_seconds: float = 1 * HOUR
+    correlated_burst_span_seconds: float = positive(1 * HOUR)
     #: Mean follow-up UEs per affected node within its quarantine window.
-    correlated_burst_repeat_mean: float = 2.0
+    correlated_burst_repeat_mean: float = non_negative(2.0)
 
     # -- warnings, boots, retirement ------------------------------------ #
     #: Correctable-error logging limit that triggers a UE warning.
-    ce_logging_limit: int = 256
+    ce_logging_limit: int = positive(256, int)
     #: Mean interval between routine node reboots, seconds.
-    mean_boot_interval_seconds: float = 60 * DAY
+    mean_boot_interval_seconds: float = positive(60 * DAY)
     #: Probability that a node about to suffer a UE reboots in the prior days.
-    pre_ue_boot_probability: float = 0.4
+    pre_ue_boot_probability: float = fraction(0.4)
     #: Number of DIMMs retired administratively during the period (§2.1.4).
-    n_retired_dimms: int = 4
+    n_retired_dimms: int = non_negative(4, int)
     #: Fraction of retired DIMMs that had no preceding errors (paper: most).
-    retired_error_free_fraction: float = 0.8
+    retired_error_free_fraction: float = fraction(0.8)
 
     def __post_init__(self) -> None:
-        check_fraction("faulty_dimm_fraction", self.faulty_dimm_fraction)
-        check_fraction("silent_ue_fraction", self.silent_ue_fraction)
-        check_fraction("overtemp_fraction", self.overtemp_fraction)
-        check_fraction("scrubber_fraction", self.scrubber_fraction)
-        check_fraction(
-            "retired_error_free_fraction", self.retired_error_free_fraction
-        )
-        check_fraction("pre_ue_boot_probability", self.pre_ue_boot_probability)
-        check_positive("mean_ces_per_faulty_dimm", self.mean_ces_per_faulty_dimm)
-        check_positive("mean_bursts_per_faulty_dimm", self.mean_bursts_per_faulty_dimm)
-        check_positive("mean_records_per_burst", self.mean_records_per_burst)
-        check_positive("burst_spread_seconds", self.burst_spread_seconds)
-        check_positive("quarantine_seconds", self.quarantine_seconds)
-        check_positive("ce_logging_limit", self.ce_logging_limit)
-        check_non_negative("n_ue_bursts", self.n_ue_bursts)
-        check_non_negative("n_retired_dimms", self.n_retired_dimms)
-        check_non_negative("ue_burst_repeat_mean", self.ue_burst_repeat_mean)
-        check_non_negative("correlated_bursts", self.correlated_bursts)
-        check_positive("correlated_burst_width", self.correlated_burst_width)
-        check_positive(
-            "correlated_burst_span_seconds", self.correlated_burst_span_seconds
-        )
-        check_non_negative(
-            "correlated_burst_repeat_mean", self.correlated_burst_repeat_mean
-        )
+        check_fields(self)
 
     # ------------------------------------------------------------------ #
     @staticmethod
@@ -209,9 +191,4 @@ class FaultModelConfig:
         """Inverse of :meth:`to_dict`."""
         from repro.serialization import simple_from_dict
 
-        return simple_from_dict(
-            cls,
-            data,
-            "fault_model_config",
-            tuple_fields=("manufacturer_ce_weights", "manufacturer_ue_weights"),
-        )
+        return simple_from_dict(cls, data, "fault_model_config")

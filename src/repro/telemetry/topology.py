@@ -9,13 +9,15 @@ therefore assigns manufacturers per *node*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_positive
+from repro.utils.validation import (
+    check_fields, fraction, non_negative, positive, sequence_of, text
+)
 
 
 @dataclass(frozen=True)
@@ -31,25 +33,19 @@ class FleetSegment:
     """
 
     #: Human-readable segment name (unique within a topology).
-    name: str
+    name: str = text()
     #: Number of consecutive nodes in this segment.
-    n_nodes: int
+    n_nodes: int = positive(kind=int)
     #: Manufacturer index of every DIMM in the segment.
-    manufacturer: int
+    manufacturer: int = non_negative(kind=int)
     #: DIMM-generation fault-rate multipliers relative to the fault model.
-    ce_scale: float = 1.0
-    ue_scale: float = 1.0
+    ce_scale: float = positive(1.0)
+    ue_scale: float = positive(1.0)
     #: Per-segment policy of the Fleet-mix approach (``None``: the default).
-    policy: Optional[str] = None
+    policy: Optional[str] = text(None)
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("segment name must not be empty")
-        check_positive("n_nodes", self.n_nodes)
-        if self.manufacturer < 0:
-            raise ValueError("segment manufacturer index must be >= 0")
-        check_positive("ce_scale", self.ce_scale)
-        check_positive("ue_scale", self.ue_scale)
+        check_fields(self)
 
     def to_dict(self) -> dict:
         """Versioned JSON-ready representation (see :mod:`repro.serialization`)."""
@@ -84,33 +80,30 @@ class ClusterTopology:
         manufacturer").
     """
 
-    n_nodes: int
-    dimms_per_node: int = 8
-    manufacturer_shares: Tuple[float, ...] = (0.26, 0.21, 0.53)
-    mixed_node_fraction: float = 0.01
-    ranks_per_dimm: int = 4
-    banks_per_rank: int = 8
-    rows_per_bank: int = 65536
-    cols_per_row: int = 1024
+    n_nodes: int = positive(kind=int)
+    dimms_per_node: int = positive(8, int)
+    manufacturer_shares: Tuple[float, ...] = sequence_of(
+        (0.26, 0.21, 0.53), non_negative()
+    )
+    mixed_node_fraction: float = fraction(0.01)
+    ranks_per_dimm: int = positive(4, int)
+    banks_per_rank: int = positive(8, int)
+    rows_per_bank: int = positive(65536, int)
+    cols_per_row: int = positive(1024, int)
     #: Heterogeneous-fleet description: contiguous node blocks, each with
     #: its own manufacturer and DIMM-generation fault scaling.  When empty
     #: (the default) manufacturers are drawn from ``manufacturer_shares``
     #: exactly as before; when present the segment node counts must sum to
     #: ``n_nodes`` and the assignment is deterministic.
-    segments: Tuple[FleetSegment, ...] = ()
+    segments: Tuple[FleetSegment, ...] = sequence_of((), FleetSegment, empty=True)
 
     def __post_init__(self) -> None:
-        check_positive("n_nodes", self.n_nodes)
-        check_positive("dimms_per_node", self.dimms_per_node)
-        if len(self.manufacturer_shares) < 1:
-            raise ValueError("at least one manufacturer share is required")
+        check_fields(self)
         total = float(sum(self.manufacturer_shares))
         if not np.isclose(total, 1.0, atol=5e-2):
             raise ValueError(
                 f"manufacturer_shares must sum to ~1, got {total:.3f}"
             )
-        if not (0.0 <= self.mixed_node_fraction <= 1.0):
-            raise ValueError("mixed_node_fraction must be in [0, 1]")
         if self.segments:
             seg_total = sum(seg.n_nodes for seg in self.segments)
             if seg_total != self.n_nodes:
@@ -134,22 +127,11 @@ class ClusterTopology:
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterTopology":
         """Inverse of :meth:`to_dict`."""
-        from repro.serialization import untag
+        from repro.serialization import simple_from_dict, untag
 
-        payload = dict(untag(data, "cluster_topology"))
-        payload["manufacturer_shares"] = tuple(payload["manufacturer_shares"])
-        payload["segments"] = tuple(
-            FleetSegment.from_dict(item) for item in payload.pop("segments", [])
-        )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            from repro.serialization import SchemaError
-
-            raise SchemaError(
-                f"'cluster_topology' payload has unknown fields {unknown!r}"
-            )
-        return cls(**payload)
+        payload = untag(data, "cluster_topology")
+        segments = [FleetSegment.from_dict(seg) for seg in payload.get("segments", [])]
+        return simple_from_dict(cls, {**data, "segments": segments}, "cluster_topology")
 
     # ------------------------------------------------------------------ #
     @property

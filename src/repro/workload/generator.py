@@ -23,7 +23,9 @@ import numpy as np
 
 from repro.utils.rng import as_generator
 from repro.utils.timeutils import HOUR
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import (
+    check_fields, check_positive, fraction, one_of, positive
+)
 from repro.workload.job import JobLog
 from repro.workload.scheduler import BackfillScheduler, ClusterScheduler
 
@@ -33,50 +35,33 @@ class WorkloadConfig:
     """Parameters of the synthetic workload."""
 
     #: Largest job size, in nodes.
-    max_job_nodes: int = 512
+    max_job_nodes: int = positive(512, int)
     #: Mean job wallclock duration, seconds.
-    mean_job_duration_seconds: float = 10 * HOUR
+    mean_job_duration_seconds: float = positive(10 * HOUR)
     #: Log-normal sigma of the duration distribution.
-    duration_sigma: float = 1.2
+    duration_sigma: float = positive(1.2)
     #: Geometric decay of the power-of-two node-count distribution: the
     #: probability of 2^(k+1) nodes is ``node_count_decay`` times that of 2^k.
-    node_count_decay: float = 0.62
+    node_count_decay: float = fraction(0.62, strict=True)
     #: Target cluster utilization delivered by the generated log.
-    target_utilization: float = 0.95
+    target_utilization: float = fraction(0.95)
     #: Minimum job duration, seconds (very short jobs are not interesting).
-    min_job_duration_seconds: float = 5 * 60.0
+    min_job_duration_seconds: float = positive(5 * 60.0)
     #: Submission-time shape: ``"uniform"`` (stationary backlog, the
     #: default) or ``"diurnal"`` (sinusoidal day/night arrival rate).  Both
     #: consume exactly one uniform draw per job, so switching patterns
     #: never perturbs the other random streams of the generator.
-    submit_pattern: str = "uniform"
+    submit_pattern: str = one_of("uniform", ("uniform", "diurnal"))
     #: Relative amplitude of the diurnal arrival-rate modulation, in [0, 1].
-    diurnal_amplitude: float = 0.6
+    diurnal_amplitude: float = fraction(0.6)
     #: Period of the diurnal cycle, seconds.
-    diurnal_period_seconds: float = 24 * HOUR
+    diurnal_period_seconds: float = positive(24 * HOUR)
     #: Scheduling discipline: ``"fcfs"`` or ``"backfill"`` (EASY-style
     #: conservative backfilling, stressing queue-jump job mixes).
-    scheduler: str = "fcfs"
+    scheduler: str = one_of("fcfs", ("fcfs", "backfill"))
 
     def __post_init__(self) -> None:
-        check_positive("max_job_nodes", self.max_job_nodes)
-        check_positive("mean_job_duration_seconds", self.mean_job_duration_seconds)
-        check_positive("duration_sigma", self.duration_sigma)
-        check_positive("min_job_duration_seconds", self.min_job_duration_seconds)
-        check_fraction("target_utilization", self.target_utilization)
-        if not (0.0 < self.node_count_decay < 1.0):
-            raise ValueError("node_count_decay must be in (0, 1)")
-        if self.submit_pattern not in ("uniform", "diurnal"):
-            raise ValueError(
-                f"submit_pattern must be 'uniform' or 'diurnal', "
-                f"got {self.submit_pattern!r}"
-            )
-        check_fraction("diurnal_amplitude", self.diurnal_amplitude)
-        check_positive("diurnal_period_seconds", self.diurnal_period_seconds)
-        if self.scheduler not in ("fcfs", "backfill"):
-            raise ValueError(
-                f"scheduler must be 'fcfs' or 'backfill', got {self.scheduler!r}"
-            )
+        check_fields(self)
 
     def to_dict(self) -> dict:
         """Versioned JSON-ready representation (see :mod:`repro.serialization`)."""

@@ -45,15 +45,15 @@ def _kind_config(n_workers: int = 1, **overrides) -> ExperimentConfig:
 
 
 def _burst_scenario() -> ScenarioConfig:
-    return replace(
-        ScenarioConfig.small(seed=11).with_fault_overrides(
-            correlated_bursts=3,
-            correlated_burst_width=4,
-            correlated_burst_span_seconds=1 * HOUR,
-            correlated_burst_repeat_mean=2.0,
-        ),
-        name="burst-faults",
+    base = ScenarioConfig.small(seed=11)
+    fault_model = replace(
+        base.fault_model,
+        correlated_bursts=3,
+        correlated_burst_width=4,
+        correlated_burst_span_seconds=1 * HOUR,
+        correlated_burst_repeat_mean=2.0,
     )
+    return replace(base, fault_model=fault_model, name="burst-faults")
 
 
 def _mcelog_scenario():
@@ -93,14 +93,14 @@ def _fleet_scenario() -> ScenarioConfig:
 
 
 def _diurnal_scenario() -> ScenarioConfig:
-    return replace(
-        ScenarioConfig.small().with_workload_overrides(
-            submit_pattern="diurnal",
-            diurnal_amplitude=0.8,
-            scheduler="backfill",
-        ),
-        name="diurnal-backfill",
+    base = ScenarioConfig.small()
+    workload = replace(
+        base.workload,
+        submit_pattern="diurnal",
+        diurnal_amplitude=0.8,
+        scheduler="backfill",
     )
+    return replace(base, workload=workload, name="diurnal-backfill")
 
 
 def _run_kind(kind: str, n_workers: int) -> Dict[str, Dict[str, float]]:

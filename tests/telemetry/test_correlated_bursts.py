@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,10 @@ from repro.analysis.burst import BurstStatistics
 from repro.telemetry.fault_model import FaultModelConfig
 from repro.telemetry.generator import TelemetryGenerator
 from repro.utils.timeutils import HOUR
+
+
+def _with_faults(scenario: ScenarioConfig, **fields) -> ScenarioConfig:
+    return replace(scenario, fault_model=replace(scenario.fault_model, **fields))
 
 
 def _generate(scenario: ScenarioConfig):
@@ -24,7 +30,8 @@ def _generate(scenario: ScenarioConfig):
 def test_mode_defaults_to_inert():
     """``correlated_bursts=0`` leaves the generated log bit-identical."""
     base = ScenarioConfig.small()
-    explicit = base.with_fault_overrides(
+    explicit = _with_faults(
+        base,
         correlated_bursts=0,
         correlated_burst_width=9,
         correlated_burst_span_seconds=5 * HOUR,
@@ -39,7 +46,8 @@ def test_mode_defaults_to_inert():
 
 def test_bursts_add_ues_on_clustered_nodes():
     base = ScenarioConfig.small(seed=11)
-    burst = base.with_fault_overrides(
+    burst = _with_faults(
+        base,
         correlated_bursts=3,
         correlated_burst_width=4,
         correlated_burst_span_seconds=1 * HOUR,
@@ -60,16 +68,16 @@ def test_bursts_add_ues_on_clustered_nodes():
 
 
 def test_burst_width_is_capped_by_the_cluster():
-    tiny = ScenarioConfig.small().with_fault_overrides(
-        correlated_bursts=1, correlated_burst_width=10_000
+    tiny = _with_faults(
+        ScenarioConfig.small(), correlated_bursts=1, correlated_burst_width=10_000
     )
     log = _generate(tiny)  # must not raise despite width >> n_nodes
     assert log.node.max() < tiny.topology.n_nodes
 
 
 def test_generation_is_deterministic():
-    scenario = ScenarioConfig.small(seed=23).with_fault_overrides(
-        correlated_bursts=2
+    scenario = _with_faults(
+        ScenarioConfig.small(seed=23), correlated_bursts=2
     )
     log_a, log_b = _generate(scenario), _generate(scenario)
     np.testing.assert_array_equal(log_a.time, log_b.time)
@@ -140,7 +148,8 @@ def test_from_burst_statistics_round_trips_through_analysis():
         measured, base=scenario.fault_model
     )
     regenerated = _generate(
-        scenario.with_fault_overrides(
+        _with_faults(
+            scenario,
             n_ue_bursts=calibrated.n_ue_bursts,
             ue_burst_repeat_mean=calibrated.ue_burst_repeat_mean,
             quarantine_seconds=calibrated.quarantine_seconds,

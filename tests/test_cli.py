@@ -167,6 +167,9 @@ class TestServe:
             ("--replay-at-speed", "0"),
             ("--job-nodes", "-1"),
             ("--source", "no-such-spool.log"),
+            ("--seed", "-1"),
+            ("--threshold", "2"),
+            ("--rl-episodes", "0"),
         ],
     )
     def test_serve_rejects_a_bad_flag_before_any_work(
@@ -216,6 +219,7 @@ class TestOneFrontDoor:
             ["run", "--fast", "--mitigation-cost", "inf"],
             ["run", "--fast", "--duration-days", "inf"],
             ["run", "--fast", "--seed", "-1"],
+            ["run", "--fast", "--manufacturer", "9"],
             ["sweep", "--duration-days", "-5"],
             ["sweep", "--seeds", "1,1"],
             ["sweep", "--mitigation-cost=-2"],
@@ -225,10 +229,15 @@ class TestOneFrontDoor:
             ["sweep", "--claim"],
             ["sweep", "--claim", "--status", "--store", "runs"],
             ["sweep", "--worker-id", "w0", "--store", "runs"],
+            ["sweep", "--claim", "--store", "runs", "--lease-ttl", "-5"],
+            ["sweep", "--claim", "--store", "runs", "--lease-ttl", "nan"],
             ["suite", "small.yaml", "--episodes", "0"],
             ["suite", "small.yaml", "--claim"],
             ["suite", "small.yaml", "--lease-ttl", "5", "--store", "runs"],
             ["suite", "small.yaml", "--worker-id", "w0", "--store", "runs"],
+            ["suite", "small.yaml", "--claim", "--store", "runs", "--lease-ttl", "0"],
+            ["gc", "--store", "runs", "--grace-minutes", "-1"],
+            ["gc", "--store", "runs", "--grace-minutes", "nan"],
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -115,6 +115,26 @@ class TestSchemaErrors:
         "scalar-threshold-offsets": (
             "scenarios: {a: {experiment: {sc20_threshold_offsets: 0.1}}}"
         ),
+        "negative-evaluation-cost": (
+            "scenarios: {a: {evaluation: {mitigation_cost_node_minutes: -1}}}"
+        ),
+        "zero-cv-parts": "scenarios: {a: {evaluation: {cv_parts: 0}}}",
+        "cv-train-fraction-above-one": (
+            "scenarios: {a: {evaluation: {cv_train_fraction: 2}}}"
+        ),
+        "non-bool-restartable": "scenarios: {a: {evaluation: {restartable: maybe}}}",
+        "non-bool-experiment-flag": "scenarios: {a: {experiment: {include_rl: maybe}}}",
+        "fractional-episodes": "scenarios: {a: {experiment: {rl_episodes: 2.5}}}",
+        "absent-manufacturer": "scenarios: {a: {axes: {manufacturers: [9]}}}",
+        "empty-block-name": "scenarios: {'': {}}",
+        "zero-ce-weights": (
+            "scenarios: {a: {fault_model: {manufacturer_ce_weights: [0, 0, 0]}}}"
+        ),
+        # Only the first three weights reach the small preset's three
+        # manufacturers.
+        "zero-ue-weights-on-fleet": (
+            "scenarios: {a: {fault_model: {manufacturer_ue_weights: [0, 0, 0, 1]}}}"
+        ),
     }
 
     @pytest.mark.parametrize("label", sorted(BAD_SUITES))
@@ -148,10 +168,51 @@ class TestSchemaErrors:
             load_suite(str(path))
 
     def test_range_errors_name_the_block_and_field(self):
-        with pytest.raises(SuiteError, match="scenario 'a': mitigation_costs must be >= 0"):
+        with pytest.raises(
+            SuiteError,
+            match="scenario 'a': axis 'mitigation_costs': "
+            "mitigation_cost_node_minutes must be >= 0",
+        ):
             parse_suite(self.BAD_SUITES["negative-cost"])
         with pytest.raises(SuiteError, match="scenario 'a': experiment: rl_episodes"):
             parse_suite(self.BAD_SUITES["bad-experiment-value"])
+
+    @pytest.mark.parametrize(
+        "label, field",
+        [
+            ("negative-evaluation-cost", "mitigation_cost_node_minutes"),
+            ("zero-cv-parts", "cv_parts"),
+            ("cv-train-fraction-above-one", "cv_train_fraction"),
+            ("non-bool-restartable", "restartable"),
+            ("non-bool-experiment-flag", "include_rl"),
+            ("fractional-episodes", "rl_episodes"),
+            ("absent-manufacturer", "manufacturer"),
+            ("negative-seed", "seed"),
+            ("scalar-hidden-sizes", "rl_hidden_sizes"),
+            ("zero-ce-weights", "manufacturer_ce_weights"),
+            ("zero-ue-weights-on-fleet", "manufacturer_ue_weights"),
+        ],
+    )
+    def test_construction_errors_name_the_block_and_field(self, label, field):
+        """Construction judges the value; the suite only adds the block."""
+        prefix = r"^scenario 'a': ((\w+|axis '\w+'): )?"
+        with pytest.raises(SuiteError, match=rf"{prefix}{field} must "):
+            parse_suite(self.BAD_SUITES[label])
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("negative-duration", "duration_days: duration_seconds must be > 0"),
+            ("zero-job-scale", "axis 'job_scales': job_scaling_factor must be > 0"),
+            ("negative-seed-axis", "axis 'seeds': seed must be >= 0"),
+            ("absent-manufacturer", "axis 'manufacturers': manufacturer must be < 3"),
+        ],
+    )
+    def test_errors_name_the_key_the_user_wrote(self, label, message):
+        """Where a key lands in a differently named field, both are named."""
+        with pytest.raises(SuiteError) as excinfo:
+            parse_suite(self.BAD_SUITES[label])
+        assert str(excinfo.value).startswith(f"scenario 'a': {message}")
 
     def test_missing_file_is_a_suite_error(self, tmp_path):
         with pytest.raises(SuiteError, match="cannot read suite file"):
